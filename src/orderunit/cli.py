@@ -401,10 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, tol=1e-9):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=int, default=2**14)
-        sp.add_argument("--tol", type=float, default=1e-9)
+        sp.add_argument("--tol", type=float, default=tol)
         sp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     p = sub.add_parser("check", help="run the law checkers on a functional or an operator")
@@ -442,11 +442,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_openness)
 
     p = sub.add_parser("compact", help="extract a convergent subsequence from a capacity sequence")
-    common(p)
+    common(p, tol=1e-6)  # convergence tolerance, not a predicate tolerance
     p.add_argument("--capacities", required=True)
     p.add_argument("--min-length", type=int, default=8)
     p.add_argument("--truncation", type=int, default=64)
-    p.set_defaults(handler=run_compact, tol_default=1e-6)
+    p.set_defaults(handler=run_compact)
 
     p = sub.add_parser("gallery", help="reproduce the built-in example fixtures")
     common(p)
@@ -458,8 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "compact" and args.tol == 1e-9:
-        args.tol = 1e-6  # convergence tolerance, not a predicate tolerance
     if args.seed < 0 or args.samples <= 0:
         print("error: seed must be nonnegative and samples positive", file=sys.stderr)
         return EXIT_INPUT

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import Functional, PropertyReport
-from .spaces import TOL, OrderedSpace, as_vec, ray_thresholds
+from .spaces import TOL, OrderedSpace, as_vec
 
 
 def _unit_component(space: OrderedSpace, v: np.ndarray) -> float:
@@ -53,9 +53,10 @@ def canonicalize(space: OrderedSpace, v) -> tuple[np.ndarray, float]:
     return w - mu * space.unit, mu
 
 
-def _is_zero(space: OrderedSpace, v: np.ndarray, tol: float) -> bool:
+def _is_zero(space: OrderedSpace, v: np.ndarray, tol: float):
+    """Zero test along the last axis: one verdict per vector."""
     scale = 1.0 + float(np.max(np.abs(space.unit)))
-    return bool(np.max(np.abs(v)) <= tol * scale)
+    return np.max(np.abs(v), axis=-1) <= tol * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,13 +87,11 @@ def _canonical_lines(space: OrderedSpace, points, values=None, unit_value: float
     raises; with ``values=None`` the values output is all zeros.
     """
     pts = [as_vec(p, space.dim) for p in points]
-    if values is None:
-        vals = [0.0] * len(pts)
-    else:
-        vals = [float(v) for v in values]
-        if len(vals) != len(pts):
-            raise ValueError("one value per base point required")
-    base, out_vals = [], []
+    vals = [0.0] * len(pts) if values is None else [float(v) for v in values]
+    if len(vals) != len(pts):
+        raise ValueError("one value per base point required")
+    base = np.empty((len(pts), space.dim))
+    out_vals = []
     for p, g in zip(pts, vals):
         rep, mu = canonicalize(space, p)
         g_rep = g - mu * unit_value
@@ -104,20 +103,16 @@ def _canonical_lines(space: OrderedSpace, points, values=None, unit_value: float
                     f"but the unit slope forces {mu * unit_value}"
                 )
             continue
-        merged = False
-        for i, b in enumerate(base):
-            if _is_zero(space, rep - b, tol):
-                if values is not None and abs(out_vals[i] - g_rep) > 1e-7:
-                    raise ValueError(
-                        f"value conflict on a duplicate line: {out_vals[i]} vs {g_rep}"
-                    )
-                merged = True
-                break
-        if not merged:
-            base.append(rep)
-            out_vals.append(g_rep)
-    base_arr = np.array(base).reshape(-1, space.dim)
-    return base_arr, np.array(out_vals)
+        dup = np.flatnonzero(_is_zero(space, rep - base[: len(out_vals)], tol))
+        if dup.size:
+            if values is not None and abs(out_vals[dup[0]] - g_rep) > 1e-7:
+                raise ValueError(
+                    f"value conflict on a duplicate line: {out_vals[dup[0]]} vs {g_rep}"
+                )
+            continue
+        base[len(out_vals)] = rep
+        out_vals.append(g_rep)
+    return base[: len(out_vals)], np.array(out_vals)
 
 
 def unit_span(space: OrderedSpace, points=()) -> UnitSpan:
@@ -129,9 +124,7 @@ def unit_span(space: OrderedSpace, points=()) -> UnitSpan:
 def span_contains(span: UnitSpan, v, tol: float = TOL) -> bool:
     """Is ``v`` on the axis line or on one of the base lines?"""
     rep, _ = canonicalize(span.space, v)
-    if _is_zero(span.space, rep, tol):
-        return True
-    return any(_is_zero(span.space, rep - b, tol) for b in span.base)
+    return bool(_is_zero(span.space, rep, tol) or np.any(_is_zero(span.space, rep - span.base, tol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +142,8 @@ class PartialFunctional:
     subspace: UnitSpan
     values: np.ndarray
     unit_value: float
+    X: np.ndarray = field(init=False, repr=False)  # origin (axis line), then base points
+    G: np.ndarray = field(init=False, repr=False)  # their values: 0, then ``values``
     consistent: bool = field(init=False)
 
     def __post_init__(self):
@@ -159,6 +154,8 @@ class PartialFunctional:
             raise ValueError("unit_value must be nonnegative (order preservation on the axis line)")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "unit_value", float(self.unit_value))
+        object.__setattr__(self, "X", np.vstack([np.zeros(self.space.dim), self.subspace.base]))
+        object.__setattr__(self, "G", np.concatenate([[0.0], vals]))
         object.__setattr__(self, "consistent", _consistency_witness(self) is None)
 
     @property
@@ -177,17 +174,17 @@ def partial_functional(
     base, vals = _canonical_lines(space, points, values, unit_value)
     pf = PartialFunctional(subspace=UnitSpan(space=space, base=base), values=vals, unit_value=unit_value)
     if strict and not pf.consistent:
-        witness = _consistency_witness(pf)
-        raise ValueError(f"inconsistent partial functional: {witness}")
+        raise ValueError(f"inconsistent partial functional: {_consistency_witness(pf)}")
     return pf
 
 
-def _lines(pf: PartialFunctional):
-    """Base lines plus the implied axis line (index 0, value 0)."""
-    zero = np.zeros(pf.space.dim)
-    xs = [zero, *pf.subspace.base]
-    gs = [0.0, *pf.values.tolist()]
-    return xs, gs
+def _thresholds(space: OrderedSpace, d: np.ndarray) -> np.ndarray:
+    """The ratios of :func:`orderunit.spaces.ray_thresholds`, one row per row ``d_i``.
+
+    A stack of matrix-vector products rounds as ``rows @ d_i`` does; ``d @ rows.T`` would not.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.matmul(space.cone.rows, d[:, :, None])[:, :, 0] / space.unit_pairings
 
 
 def _consistency_witness(pf: PartialFunctional, tol: float = TOL):
@@ -197,22 +194,24 @@ def _consistency_witness(pf: PartialFunctional, tol: float = TOL):
     ``t_ij = inf { t : x_j + t*unit >= x_i }``, so the values must satisfy
     ``g_j + t_ij * c >= g_i``.
     """
-    xs, gs = _lines(pf)
+    X, G = pf.X, pf.G
     c = pf.unit_value
-    for i, (x_i, g_i) in enumerate(zip(xs, gs)):
-        for j, (x_j, g_j) in enumerate(zip(xs, gs)):
-            if i == j:
-                continue
-            _, t_ij = ray_thresholds(pf.space, x_j, x_i)
-            if g_j + t_ij * c < g_i - tol:
-                return {
-                    "line_i": i,
-                    "line_j": j,
-                    "threshold": float(t_ij),
-                    "g_i": float(g_i),
-                    "g_j": float(g_j),
-                    "slope": float(c),
-                }
+    for i in range(len(G)):
+        t = _thresholds(pf.space, X[i] - X).max(axis=1)
+        with np.errstate(invalid="ignore"):
+            violated = G + t * c < G[i] - tol
+        violated[i] = False
+        js = np.flatnonzero(violated)
+        if js.size:
+            j = int(js[0])
+            return {
+                "line_i": i,
+                "line_j": j,
+                "threshold": float(t[j]),
+                "g_i": float(G[i]),
+                "g_j": float(G[j]),
+                "slope": float(c),
+            }
     return None
 
 
@@ -241,6 +240,12 @@ class ExtensionInterval:
         return self.p_plus - self.p_minus
 
 
+def _fold_min(v: np.ndarray) -> float:
+    """``min(inf, v_0, v_1, ...)`` as Python folds it: NaN never wins, ties keep the first."""
+    v = np.where(np.isnan(v), np.inf, v)
+    return float(v[np.argmin(v)])
+
+
 def extension_interval(pf: PartialFunctional, y, tol: float = TOL) -> ExtensionInterval:
     """Exact admissible interval for ``f(y)``.
 
@@ -252,15 +257,11 @@ def extension_interval(pf: PartialFunctional, y, tol: float = TOL) -> ExtensionI
     """
     if not pf.consistent:
         raise ValueError("extension requires a consistent partial functional")
-    target = as_vec(y, pf.space.dim)
-    xs, gs = _lines(pf)
+    ratios = _thresholds(pf.space, as_vec(y, pf.space.dim) - pf.X)
     c = pf.unit_value
-    p_plus = np.inf
-    p_minus = -np.inf
-    for x_i, g_i in zip(xs, gs):
-        lo, hi = ray_thresholds(pf.space, x_i, target)
-        p_plus = min(p_plus, g_i + c * hi)
-        p_minus = max(p_minus, g_i + c * lo)
+    with np.errstate(invalid="ignore"):
+        p_plus = _fold_min(pf.G + c * ratios.max(axis=1))
+        p_minus = -_fold_min(-(pf.G + c * ratios.min(axis=1)))
     if p_minus > p_plus + tol:
         raise ValueError(
             f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
@@ -331,12 +332,10 @@ def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functi
     if not pf.consistent:
         raise ValueError("extension requires a consistent partial functional")
 
-    if mode == "lower":
-        def _eval(x, _pf=pf):
-            return extension_interval(_pf, x).p_minus
-    else:
-        def _eval(x, _pf=pf):
-            return extension_interval(_pf, x).midpoint
+    endpoint = "p_minus" if mode == "lower" else "midpoint"
+
+    def _eval(x, _pf=pf):
+        return getattr(extension_interval(_pf, x), endpoint)
 
     return Functional(space=pf.space, kind="extended", partial=pf, rule=mode, hook=_eval)
 

@@ -8,7 +8,7 @@ with the closed forms it cross-checks.
 
 import numpy as np
 
-from orderunit import Capacity, cone_contains
+from orderunit import Capacity, cone_contains, ray_thresholds
 
 
 def norm_by_bisection(space, x, iters=80):
@@ -126,6 +126,114 @@ def interval_by_line_search(pf, y, iters=80):
         p_plus = min(p_plus, g_i + c * t_plus)
         p_minus = max(p_minus, g_i + c * t_minus)
     return p_minus, p_plus
+
+
+def _lines(pf):
+    """The axis line (origin, value 0) followed by the base lines."""
+    xs = [np.zeros(pf.space.dim), *pf.subspace.base]
+    gs = [0.0, *pf.values.tolist()]
+    return xs, gs
+
+
+def interval_by_ray_thresholds(pf, y, tol=1e-9):
+    """Extension interval endpoints by one scalar ray-threshold call per line.
+
+    The per-line loop the extension engine ran before it stacked its lines;
+    vectorized code must reproduce its endpoints bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    xs, gs = _lines(pf)
+    c = pf.unit_value
+    p_plus = np.inf
+    p_minus = -np.inf
+    for x_i, g_i in zip(xs, gs):
+        lo, hi = ray_thresholds(pf.space, x_i, y)
+        p_plus = min(p_plus, g_i + c * hi)
+        p_minus = max(p_minus, g_i + c * lo)
+    if p_minus > p_plus + tol:
+        raise ValueError(
+            f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
+        )
+    return float(p_minus), float(p_plus)
+
+
+def consistency_witness_by_pairs(pf, tol=1e-9):
+    """First violated pairwise consistency inequality, one scalar call per pair.
+
+    Row-major over ``(line_i, line_j)``, ``i != j``, with the axis line first;
+    ``None`` when every inequality ``g_j + t_ij * c >= g_i - tol`` holds.
+    """
+    xs, gs = _lines(pf)
+    c = pf.unit_value
+    for i, (x_i, g_i) in enumerate(zip(xs, gs)):
+        for j, (x_j, g_j) in enumerate(zip(xs, gs)):
+            if i == j:
+                continue
+            _, t_ij = ray_thresholds(pf.space, x_j, x_i)
+            if g_j + t_ij * c < g_i - tol:
+                return {
+                    "line_i": i,
+                    "line_j": j,
+                    "threshold": float(t_ij),
+                    "g_i": float(g_i),
+                    "g_j": float(g_j),
+                    "slope": float(c),
+                }
+    return None
+
+
+def _unit_rep(space, p):
+    """Projection of ``p`` off the unit direction, plus the removed multiple."""
+    u = space.unit
+    mu = float(p @ u) / float(u @ u)
+    return p - mu * u, mu
+
+
+def _negligible(space, v, tol):
+    return bool(np.max(np.abs(v)) <= tol * (1.0 + float(np.max(np.abs(space.unit)))))
+
+
+def canonical_lines_by_pairs(space, points, values=None, unit_value=0.0, tol=1e-9):
+    """Base points modulo the unit line, merged by one zero test per pair.
+
+    Projects each point off the unit, drops points on the axis line and
+    merges points on an already listed line, raising on value conflicts
+    exactly as the extension engine does.  Returns ``(base, vals)``.
+    """
+    pts = [np.asarray(p, dtype=float) for p in points]
+    vals = [0.0] * len(pts) if values is None else [float(v) for v in values]
+    base, out_vals = [], []
+    for p, g in zip(pts, vals):
+        rep, mu = _unit_rep(space, p)
+        g_rep = g - mu * unit_value
+        if _negligible(space, rep, tol):
+            if values is not None and abs(g_rep) > 1e-7:
+                raise ValueError(
+                    f"value conflict on the axis line: point {p.tolist()} carries {g}, "
+                    f"but the unit slope forces {mu * unit_value}"
+                )
+            continue
+        merged = False
+        for i, b in enumerate(base):
+            if _negligible(space, rep - b, tol):
+                if values is not None and abs(out_vals[i] - g_rep) > 1e-7:
+                    raise ValueError(
+                        f"value conflict on a duplicate line: {out_vals[i]} vs {g_rep}"
+                    )
+                merged = True
+                break
+        if not merged:
+            base.append(rep)
+            out_vals.append(g_rep)
+    return np.array(base).reshape(-1, space.dim), np.array(out_vals)
+
+
+def span_contains_by_lines(span, v, tol=1e-9):
+    """Span membership by one zero test per line, the axis line first."""
+    rep, _ = _unit_rep(span.space, np.asarray(v, dtype=float))
+    return _negligible(span.space, rep, tol) or any(
+        _negligible(span.space, rep - b, tol) for b in span.base
+    )
 
 
 def mc_sup_abs(f, n=4096, seed=0):

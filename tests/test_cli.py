@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from orderunit import cli
+
 PYTHON = sys.executable
+GALLERY_SEED7 = Path(__file__).parent / "data" / "gallery_seed7.json"
 
 
 def run_cli(*args):
@@ -171,6 +175,21 @@ class TestCompact:
         assert all(i % 2 == 0 for i in payload["indices"])
         assert payload["limit_capacity"]["values"]["1"] == 0.6
 
+    @pytest.mark.parametrize(
+        "argv, expected", [([], 1e-6), (["--tol", "1e-9"], 1e-9), (["--tol", "0.01"], 0.01)]
+    )
+    def test_tol_reaches_subsequence_limit(self, files, monkeypatch, capsys, argv, expected):
+        seen = []
+        real = cli.subsequence_limit
+
+        def spy(*args, conv_tol, **kwargs):
+            seen.append(conv_tol)
+            return real(*args, conv_tol=conv_tol, **kwargs)
+
+        monkeypatch.setattr(cli, "subsequence_limit", spy)
+        assert cli.main(["compact", "--capacities", files["osc"], "--format", "json", *argv]) == 0
+        assert seen == [expected]
+
     def test_short_sequence_is_input_error(self, files, tmp_path):
         short = tmp_path / "short.json"
         short.write_text(json.dumps({"n": 2, "sequence": [{"values": {"3": 1.0}}] * 3}))
@@ -184,6 +203,7 @@ class TestGallery:
         b = run_cli("gallery", "--seed", "7", "--format", "json")
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
+        assert a.stdout == GALLERY_SEED7.read_text()
         payload = json.loads(a.stdout)
         assert all(f["matched"] for f in payload["fixtures"])
 

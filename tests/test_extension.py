@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orderunit as ou
-from oracles import interval_by_line_search
+from oracles import (
+    canonical_lines_by_pairs,
+    consistency_witness_by_pairs,
+    interval_by_line_search,
+    interval_by_ray_thresholds,
+    span_contains_by_lines,
+)
 
 FIXED_SPACES = None
 
@@ -34,6 +40,145 @@ def consistent_instance(space, rng, m=3):
     values = pts @ w
     c = float(w @ space.unit)
     return ou.partial_functional(space, pts, values, c)
+
+
+PROPERTY_SPACES = (
+    ou.orthant(2),
+    ou.orthant(3, unit=[1.0, 2.0, 1.0]),
+    ou.halfspace_space([[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0]),
+    ou.halfspace_space(
+        [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]], [1.0, 1.0, 1.0, 1.0]
+    ),
+    # rows and units off the 0/1 grid, so the inner products round
+    ou.halfspace_space([[1.0, 0.1], [0.3, 1.0], [0.7, 0.6]], [0.9, 1.1]),
+    ou.halfspace_space([[1.0, 0.3, 0.0], [0.2, 1.0, 0.1], [0.0, 0.4, 1.0]], [1.0, 0.7, 1.3]),
+)
+
+coords = st.one_of(st.floats(-3.0, 3.0, allow_nan=False), st.integers(-3, 3).map(float))
+
+
+@st.composite
+def partial_data(draw, max_points=12):
+    """Points and values read off a random positive linear functional.
+
+    Axis-line points, repeated lines and up to two perturbed values (which
+    may make the data inconsistent or conflicting) are mixed in.
+    """
+    space = draw(st.sampled_from(PROPERTY_SPACES))
+    k = space.cone.rows.shape[0]
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) @ space.cone.rows
+    points = []
+    for _ in range(draw(st.integers(0, max_points))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "axis", "repeat")))
+        lam = draw(coords)
+        if kind == "axis":
+            points.append(lam * space.unit)
+        elif kind == "repeat" and points:
+            points.append(points[draw(st.integers(0, len(points) - 1))] + lam * space.unit)
+        else:
+            points.append(np.array(draw(st.lists(coords, min_size=space.dim, max_size=space.dim))))
+    values = [float(p @ w) for p in points]
+    if values and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            values[draw(st.integers(0, len(values) - 1))] += draw(st.floats(-4.0, 4.0))
+    return space, points, values, float(w @ space.unit)
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _build(space, points, values, c):
+    """The partial functional, or the construction error of the reference."""
+    try:
+        canonical_lines_by_pairs(space, points, values, c)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ou.partial_functional(space, points, values, c, strict=False)
+        assert str(got.value) == str(exc)
+        return None
+    return ou.partial_functional(space, points, values, c, strict=False)
+
+
+class TestScalarReferences:
+    """The stacked-line engine reproduces the per-line scalar loops bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=partial_data())
+    def test_canonical_lines(self, data):
+        space, points, values, c = data
+        pf = _build(space, points, values, c)
+        if pf is not None:
+            base, vals = canonical_lines_by_pairs(space, points, values, c)
+            assert pf.subspace.base.shape == base.shape
+            assert _bits(pf.subspace.base) == _bits(base)
+            assert _bits(pf.values) == _bits(vals)
+        span_base, _ = canonical_lines_by_pairs(space, points)
+        span = ou.unit_span(space, points)
+        assert span.base.shape == span_base.shape and _bits(span.base) == _bits(span_base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=partial_data(), tol=st.sampled_from((1e-9, 0.0, 1e-3)))
+    def test_consistency_witness(self, data, tol):
+        pf = _build(*data)
+        if pf is None:
+            return
+        expected = consistency_witness_by_pairs(pf, tol)
+        report = ou.check_partial_consistency(pf, tol)
+        assert repr(report.witness) == repr(expected)
+        assert pf.consistent == (consistency_witness_by_pairs(pf) is None)
+        if not pf.consistent:
+            space, points, values, c = data
+            message = f"inconsistent partial functional: {consistency_witness_by_pairs(pf)}"
+            with pytest.raises(ValueError) as got:
+                ou.partial_functional(space, points, values, c)
+            assert str(got.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=partial_data(),
+        targets=st.lists(st.lists(coords, min_size=4, max_size=4), min_size=1, max_size=6),
+    )
+    def test_interval_span_and_canonical_values(self, data, targets):
+        pf = _build(*data)
+        if pf is None or not pf.consistent:
+            return
+        space = pf.space
+        ys = [np.array(t[: space.dim]) for t in targets]
+        ys += [2.5 * space.unit, *pf.subspace.base, *(b - 1.5 * space.unit for b in pf.subspace.base)]
+        lower = ou.canonical_extension(pf, mode="lower")
+        mid = ou.canonical_extension(pf, mode="midpoint")
+        for y in ys:
+            assert ou.span_contains(pf.subspace, y) == span_contains_by_lines(pf.subspace, y)
+            try:
+                lo, hi = interval_by_ray_thresholds(pf, y)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    ou.extension_interval(pf, y)
+                assert str(got.value) == str(exc)
+                continue
+            interval = ou.extension_interval(pf, y)
+            assert (interval.p_minus.hex(), interval.p_plus.hex()) == (lo.hex(), hi.hex())
+            assert lower(y).hex() == lo.hex()
+            assert mid(y).hex() == (0.5 * (lo + hi)).hex()
+
+    def test_many_lines_seeded(self, rng):
+        for k in range(60):
+            space = PROPERTY_SPACES[k % len(PROPERTY_SPACES)]
+            w = dual_cone_weights(space, rng)
+            pts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(0, 40)), space.dim))
+            values = pts @ w
+            if k % 3 == 0 and len(values):
+                values[rng.integers(0, len(values), size=3)] += rng.uniform(-1.0, 1.0, size=3)
+            pf = ou.partial_functional(space, pts, values, float(w @ space.unit), strict=False)
+            witness = ou.check_partial_consistency(pf).witness
+            assert repr(witness) == repr(consistency_witness_by_pairs(pf))
+            if not pf.consistent:
+                continue
+            for y in rng.uniform(-3.0, 3.0, size=(8, space.dim)):
+                interval = ou.extension_interval(pf, y)
+                lo, hi = interval_by_ray_thresholds(pf, y)
+                assert (interval.p_minus.hex(), interval.p_plus.hex()) == (lo.hex(), hi.hex())
 
 
 class TestSpan:
