@@ -21,6 +21,8 @@ import numpy as np
 
 from .dual import subsequence_limit
 from .extension import (
+    _pick_value,
+    check_partial_consistency,
     extension_interval,
     extend_one,
     partial_from_json,
@@ -47,6 +49,7 @@ from .operators import (
     unit_image_interior,
 )
 from .spaces import (
+    TOL,
     order_norm,
     orthant,
     space_from_json,
@@ -68,10 +71,6 @@ def _parse_point(text: str) -> list[float]:
         return [float(t) for t in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad point {text!r}: expected comma-separated floats") from exc
-
-
-def _report_entry(report) -> dict:
-    return report.to_json()
 
 
 def _emit(payload: dict, fmt: str, elapsed: float) -> None:
@@ -101,15 +100,15 @@ def run_check(args) -> tuple[dict, int]:
     n = args.samples
     if args.functional:
         f = functional_from_json(space, _load_json(args.functional))
-        checks.append(_report_entry(check_weak_additivity(f, seed=args.seed, n=n, tol=args.tol)))
-        checks.append(_report_entry(check_order_preserving(f, seed=args.seed, n=n, tol=args.tol)))
-        checks.append(_report_entry(check_normed(f, tol=args.tol)))
-        checks.append(_report_entry(check_positive(f, seed=args.seed, n=min(n, 4096), tol=args.tol)))
+        checks.append(check_weak_additivity(f, seed=args.seed, n=n, tol=args.tol).to_json())
+        checks.append(check_order_preserving(f, seed=args.seed, n=n, tol=args.tol).to_json())
+        checks.append(check_normed(f, tol=args.tol).to_json())
+        checks.append(check_positive(f, seed=args.seed, n=min(n, 4096), tol=args.tol).to_json())
         subject = {"functional": args.functional}
     else:
         T = operator_from_json(space, _load_json(args.operator))
-        checks.append(_report_entry(check_weakly_additive_op(T, seed=args.seed, n=min(n, 8192), tol=args.tol)))
-        checks.append(_report_entry(check_order_preserving_op(T, seed=args.seed, n=min(n, 8192), tol=args.tol)))
+        checks.append(check_weakly_additive_op(T, seed=args.seed, n=min(n, 8192), tol=args.tol).to_json())
+        checks.append(check_order_preserving_op(T, seed=args.seed, n=min(n, 8192), tol=args.tol).to_json())
         subject = {"operator": args.operator, "unit_image_interior": unit_image_interior(T)}
     ok = all(c["passed"] for c in checks)
     payload = {
@@ -137,16 +136,14 @@ def run_extend(args) -> tuple[dict, int]:
     space = space_from_json(_load_json(args.space))
     pf = partial_from_json(space, _load_json(args.partial), strict=False)
     if not pf.consistent:
-        from .extension import check_partial_consistency
-
-        report = check_partial_consistency(pf)
         payload = {
             "command": "extend",
-            "checks": [_report_entry(report)],
+            "checks": [check_partial_consistency(pf).to_json()],
             "exit_status": EXIT_VIOLATION,
         }
         return payload, EXIT_VIOLATION
     entries = []
+    payload = {"command": "extend", "rule": args.rule, "targets": entries}
     for text in args.target:
         y = _parse_point(text)
         if span_contains(pf.subspace, y):
@@ -157,34 +154,17 @@ def run_extend(args) -> tuple[dict, int]:
             pf = extend_one(pf, y, rule=args.rule, value=args.value)
         except ValueError as exc:
             entries.append({"target": y, "error": str(exc)})
-            payload = {
-                "command": "extend",
-                "rule": args.rule,
-                "targets": entries,
-                "exit_status": EXIT_VIOLATION,
-            }
+            payload["exit_status"] = EXIT_VIOLATION
             return payload, EXIT_VIOLATION
-        chosen = {
-            "lower": interval.p_minus,
-            "upper": interval.p_plus,
-            "midpoint": interval.midpoint,
-            "given": args.value,
-        }[args.rule]
         entries.append(
             {
                 "target": y,
                 "p_minus": interval.p_minus,
                 "p_plus": interval.p_plus,
-                "value": float(chosen),
+                "value": _pick_value(interval, args.rule, args.value, TOL),
             }
         )
-    payload = {
-        "command": "extend",
-        "rule": args.rule,
-        "targets": entries,
-        "result": partial_to_json(pf),
-        "exit_status": EXIT_OK,
-    }
+    payload.update(result=partial_to_json(pf), exit_status=EXIT_OK)
     return payload, EXIT_OK
 
 
@@ -234,7 +214,7 @@ def run_compact(args) -> tuple[dict, int]:
         "indices": result.indices,
         "limit_capacity": capacity_to_json(result.limit_capacity),
         "distances": [float(d) for d in result.distances],
-        "checks": [_report_entry(result.report)],
+        "checks": [result.report.to_json()],
         "exit_status": EXIT_OK if result.report.passed else EXIT_VIOLATION,
     }
     return payload, payload["exit_status"]
@@ -401,14 +381,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol=1e-9):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=2**14)
-        sp.add_argument("--tol", type=float, default=tol)
+    def common(sp, seed=False, samples=False, tol=None):
+        """Add ``--format`` and whichever of ``--seed``/``--samples``/``--tol`` the handler reads."""
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if samples:
+            sp.add_argument("--samples", type=int, default=2**14)
+        if tol is not None:
+            sp.add_argument("--tol", type=float, default=tol)
         sp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
     p = sub.add_parser("check", help="run the law checkers on a functional or an operator")
-    common(p)
+    common(p, seed=True, samples=True, tol=1e-9)
     p.add_argument("--space", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--functional")
@@ -431,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_extend)
 
     p = sub.add_parser("openness", help="probe relative openness of an operator at a point")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--space", required=True)
     p.add_argument("--operator", required=True)
     p.add_argument("--at", required=True)
@@ -442,14 +426,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=run_openness)
 
     p = sub.add_parser("compact", help="extract a convergent subsequence from a capacity sequence")
-    common(p, tol=1e-6)  # convergence tolerance, not a predicate tolerance
+    common(p, seed=True, tol=1e-6)  # convergence tolerance, not a predicate tolerance
     p.add_argument("--capacities", required=True)
     p.add_argument("--min-length", type=int, default=8)
     p.add_argument("--truncation", type=int, default=64)
     p.set_defaults(handler=run_compact)
 
     p = sub.add_parser("gallery", help="reproduce the built-in example fixtures")
-    common(p)
+    common(p, seed=True, tol=1e-9)
     p.set_defaults(handler=run_gallery)
 
     return parser
@@ -458,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed < 0 or args.samples <= 0:
+    if getattr(args, "seed", 0) < 0 or getattr(args, "samples", 1) <= 0:
         print("error: seed must be nonnegative and samples positive", file=sys.stderr)
         return EXIT_INPUT
     start = time.perf_counter()

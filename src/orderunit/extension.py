@@ -144,6 +144,7 @@ class PartialFunctional:
     unit_value: float
     X: np.ndarray = field(init=False, repr=False)  # origin (axis line), then base points
     G: np.ndarray = field(init=False, repr=False)  # their values: 0, then ``values``
+    _witness: dict | None = field(init=False, repr=False)  # first violated inequality at ``TOL``
     consistent: bool = field(init=False)
 
     def __post_init__(self):
@@ -156,7 +157,8 @@ class PartialFunctional:
         object.__setattr__(self, "unit_value", float(self.unit_value))
         object.__setattr__(self, "X", np.vstack([np.zeros(self.space.dim), self.subspace.base]))
         object.__setattr__(self, "G", np.concatenate([[0.0], vals]))
-        object.__setattr__(self, "consistent", _consistency_witness(self) is None)
+        object.__setattr__(self, "_witness", _consistency_witness(self))
+        object.__setattr__(self, "consistent", self._witness is None)
 
     @property
     def space(self) -> OrderedSpace:
@@ -174,7 +176,7 @@ def partial_functional(
     base, vals = _canonical_lines(space, points, values, unit_value)
     pf = PartialFunctional(subspace=UnitSpan(space=space, base=base), values=vals, unit_value=unit_value)
     if strict and not pf.consistent:
-        raise ValueError(f"inconsistent partial functional: {_consistency_witness(pf)}")
+        raise ValueError(f"inconsistent partial functional: {pf._witness}")
     return pf
 
 
@@ -337,7 +339,7 @@ def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functi
     def _eval(x, _pf=pf):
         return getattr(extension_interval(_pf, x), endpoint)
 
-    return Functional(space=pf.space, kind="extended", partial=pf, rule=mode, hook=_eval)
+    return Functional(space=pf.space, kind="extended", fn=_eval)
 
 
 def partial_from_json(space: OrderedSpace, obj: dict, strict: bool = True) -> PartialFunctional:

@@ -31,7 +31,8 @@ reproducible witness.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -108,11 +109,25 @@ def capacity_to_json(cap: Capacity) -> dict:
     }
 
 
+def _sqrt_gap(v: np.ndarray):
+    return 0.5 * (v[0] + v[1] + np.sqrt(abs(v[1] - v[0])))
+
+
 def sqrt_gap(x) -> float:
     """Half-sum plus square-rooted coordinate gap on the plane:
     ``(x1 + x2 + sqrt(|x2 - x1|)) / 2``."""
-    v = as_vec(x, 2)
-    return float(0.5 * (v[0] + v[1] + np.sqrt(abs(v[1] - v[0]))))
+    return float(_sqrt_gap(as_vec(x, 2)))
+
+
+def _choquet(cap: Capacity, v: np.ndarray):
+    order = np.argsort(v, kind="stable")
+    xs = v[order]
+    mask = cap.full_mask
+    total = xs[0] * cap.values[mask]
+    for i in range(1, cap.n):
+        mask &= ~(1 << int(order[i - 1]))
+        total += (xs[i] - xs[i - 1]) * cap.values[mask]
+    return total
 
 
 def choquet(cap: Capacity, x) -> float:
@@ -123,15 +138,11 @@ def choquet(cap: Capacity, x) -> float:
 
         x_(1) * v(full) + sum_{i>=2} (x_(i) - x_(i-1)) * v(A_i)
     """
-    v = as_vec(x, cap.n)
-    order = np.argsort(v, kind="stable")
-    xs = v[order]
-    mask = cap.full_mask
-    total = xs[0] * cap.values[mask]
-    for i in range(1, cap.n):
-        mask &= ~(1 << int(order[i - 1]))
-        total += (xs[i] - xs[i - 1]) * cap.values[mask]
-    return float(total)
+    return float(_choquet(cap, as_vec(x, cap.n)))
+
+
+def _maxplus(w: np.ndarray, v: np.ndarray):
+    return np.max(w + v)
 
 
 def maxplus(weights, x) -> float:
@@ -139,30 +150,26 @@ def maxplus(weights, x) -> float:
     w = np.asarray(weights, dtype=float)
     if w.size == 0:
         raise ValueError("maxplus requires at least one weight")
-    v = as_vec(x, w.size)
-    return float(np.max(w + v))
+    return float(_maxplus(w, as_vec(x, w.size)))
 
 
 @dataclass(frozen=True, eq=False)
 class Functional:
     """Evaluation map with a declared kind; immutable after construction.
 
-    ``unit_value`` caches ``f(unit)``.  Use the ``*_functional`` helpers
-    below rather than instantiating directly.
+    ``fn`` is the kind's evaluator on a vector already checked against the
+    space, and ``unit_value`` caches ``f(unit)``.  Use the ``*_functional``
+    helpers below rather than instantiating directly.
     """
 
     space: OrderedSpace
     kind: str
+    fn: Callable[[np.ndarray], float]
     weights: np.ndarray | None = None
     capacity: Capacity | None = None
-    partial: object | None = None
-    rule: str | None = None
-    hook: Callable[[np.ndarray], float] | None = None
     unit_value: float = field(init=False)
 
     def __post_init__(self):
-        if self.weights is not None:
-            object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "unit_value", evaluate(self, self.space.unit))
 
     def __call__(self, x) -> float:
@@ -170,36 +177,25 @@ class Functional:
 
 
 def evaluate(f: Functional, x) -> float:
-    """Kind-specific value of ``f`` at ``x``."""
-    kind = f.kind
-    if kind == "linear":
-        return float(f.weights @ as_vec(x, f.space.dim))
-    if kind == "sqrt_gap":
-        return sqrt_gap(x)
-    if kind == "choquet":
-        return choquet(f.capacity, x)
-    if kind == "maxplus":
-        return maxplus(f.weights, x)
-    if kind in ("extended", "custom"):
-        return float(f.hook(as_vec(x, f.space.dim)))
-    raise ValueError(f"unknown functional kind {kind!r}")
+    """Value of ``f`` at ``x``."""
+    return float(f.fn(as_vec(x, f.space.dim)))
 
 
 def linear_functional(space: OrderedSpace, weights) -> Functional:
     w = as_vec(weights, space.dim)
-    return Functional(space=space, kind="linear", weights=w)
+    return Functional(space=space, kind="linear", fn=w.__matmul__, weights=w)
 
 
 def sqrt_gap_functional(space: OrderedSpace) -> Functional:
     if space.dim != 2:
         raise ValueError("sqrt_gap is defined on 2-d spaces only")
-    return Functional(space=space, kind="sqrt_gap")
+    return Functional(space=space, kind="sqrt_gap", fn=_sqrt_gap)
 
 
 def choquet_functional(space: OrderedSpace, cap: Capacity) -> Functional:
     if cap.n != space.dim:
         raise ValueError("capacity ground size must equal the space dimension")
-    return Functional(space=space, kind="choquet", capacity=cap)
+    return Functional(space=space, kind="choquet", fn=partial(_choquet, cap), capacity=cap)
 
 
 def maxplus_functional(space: OrderedSpace, weights) -> Functional:
@@ -210,11 +206,11 @@ def maxplus_functional(space: OrderedSpace, weights) -> Functional:
             "the functional will not be normed at an all-ones unit",
             stacklevel=2,
         )
-    return Functional(space=space, kind="maxplus", weights=w)
+    return Functional(space=space, kind="maxplus", fn=partial(_maxplus, w), weights=w)
 
 
 def custom_functional(space: OrderedSpace, hook: Callable[[np.ndarray], float]) -> Functional:
-    return Functional(space=space, kind="custom", hook=hook)
+    return Functional(space=space, kind="custom", fn=hook)
 
 
 @dataclass(frozen=True)
@@ -231,12 +227,35 @@ class PropertyReport:
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "samples": self.samples,
-            "witness": self.witness,
-        }
+        return asdict(self)
+
+
+def _shift_report(name: str, fn, unit, unit_image, samples, size, shown, tol: float) -> PropertyReport:
+    """Fails on the first sample ``(x, lam)`` whose shift defect
+    ``fn(x + lam*unit) - fn(x) - lam*unit_image`` has ``size`` above ``tol``;
+    the witness gives the defect as ``shown(defect)``."""
+    for x, lam in samples:
+        defect = fn(x + lam * unit) - fn(x) - lam * unit_image
+        if size(defect) > tol:
+            witness = {"x": list(map(float, x)), "lam": float(lam), "defect": shown(defect)}
+            return PropertyReport(name=name, passed=False, samples=len(samples), witness=witness)
+    return PropertyReport(name=name, passed=True, samples=len(samples))
+
+
+def _order_report(name: str, fn, pairs, broken, image: str, shown) -> PropertyReport:
+    """Fails on the first comparable pair ``(x, y)`` with ``broken(fn(x), fn(y))``;
+    the witness gives the images as ``<image>_x`` and ``<image>_y`` through ``shown``."""
+    for x, y in pairs:
+        fx, fy = fn(x), fn(y)
+        if broken(fx, fy):
+            witness = {
+                "x": list(map(float, x)),
+                "y": list(map(float, y)),
+                f"{image}_x": shown(fx),
+                f"{image}_y": shown(fy),
+            }
+            return PropertyReport(name=name, passed=False, samples=len(pairs), witness=witness)
+    return PropertyReport(name=name, passed=True, samples=len(pairs))
 
 
 def check_weak_additivity(
@@ -245,18 +264,7 @@ def check_weak_additivity(
     """Does ``f(x + lam*unit) - f(x) - lam*f(unit)`` vanish on the samples?"""
     if samples is None:
         samples = sampling.shift_samples(f.space, n, sampling.rng_from(seed))
-    unit = f.space.unit
-    fu = f.unit_value
-    for x, lam in samples:
-        defect = evaluate(f, x + lam * unit) - evaluate(f, x) - lam * fu
-        if abs(defect) > tol:
-            return PropertyReport(
-                name="weak_additivity",
-                passed=False,
-                samples=len(samples),
-                witness={"x": list(map(float, x)), "lam": float(lam), "defect": float(defect)},
-            )
-    return PropertyReport(name="weak_additivity", passed=True, samples=len(samples))
+    return _shift_report("weak_additivity", partial(evaluate, f), f.space.unit, f.unit_value, samples, abs, float, tol)
 
 
 def check_order_preserving(
@@ -265,21 +273,7 @@ def check_order_preserving(
     """Does ``x <= y`` imply ``f(x) <= f(y)`` on the sampled comparable pairs?"""
     if pairs is None:
         pairs = sampling.comparable_pairs(f.space, n, sampling.rng_from(seed))
-    for x, y in pairs:
-        fx, fy = evaluate(f, x), evaluate(f, y)
-        if fx > fy + tol:
-            return PropertyReport(
-                name="order_preserving",
-                passed=False,
-                samples=len(pairs),
-                witness={
-                    "x": list(map(float, x)),
-                    "y": list(map(float, y)),
-                    "f_x": float(fx),
-                    "f_y": float(fy),
-                },
-            )
-    return PropertyReport(name="order_preserving", passed=True, samples=len(pairs))
+    return _order_report("order_preserving", partial(evaluate, f), pairs, lambda fx, fy: fx > fy + tol, "f", float)
 
 
 def check_normed(f: Functional, tol: float = TOL) -> PropertyReport:
@@ -340,28 +334,31 @@ def lipschitz_defect(f: Functional, pairs=None, *, seed: int = 0, n: int = 2**12
     return float(worst)
 
 
+# kind -> (build from a descriptor, descriptor fields besides "kind");
+# ``custom`` and ``extended`` functionals have no descriptor form
+_DESCRIPTORS = {
+    "linear": (lambda space, obj: linear_functional(space, obj["weights"]), lambda f: {"weights": f.weights.tolist()}),
+    "sqrt_gap": (lambda space, obj: sqrt_gap_functional(space), lambda f: {}),
+    "choquet": (
+        lambda space, obj: choquet_functional(space, capacity_from_json(obj["capacity"])),
+        lambda f: {"capacity": capacity_to_json(f.capacity)},
+    ),
+    "maxplus": (lambda space, obj: maxplus_functional(space, obj["weights"]), lambda f: {"weights": f.weights.tolist()}),
+}
+
+
 def functional_from_json(space: OrderedSpace, obj: dict) -> Functional:
     """Build from ``{"kind": ..., "weights": [...] | "capacity": {...}}``."""
     try:
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad functional descriptor: {exc}") from exc
-    if kind == "linear":
-        return linear_functional(space, obj["weights"])
-    if kind == "sqrt_gap":
-        return sqrt_gap_functional(space)
-    if kind == "choquet":
-        return choquet_functional(space, capacity_from_json(obj["capacity"]))
-    if kind == "maxplus":
-        return maxplus_functional(space, obj["weights"])
-    raise ValueError(f"unknown functional kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _DESCRIPTORS:
+        raise ValueError(f"unknown functional kind {kind!r}")
+    return _DESCRIPTORS[kind][0](space, obj)
 
 
 def functional_to_json(f: Functional) -> dict:
-    if f.kind in ("linear", "maxplus"):
-        return {"kind": f.kind, "weights": f.weights.tolist()}
-    if f.kind == "sqrt_gap":
-        return {"kind": "sqrt_gap"}
-    if f.kind == "choquet":
-        return {"kind": "choquet", "capacity": capacity_to_json(f.capacity)}
-    raise ValueError(f"functional kind {f.kind!r} has no descriptor form")
+    if f.kind not in _DESCRIPTORS:
+        raise ValueError(f"functional kind {f.kind!r} has no descriptor form")
+    return {"kind": f.kind, **_DESCRIPTORS[f.kind][1](f)}

@@ -18,13 +18,22 @@ functional per codomain coordinate) and ``custom``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import sampling
-from .functionals import Functional, PropertyReport, evaluate, functional_from_json, functional_to_json
+from .functionals import (
+    Functional,
+    PropertyReport,
+    _order_report,
+    _shift_report,
+    evaluate,
+    functional_from_json,
+    functional_to_json,
+)
 from .spaces import (
     TOL,
     OrderedSpace,
@@ -40,26 +49,19 @@ from .spaces import (
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Map between two spaces with a declared kind; ``unit_image`` caches
-    the value at the domain unit."""
+    """Map between two spaces with a declared kind; ``fn`` is the kind's
+    evaluator on a vector already checked against the domain, and
+    ``unit_image`` caches the value at the domain unit."""
 
     domain: OrderedSpace
     codomain: OrderedSpace
     kind: str
+    fn: Callable[[np.ndarray], np.ndarray]
     matrix: np.ndarray | None = None
     functionals: tuple[Functional, ...] | None = None
-    hook: Callable[[np.ndarray], np.ndarray] | None = None
     unit_image: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (self.codomain.dim, self.domain.dim):
-                raise ValueError(
-                    f"matrix shape {m.shape} does not map dim {self.domain.dim} "
-                    f"into dim {self.codomain.dim}"
-                )
-            object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "unit_image", apply(self, self.domain.unit))
 
     def __call__(self, x) -> np.ndarray:
@@ -75,17 +77,12 @@ def _clamp_eval(x: np.ndarray) -> np.ndarray:
     return np.array([x[0], x[1]])
 
 
+def _stack_eval(fs: tuple[Functional, ...], v: np.ndarray) -> np.ndarray:
+    return np.array([evaluate(f, v) for f in fs])
+
+
 def apply(T: Operator, x) -> np.ndarray:
-    v = as_vec(x, T.domain.dim)
-    if T.kind == "linear_positive":
-        return T.matrix @ v
-    if T.kind == "clamp":
-        return _clamp_eval(v)
-    if T.kind == "stack":
-        return np.array([evaluate(f, v) for f in T.functionals])
-    if T.kind == "custom":
-        return as_vec(T.hook(v), T.codomain.dim)
-    raise ValueError(f"unknown operator kind {T.kind!r}")
+    return T.fn(as_vec(x, T.domain.dim))
 
 
 def linear_positive(
@@ -98,7 +95,13 @@ def linear_positive(
 ) -> Operator:
     """Matrix operator; with ``strict`` it must map sampled cone points into
     the codomain cone (on orthant domains the generators are checked exactly)."""
-    T = Operator(domain=domain, codomain=codomain, kind="linear_positive", matrix=matrix)
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (codomain.dim, domain.dim):
+        raise ValueError(
+            f"matrix shape {m.shape} does not map dim {domain.dim} "
+            f"into dim {codomain.dim}"
+        )
+    T = Operator(domain=domain, codomain=codomain, kind="linear_positive", fn=m.__matmul__, matrix=m)
     if strict:
         points = list(sampling.cone_points(domain, samples, sampling.rng_from(seed)))
         if domain.cone.orthant:
@@ -117,7 +120,7 @@ def clamp_operator(space: OrderedSpace) -> Operator:
     ``[x1 - 1, x1 + 1]``); domain and codomain coincide."""
     if space.dim != 2:
         raise ValueError("clamp is defined on 2-d spaces only")
-    return Operator(domain=space, codomain=space, kind="clamp")
+    return Operator(domain=space, codomain=space, kind="clamp", fn=_clamp_eval)
 
 
 def stack_operator(domain: OrderedSpace, fs: Sequence[Functional], codomain: OrderedSpace | None = None) -> Operator:
@@ -129,11 +132,11 @@ def stack_operator(domain: OrderedSpace, fs: Sequence[Functional], codomain: Ord
     codomain = codomain if codomain is not None else orthant(len(fs))
     if codomain.dim != len(fs):
         raise ValueError("codomain dimension must match the number of functionals")
-    return Operator(domain=domain, codomain=codomain, kind="stack", functionals=fs)
+    return Operator(domain=domain, codomain=codomain, kind="stack", fn=partial(_stack_eval, fs), functionals=fs)
 
 
 def custom_operator(domain: OrderedSpace, codomain: OrderedSpace, hook) -> Operator:
-    return Operator(domain=domain, codomain=codomain, kind="custom", hook=hook)
+    return Operator(domain=domain, codomain=codomain, kind="custom", fn=lambda v: as_vec(hook(v), codomain.dim))
 
 
 def identity_operator(space: OrderedSpace) -> Operator:
@@ -179,25 +182,19 @@ class OperatorFamily:
         return iter(self.members)
 
 
+def _max_abs(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v)))
+
+
 def check_weakly_additive_op(
     T: Operator, samples=None, *, seed: int = 0, n: int = 2**12, tol: float = TOL
 ) -> PropertyReport:
     """Componentwise defect of ``T(x + lam*unit) - T(x) - lam*T(unit)``."""
     if samples is None:
         samples = sampling.shift_samples(T.domain, n, sampling.rng_from(seed))
-    unit = T.domain.unit
-    tu = T.unit_image
-    for x, lam in samples:
-        defect = apply(T, x + lam * unit) - apply(T, x) - lam * tu
-        worst = float(np.max(np.abs(defect)))
-        if worst > tol:
-            return PropertyReport(
-                name="weakly_additive",
-                passed=False,
-                samples=len(samples),
-                witness={"x": list(map(float, x)), "lam": float(lam), "defect": worst},
-            )
-    return PropertyReport(name="weakly_additive", passed=True, samples=len(samples))
+    return _shift_report(
+        "weakly_additive", partial(apply, T), T.domain.unit, T.unit_image, samples, _max_abs, _max_abs, tol
+    )
 
 
 def check_order_preserving_op(
@@ -206,21 +203,11 @@ def check_order_preserving_op(
     """``x <= y`` in the domain must give ``T(x) <= T(y)`` in the codomain."""
     if pairs is None:
         pairs = sampling.comparable_pairs(T.domain, n, sampling.rng_from(seed))
-    for x, y in pairs:
-        tx, ty = apply(T, x), apply(T, y)
-        if not cone_contains(T.codomain, ty - tx, tol=tol):
-            return PropertyReport(
-                name="order_preserving",
-                passed=False,
-                samples=len(pairs),
-                witness={
-                    "x": list(map(float, x)),
-                    "y": list(map(float, y)),
-                    "T_x": list(map(float, tx)),
-                    "T_y": list(map(float, ty)),
-                },
-            )
-    return PropertyReport(name="order_preserving", passed=True, samples=len(pairs))
+
+    def broken(tx, ty):
+        return not cone_contains(T.codomain, ty - tx, tol=tol)
+
+    return _order_report("order_preserving", partial(apply, T), pairs, broken, "T", lambda v: list(map(float, v)))
 
 
 def unit_image_interior(T: Operator) -> bool:
@@ -425,18 +412,7 @@ class OpennessVerdict:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "witness": self.witness,
-            "center": self.center,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "targets_tested": self.targets_tested,
-            "evals_used": self.evals_used,
-            "budget": self.budget,
-            "best_residual": self.best_residual,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def openness_check(
@@ -468,8 +444,8 @@ def openness_check(
 
     note = ""
     sampled = []
+    tries = 0
     if oracle is not None:
-        tries = 0
         while len(sampled) < targets and tries < 200 * targets:
             y = sampling.ball_point(T.codomain, center, delta, rng)
             tries += 1
@@ -479,7 +455,6 @@ def openness_check(
             note = "no image points found inside the target ball"
     else:
         note = "no image oracle; targets are forward images near the probe point"
-        tries = 0
         while len(sampled) < targets and tries < 500 * targets:
             tries += 1
             x = x0 + rng.normal(scale=max(2.0 * epsilon, 1.0), size=T.domain.dim)
@@ -488,32 +463,24 @@ def openness_check(
                 sampled.append(y)
 
     evals_total = 0
+    witness = best_residual = None
     for y in sampled:
         found, best, evals = _preimage_search(T, y, x0, epsilon, budget, rng, tol)
         evals_total += evals
         if found is None:
-            return OpennessVerdict(
-                passed=False,
-                witness=list(map(float, y)),
-                center=list(map(float, center)),
-                epsilon=float(epsilon),
-                delta=float(delta),
-                targets_tested=len(sampled),
-                evals_used=evals_total,
-                budget=budget,
-                best_residual=float(best),
-                note=note or "search budget exhausted without a preimage",
-            )
+            witness, best_residual = list(map(float, y)), float(best)
+            note = note or "search budget exhausted without a preimage"
+            break
     return OpennessVerdict(
-        passed=True,
-        witness=None,
+        passed=witness is None,
+        witness=witness,
         center=list(map(float, center)),
         epsilon=float(epsilon),
         delta=float(delta),
         targets_tested=len(sampled),
         evals_used=evals_total,
         budget=budget,
-        best_residual=None,
+        best_residual=best_residual,
         note=note,
     )
 
@@ -636,6 +603,27 @@ def pointwise_limit(
     return limit, report
 
 
+def _matrix_from_json(domain: OrderedSpace, obj: dict, codomain: OrderedSpace | None, strict: bool) -> Operator:
+    matrix = np.asarray(obj["matrix"], dtype=float)
+    if codomain is None:
+        codomain = domain if matrix.shape[0] == domain.dim else orthant(matrix.shape[0])
+    return linear_positive(domain, codomain, matrix, strict=strict)
+
+
+# kind -> (build from a descriptor, descriptor fields besides "kind");
+# ``custom`` operators have no descriptor form
+_DESCRIPTORS = {
+    "linear_positive": (_matrix_from_json, lambda T: {"matrix": T.matrix.tolist()}),
+    "clamp": (lambda domain, obj, codomain, strict: clamp_operator(domain), lambda T: {}),
+    "stack": (
+        lambda domain, obj, codomain, strict: stack_operator(
+            domain, [functional_from_json(domain, f) for f in obj["functionals"]], codomain
+        ),
+        lambda T: {"functionals": [functional_to_json(f) for f in T.functionals]},
+    ),
+}
+
+
 def operator_from_json(domain: OrderedSpace, obj: dict, codomain: OrderedSpace | None = None, strict: bool = False) -> Operator:
     """Build from ``{"kind": "linear_positive"|"clamp"|"stack", ...}``.
 
@@ -646,25 +634,12 @@ def operator_from_json(domain: OrderedSpace, obj: dict, codomain: OrderedSpace |
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad operator descriptor: {exc}") from exc
-    if kind == "linear_positive":
-        matrix = np.asarray(obj["matrix"], dtype=float)
-        cod = codomain
-        if cod is None:
-            cod = domain if matrix.shape[0] == domain.dim else orthant(matrix.shape[0])
-        return linear_positive(domain, cod, matrix, strict=strict)
-    if kind == "clamp":
-        return clamp_operator(domain)
-    if kind == "stack":
-        fs = [functional_from_json(domain, f) for f in obj["functionals"]]
-        return stack_operator(domain, fs, codomain)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _DESCRIPTORS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return _DESCRIPTORS[kind][0](domain, obj, codomain, strict)
 
 
 def operator_to_json(T: Operator) -> dict:
-    if T.kind == "linear_positive":
-        return {"kind": T.kind, "matrix": T.matrix.tolist()}
-    if T.kind == "clamp":
-        return {"kind": "clamp"}
-    if T.kind == "stack":
-        return {"kind": "stack", "functionals": [functional_to_json(f) for f in T.functionals]}
-    raise ValueError(f"operator kind {T.kind!r} has no descriptor form")
+    if T.kind not in _DESCRIPTORS:
+        raise ValueError(f"operator kind {T.kind!r} has no descriptor form")
+    return {"kind": T.kind, **_DESCRIPTORS[T.kind][1](T)}

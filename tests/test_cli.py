@@ -197,6 +197,23 @@ class TestCompact:
         assert proc.returncode == 2
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["openness", "--space", "space2", "--operator", "clamp", "--at", "0,0",
+             "--epsilon", "0.25", "--delta", "0.25", "--targets", "4", "--budget", "100"],
+            ["extend", "--space", "space2", "--partial", "partial", "--target", "1,0"],
+        ],
+        ids=["openness", "extend"],
+    )
+    def test_unread_tol_is_rejected(self, files, command):
+        argv = [files.get(arg, arg) for arg in command]
+        proc = run_cli(*argv, "--tol", "1e-3", "--format", "json")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --tol" in proc.stderr
+
+
 class TestGallery:
     def test_seed7_deterministic_bytes(self, files):
         a = run_cli("gallery", "--seed", "7", "--format", "json")

@@ -212,6 +212,19 @@ class TestPartialFunctional:
         report = ou.check_partial_consistency(pf)
         assert not report.passed and report.witness is not None
 
+    def test_strict_rejection_computes_witness_once(self, orth2, monkeypatch):
+        calls = []
+        real = ou.extension._consistency_witness
+
+        def spy(pf, *args, **kwargs):
+            calls.append(pf)
+            return real(pf, *args, **kwargs)
+
+        monkeypatch.setattr(ou.extension, "_consistency_witness", spy)
+        with pytest.raises(ValueError, match="inconsistent partial functional: {'line_i'"):
+            ou.partial_functional(orth2, [[1.0, 0.0]], [2.0], 1.0)
+        assert len(calls) == 1
+
     def test_axis_only_always_consistent(self, orth2):
         for c in (0.0, 0.5, 3.0):
             assert ou.partial_functional(orth2, [], [], c).consistent

@@ -10,6 +10,13 @@ from oracles import choquet_layer_cake, mc_sup_abs, random_monotone_capacity
 
 unit_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
+DESCRIPTORS = {
+    "linear": {"kind": "linear", "weights": [0.25, 0.75]},
+    "maxplus": {"kind": "maxplus", "weights": [0.0, -1.0]},
+    "choquet": {"kind": "choquet", "capacity": {"n": 2, "values": {"1": 0.3, "2": 0.6, "3": 1.0}}},
+    "sqrt_gap": {"kind": "sqrt_gap"},
+}
+
 
 class TestEvaluate:
     def test_linear(self, orth2):
@@ -235,3 +242,22 @@ class TestJsonDescriptors:
     def test_unknown_kind(self, orth2):
         with pytest.raises(ValueError):
             ou.functional_from_json(orth2, {"kind": "sugeno"})
+
+    @pytest.mark.parametrize("kind", sorted(DESCRIPTORS))
+    def test_descriptor_roundtrip(self, orth2, kind):
+        obj = DESCRIPTORS[kind]
+        f = ou.functional_from_json(orth2, obj)
+        assert f.kind == kind
+        assert ou.functional_to_json(f) == obj
+        again = ou.functional_from_json(orth2, ou.functional_to_json(f))
+        for x in ([1.0, 3.0], [-0.5, 0.25], [2.0, 2.0]):
+            assert again(x) == f(x)
+
+    def test_kinds_without_descriptor_form(self, orth2):
+        custom = ou.custom_functional(orth2, lambda x: x[0])
+        extended = ou.canonical_extension(ou.partial_functional(orth2, [], [], 1.0))
+        for f in (custom, extended):
+            with pytest.raises(ValueError, match="no descriptor form"):
+                ou.functional_to_json(f)
+        with pytest.raises(ValueError, match="unknown functional kind"):
+            ou.functional_from_json(orth2, {"kind": ["linear"]})

@@ -3,6 +3,13 @@ import pytest
 
 import orderunit as ou
 from oracles import random_monotone_capacity
+from test_functionals import DESCRIPTORS as FUNCTIONAL_DESCRIPTORS
+
+DESCRIPTORS = {
+    "linear_positive": {"kind": "linear_positive", "matrix": [[0.5, 0.5], [0.25, 0.75]]},
+    "clamp": {"kind": "clamp"},
+    "stack": {"kind": "stack", "functionals": [FUNCTIONAL_DESCRIPTORS[k] for k in sorted(FUNCTIONAL_DESCRIPTORS)]},
+}
 
 
 def choquet_stack(space, caps):
@@ -328,3 +335,22 @@ class TestJson:
     def test_unknown_kind(self, orth2):
         with pytest.raises(ValueError):
             ou.operator_from_json(orth2, {"kind": "rotation"})
+
+    @pytest.mark.parametrize("kind", sorted(DESCRIPTORS))
+    def test_descriptor_roundtrip(self, orth2, kind):
+        obj = DESCRIPTORS[kind]
+        T = ou.operator_from_json(orth2, obj)
+        assert T.kind == kind
+        assert ou.operator_to_json(T) == obj
+        again = ou.operator_from_json(orth2, ou.operator_to_json(T))
+        for x in ([1.0, 3.0], [-0.5, 0.25], [2.0, 2.0]):
+            assert np.array_equal(again(x), T(x))
+
+    def test_kinds_without_descriptor_form(self, orth2):
+        custom = ou.custom_operator(orth2, orth2, lambda x: x)
+        custom_member = ou.stack_operator(orth2, [ou.custom_functional(orth2, lambda x: x[0])])
+        for T in (custom, custom_member):
+            with pytest.raises(ValueError, match="no descriptor form"):
+                ou.operator_to_json(T)
+        with pytest.raises(ValueError, match="unknown operator kind"):
+            ou.operator_from_json(orth2, {"kind": ["linear_positive"]})
