@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -21,6 +22,8 @@ import numpy as np
 
 from .dual import subsequence_limit
 from .extension import (
+    _append_line,
+    _off_span_interval,
     _pick_value,
     check_partial_consistency,
     extension_interval,
@@ -28,7 +31,6 @@ from .extension import (
     partial_from_json,
     partial_to_json,
     partial_functional,
-    span_contains,
 )
 from .functionals import (
     capacity_from_json,
@@ -50,6 +52,7 @@ from .operators import (
 )
 from .spaces import (
     TOL,
+    _unit_interior_entry,
     order_norm,
     orthant,
     space_from_json,
@@ -68,30 +71,48 @@ def _load_json(path: str) -> dict:
 
 def _parse_point(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",")]
+        point = [float(t) for t in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad point {text!r}: expected comma-separated floats") from exc
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"bad point {text!r}: coordinates must be finite")
+    return point
 
 
-def _emit(payload: dict, fmt: str, elapsed: float) -> None:
+def _dumps(value) -> str:
+    """Strict JSON: a NaN or an infinity raises ValueError instead of being written."""
+    return json.dumps(value, sort_keys=True, allow_nan=False)
+
+
+def _render(payload: dict, fmt: str, elapsed: float) -> str:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-        return
-    print(f"command: {payload.get('command')}")
+        return _dumps(payload)
+    lines = [f"command: {payload.get('command')}"]
     for key, value in payload.items():
         if key in ("command", "checks", "fixtures"):
             continue
-        print(f"{key}: {json.dumps(value, sort_keys=True)}")
+        lines.append(f"{key}: {_dumps(value)}")
     for entry in payload.get("checks", []):
         mark = "PASS" if entry.get("passed") else "FAIL"
         line = f"  [{mark}] {entry.get('name')}"
         if entry.get("witness"):
-            line += f"  witness={json.dumps(entry['witness'], sort_keys=True)}"
-        print(line)
+            line += f"  witness={_dumps(entry['witness'])}"
+        elif entry.get("detail"):
+            line += f"  detail={_dumps(entry['detail'])}"
+        lines.append(line)
     for entry in payload.get("fixtures", []):
         mark = "ok" if entry.get("matched") else "MISMATCH"
-        print(f"  [{mark}] {entry.get('name')} (expected {entry.get('expected')})")
-    print(f"elapsed: {elapsed:.3f}s")
+        lines.append(f"  [{mark}] {entry.get('name')} (expected {entry.get('expected')})")
+    lines.append(f"elapsed: {elapsed:.3f}s")
+    return "\n".join(lines)
+
+
+def _unit_not_interior(command: str, space) -> dict | None:
+    """The failure payload of a value-returning command on a space whose unit is not interior."""
+    entry = _unit_interior_entry(space)
+    if entry["passed"]:
+        return None
+    return {"command": command, "checks": [entry], "exit_status": EXIT_VIOLATION}
 
 
 def run_check(args) -> tuple[dict, int]:
@@ -124,10 +145,11 @@ def run_check(args) -> tuple[dict, int]:
 
 def run_norm(args) -> tuple[dict, int]:
     space = space_from_json(_load_json(args.space))
-    entries = []
-    for text in args.point:
-        p = _parse_point(text)
-        entries.append({"point": p, "norm": order_norm(space, p)})
+    points = [_parse_point(text) for text in args.point]
+    failure = _unit_not_interior("norm", space)
+    if failure:
+        return failure, EXIT_VIOLATION
+    entries = [{"point": p, "norm": order_norm(space, p)} for p in points]
     payload = {"command": "norm", "points": entries, "exit_status": EXIT_OK}
     return payload, EXIT_OK
 
@@ -135,6 +157,9 @@ def run_norm(args) -> tuple[dict, int]:
 def run_extend(args) -> tuple[dict, int]:
     space = space_from_json(_load_json(args.space))
     pf = partial_from_json(space, _load_json(args.partial), strict=False)
+    failure = _unit_not_interior("extend", space)
+    if failure:
+        return failure, EXIT_VIOLATION
     if not pf.consistent:
         payload = {
             "command": "extend",
@@ -146,24 +171,19 @@ def run_extend(args) -> tuple[dict, int]:
     payload = {"command": "extend", "rule": args.rule, "targets": entries}
     for text in args.target:
         y = _parse_point(text)
-        if span_contains(pf.subspace, y):
+        found = _off_span_interval(pf, y)
+        if found is None:
             entries.append({"target": y, "skipped": "already in span"})
             continue
-        interval = extension_interval(pf, y)
+        vec, interval = found
         try:
-            pf = extend_one(pf, y, rule=args.rule, value=args.value)
+            value = _pick_value(interval, args.rule, args.value, TOL)
+            pf = _append_line(pf, vec, value)
         except ValueError as exc:
             entries.append({"target": y, "error": str(exc)})
             payload["exit_status"] = EXIT_VIOLATION
             return payload, EXIT_VIOLATION
-        entries.append(
-            {
-                "target": y,
-                "p_minus": interval.p_minus,
-                "p_plus": interval.p_plus,
-                "value": _pick_value(interval, args.rule, args.value, TOL),
-            }
-        )
+        entries.append({"target": y, "p_minus": interval.p_minus, "p_plus": interval.p_plus, "value": value})
     payload.update(result=partial_to_json(pf), exit_status=EXIT_OK)
     return payload, EXIT_OK
 
@@ -451,7 +471,12 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(payload, args.fmt, time.perf_counter() - start)
+    try:
+        text = _render(payload, args.fmt, time.perf_counter() - start)
+    except ValueError as exc:
+        print(f"error: result is not finite, so not strict JSON: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    print(text)
     return code
 
 

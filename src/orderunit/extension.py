@@ -164,6 +164,22 @@ class PartialFunctional:
     def space(self) -> OrderedSpace:
         return self.subspace.space
 
+    @classmethod
+    def _stacked(cls, space: OrderedSpace, X: np.ndarray, G: np.ndarray, unit_value: float, witness):
+        """Instance over already stacked lines whose witness is known, bypassing ``__post_init__``."""
+        pf = object.__new__(cls)
+        for name, value in (
+            ("subspace", UnitSpan(space=space, base=X[1:])),
+            ("values", G[1:]),
+            ("unit_value", unit_value),
+            ("X", X),
+            ("G", G),
+            ("_witness", witness),
+            ("consistent", witness is None),
+        ):
+            object.__setattr__(pf, name, value)
+        return pf
+
 
 def partial_functional(
     space: OrderedSpace, points, values, unit_value: float, strict: bool = True
@@ -205,21 +221,48 @@ def _consistency_witness(pf: PartialFunctional, tol: float = TOL):
         violated[i] = False
         js = np.flatnonzero(violated)
         if js.size:
-            j = int(js[0])
-            return {
-                "line_i": i,
-                "line_j": j,
-                "threshold": float(t[j]),
-                "g_i": float(G[i]),
-                "g_j": float(G[j]),
-                "slope": float(c),
-            }
+            return _violation(G, c, i, int(js[0]), t[js[0]])
+    return None
+
+
+def _violation(G: np.ndarray, c: float, i: int, j: int, t_ij) -> dict:
+    return {
+        "line_i": i,
+        "line_j": j,
+        "threshold": float(t_ij),
+        "g_i": float(G[i]),
+        "g_j": float(G[j]),
+        "slope": float(c),
+    }
+
+
+def _last_line_witness(space: OrderedSpace, X: np.ndarray, G: np.ndarray, c: float):
+    """First violated inequality at ``TOL`` that involves the last line, in the
+    order of :func:`_consistency_witness`.
+
+    When every pair among the other lines holds, this is the witness the full
+    scan returns: row ``i < k`` can fail only in column ``k``, so the column
+    comes first and row ``k`` after it.
+    """
+    k = len(G) - 1
+    with np.errstate(invalid="ignore"):
+        t = _thresholds(space, X[:k] - X[k]).max(axis=1)  # t_ik, i < k
+        hits = np.flatnonzero(G[k] + t * c < G[:k] - TOL)
+        if hits.size:
+            return _violation(G, c, int(hits[0]), k, t[hits[0]])
+        t = _thresholds(space, X[k] - X[:k]).max(axis=1)  # t_kj, j < k
+        hits = np.flatnonzero(G[:k] + t * c < G[k] - TOL)
+        if hits.size:
+            return _violation(G, c, k, int(hits[0]), t[hits[0]])
     return None
 
 
 def check_partial_consistency(pf: PartialFunctional, tol: float = TOL) -> PropertyReport:
-    """Report on the pairwise order-consistency inequalities of ``pf``."""
-    witness = _consistency_witness(pf, tol)
+    """Report on the pairwise order-consistency inequalities of ``pf``.
+
+    At the default ``tol`` this is the witness found at construction.
+    """
+    witness = pf._witness if tol == TOL else _consistency_witness(pf, tol)
     n_pairs = (pf.subspace.m + 1) * pf.subspace.m
     return PropertyReport(
         name="partial_consistency", passed=witness is None, samples=max(n_pairs, 1), witness=witness
@@ -285,7 +328,7 @@ def _pick_value(interval: ExtensionInterval, rule: str, value, tol: float) -> fl
         if value is None:
             raise ValueError("rule 'given' requires a value")
         p = float(value)
-        if p < interval.p_minus - tol or p > interval.p_plus + tol:
+        if not interval.p_minus - tol <= p <= interval.p_plus + tol:  # NaN is outside too
             raise ValueError(
                 f"value {p} outside the admissible interval [{interval.p_minus}, {interval.p_plus}]"
             )
@@ -293,18 +336,40 @@ def _pick_value(interval: ExtensionInterval, rule: str, value, tol: float) -> fl
     raise ValueError(f"unknown extension rule {rule!r}; expected one of {_RULES}")
 
 
+def _off_span_interval(pf: PartialFunctional, y, tol: float = TOL):
+    """``(y, interval)`` for a target off the span of ``pf``; None for a spanned one."""
+    y = as_vec(y, pf.space.dim)
+    if span_contains(pf.subspace, y, tol):
+        return None
+    return y, extension_interval(pf, y, tol)
+
+
+def _append_line(pf: PartialFunctional, y: np.ndarray, p: float) -> PartialFunctional:
+    """``pf`` plus the line through ``y`` with ``f(y) = p``, checked strictly.
+
+    The stored lines are carried over as they are; only the inequalities
+    between them and the new line are evaluated, since the others hold
+    already in the consistent ``pf``.
+    """
+    rep, mu = canonicalize(pf.space, y)
+    X = np.vstack([pf.X, rep])
+    G = np.append(pf.G, p - mu * pf.unit_value)
+    witness = _last_line_witness(pf.space, X, G, pf.unit_value)
+    if witness is not None:
+        raise ValueError(f"inconsistent partial functional: {witness}")
+    return PartialFunctional._stacked(pf.space, X, G, pf.unit_value, witness)
+
+
 def extend_one(
     pf: PartialFunctional, y, rule: str = "midpoint", value=None, tol: float = TOL
 ) -> PartialFunctional:
     """Extend ``pf`` by one point off its span; the restriction to the old
     lines is untouched and the result stays consistent."""
-    if span_contains(pf.subspace, y, tol):
+    found = _off_span_interval(pf, y, tol)
+    if found is None:
         raise ValueError("target point already lies in the span")
-    interval = extension_interval(pf, y, tol)
-    p = _pick_value(interval, rule, value, tol)
-    points = [*pf.subspace.base, as_vec(y, pf.space.dim)]
-    values = [*pf.values.tolist(), p]
-    return partial_functional(pf.space, points, values, pf.unit_value)
+    y, interval = found
+    return _append_line(pf, y, _pick_value(interval, rule, value, tol))
 
 
 def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None, tol: float = TOL) -> PartialFunctional:
@@ -315,9 +380,9 @@ def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None, to
     """
     out = pf
     for y in ys:
-        if span_contains(out.subspace, y, tol):
-            continue
-        out = extend_one(out, y, rule=rule, value=value, tol=tol)
+        found = _off_span_interval(out, y, tol)
+        if found is not None:
+            out = _append_line(out, found[0], _pick_value(found[1], rule, value, tol))
     return out
 
 

@@ -298,13 +298,14 @@ def graph_check(
     if samples is None:
         samples = sampling.box_points(T.domain, n, sampling.rng_from(seed))
     unit = T.domain.unit
+    gu = np.concatenate([unit, T.unit_image])
     count = 0
     for x in samples:
-        gx = np.concatenate([x, apply(T, x)])
-        gu = np.concatenate([unit, T.unit_image])
+        tx = apply(T, x)
+        gx = np.concatenate([x, tx])
         for lam in lambdas:
             count += 1
-            shifted = np.concatenate([x + lam * unit, apply(T, x + lam * unit)])
+            shifted = np.concatenate([x + lam * unit, tx if lam == 0.0 else apply(T, x + lam * unit)])
             defect = float(np.max(np.abs(gx + lam * gu - shifted)))
             if defect > tol:
                 return PropertyReport(

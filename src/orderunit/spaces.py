@@ -221,6 +221,17 @@ def _pointedness_witness(space: OrderedSpace, tol: float = TOL):
     return None
 
 
+def _unit_interior_entry(space: OrderedSpace) -> dict:
+    """The ``unit_interior`` check of :func:`validate_space`, with the least unit pairing."""
+    pairings = space.unit_pairings
+    k_min = int(np.argmin(pairings))
+    return {
+        "name": "unit_interior",
+        "passed": interior_contains(space, space.unit),
+        "detail": {"min_row_pairing": float(pairings[k_min]), "row": k_min},
+    }
+
+
 def validate_space(space: OrderedSpace, samples: int = 256, seed: int = 0) -> SpaceValidation:
     """Report on the order-unit axioms; never throws.
 
@@ -229,18 +240,7 @@ def validate_space(space: OrderedSpace, samples: int = 256, seed: int = 0) -> Sp
     random sample every ``x`` satisfies ``-lam*unit <= x <= lam*unit`` at
     ``lam = order_norm(x) + TOL``.
     """
-    checks = []
-
-    pairings = space.unit_pairings
-    k_min = int(np.argmin(pairings))
-    unit_ok = interior_contains(space, space.unit)
-    checks.append(
-        {
-            "name": "unit_interior",
-            "passed": unit_ok,
-            "detail": {"min_row_pairing": float(pairings[k_min]), "row": k_min},
-        }
-    )
+    checks = [_unit_interior_entry(space)]
 
     witness = _pointedness_witness(space)
     checks.append(

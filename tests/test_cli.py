@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orderunit import cli
+from orderunit import cli, extension
 
 PYTHON = sys.executable
 GALLERY_SEED7 = Path(__file__).parent / "data" / "gallery_seed7.json"
@@ -27,6 +27,8 @@ def files(tmp_path_factory):
         return str(path)
 
     space2 = write("space2.json", {"dim": 2, "cone": "orthant", "unit": [1, 1]})
+    boundary = write("boundary.json", {"dim": 2, "cone": "orthant", "unit": [1, 0]})
+    half = write("half.json", {"dim": 2, "cone": "orthant", "unit": [0.5, 0.5]})
     gap = write("gap.json", {"kind": "sqrt_gap"})
     choq = write(
         "choq.json",
@@ -51,6 +53,8 @@ def files(tmp_path_factory):
     broken.write_text('{"dim": 2,')
     return {
         "space2": space2,
+        "boundary": boundary,
+        "half": half,
         "gap": gap,
         "choq": choq,
         "clamp": clamp,
@@ -114,6 +118,38 @@ class TestNorm:
         proc = run_cli("norm", "--space", files["space2"], "--point", "a,b")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("point", ["nan,1", "1,inf", "0,-inf"])
+    def test_non_finite_point_is_input_error(self, files, point):
+        proc = run_cli("norm", "--space", files["space2"], "--point", point, "--format", "json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "coordinates must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_boundary_unit_fails_without_scipy(self, files):
+        code = (
+            "import sys; from orderunit import cli; "
+            f"rc = cli.main(['norm', '--space', {files['boundary']!r}, '--point', '1,2', '--format', 'json']); "
+            "print('scipy' in sys.modules); sys.exit(rc)"
+        )
+        proc = subprocess.run([PYTHON, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 1
+        payload, scipy_loaded = proc.stdout.splitlines()
+        assert json.loads(payload) == {
+            "checks": [
+                {"name": "unit_interior", "passed": False, "detail": {"min_row_pairing": 0.0, "row": 1}}
+            ],
+            "command": "norm",
+            "exit_status": 1,
+        }
+        assert scipy_loaded == "False"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_overflowing_norm_is_an_error_not_infinity(self, files, fmt):
+        proc = run_cli("norm", "--space", files["half"], "--point", "1e308,1e308", "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("error: ") and "Traceback" not in proc.stderr
+
 
 class TestExtend:
     def test_midpoint_interval(self, files):
@@ -145,6 +181,59 @@ class TestExtend:
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert not payload["checks"][0]["passed"]
+
+    def test_inconsistent_partial_computes_witness_once(self, files, monkeypatch, capsys):
+        calls = []
+        real = extension._consistency_witness
+
+        def spy(pf, *args, **kwargs):
+            calls.append(pf)
+            return real(pf, *args, **kwargs)
+
+        monkeypatch.setattr(extension, "_consistency_witness", spy)
+        code = cli.main(
+            ["extend", "--space", files["space2"], "--partial", files["bad_partial"], "--target", "0,1", "--format", "json"]
+        )
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["checks"][0]["witness"]["line_i"] == 1
+        assert len(calls) == 1
+
+    def test_one_span_test_and_one_interval_per_target(self, files, monkeypatch, capsys):
+        counts = {"span_contains": 0, "extension_interval": 0}
+        for name in counts:
+            real = getattr(extension, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(extension, name, counted)
+        targets = ["1,0", "0,1", "2,1", "3,-1"]  # the third lies on the line of the first
+        code = cli.main(
+            ["extend", "--space", files["space2"], "--partial", files["partial"], "--format", "json"]
+            + [arg for t in targets for arg in ("--target", t)]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [("skipped" in e) for e in payload["targets"]] == [False, False, True, False]
+        assert counts == {"span_contains": 4, "extension_interval": 3}
+        assert len(payload["result"]["base_points"]) == 3
+
+    def test_boundary_unit_fails(self, files):
+        proc = run_cli(
+            "extend", "--space", files["boundary"], "--partial", files["partial"],
+            "--target", "0,1", "--format", "json",
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["checks"][0]["name"] == "unit_interior"
+
+    def test_nan_given_value_rejected(self, files):
+        proc = run_cli(
+            "extend", "--space", files["space2"], "--partial", files["partial"],
+            "--target", "1,0", "--rule", "given", "--value", "nan", "--format", "json",
+        )
+        assert proc.returncode == 1
+        assert "outside the admissible interval" in json.loads(proc.stdout)["targets"][0]["error"]
 
 
 class TestOpenness:

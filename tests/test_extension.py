@@ -181,6 +181,88 @@ class TestScalarReferences:
                 assert (interval.p_minus.hex(), interval.p_plus.hex()) == (lo.hex(), hi.hex())
 
 
+STEP_SPACES = (PROPERTY_SPACES[0], PROPERTY_SPACES[3], PROPERTY_SPACES[4])  # orth2, HS4, rows off the 0/1 grid
+
+
+@st.composite
+def step_data(draw):
+    """A consistent partial functional with up to 40 lines, read off a maximum of
+    positive linear functionals that all take the value 1 at the unit, and a target."""
+    space = draw(st.sampled_from(STEP_SPACES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 4)), space.cone.rows.shape[0])) @ space.cone.rows
+    W /= (W @ space.unit)[:, None]
+    pts = rng.uniform(-3.0, 3.0, size=(draw(st.integers(0, 40)), space.dim))
+    pf = ou.partial_functional(space, pts, np.max(pts @ W.T, axis=1, initial=-np.inf), 1.0)
+    return pf, rng.uniform(-3.0, 3.0, size=space.dim)
+
+
+class TestExtensionStep:
+    """One extension step appends a line and checks only the pairs that involve it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=step_data(),
+        rule=st.sampled_from(("lower", "upper", "midpoint", "given")),
+        end=st.sampled_from(("p_minus", "p_plus")),
+        offset=st.sampled_from((-2e-6, -5e-7, -2e-9, -5e-10, 0.0, 5e-10, 2e-9, 5e-7, 2e-6)),
+        tol=st.sampled_from((ou.TOL, 1e-6)),
+    )
+    def test_step(self, data, rule, end, offset, tol):
+        pf, y = data
+        m, space = pf.subspace.m, pf.space
+        if ou.span_contains(pf.subspace, y, tol):
+            return
+        interval = ou.extension_interval(pf, y, tol)
+        value = getattr(interval, end) + offset if rule == "given" else None
+        p = {"lower": interval.p_minus, "upper": interval.p_plus, "midpoint": interval.midpoint, "given": value}[rule]
+        rep, mu = ou.canonicalize(space, y)
+        g = p - mu * pf.unit_value
+        # the result the step must describe, checked by the full scan at construction
+        full = ou.PartialFunctional(
+            subspace=ou.UnitSpan(space=space, base=np.vstack([pf.subspace.base, rep])),
+            values=np.append(pf.values, g),
+            unit_value=pf.unit_value,
+        )
+        assert repr(full._witness) == repr(consistency_witness_by_pairs(full))
+        if not interval.p_minus - tol <= p <= interval.p_plus + tol:
+            with pytest.raises(ValueError, match="outside the admissible interval"):
+                ou.extend_one(pf, y, rule=rule, value=value, tol=tol)
+            return
+        if not full.consistent:
+            with pytest.raises(ValueError) as got:
+                ou.extend_one(pf, y, rule=rule, value=value, tol=tol)
+            assert str(got.value) == f"inconsistent partial functional: {full._witness}"
+            return
+        out = ou.extend_one(pf, y, rule=rule, value=value, tol=tol)
+        assert out.subspace.m == m + 1 and out.consistent
+        assert _bits(out.subspace.base[:m]) == _bits(pf.subspace.base)
+        assert _bits(out.values[:m]) == _bits(pf.values)
+        assert _bits(out.subspace.base[m]) == _bits(rep)
+        assert _bits(out.values[m]) == _bits(g)
+        assert _bits(out.X) == _bits(full.X) and _bits(out.G) == _bits(full.G)
+        assert ou.extension._consistency_witness(out) is None
+        assert consistency_witness_by_pairs(out) is None
+        for t in (0.0, 1e-3):
+            assert repr(ou.check_partial_consistency(out, t).witness) == repr(consistency_witness_by_pairs(out, t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=step_data(), rule=st.sampled_from(("lower", "upper", "midpoint")), k=st.integers(1, 6))
+    def test_extend_all_folds_the_step(self, data, rule, k):
+        pf, y = data
+        ys = [y, *np.random.default_rng((k, 1)).uniform(-3.0, 3.0, size=(k, pf.space.dim)), y + 2.0 * pf.space.unit]
+        out = ou.extend_all(pf, ys, rule=rule)
+        step = pf
+        for target in ys:
+            if not ou.span_contains(step.subspace, target):
+                step = ou.extend_one(step, target, rule=rule)
+        assert _bits(out.subspace.base) == _bits(step.subspace.base)
+        assert _bits(out.values) == _bits(step.values)
+        # the last target shares the first one's line
+        assert out.subspace.m == pf.subspace.m + k + (not ou.span_contains(pf.subspace, y))
+        assert out.consistent and consistency_witness_by_pairs(out) is None
+
+
 class TestSpan:
     def test_examples(self, orth2):
         span = ou.unit_span(orth2, [[1.0, 0.0]])

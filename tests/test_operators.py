@@ -203,6 +203,43 @@ class TestGraph:
         T = ou.custom_operator(orth2, orth2, lambda x: np.array([max(x[0], 0.0), x[1]]))
         assert not ou.graph_check(T, n=256).passed
 
+    def test_five_evaluations_per_sample(self, orth2):
+        calls = []
+
+        def hook(x):
+            calls.append(x)
+            return x
+
+        T = ou.custom_operator(orth2, orth2, hook)
+        calls.clear()  # the constructor evaluates the unit image once
+        report = ou.graph_check(T, n=100)
+        assert report.passed and report.samples == 500
+        assert len(calls) == 500
+
+    def test_witness_matches_one_evaluation_per_shift(self, orth2):
+        """The failing report equals the one of a loop that evaluates every shift, ``lam = 0`` too."""
+        lambdas = (-2.0, -1.0, 0.0, 1.0, 2.0)
+        hooks = (
+            lambda x: np.array([max(x[0], 0.0), x[1]]),
+            lambda x: np.array([x[0] ** 2, x[1]]),
+            lambda x: np.array([x[0], x[1] + 1e-6 * x[0] * x[1]]),
+        )
+        for hook in hooks:
+            T = ou.custom_operator(orth2, orth2, hook)
+            samples = ou.sampling.box_points(orth2, 256, ou.sampling.rng_from(3))
+            expected = None
+            gu = np.concatenate([orth2.unit, T.unit_image])
+            for count, (x, lam) in enumerate(((x, lam) for x in samples for lam in lambdas), start=1):
+                gx = np.concatenate([x, T(x)])
+                shifted = np.concatenate([x + lam * orth2.unit, T(x + lam * orth2.unit)])
+                defect = float(np.max(np.abs(gx + lam * gu - shifted)))
+                if defect > ou.TOL:
+                    witness = {"x": list(map(float, x)), "lam": lam, "defect": defect}
+                    expected = {"name": "graph_shift_closure", "passed": False, "samples": count, "witness": witness}
+                    break
+            assert expected is not None
+            assert ou.graph_check(T, samples, lambdas).to_json() == expected
+
 
 class TestPointwiseLimit:
     def test_shrinking_multiples_of_identity(self, orth2):
