@@ -201,7 +201,7 @@ def _thresholds(space: OrderedSpace, d: np.ndarray) -> np.ndarray:
 
     A stack of matrix-vector products rounds as ``rows @ d_i`` does; ``d @ rows.T`` would not.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.matmul(space.cone.rows, d[:, :, None])[:, :, 0] / space.unit_pairings
 
 

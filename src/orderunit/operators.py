@@ -50,8 +50,9 @@ from .spaces import (
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Map between two spaces with a declared kind; ``fn`` is the kind's
-    evaluator on a vector already checked against the domain, and
-    ``unit_image`` caches the value at the domain unit."""
+    evaluator on a vector already checked against the domain,
+    ``image_oracle`` its exact membership test for ``T(E)`` where one is
+    known, and ``unit_image`` caches the value at the domain unit."""
 
     domain: OrderedSpace
     codomain: OrderedSpace
@@ -59,6 +60,7 @@ class Operator:
     fn: Callable[[np.ndarray], np.ndarray]
     matrix: np.ndarray | None = None
     functionals: tuple[Functional, ...] | None = None
+    image_oracle: Callable[[np.ndarray], bool] | None = None
     unit_image: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -75,6 +77,15 @@ def _clamp_eval(x: np.ndarray) -> np.ndarray:
     if x[1] >= hi:
         return np.array([x[0], hi])
     return np.array([x[0], x[1]])
+
+
+def _in_band(y) -> bool:
+    return abs(float(y[1]) - float(y[0])) <= 1.0 + TOL
+
+
+def _in_range(M: np.ndarray, y) -> bool:
+    sol, *_ = np.linalg.lstsq(M, np.asarray(y, dtype=float), rcond=None)
+    return bool(np.max(np.abs(M @ sol - y)) <= 1e-8)
 
 
 def _stack_eval(fs: tuple[Functional, ...], v: np.ndarray) -> np.ndarray:
@@ -101,7 +112,9 @@ def linear_positive(
             f"matrix shape {m.shape} does not map dim {domain.dim} "
             f"into dim {codomain.dim}"
         )
-    T = Operator(domain=domain, codomain=codomain, kind="linear_positive", fn=m.__matmul__, matrix=m)
+    T = Operator(
+        domain=domain, codomain=codomain, kind="linear_positive", fn=m.__matmul__, matrix=m, image_oracle=partial(_in_range, m)
+    )
     if strict:
         points = list(sampling.cone_points(domain, samples, sampling.rng_from(seed)))
         if domain.cone.orthant:
@@ -120,7 +133,7 @@ def clamp_operator(space: OrderedSpace) -> Operator:
     ``[x1 - 1, x1 + 1]``); domain and codomain coincide."""
     if space.dim != 2:
         raise ValueError("clamp is defined on 2-d spaces only")
-    return Operator(domain=space, codomain=space, kind="clamp", fn=_clamp_eval)
+    return Operator(domain=space, codomain=space, kind="clamp", fn=_clamp_eval, image_oracle=_in_band)
 
 
 def stack_operator(domain: OrderedSpace, fs: Sequence[Functional], codomain: OrderedSpace | None = None) -> Operator:
@@ -319,17 +332,7 @@ def graph_check(
 
 def default_image_oracle(T: Operator):
     """Exact membership test for ``T(E)`` where one is known, else None."""
-    if T.kind == "clamp":
-        return lambda y: abs(float(y[1]) - float(y[0])) <= 1.0 + TOL
-    if T.kind == "linear_positive":
-        M = T.matrix
-
-        def _in_range(y, M=M):
-            sol, *_ = np.linalg.lstsq(M, np.asarray(y, dtype=float), rcond=None)
-            return bool(np.max(np.abs(M @ sol - y)) <= 1e-8)
-
-        return _in_range
-    return None
+    return T.image_oracle
 
 
 def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng, tol: float):
@@ -356,7 +359,7 @@ def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng, tol: 
     starts = [x0.copy()]
     if T.codomain.dim == dom.dim and inside(y):
         starts.append(y.copy())
-    if T.kind == "linear_positive":
+    if T.matrix is not None:
         sol, *_ = np.linalg.lstsq(T.matrix, y, rcond=None)
         if inside(sol):
             starts.append(sol)

@@ -6,6 +6,8 @@ suprema, monotone closure by lattice sweep.  None of it shares a code path
 with the closed forms it cross-checks.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from orderunit import Capacity, cone_contains, ray_thresholds
@@ -58,6 +60,23 @@ def norms_by_bisection(space, points, iters=80):
         hi = np.where(inside, mid, hi)
         lo = np.where(inside, lo, mid)
     return hi
+
+
+def exact_rank(rows):
+    """Rank of a matrix with rational (e.g. integer) entries, by Gaussian
+    elimination over ``Fraction``: no floating point, no SVD."""
+    M = [[Fraction(a) for a in row] for row in rows]
+    rank = 0
+    for col in range(len(M[0])):
+        pivot = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        for r in range(rank + 1, len(M)):
+            factor = M[r][col] / M[rank][col]
+            M[r] = [a - factor * b for a, b in zip(M[r], M[rank])]
+        rank += 1
+    return rank
 
 
 def choquet_layer_cake(cap: Capacity, x):

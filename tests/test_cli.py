@@ -3,17 +3,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import orderunit as ou
 from orderunit import cli, extension
 
 PYTHON = sys.executable
 GALLERY_SEED7 = Path(__file__).parent / "data" / "gallery_seed7.json"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
-        [PYTHON, "-m", "orderunit", *args], capture_output=True, text=True
+        [PYTHON, "-m", "orderunit", *args], capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -27,6 +29,10 @@ def files(tmp_path_factory):
         return str(path)
 
     space2 = write("space2.json", {"dim": 2, "cone": "orthant", "unit": [1, 1]})
+    flat = write("flat.json", {"dim": 2, "cone": {"halfspaces": [[1.0, 0.0]]}, "unit": [1.0, 0.0]})
+    # json.dumps writes the Infinity and NaN tokens that json.load accepts
+    inf_unit = write("inf_unit.json", {"dim": 2, "cone": "orthant", "unit": [1.0, float("inf")]})
+    nan_row = write("nan_row.json", {"dim": 2, "cone": {"halfspaces": [[1.0, 0.0], [float("nan"), 1.0]]}, "unit": [1, 1]})
     boundary = write("boundary.json", {"dim": 2, "cone": "orthant", "unit": [1, 0]})
     half = write("half.json", {"dim": 2, "cone": "orthant", "unit": [0.5, 0.5]})
     gap = write("gap.json", {"kind": "sqrt_gap"})
@@ -53,6 +59,9 @@ def files(tmp_path_factory):
     broken.write_text('{"dim": 2,')
     return {
         "space2": space2,
+        "flat": flat,
+        "inf_unit": inf_unit,
+        "nan_row": nan_row,
         "boundary": boundary,
         "half": half,
         "gap": gap,
@@ -102,6 +111,56 @@ class TestCheck:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "space, message", [("inf_unit", "the order unit must be finite"), ("nan_row", "cone rows must be finite")]
+    )
+    def test_non_finite_space_is_input_error(self, files, space, message):
+        # the timeout turns a sampler that never accepts a point into a failure
+        proc = run_cli("check", "--space", files[space], "--functional", files["choq"], "--format", "json", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_valid_space_entry(self, files):
+        proc = run_cli(
+            "check", "--space", files["space2"], "--functional", files["choq"], "--samples", "256", "--format", "json"
+        )
+        entry = json.loads(proc.stdout)["checks"][0]
+        assert entry == {"name": "space_valid", "passed": True, "samples": 256, "witness": None}
+
+    def test_space_valid_carries_the_line_direction(self, files):
+        proc = run_cli(
+            "check", "--space", files["flat"], "--functional", files["choq"], "--samples", "256", "--format", "json"
+        )
+        assert proc.returncode == 1
+        entry = json.loads(proc.stdout)["checks"][0]
+        assert entry["name"] == "space_valid" and not entry["passed"] and entry["samples"] == 256
+        assert list(entry["witness"]) == ["pointed"]
+        v = np.array(entry["witness"]["pointed"]["line_direction"])
+        flat = ou.space_from_json(json.loads(Path(files["flat"]).read_text()))
+        assert ou.cone_contains(flat, v, tol=ou.TOL) and ou.cone_contains(flat, -v, tol=ou.TOL)
+
+    def test_boundary_unit_reports_only_the_space(self, files):
+        proc = run_cli(
+            "check", "--space", files["boundary"], "--functional", files["choq"], "--format", "json", timeout=60
+        )
+        # the law checkers are skipped: every order ball is unbounded along the second axis
+        assert proc.returncode == 1
+        (entry,) = json.loads(proc.stdout)["checks"]
+        assert entry["witness"]["unit_interior"] == {"min_row_pairing": 0.0, "row": 1}
+        assert entry["witness"]["norm_bounds"]["norm"] is None
+
+    def test_check_does_not_import_scipy(self, files):
+        code = (
+            "import sys; from orderunit import cli; "
+            f"rc = cli.main(['check', '--space', {files['space2']!r}, '--functional', {files['choq']!r}, "
+            "'--samples', '256', '--format', 'json']); "
+            "print('scipy' in sys.modules); sys.exit(rc)"
+        )
+        proc = subprocess.run([PYTHON, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestNorm:
     def test_values(self, files):
@@ -149,6 +208,21 @@ class TestNorm:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.splitlines()[-1].startswith("error: ") and "Traceback" not in proc.stderr
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("command", ["norm", "extend"])
+    def test_only_the_error_line_on_stderr(self, files, command, fmt):
+        # unit (0.5, 0.5): the order norm and the ray thresholds of 1e308 overflow
+        if command == "norm":
+            args = ["--point", "1e308,1e308"]
+        else:
+            args = ["--partial", files["partial"], "--target", "1e308,1e308"]
+        proc = run_cli(command, "--space", files["half"], *args, "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
 class TestExtend:

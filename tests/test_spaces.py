@@ -4,10 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orderunit as ou
-from oracles import norm_by_bisection, norms_by_bisection
+from oracles import exact_rank, norm_by_bisection, norms_by_bisection
 
 coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 vec2 = st.tuples(coord, coord).map(np.array)
+int_rows = st.integers(1, 6).flatmap(
+    lambda dim: st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=1, max_size=8)
+)
+
+
+def pointed_entry(space):
+    return next(c for c in ou.validate_space(space, samples=0).checks if c["name"] == "pointed")
 
 
 class TestConeMembership:
@@ -172,6 +179,47 @@ class TestValidate:
         v = np.array(witness["line_direction"])
         assert ou.cone_contains(flat, v, tol=1e-6) and ou.cone_contains(flat, -v, tol=1e-6)
         assert np.max(np.abs(v)) > 1e-6
+
+
+class TestPointedness:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=int_rows)
+    def test_unpointed_iff_rank_deficient(self, rows):
+        dim = len(rows[0])
+        space = ou.halfspace_space(rows, np.ones(dim))
+        entry = pointed_entry(space)
+        assert entry["passed"] == (exact_rank(rows) == dim)
+        if not entry["passed"]:
+            v = np.array(entry["detail"]["line_direction"])
+            assert np.max(np.abs(v)) == 1.0
+            assert ou.cone_contains(space, v, tol=ou.TOL) and ou.cone_contains(space, -v, tol=ou.TOL)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-6, 1e-8])
+    def test_near_singular_full_rank_is_pointed(self, eps):
+        # full column rank, so no line: the smallest singular value is small, not zero
+        space = ou.halfspace_space([[1.0, 0.0], [1.0, eps]], [1.0, 1.0])
+        assert pointed_entry(space)["passed"]
+        assert ou.validate_space(space).ok
+
+    def test_flat_plane_witness(self):
+        flat = ou.halfspace_space([[1.0, 0.0]], [1.0, 0.0])
+        assert pointed_entry(flat)["detail"] == {"line_direction": [0.0, 1.0]}
+
+    def test_orthants_and_halfspace_spaces_are_pointed(self, orth2, orth3, hs2, hs4):
+        spaces = (orth2, orth3, ou.orthant(3, unit=[1.0, 2.0, 1.0]), ou.orthant(6), hs2, hs4)
+        assert all(pointed_entry(space)["passed"] for space in spaces)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rows_rejected(self, bad):
+        with pytest.raises(ValueError, match="cone rows must be finite"):
+            ou.halfspace_space([[1.0, 0.0], [bad, 1.0]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unit_rejected(self, bad):
+        with pytest.raises(ValueError, match="order unit must be finite"):
+            ou.orthant(2, unit=[1.0, bad])
 
 
 class TestJson:
