@@ -78,7 +78,6 @@ from .operators import (
     check_weakly_additive_op,
     clamp_operator,
     custom_operator,
-    default_image_oracle,
     equicontinuity_modulus,
     graph_check,
     identity_operator,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import Functional, PropertyReport
-from .spaces import TOL, OrderedSpace, as_vec
+from .spaces import TOL, OrderedSpace, _finite, as_vec
 
 
 def _unit_component(space: OrderedSpace, v: np.ndarray) -> float:
@@ -80,14 +80,17 @@ class UnitSpan:
         return self.base.shape[0]
 
 
-def _canonical_lines(space: OrderedSpace, points, values=None, unit_value: float = 0.0, tol: float = TOL):
+def _canonical_lines(space: OrderedSpace, points, values, unit_value: float, tol: float = TOL):
     """Canonicalize points (adjusting values along), merge duplicate lines.
 
-    Returns ``(base, vals)``.  A value conflict between merged duplicates
-    raises; with ``values=None`` the values output is all zeros.
+    Returns ``(base, vals)``.  A non-finite input or a value conflict between
+    merged duplicates raises.
     """
+    _finite("unit_value", unit_value)
     pts = [as_vec(p, space.dim) for p in points]
-    vals = [0.0] * len(pts) if values is None else [float(v) for v in values]
+    _finite("base_points", pts)
+    vals = [float(v) for v in values]
+    _finite("values", vals)
     if len(vals) != len(pts):
         raise ValueError("one value per base point required")
     base = np.empty((len(pts), space.dim))
@@ -97,7 +100,7 @@ def _canonical_lines(space: OrderedSpace, points, values=None, unit_value: float
         g_rep = g - mu * unit_value
         if _is_zero(space, rep, tol):
             # the point sits on the axis line, where the value is forced
-            if values is not None and abs(g_rep) > 1e-7:
+            if abs(g_rep) > 1e-7:
                 raise ValueError(
                     f"value conflict on the axis line: point {p.tolist()} carries {g}, "
                     f"but the unit slope forces {mu * unit_value}"
@@ -105,7 +108,7 @@ def _canonical_lines(space: OrderedSpace, points, values=None, unit_value: float
             continue
         dup = np.flatnonzero(_is_zero(space, rep - base[: len(out_vals)], tol))
         if dup.size:
-            if values is not None and abs(out_vals[dup[0]] - g_rep) > 1e-7:
+            if abs(out_vals[dup[0]] - g_rep) > 1e-7:
                 raise ValueError(
                     f"value conflict on a duplicate line: {out_vals[dup[0]]} vs {g_rep}"
                 )
@@ -117,7 +120,7 @@ def _canonical_lines(space: OrderedSpace, points, values=None, unit_value: float
 
 def unit_span(space: OrderedSpace, points=()) -> UnitSpan:
     """Span of the given points; ``points=()`` is the bare axis line."""
-    base, _ = _canonical_lines(space, points)
+    base, _ = _canonical_lines(space, points, np.zeros(len(points)), 0.0)
     return UnitSpan(space=space, base=base)
 
 
@@ -336,28 +339,28 @@ def _pick_value(interval: ExtensionInterval, rule: str, value, tol: float) -> fl
     raise ValueError(f"unknown extension rule {rule!r}; expected one of {_RULES}")
 
 
-def _off_span_interval(pf: PartialFunctional, y, tol: float = TOL):
-    """``(y, interval)`` for a target off the span of ``pf``; None for a spanned one."""
-    y = as_vec(y, pf.space.dim)
-    if span_contains(pf.subspace, y, tol):
-        return None
-    return y, extension_interval(pf, y, tol)
+def _step(pf: PartialFunctional, y, rule: str, value, tol: float):
+    """One extension step: None for a target already in the span of ``pf``,
+    else ``(extended, interval, chosen value)``.
 
-
-def _append_line(pf: PartialFunctional, y: np.ndarray, p: float) -> PartialFunctional:
-    """``pf`` plus the line through ``y`` with ``f(y) = p``, checked strictly.
-
-    The stored lines are carried over as they are; only the inequalities
+    An empty interval raises as :func:`extension_interval` does; so do a
+    value the rule cannot pick and a new line that breaks consistency.  The
+    stored lines are carried over as they are; only the inequalities
     between them and the new line are evaluated, since the others hold
     already in the consistent ``pf``.
     """
+    y = as_vec(y, pf.space.dim)
+    if span_contains(pf.subspace, y, tol):
+        return None
+    interval = extension_interval(pf, y, tol)
+    p = _pick_value(interval, rule, value, tol)
     rep, mu = canonicalize(pf.space, y)
     X = np.vstack([pf.X, rep])
     G = np.append(pf.G, p - mu * pf.unit_value)
     witness = _last_line_witness(pf.space, X, G, pf.unit_value)
     if witness is not None:
         raise ValueError(f"inconsistent partial functional: {witness}")
-    return PartialFunctional._stacked(pf.space, X, G, pf.unit_value, witness)
+    return PartialFunctional._stacked(pf.space, X, G, pf.unit_value, witness), interval, p
 
 
 def extend_one(
@@ -365,11 +368,10 @@ def extend_one(
 ) -> PartialFunctional:
     """Extend ``pf`` by one point off its span; the restriction to the old
     lines is untouched and the result stays consistent."""
-    found = _off_span_interval(pf, y, tol)
-    if found is None:
+    step = _step(pf, y, rule, value, tol)
+    if step is None:
         raise ValueError("target point already lies in the span")
-    y, interval = found
-    return _append_line(pf, y, _pick_value(interval, rule, value, tol))
+    return step[0]
 
 
 def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None, tol: float = TOL) -> PartialFunctional:
@@ -378,12 +380,11 @@ def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None, to
     The fold order matters with the midpoint rule: earlier choices narrow
     later intervals.  Any order yields a consistent result.
     """
-    out = pf
     for y in ys:
-        found = _off_span_interval(out, y, tol)
-        if found is not None:
-            out = _append_line(out, found[0], _pick_value(found[1], rule, value, tol))
-    return out
+        step = _step(pf, y, rule, value, tol)
+        if step is not None:
+            pf = step[0]
+    return pf
 
 
 def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functional:

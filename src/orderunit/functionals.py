@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .spaces import TOL, OrderedSpace, as_vec, order_norm
+from .spaces import TOL, OrderedSpace, _finite, as_vec, order_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +55,7 @@ class Capacity:
 
     def __post_init__(self):
         object.__setattr__(self, "n", int(self.n))
-        vals = np.asarray(self.values, dtype=float)
+        vals = _finite("capacity values", self.values)
         if vals.shape != (2**self.n,):
             raise ValueError(f"capacity on {self.n} points needs {2**self.n} values, got {vals.shape}")
         if abs(vals[0]) > TOL:
@@ -87,8 +87,15 @@ class Capacity:
         return self.monotonicity_witness(tol) is None
 
 
+_MAX_GROUND_SIZE = 16
+"""Largest ground set :func:`capacity_from_dict` builds: ``2**16`` values, 512 KiB."""
+
+
 def capacity_from_dict(n: int, subset_values: dict) -> Capacity:
-    """Capacity from ``{bitmask: value}`` (missing masks default to 0)."""
+    """Capacity from ``{bitmask: value}`` (missing masks default to 0) on at
+    most ``_MAX_GROUND_SIZE`` points."""
+    if not 0 <= n <= _MAX_GROUND_SIZE:
+        raise ValueError(f"capacity ground size must lie in [0, {_MAX_GROUND_SIZE}], got {n}")
     vals = np.zeros(2**n)
     for mask, v in subset_values.items():
         vals[int(mask)] = float(v)
@@ -182,7 +189,7 @@ def evaluate(f: Functional, x) -> float:
 
 
 def linear_functional(space: OrderedSpace, weights) -> Functional:
-    w = as_vec(weights, space.dim)
+    w = _finite("linear weights", as_vec(weights, space.dim))
     return Functional(space=space, kind="linear", fn=w.__matmul__, weights=w)
 
 
@@ -199,7 +206,7 @@ def choquet_functional(space: OrderedSpace, cap: Capacity) -> Functional:
 
 
 def maxplus_functional(space: OrderedSpace, weights) -> Functional:
-    w = as_vec(weights, space.dim)
+    w = _finite("maxplus weights", as_vec(weights, space.dim))
     if abs(np.max(w)) > TOL:
         warnings.warn(
             f"maxplus weights are not normalized (max = {np.max(w):g}, expected 0); "

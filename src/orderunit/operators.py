@@ -37,6 +37,7 @@ from .functionals import (
 from .spaces import (
     TOL,
     OrderedSpace,
+    _finite,
     as_vec,
     cone_contains,
     interior_contains,
@@ -106,7 +107,7 @@ def linear_positive(
 ) -> Operator:
     """Matrix operator; with ``strict`` it must map sampled cone points into
     the codomain cone (on orthant domains the generators are checked exactly)."""
-    m = np.asarray(matrix, dtype=float)
+    m = _finite("linear_positive matrix", matrix)
     if m.shape != (codomain.dim, domain.dim):
         raise ValueError(
             f"matrix shape {m.shape} does not map dim {domain.dim} "
@@ -330,11 +331,6 @@ def graph_check(
     return PropertyReport(name="graph_shift_closure", passed=True, samples=count)
 
 
-def default_image_oracle(T: Operator):
-    """Exact membership test for ``T(E)`` where one is known, else None."""
-    return T.image_oracle
-
-
 def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng, tol: float):
     """Multi-start coordinate descent for ``x`` in the open ball around
     ``x0`` with ``T(x) = y``; returns ``(x or None, best residual, evals)``.
@@ -444,7 +440,7 @@ def openness_check(
     rng = sampling.rng_from(seed)
     x0 = as_vec(x0, T.domain.dim)
     center = apply(T, x0)
-    oracle = image_oracle if image_oracle is not None else default_image_oracle(T)
+    oracle = image_oracle if image_oracle is not None else T.image_oracle
 
     note = ""
     sampled = []

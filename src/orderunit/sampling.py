@@ -32,6 +32,8 @@ def ball_point(space: OrderedSpace, center, radius: float, rng) -> np.ndarray:
         nrm = order_norm(space, d)
         if np.isfinite(nrm) and nrm > 0:
             break
+        if np.any(space.unit_pairings <= 0):  # off the interior, no draw may ever be accepted
+            raise ValueError("ball sampling needs an interior order unit; a cone row pairs to <= 0 with it")
     t = rng.uniform(-1.0, 1.0) * radius * (1.0 - 1e-12)
     return center + d * (t / nrm)
 

@@ -36,6 +36,14 @@ def as_vec(x, dim: int) -> np.ndarray:
     return v
 
 
+def _finite(name: str, a) -> np.ndarray:
+    """``a`` as a float array, or a ValueError naming ``name`` when an entry is not finite."""
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ConeSpec:
     """Polyhedral cone ``{x : rows @ x >= 0}``.
@@ -52,9 +60,7 @@ class ConeSpec:
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("cone requires a nonempty 2-d array of half-space rows")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("cone rows must be finite")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _finite("cone rows", rows))
 
     @property
     def dim(self) -> int:
@@ -63,10 +69,6 @@ class ConeSpec:
     @staticmethod
     def nonneg_orthant(dim: int) -> "ConeSpec":
         return ConeSpec(rows=np.eye(int(dim)), orthant=True)
-
-    @staticmethod
-    def from_halfspaces(rows) -> "ConeSpec":
-        return ConeSpec(rows=np.atleast_2d(np.asarray(rows, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +93,7 @@ class OrderedSpace:
             raise ValueError(
                 f"dimension mismatch: cone rows have {self.cone.dim} columns, dim is {self.dim}"
             )
-        unit = as_vec(self.unit, self.dim)
-        if not np.all(np.isfinite(unit)):
-            raise ValueError("the order unit must be finite")
-        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "unit", _finite("the order unit", as_vec(self.unit, self.dim)))
 
     @cached_property
     def unit_pairings(self) -> np.ndarray:
@@ -110,7 +109,7 @@ def orthant(dim: int, unit=None) -> OrderedSpace:
 
 def halfspace_space(rows, unit) -> OrderedSpace:
     """Space cut out by half-space rows, with the given order unit."""
-    cone = ConeSpec.from_halfspaces(rows)
+    cone = ConeSpec(rows=rows)
     return OrderedSpace(dim=cone.dim, cone=cone, unit=unit)
 
 
@@ -272,9 +271,10 @@ def space_from_json(obj: dict) -> OrderedSpace:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad space descriptor: {exc}") from exc
     if cone_obj == "orthant":
+        unit = as_vec(unit, dim)  # a wrong length fails here, before np.eye(dim) allocates
         cone = ConeSpec.nonneg_orthant(dim)
     elif isinstance(cone_obj, dict) and "halfspaces" in cone_obj:
-        cone = ConeSpec.from_halfspaces(cone_obj["halfspaces"])
+        cone = ConeSpec(rows=cone_obj["halfspaces"])
     else:
         raise ValueError("bad space descriptor: cone must be 'orthant' or {'halfspaces': rows}")
     return OrderedSpace(dim=dim, cone=cone, unit=unit)

@@ -162,6 +162,48 @@ class TestCheck:
         assert proc.stdout.splitlines()[-1] == "False"
 
 
+class TestNonFiniteDescriptors:
+    # json.dumps writes the NaN and Infinity tokens that json.load accepts
+    @pytest.mark.parametrize(
+        "flag, obj, field",
+        [
+            ("--functional", {"kind": "linear", "weights": [float("nan"), 1.0]}, "linear weights"),
+            ("--functional", {"kind": "maxplus", "weights": [0.0, float("inf")]}, "maxplus weights"),
+            (
+                "--functional",
+                {"kind": "choquet", "capacity": {"n": 2, "values": {"1": float("nan"), "3": 1.0}}},
+                "capacity values",
+            ),
+            ("--operator", {"kind": "linear_positive", "matrix": [[1.0, 0.0], [0.0, float("inf")]]}, "linear_positive matrix"),
+        ],
+        ids=["linear_weights", "maxplus_weights", "capacity_values", "matrix"],
+    )
+    def test_check_rejects_the_field(self, files, tmp_path, flag, obj, field):
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli("check", "--space", files["space2"], flag, str(path), "--format", "json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {field} must be finite\n"
+
+    @pytest.mark.parametrize(
+        "partial, field",
+        [
+            ({"base_points": [[float("nan"), 0.0]], "values": [0.5], "unit_value": 1.0}, "base_points"),
+            ({"base_points": [[1.0, 0.0]], "values": [float("inf")], "unit_value": 1.0}, "values"),
+            ({"base_points": [], "values": [], "unit_value": float("nan")}, "unit_value"),
+        ],
+        ids=["base_points", "values", "unit_value"],
+    )
+    def test_extend_rejects_the_field(self, files, tmp_path, partial, field):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(partial))
+        proc = run_cli("extend", "--space", files["space2"], "--partial", str(path), "--target", "0,1", "--format", "json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {field} must be finite\n"
+
+
 class TestNorm:
     def test_values(self, files):
         proc = run_cli(
@@ -329,6 +371,15 @@ class TestOpenness:
         payload = json.loads(proc.stdout)
         assert payload["verdict"]["witness"] is not None
 
+    def test_boundary_unit_fails(self, files):
+        # the timeout turns a sampler that never accepts a point into a failure
+        proc = run_cli(
+            "openness", "--space", files["boundary"], "--operator", files["clamp"],
+            "--at", "0,0", "--epsilon", "0.25", "--delta", "0.25", "--format", "json", timeout=60,
+        )
+        assert proc.returncode == 1
+        assert [c["name"] for c in json.loads(proc.stdout)["checks"]] == ["unit_interior"]
+
 
 class TestCompact:
     def test_oscillating_sequence(self, files):
@@ -367,8 +418,9 @@ class TestFlags:
             ["openness", "--space", "space2", "--operator", "clamp", "--at", "0,0",
              "--epsilon", "0.25", "--delta", "0.25", "--targets", "4", "--budget", "100"],
             ["extend", "--space", "space2", "--partial", "partial", "--target", "1,0"],
+            ["gallery", "--seed", "7"],
         ],
-        ids=["openness", "extend"],
+        ids=["openness", "extend", "gallery"],
     )
     def test_unread_tol_is_rejected(self, files, command):
         argv = [files.get(arg, arg) for arg in command]

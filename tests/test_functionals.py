@@ -99,6 +99,12 @@ class TestChoquet:
         with pytest.raises(ValueError):
             ou.Capacity(n=2, values=[0.0, 0.3, 0.6])
 
+    @pytest.mark.parametrize("n", [-1, 17, 10**6])
+    def test_ground_size_bounded_before_allocation(self, n):
+        # each n is rejected before np.zeros(2**n) runs
+        with pytest.raises(ValueError, match="ground size"):
+            ou.capacity_from_dict(n, {})
+
     def test_monotonicity_witness(self):
         cap = ou.capacity_from_dict(2, {1: 0.9, 2: 0.6, 3: 0.7})
         assert not cap.is_monotone()

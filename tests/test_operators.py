@@ -305,7 +305,7 @@ class TestOpenness:
 
     def test_clamp_image_oracle_matches_forward_grid(self, orth2):
         T = ou.clamp_operator(orth2)
-        oracle = ou.default_image_oracle(T)
+        oracle = T.image_oracle
         axis = np.linspace(-4.0, 4.0, 17)
         for x1 in axis:
             for x2 in axis:

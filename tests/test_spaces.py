@@ -222,6 +222,14 @@ class TestNonFinite:
             ou.orthant(2, unit=[1.0, bad])
 
 
+class TestBoundaryUnitSampling:
+    @pytest.mark.parametrize("unit", [[1.0, 0.0], [-1.0, -1.0]])
+    def test_cone_points_raise_instead_of_looping(self, unit):
+        space = ou.orthant(2, unit=unit)
+        with pytest.raises(ValueError, match="interior order unit"):
+            ou.sampling.cone_points(space, 8, 0)
+
+
 class TestJson:
     def test_roundtrip_orthant(self, orth2):
         loaded = ou.space_from_json(ou.space_to_json(orth2))
@@ -237,3 +245,9 @@ class TestJson:
             ou.space_from_json({"dim": 2, "unit": [1, 1]})
         with pytest.raises(ValueError):
             ou.space_from_json({"dim": 2, "cone": "simplex", "unit": [1, 1]})
+
+    def test_unit_length_checked_before_the_orthant_is_built(self, monkeypatch):
+        # np.eye(200000) would ask for 320 GB; fail instead of building it
+        monkeypatch.setattr(ou.ConeSpec, "nonneg_orthant", staticmethod(lambda dim: pytest.fail("built the orthant")))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ou.space_from_json({"dim": 200000, "cone": "orthant", "unit": [1]})
