@@ -31,6 +31,7 @@ from .extension import (
     partial_functional,
 )
 from .functionals import (
+    _MAX_GROUND_SIZE,
     capacity_from_json,
     capacity_to_json,
     check_normed,
@@ -222,6 +223,8 @@ def run_compact(args) -> tuple[dict, int]:
         seq = obj["sequence"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad capacity-sequence descriptor: {exc}") from exc
+    if not 0 <= n <= _MAX_GROUND_SIZE:  # checked here too, since an empty sequence builds no capacity
+        raise ValueError(f"capacity ground size must lie in [0, {_MAX_GROUND_SIZE}], got {n}")
     caps = []
     for entry in seq:
         values = entry["values"] if isinstance(entry, dict) and "values" in entry else entry

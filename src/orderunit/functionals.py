@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .spaces import TOL, OrderedSpace, _finite, as_vec, order_norm
+from .spaces import TOL, OrderedSpace, _finite, as_rows, as_vec, order_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +120,10 @@ def _sqrt_gap(v: np.ndarray):
     return 0.5 * (v[0] + v[1] + np.sqrt(abs(v[1] - v[0])))
 
 
+def _sqrt_gap_rows(X: np.ndarray) -> np.ndarray:
+    return 0.5 * (X[:, 0] + X[:, 1] + np.sqrt(np.abs(X[:, 1] - X[:, 0])))
+
+
 def sqrt_gap(x) -> float:
     """Half-sum plus square-rooted coordinate gap on the plane:
     ``(x1 + x2 + sqrt(|x2 - x1|)) / 2``."""
@@ -134,6 +138,18 @@ def _choquet(cap: Capacity, v: np.ndarray):
     for i in range(1, cap.n):
         mask &= ~(1 << int(order[i - 1]))
         total += (xs[i] - xs[i - 1]) * cap.values[mask]
+    return total
+
+
+def _choquet_rows(cap: Capacity, X: np.ndarray) -> np.ndarray:
+    """:func:`_choquet` on every row: the same sums, column by column, with one mask per row."""
+    order = np.argsort(X, axis=1, kind="stable")
+    xs = np.take_along_axis(X, order, axis=1)
+    mask = np.full(len(X), cap.full_mask)
+    total = xs[:, 0] * cap.values[mask]
+    for i in range(1, cap.n):
+        mask &= ~(1 << order[:, i - 1])
+        total += (xs[:, i] - xs[:, i - 1]) * cap.values[mask]
     return total
 
 
@@ -152,6 +168,10 @@ def _maxplus(w: np.ndarray, v: np.ndarray):
     return np.max(w + v)
 
 
+def _maxplus_rows(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    return np.max(w + X, axis=1)
+
+
 def maxplus(weights, x) -> float:
     """Idempotent aggregation ``max_i (w_i + x_i)``."""
     w = np.asarray(weights, dtype=float)
@@ -160,13 +180,27 @@ def maxplus(weights, x) -> float:
     return float(_maxplus(w, as_vec(x, w.size)))
 
 
+def _linear_rows(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # the stacked matmul runs ``w @ x`` per row; ``X @ w`` and ``einsum`` round differently
+    return np.matmul(X[:, None, :], w)[:, 0]
+
+
+def _row_loop(fn, shape: tuple, X: np.ndarray) -> np.ndarray:
+    """The batch evaluator of a kind with no vectorized form: ``fn`` on every row."""
+    return np.array([fn(x) for x in X], dtype=float).reshape(len(X), *shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Functional:
     """Evaluation map with a declared kind; immutable after construction.
 
     ``fn`` is the kind's evaluator on a vector already checked against the
-    space, and ``unit_value`` caches ``f(unit)``.  Use the ``*_functional``
-    helpers below rather than instantiating directly.
+    space.  ``batch`` is its evaluator on an ``(n, dim)`` array of such
+    vectors, returning the ``n`` values; it equals ``fn`` row by row, bit for
+    bit, and the law checkers evaluate through it.  Kinds without a
+    vectorized form (``custom``, ``extended``) leave it unset and get the row
+    loop over ``fn``.  ``unit_value`` caches ``f(unit)``.  Use the
+    ``*_functional`` helpers below rather than instantiating directly.
     """
 
     space: OrderedSpace
@@ -174,9 +208,12 @@ class Functional:
     fn: Callable[[np.ndarray], float]
     weights: np.ndarray | None = None
     capacity: Capacity | None = None
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
     unit_value: float = field(init=False)
 
     def __post_init__(self):
+        if self.batch is None:
+            object.__setattr__(self, "batch", partial(_row_loop, self.fn, ()))
         object.__setattr__(self, "unit_value", evaluate(self, self.space.unit))
 
     def __call__(self, x) -> float:
@@ -190,19 +227,21 @@ def evaluate(f: Functional, x) -> float:
 
 def linear_functional(space: OrderedSpace, weights) -> Functional:
     w = _finite("linear weights", as_vec(weights, space.dim))
-    return Functional(space=space, kind="linear", fn=w.__matmul__, weights=w)
+    return Functional(space=space, kind="linear", fn=w.__matmul__, weights=w, batch=partial(_linear_rows, w))
 
 
 def sqrt_gap_functional(space: OrderedSpace) -> Functional:
     if space.dim != 2:
         raise ValueError("sqrt_gap is defined on 2-d spaces only")
-    return Functional(space=space, kind="sqrt_gap", fn=_sqrt_gap)
+    return Functional(space=space, kind="sqrt_gap", fn=_sqrt_gap, batch=_sqrt_gap_rows)
 
 
 def choquet_functional(space: OrderedSpace, cap: Capacity) -> Functional:
     if cap.n != space.dim:
         raise ValueError("capacity ground size must equal the space dimension")
-    return Functional(space=space, kind="choquet", fn=partial(_choquet, cap), capacity=cap)
+    return Functional(
+        space=space, kind="choquet", fn=partial(_choquet, cap), capacity=cap, batch=partial(_choquet_rows, cap)
+    )
 
 
 def maxplus_functional(space: OrderedSpace, weights) -> Functional:
@@ -213,7 +252,7 @@ def maxplus_functional(space: OrderedSpace, weights) -> Functional:
             "the functional will not be normed at an all-ones unit",
             stacklevel=2,
         )
-    return Functional(space=space, kind="maxplus", fn=partial(_maxplus, w), weights=w)
+    return Functional(space=space, kind="maxplus", fn=partial(_maxplus, w), weights=w, batch=partial(_maxplus_rows, w))
 
 
 def custom_functional(space: OrderedSpace, hook: Callable[[np.ndarray], float]) -> Functional:
@@ -237,32 +276,48 @@ class PropertyReport:
         return asdict(self)
 
 
-def _shift_report(name: str, fn, unit, unit_image, samples, size, shown, tol: float) -> PropertyReport:
+def _unzip(pairs, dim: int, second_dim: int | None = None):
+    """The two columns of a sequence of pairs as float arrays: ``(n, dim)``
+    rows, and ``(n, second_dim)`` rows or, without ``second_dim``, ``n`` scalars."""
+    firsts = as_rows([p[0] for p in pairs], dim)
+    seconds = [p[1] for p in pairs]
+    return firsts, (np.array(seconds, dtype=float) if second_dim is None else as_rows(seconds, second_dim))
+
+
+def _first(failing: np.ndarray):
+    """Index of the first true entry of a boolean array, or None."""
+    hits = np.flatnonzero(failing)
+    return int(hits[0]) if hits.size else None
+
+
+def _shift_report(name: str, batch, unit, unit_image, xs, lams, size, shown, tol: float) -> PropertyReport:
     """Fails on the first sample ``(x, lam)`` whose shift defect
-    ``fn(x + lam*unit) - fn(x) - lam*unit_image`` has ``size`` above ``tol``;
-    the witness gives the defect as ``shown(defect)``."""
-    for x, lam in samples:
-        defect = fn(x + lam * unit) - fn(x) - lam * unit_image
-        if size(defect) > tol:
-            witness = {"x": list(map(float, x)), "lam": float(lam), "defect": shown(defect)}
-            return PropertyReport(name=name, passed=False, samples=len(samples), witness=witness)
-    return PropertyReport(name=name, passed=True, samples=len(samples))
+    ``batch(x + lam*unit) - batch(x) - lam*unit_image`` has ``size`` above ``tol``
+    (``size`` maps the stacked defects to one number each); the witness gives
+    the defect as ``shown(defect)``."""
+    defects = batch(xs + lams[:, None] * unit) - batch(xs) - np.multiply.outer(lams, unit_image)
+    i = _first(size(defects) > tol)
+    if i is None:
+        return PropertyReport(name=name, passed=True, samples=len(xs))
+    witness = {"x": list(map(float, xs[i])), "lam": float(lams[i]), "defect": shown(defects[i])}
+    return PropertyReport(name=name, passed=False, samples=len(xs), witness=witness)
 
 
-def _order_report(name: str, fn, pairs, broken, image: str, shown) -> PropertyReport:
-    """Fails on the first comparable pair ``(x, y)`` with ``broken(fn(x), fn(y))``;
-    the witness gives the images as ``<image>_x`` and ``<image>_y`` through ``shown``."""
-    for x, y in pairs:
-        fx, fy = fn(x), fn(y)
-        if broken(fx, fy):
-            witness = {
-                "x": list(map(float, x)),
-                "y": list(map(float, y)),
-                f"{image}_x": shown(fx),
-                f"{image}_y": shown(fy),
-            }
-            return PropertyReport(name=name, passed=False, samples=len(pairs), witness=witness)
-    return PropertyReport(name=name, passed=True, samples=len(pairs))
+def _order_report(name: str, batch, xs, ys, broken, image: str, shown) -> PropertyReport:
+    """Fails on the first comparable pair ``(x, y)`` with ``broken(batch(x), batch(y))``
+    (``broken`` compares stacked images row by row); the witness gives the
+    images as ``<image>_x`` and ``<image>_y`` through ``shown``."""
+    fxs, fys = batch(xs), batch(ys)
+    i = _first(broken(fxs, fys))
+    if i is None:
+        return PropertyReport(name=name, passed=True, samples=len(xs))
+    witness = {
+        "x": list(map(float, xs[i])),
+        "y": list(map(float, ys[i])),
+        f"{image}_x": shown(fxs[i]),
+        f"{image}_y": shown(fys[i]),
+    }
+    return PropertyReport(name=name, passed=False, samples=len(xs), witness=witness)
 
 
 def check_weak_additivity(
@@ -270,8 +325,10 @@ def check_weak_additivity(
 ) -> PropertyReport:
     """Does ``f(x + lam*unit) - f(x) - lam*f(unit)`` vanish on the samples?"""
     if samples is None:
-        samples = sampling.shift_samples(f.space, n, sampling.rng_from(seed))
-    return _shift_report("weak_additivity", partial(evaluate, f), f.space.unit, f.unit_value, samples, abs, float, tol)
+        xs, lams = sampling._shift_arrays(f.space, n, sampling.rng_from(seed))
+    else:
+        xs, lams = _unzip(samples, f.space.dim)
+    return _shift_report("weak_additivity", f.batch, f.space.unit, f.unit_value, xs, lams, np.abs, float, tol)
 
 
 def check_order_preserving(
@@ -279,8 +336,10 @@ def check_order_preserving(
 ) -> PropertyReport:
     """Does ``x <= y`` imply ``f(x) <= f(y)`` on the sampled comparable pairs?"""
     if pairs is None:
-        pairs = sampling.comparable_pairs(f.space, n, sampling.rng_from(seed))
-    return _order_report("order_preserving", partial(evaluate, f), pairs, lambda fx, fy: fx > fy + tol, "f", float)
+        xs, ys = sampling._comparable_arrays(f.space, n, sampling.rng_from(seed))
+    else:
+        xs, ys = _unzip(pairs, f.space.dim, f.space.dim)
+    return _order_report("order_preserving", f.batch, xs, ys, lambda fx, fy: fx > fy + tol, "f", float)
 
 
 def check_normed(f: Functional, tol: float = TOL) -> PropertyReport:
@@ -300,16 +359,14 @@ def check_positive(
     """Is ``f`` nonnegative on the sampled cone points?"""
     if samples is None:
         samples = sampling.cone_points(f.space, n, sampling.rng_from(seed))
-    for x in samples:
-        fx = evaluate(f, x)
-        if fx < -tol:
-            return PropertyReport(
-                name="positive",
-                passed=False,
-                samples=len(samples),
-                witness={"x": list(map(float, x)), "f_x": float(fx)},
-            )
-    return PropertyReport(name="positive", passed=True, samples=len(samples))
+    xs = as_rows(samples, f.space.dim)
+    fxs = f.batch(xs)
+    i = _first(fxs < -tol)
+    if i is None:
+        return PropertyReport(name="positive", passed=True, samples=len(xs))
+    return PropertyReport(
+        name="positive", passed=False, samples=len(xs), witness={"x": list(map(float, xs[i])), "f_x": float(fxs[i])}
+    )
 
 
 def bound(f: Functional) -> float:
@@ -330,15 +387,14 @@ def lipschitz_defect(f: Functional, pairs=None, *, seed: int = 0, n: int = 2**12
     """
     if pairs is None:
         rng = sampling.rng_from(seed)
-        xs = sampling.box_points(f.space, n, rng)
         ys = sampling.box_points(f.space, n, rng)
-        pairs = list(zip(xs, ys))
-    fu = f.unit_value
-    worst = -np.inf
-    for y, z in pairs:
-        defect = abs(evaluate(f, z) - evaluate(f, y)) - fu * order_norm(f.space, z - y)
-        worst = max(worst, defect)
-    return float(worst)
+        zs = sampling.box_points(f.space, n, rng)
+    else:
+        ys, zs = _unzip(pairs, f.space.dim, f.space.dim)
+    defects = np.abs(f.batch(zs) - f.batch(ys)) - f.unit_value * order_norms(f.space, zs - ys)
+    # Python's running ``max`` from -inf: NaN defects never win, and ties keep the first value
+    defects = defects[~np.isnan(defects)]
+    return float(defects[np.argmax(defects)]) if defects.size else -np.inf
 
 
 # kind -> (build from a descriptor, descriptor fields besides "kind");

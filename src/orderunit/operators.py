@@ -28,8 +28,11 @@ from . import sampling
 from .functionals import (
     Functional,
     PropertyReport,
+    _first,
     _order_report,
+    _row_loop,
     _shift_report,
+    _unzip,
     evaluate,
     functional_from_json,
     functional_to_json,
@@ -38,11 +41,14 @@ from .spaces import (
     TOL,
     OrderedSpace,
     _finite,
+    as_rows,
     as_vec,
-    cone_contains,
+    cone_contains_rows,
     interior_contains,
     leq,
+    matvecs,
     order_norm,
+    order_norms,
     orthant,
     ray_thresholds,
 )
@@ -51,9 +57,15 @@ from .spaces import (
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Map between two spaces with a declared kind; ``fn`` is the kind's
-    evaluator on a vector already checked against the domain,
-    ``image_oracle`` its exact membership test for ``T(E)`` where one is
-    known, and ``unit_image`` caches the value at the domain unit."""
+    evaluator on a vector already checked against the domain, ``batch`` its
+    evaluator on an ``(n, domain dim)`` array of such vectors, returning the
+    ``(n, codomain dim)`` images, ``image_oracle`` its exact membership test
+    for ``T(E)`` where one is known, and ``unit_image`` caches the value at
+    the domain unit.
+
+    ``batch`` equals ``fn`` row by row, bit for bit, and the law checkers
+    evaluate through it; a ``custom`` operator leaves it unset and gets the
+    row loop over ``fn``."""
 
     domain: OrderedSpace
     codomain: OrderedSpace
@@ -62,9 +74,12 @@ class Operator:
     matrix: np.ndarray | None = None
     functionals: tuple[Functional, ...] | None = None
     image_oracle: Callable[[np.ndarray], bool] | None = None
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
     unit_image: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.batch is None:
+            object.__setattr__(self, "batch", partial(_row_loop, self.fn, (self.codomain.dim,)))
         object.__setattr__(self, "unit_image", apply(self, self.domain.unit))
 
     def __call__(self, x) -> np.ndarray:
@@ -80,6 +95,11 @@ def _clamp_eval(x: np.ndarray) -> np.ndarray:
     return np.array([x[0], x[1]])
 
 
+def _clamp_rows(X: np.ndarray) -> np.ndarray:
+    lo, hi = X[:, 0] - 1.0, X[:, 0] + 1.0
+    return np.column_stack([X[:, 0], np.where(X[:, 1] <= lo, lo, np.where(X[:, 1] >= hi, hi, X[:, 1]))])
+
+
 def _in_band(y) -> bool:
     return abs(float(y[1]) - float(y[0])) <= 1.0 + TOL
 
@@ -91,6 +111,10 @@ def _in_range(M: np.ndarray, y) -> bool:
 
 def _stack_eval(fs: tuple[Functional, ...], v: np.ndarray) -> np.ndarray:
     return np.array([evaluate(f, v) for f in fs])
+
+
+def _stack_rows(fs: tuple[Functional, ...], X: np.ndarray) -> np.ndarray:
+    return np.column_stack([f.batch(X) for f in fs])
 
 
 def apply(T: Operator, x) -> np.ndarray:
@@ -114,18 +138,24 @@ def linear_positive(
             f"into dim {codomain.dim}"
         )
     T = Operator(
-        domain=domain, codomain=codomain, kind="linear_positive", fn=m.__matmul__, matrix=m, image_oracle=partial(_in_range, m)
+        domain=domain,
+        codomain=codomain,
+        kind="linear_positive",
+        fn=m.__matmul__,
+        matrix=m,
+        image_oracle=partial(_in_range, m),
+        batch=partial(matvecs, m),
     )
     if strict:
-        points = list(sampling.cone_points(domain, samples, sampling.rng_from(seed)))
+        points = sampling.cone_points(domain, samples, sampling.rng_from(seed))
         if domain.cone.orthant:
-            points.extend(np.eye(domain.dim))
-        for p in points:
-            if not cone_contains(codomain, T.matrix @ p):
-                raise ValueError(
-                    f"matrix does not preserve the cone: image of {np.round(p, 6).tolist()} "
-                    "leaves the codomain cone"
-                )
+            points = np.concatenate([points, np.eye(domain.dim)])
+        i = _first(~cone_contains_rows(codomain, T.batch(points)))
+        if i is not None:
+            raise ValueError(
+                f"matrix does not preserve the cone: image of {np.round(points[i], 6).tolist()} "
+                "leaves the codomain cone"
+            )
     return T
 
 
@@ -134,7 +164,7 @@ def clamp_operator(space: OrderedSpace) -> Operator:
     ``[x1 - 1, x1 + 1]``); domain and codomain coincide."""
     if space.dim != 2:
         raise ValueError("clamp is defined on 2-d spaces only")
-    return Operator(domain=space, codomain=space, kind="clamp", fn=_clamp_eval, image_oracle=_in_band)
+    return Operator(domain=space, codomain=space, kind="clamp", fn=_clamp_eval, image_oracle=_in_band, batch=_clamp_rows)
 
 
 def stack_operator(domain: OrderedSpace, fs: Sequence[Functional], codomain: OrderedSpace | None = None) -> Operator:
@@ -146,7 +176,9 @@ def stack_operator(domain: OrderedSpace, fs: Sequence[Functional], codomain: Ord
     codomain = codomain if codomain is not None else orthant(len(fs))
     if codomain.dim != len(fs):
         raise ValueError("codomain dimension must match the number of functionals")
-    return Operator(domain=domain, codomain=codomain, kind="stack", fn=partial(_stack_eval, fs), functionals=fs)
+    return Operator(
+        domain=domain, codomain=codomain, kind="stack", fn=partial(_stack_eval, fs), functionals=fs, batch=partial(_stack_rows, fs)
+    )
 
 
 def custom_operator(domain: OrderedSpace, codomain: OrderedSpace, hook) -> Operator:
@@ -200,15 +232,19 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
+def _max_abs_rows(V: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(V), axis=1)
+
+
 def check_weakly_additive_op(
     T: Operator, samples=None, *, seed: int = 0, n: int = 2**12, tol: float = TOL
 ) -> PropertyReport:
     """Componentwise defect of ``T(x + lam*unit) - T(x) - lam*T(unit)``."""
     if samples is None:
-        samples = sampling.shift_samples(T.domain, n, sampling.rng_from(seed))
-    return _shift_report(
-        "weakly_additive", partial(apply, T), T.domain.unit, T.unit_image, samples, _max_abs, _max_abs, tol
-    )
+        xs, lams = sampling._shift_arrays(T.domain, n, sampling.rng_from(seed))
+    else:
+        xs, lams = _unzip(samples, T.domain.dim)
+    return _shift_report("weakly_additive", T.batch, T.domain.unit, T.unit_image, xs, lams, _max_abs_rows, _max_abs, tol)
 
 
 def check_order_preserving_op(
@@ -216,12 +252,14 @@ def check_order_preserving_op(
 ) -> PropertyReport:
     """``x <= y`` in the domain must give ``T(x) <= T(y)`` in the codomain."""
     if pairs is None:
-        pairs = sampling.comparable_pairs(T.domain, n, sampling.rng_from(seed))
+        xs, ys = sampling._comparable_arrays(T.domain, n, sampling.rng_from(seed))
+    else:
+        xs, ys = _unzip(pairs, T.domain.dim, T.domain.dim)
 
-    def broken(tx, ty):
-        return not cone_contains(T.codomain, ty - tx, tol=tol)
+    def broken(txs, tys):
+        return ~cone_contains_rows(T.codomain, tys - txs, tol=tol)
 
-    return _order_report("order_preserving", partial(apply, T), pairs, broken, "T", lambda v: list(map(float, v)))
+    return _order_report("order_preserving", T.batch, xs, ys, broken, "T", lambda v: list(map(float, v)))
 
 
 def unit_image_interior(T: Operator) -> bool:
@@ -282,25 +320,19 @@ def certify_equicontinuity(
             witness={"reason": "unbounded orbit at the unit", "bound": modulus.bound, "cap": cap},
         )
     delta = modulus.delta(eps)
+    dim = family.domain.dim
     if pairs is None:
-        width = min(delta, 1e6)
-        pairs = sampling.pairs_within(family.domain, width, n, sampling.rng_from(seed))
+        xs, ys = sampling._pairs_within_arrays(family.domain, min(delta, 1e6), n, sampling.rng_from(seed))
+    else:
+        xs, ys = _unzip(pairs, dim, dim)
+    samples = len(xs) * len(family)
     for k, T in enumerate(family):
-        for x, y in pairs:
-            gap = order_norm(family.codomain, apply(T, x) - apply(T, y))
-            if gap >= eps + tol:
-                return PropertyReport(
-                    name="equicontinuity",
-                    passed=False,
-                    samples=len(pairs) * len(family),
-                    witness={
-                        "member": k,
-                        "x": list(map(float, x)),
-                        "y": list(map(float, y)),
-                        "image_gap": float(gap),
-                    },
-                )
-    return PropertyReport(name="equicontinuity", passed=True, samples=len(pairs) * len(family))
+        gaps = order_norms(family.codomain, T.batch(xs) - T.batch(ys))
+        i = _first(gaps >= eps + tol)
+        if i is not None:
+            witness = {"member": k, "x": list(map(float, xs[i])), "y": list(map(float, ys[i])), "image_gap": float(gaps[i])}
+            return PropertyReport(name="equicontinuity", passed=False, samples=samples, witness=witness)
+    return PropertyReport(name="equicontinuity", passed=True, samples=samples)
 
 
 def graph_check(
@@ -311,24 +343,22 @@ def graph_check(
     graph point of the shifted argument."""
     if samples is None:
         samples = sampling.box_points(T.domain, n, sampling.rng_from(seed))
+    xs = as_rows(samples, T.domain.dim)
     unit = T.domain.unit
     gu = np.concatenate([unit, T.unit_image])
-    count = 0
-    for x in samples:
-        tx = apply(T, x)
-        gx = np.concatenate([x, tx])
-        for lam in lambdas:
-            count += 1
-            shifted = np.concatenate([x + lam * unit, tx if lam == 0.0 else apply(T, x + lam * unit)])
-            defect = float(np.max(np.abs(gx + lam * gu - shifted)))
-            if defect > tol:
-                return PropertyReport(
-                    name="graph_shift_closure",
-                    passed=False,
-                    samples=count,
-                    witness={"x": list(map(float, x)), "lam": float(lam), "defect": defect},
-                )
-    return PropertyReport(name="graph_shift_closure", passed=True, samples=count)
+    txs = T.batch(xs)
+    gxs = np.concatenate([xs, txs], axis=1)
+    defects = np.empty((len(xs), len(lambdas)))
+    for j, lam in enumerate(lambdas):
+        shifted = xs + lam * unit
+        images = txs if lam == 0.0 else T.batch(shifted)
+        defects[:, j] = np.max(np.abs(gxs + lam * gu - np.concatenate([shifted, images], axis=1)), axis=1)
+    k = _first(defects.ravel() > tol)  # row-major: sample by sample, each over the lambdas
+    if k is None:
+        return PropertyReport(name="graph_shift_closure", passed=True, samples=defects.size)
+    i, j = divmod(k, len(lambdas))
+    witness = {"x": list(map(float, xs[i])), "lam": float(lambdas[j]), "defect": float(defects[i, j])}
+    return PropertyReport(name="graph_shift_closure", passed=False, samples=k + 1, witness=witness)
 
 
 def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng, tol: float):

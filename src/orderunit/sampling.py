@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from .spaces import OrderedSpace, cone_contains, leq, order_norm
+from .spaces import OrderedSpace, as_rows, cone_contains_rows, leq, order_norm, order_norms
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -23,54 +23,88 @@ def box_points(space: OrderedSpace, n: int, rng, half_width: float = 2.0) -> np.
     return rng.uniform(-half_width, half_width, size=(n, space.dim))
 
 
+def _ball_draws(space: OrderedSpace, n: int, rng, radius=None, scale: float = 1.0):
+    """``(radii, offsets)``: ``n`` offsets with ``order_norm(offsets[k]) < radii[k]``
+    (``radii`` is ``radius`` itself when one is given).
+
+    Every ball sampler draws through here, one loop.  Each draw takes from
+    ``rng``, in this order: with ``radius`` None, a radius
+    ``|normal()| * scale + 1e-12``; a direction ``normal(size=dim)``, drawn
+    again until its order norm is finite and positive; and a signed length
+    ``uniform(-1, 1)``.  Ziggurat draws use a variable part of the stream, so
+    the draws stay a loop, but the norms and the arithmetic on the draws run
+    on the stacked draws afterwards, bit for bit the per-draw arithmetic.
+    An interior unit rejects a normal direction with probability zero, so
+    the loop first draws without checking; only when a stacked norm shows
+    a rejection does the generator go back and draw again, checking each
+    direction, as a per-draw loop would have from the start.
+    """
+    start = rng.bit_generator.state
+    radii, dirs, us = _draw_loop(space, n, rng, radius, scale, checked=False)
+    norms = order_norms(space, dirs)
+    if not ((0.0 < norms) & (norms < np.inf)).all():
+        rng.bit_generator.state = start
+        radii, dirs, us = _draw_loop(space, n, rng, radius, scale, checked=True)
+        norms = order_norms(space, dirs)
+    lengths = (-1.0 + 2.0 * us) * radii * (1.0 - 1e-12)
+    return radii, dirs * (lengths / norms)[:, None]
+
+
+def _draw_loop(space: OrderedSpace, n: int, rng, radius, scale: float, checked: bool):
+    """The raw draws of :func:`_ball_draws` as ``(radii, directions, randoms)``;
+    ``checked`` redraws a direction whose order norm is not finite and positive."""
+    dim, normal, standard_normal, random = space.dim, rng.normal, rng.standard_normal, rng.random
+    radii, dirs, us = [], [], []
+    for _ in range(n):
+        if radius is None:
+            radii.append(abs(standard_normal()) * scale + 1e-12)  # |normal()|: only the sign differs
+        d = normal(size=dim)
+        while checked and not 0.0 < order_norm(space, d) < np.inf:
+            if np.any(space.unit_pairings <= 0):  # off the interior, no draw may ever be accepted
+                raise ValueError("ball sampling needs an interior order unit; a cone row pairs to <= 0 with it")
+            d = normal(size=dim)
+        dirs.append(d)
+        us.append(random())  # uniform(-1, 1) is -1 + 2 * random(), one draw
+    radii = np.array(radii) if radius is None else radius
+    return radii, np.array(dirs).reshape(n, dim), np.array(us)
+
+
 def ball_point(space: OrderedSpace, center, radius: float, rng) -> np.ndarray:
     """One point with ``order_norm(p - center) < radius`` (strictly inside)."""
-    rng = rng_from(rng)
-    center = np.asarray(center, dtype=float)
-    while True:
-        d = rng.normal(size=space.dim)
-        nrm = order_norm(space, d)
-        if np.isfinite(nrm) and nrm > 0:
-            break
-        if np.any(space.unit_pairings <= 0):  # off the interior, no draw may ever be accepted
-            raise ValueError("ball sampling needs an interior order unit; a cone row pairs to <= 0 with it")
-    t = rng.uniform(-1.0, 1.0) * radius * (1.0 - 1e-12)
-    return center + d * (t / nrm)
+    return ball_points(space, center, radius, 1, rng)[0]
 
 
 def ball_points(space: OrderedSpace, center, radius: float, n: int, rng) -> np.ndarray:
-    rng = rng_from(rng)
-    return np.array([ball_point(space, center, radius, rng) for _ in range(n)])
+    """``n`` points with ``order_norm(p - center) < radius``, shape ``(n, dim)``."""
+    return np.asarray(center, dtype=float) + _ball_draws(space, n, rng_from(rng), radius)[1]
 
 
 def cone_points(space: OrderedSpace, n: int, rng, scale: float = 2.0) -> np.ndarray:
-    """``n`` points of the positive cone.
+    """``n`` points of the positive cone, shape ``(n, dim)``.
 
     Mixes box rejection (for breadth) with the guaranteed construction
     ``lam*unit + w`` where ``order_norm(w) < lam``: that ball sits inside the
     cone for any interior unit, so the sampler never stalls on narrow cones.
+    The first ``n // 2`` accepted box candidates come first.
     """
     rng = rng_from(rng)
-    out = []
     candidates = box_points(space, 3 * n, rng, half_width=scale)
-    for c in candidates:
-        if len(out) >= n // 2:
-            break
-        if cone_contains(space, c):
-            out.append(c)
-    while len(out) < n:
-        lam = abs(rng.normal()) * scale + 1e-12
-        w = ball_point(space, np.zeros(space.dim), lam, rng)
-        out.append(lam * space.unit + w)
-    return np.array(out[:n])
+    box = candidates[cone_contains_rows(space, candidates)][: n // 2]
+    lams, offsets = _ball_draws(space, n - len(box), rng, scale=scale)
+    # ``0.0 +`` is the ball's zero center: it turns a -0.0 offset into +0.0 as the per-point sum did
+    return np.concatenate([box, lams[:, None] * space.unit + (0.0 + offsets)])
+
+
+def _shift_arrays(space: OrderedSpace, n: int, rng, half_width: float = 2.0, lam_width: float = 3.0):
+    """:func:`shift_samples` as the arrays ``(xs, lams)``."""
+    rng = rng_from(rng)
+    xs = box_points(space, n, rng, half_width=half_width)
+    return xs, rng.uniform(-lam_width, lam_width, size=n)
 
 
 def shift_samples(space: OrderedSpace, n: int, rng, half_width: float = 2.0, lam_width: float = 3.0):
     """Pairs ``(x, lam)`` for probing behaviour along the unit direction."""
-    rng = rng_from(rng)
-    xs = box_points(space, n, rng, half_width=half_width)
-    lams = rng.uniform(-lam_width, lam_width, size=n)
-    return list(zip(xs, lams))
+    return list(zip(*_shift_arrays(space, n, rng, half_width, lam_width)))
 
 
 def probe_pairs(space: OrderedSpace) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -95,26 +129,37 @@ def probe_pairs(space: OrderedSpace) -> list[tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
+def _comparable_arrays(space: OrderedSpace, n: int, rng, scale: float = 2.0, include_probes: bool = True):
+    """:func:`comparable_pairs` as the arrays ``(xs, ys)``."""
+    rng = rng_from(rng)
+    probes = probe_pairs(space) if include_probes else []
+    need = max(0, n - len(probes))
+    xs = box_points(space, need, rng, half_width=scale)
+    steps = cone_points(space, need, rng, scale=scale / 2.0)
+    firsts = np.concatenate([as_rows([x for x, _ in probes], space.dim), xs])
+    seconds = np.concatenate([as_rows([y for _, y in probes], space.dim), xs + steps])
+    return firsts[:n], seconds[:n]
+
+
 def comparable_pairs(space: OrderedSpace, n: int, rng, scale: float = 2.0, include_probes: bool = True):
     """``n`` pairs ``(x, y)`` with ``x <= y``, built as ``y = x + cone point``.
 
     The deterministic probe battery is prepended by default so the first
     failure of an order-preservation check lands on a reproducible pair.
     """
+    return list(zip(*_comparable_arrays(space, n, rng, scale, include_probes)))
+
+
+def _pairs_within_arrays(space: OrderedSpace, delta: float, n: int, rng, half_width: float = 2.0):
+    """:func:`pairs_within` as the arrays ``(xs, ys)``."""
     rng = rng_from(rng)
-    pairs = probe_pairs(space) if include_probes else []
-    need = max(0, n - len(pairs))
-    xs = box_points(space, need, rng, half_width=scale)
-    steps = cone_points(space, need, rng, scale=scale / 2.0)
-    pairs.extend((x, x + s) for x, s in zip(xs, steps))
-    return pairs[:n] if len(pairs) > n else pairs
+    xs = box_points(space, n, rng, half_width=half_width)
+    return xs, xs + ball_points(space, np.zeros(space.dim), delta, n, rng)
 
 
 def pairs_within(space: OrderedSpace, delta: float, n: int, rng, half_width: float = 2.0):
     """``n`` pairs with ``order_norm(x - y) < delta``."""
-    rng = rng_from(rng)
-    xs = box_points(space, n, rng, half_width=half_width)
-    return [(x, x + ball_point(space, np.zeros(space.dim), delta, rng)) for x in xs]
+    return list(zip(*_pairs_within_arrays(space, delta, n, rng, half_width)))
 
 
 def grid_points(dim: int, lo: float = 0.0, hi: float = 1.0, step: float = 0.5) -> np.ndarray:

@@ -10,7 +10,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from orderunit import Capacity, cone_contains, ray_thresholds
+from orderunit import (
+    TOL,
+    Capacity,
+    PropertyReport,
+    apply,
+    cone_contains,
+    equicontinuity_modulus,
+    evaluate,
+    order_norm,
+    ray_thresholds,
+)
+from orderunit.sampling import box_points, probe_pairs
 
 
 def norm_by_bisection(space, x, iters=80):
@@ -306,3 +317,176 @@ def convergent_monotone_capacities(rng, n_terms=100, n=3, ratio=0.85, scale=0.08
         Capacity(n=n, values=target.values + scale * ratio**k * direction)
         for k in range(n_terms)
     ]
+
+
+# Per-row references for the batched evaluators, law checkers and samplers:
+# the loops the library ran before it evaluated whole sample arrays, one
+# scalar ``evaluate``/``apply``/``order_norm``/``cone_contains`` per point.
+# The batched code must reproduce their values, reports and random streams
+# bit for bit.
+
+
+def evaluate_by_rows(f, X):
+    """Values of a functional at the rows of ``X``, shape ``(n,)``."""
+    return np.array([evaluate(f, x) for x in X], dtype=float).reshape(len(X))
+
+
+def apply_by_rows(T, X):
+    """Images of an operator at the rows of ``X``, shape ``(n, codomain dim)``."""
+    return np.array([apply(T, x) for x in X], dtype=float).reshape(len(X), T.codomain.dim)
+
+
+def _max_abs(v):
+    return float(np.max(np.abs(v)))
+
+
+def _shift_by_loop(name, fn, unit, unit_image, samples, size, shown, tol):
+    for x, lam in samples:
+        defect = fn(x + lam * unit) - fn(x) - lam * unit_image
+        if size(defect) > tol:
+            witness = {"x": list(map(float, x)), "lam": float(lam), "defect": shown(defect)}
+            return PropertyReport(name=name, passed=False, samples=len(samples), witness=witness)
+    return PropertyReport(name=name, passed=True, samples=len(samples))
+
+
+def _order_by_loop(name, fn, pairs, broken, image, shown):
+    for x, y in pairs:
+        fx, fy = fn(x), fn(y)
+        if broken(fx, fy):
+            witness = {
+                "x": list(map(float, x)),
+                "y": list(map(float, y)),
+                f"{image}_x": shown(fx),
+                f"{image}_y": shown(fy),
+            }
+            return PropertyReport(name=name, passed=False, samples=len(pairs), witness=witness)
+    return PropertyReport(name=name, passed=True, samples=len(pairs))
+
+
+def weak_additivity_by_loop(f, samples, tol=TOL):
+    fn = lambda x: evaluate(f, x)
+    return _shift_by_loop("weak_additivity", fn, f.space.unit, f.unit_value, samples, abs, float, tol)
+
+
+def order_preserving_by_loop(f, pairs, tol=TOL):
+    fn = lambda x: evaluate(f, x)
+    return _order_by_loop("order_preserving", fn, pairs, lambda fx, fy: fx > fy + tol, "f", float)
+
+
+def weakly_additive_op_by_loop(T, samples, tol=TOL):
+    fn = lambda x: apply(T, x)
+    return _shift_by_loop("weakly_additive", fn, T.domain.unit, T.unit_image, samples, _max_abs, _max_abs, tol)
+
+
+def order_preserving_op_by_loop(T, pairs, tol=TOL):
+    fn = lambda x: apply(T, x)
+    broken = lambda tx, ty: not cone_contains(T.codomain, ty - tx, tol=tol)
+    return _order_by_loop("order_preserving", fn, pairs, broken, "T", lambda v: list(map(float, v)))
+
+
+def positive_by_loop(f, samples, tol=TOL):
+    for x in samples:
+        fx = evaluate(f, x)
+        if fx < -tol:
+            witness = {"x": list(map(float, x)), "f_x": float(fx)}
+            return PropertyReport(name="positive", passed=False, samples=len(samples), witness=witness)
+    return PropertyReport(name="positive", passed=True, samples=len(samples))
+
+
+def lipschitz_defect_by_loop(f, pairs):
+    worst = -np.inf
+    for y, z in pairs:
+        defect = abs(evaluate(f, z) - evaluate(f, y)) - f.unit_value * order_norm(f.space, z - y)
+        worst = max(worst, defect)
+    return float(worst)
+
+
+def graph_check_by_loop(T, samples, lambdas=(-2.0, -1.0, 0.0, 1.0, 2.0), tol=TOL):
+    unit = T.domain.unit
+    gu = np.concatenate([unit, T.unit_image])
+    count = 0
+    for x in samples:
+        tx = apply(T, x)
+        gx = np.concatenate([x, tx])
+        for lam in lambdas:
+            count += 1
+            shifted = np.concatenate([x + lam * unit, tx if lam == 0.0 else apply(T, x + lam * unit)])
+            defect = float(np.max(np.abs(gx + lam * gu - shifted)))
+            if defect > tol:
+                witness = {"x": list(map(float, x)), "lam": float(lam), "defect": defect}
+                return PropertyReport(name="graph_shift_closure", passed=False, samples=count, witness=witness)
+    return PropertyReport(name="graph_shift_closure", passed=True, samples=count)
+
+
+def equicontinuity_by_loop(family, eps, pairs, cap=1e6, tol=TOL):
+    """The sampled part of ``certify_equicontinuity``, member by member, pair by pair."""
+    assert not equicontinuity_modulus(family, cap=cap).unbounded
+    for k, T in enumerate(family):
+        for x, y in pairs:
+            gap = order_norm(family.codomain, apply(T, x) - apply(T, y))
+            if gap >= eps + tol:
+                witness = {"member": k, "x": list(map(float, x)), "y": list(map(float, y)), "image_gap": float(gap)}
+                return PropertyReport(
+                    name="equicontinuity", passed=False, samples=len(pairs) * len(family), witness=witness
+                )
+    return PropertyReport(name="equicontinuity", passed=True, samples=len(pairs) * len(family))
+
+
+def ball_point_by_loop(space, center, radius, rng):
+    center = np.asarray(center, dtype=float)
+    while True:
+        d = rng.normal(size=space.dim)
+        nrm = order_norm(space, d)
+        if np.isfinite(nrm) and nrm > 0:
+            break
+        if np.any(space.unit_pairings <= 0):
+            raise ValueError("ball sampling needs an interior order unit")
+    t = rng.uniform(-1.0, 1.0) * radius * (1.0 - 1e-12)
+    return center + d * (t / nrm)
+
+
+def ball_points_by_loop(space, center, radius, n, rng):
+    points = [ball_point_by_loop(space, center, radius, rng) for _ in range(n)]
+    return np.array(points).reshape(n, space.dim)
+
+
+def cone_points_by_loop(space, n, rng, scale=2.0):
+    out = []
+    for c in box_points(space, 3 * n, rng, half_width=scale):
+        if len(out) >= n // 2:
+            break
+        if cone_contains(space, c):
+            out.append(c)
+    while len(out) < n:
+        lam = abs(rng.normal()) * scale + 1e-12
+        w = ball_point_by_loop(space, np.zeros(space.dim), lam, rng)
+        out.append(lam * space.unit + w)
+    return np.array(out[:n]).reshape(n, space.dim)
+
+
+def comparable_pairs_by_loop(space, n, rng, scale=2.0, include_probes=True):
+    pairs = probe_pairs(space) if include_probes else []
+    need = max(0, n - len(pairs))
+    xs = box_points(space, need, rng, half_width=scale)
+    steps = cone_points_by_loop(space, need, rng, scale=scale / 2.0)
+    pairs.extend((x, x + s) for x, s in zip(xs, steps))
+    return pairs[:n]
+
+
+def pairs_within_by_loop(space, delta, n, rng, half_width=2.0):
+    xs = box_points(space, n, rng, half_width=half_width)
+    return [(x, x + ball_point_by_loop(space, np.zeros(space.dim), delta, rng)) for x in xs]
+
+
+def norm_bounds_by_loop(space, samples=256, seed=0):
+    """The ``norm_bounds`` witness of ``validate_space``, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = rng.normal(scale=2.0, size=space.dim)
+        lam = order_norm(space, x)
+        if np.isfinite(lam):
+            shift = (lam + TOL) * space.unit
+            if cone_contains(space, shift - x) and cone_contains(space, shift + x):
+                continue
+        return {"x": x.tolist(), "norm": float(lam) if np.isfinite(lam) else None}
+    return None
