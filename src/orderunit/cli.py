@@ -253,14 +253,14 @@ def _fixture(name: str, expected: str, matched: bool, detail=None) -> dict:
     return {"name": name, "expected": expected, "matched": bool(matched), "detail": detail}
 
 
-def _gallery_band_open(rng, n_points: int = 16) -> dict:
-    """Sampled interior balls of the open band ``|x2 - x1| < 1`` stay inside it."""
+def _gallery_band_open(rng) -> dict:
+    """Sampled interior balls, around 16 points of the open band ``|x2 - x1| < 1``, stay inside it."""
     space = orthant(2)
     from .sampling import ball_points
 
     ok = True
     min_margin = np.inf
-    for _ in range(n_points):
+    for _ in range(16):
         t = rng.uniform(-3.0, 3.0)
         a = rng.uniform(-0.95, 0.95)
         z = np.array([t, t + a])
@@ -273,7 +273,7 @@ def _gallery_band_open(rng, n_points: int = 16) -> dict:
         "band_subspace_open",
         "pass",
         ok,
-        {"points": n_points, "min_ball_radius": float(min_margin)},
+        {"points": 16, "min_ball_radius": float(min_margin)},
     )
 
 

@@ -66,21 +66,25 @@ def absorbing_factor(space: OrderedSpace, x, eps: float) -> float:
     return order_norm(space, x) / eps
 
 
-def dense_sequence(space: OrderedSpace, max_level: int = 6, limit: int = 64) -> list[np.ndarray]:
-    """Deterministic dyadic-rational probe sequence.
+DYADIC_DEPTH = 6
+"""Deepest level :func:`dense_sequence` enumerates, coordinates ``k / 2**6``."""
+
+
+def dense_sequence(space: OrderedSpace, limit: int = 64) -> list[np.ndarray]:
+    """Deterministic dyadic-rational probe sequence, at most ``limit`` long.
 
     Level ``j`` contributes the vectors with coordinates ``k / 2**j`` for
     ``|k| <= 2**(j+1)``, enumerated lexicographically; points seen at an
-    earlier level are skipped.  The levels exhaust the dyadic rationals of
-    an ever-growing box, so the full sequence is dense in every bounded
-    region.
+    earlier level are skipped.  The levels, up to ``DYADIC_DEPTH``, exhaust
+    the dyadic rationals of an ever-growing box, so the full sequence is
+    dense in every bounded region.
     """
     out, seen = [], set()
-    for j in range(max_level + 1):
+    for j in range(DYADIC_DEPTH + 1):
         step = 1.0 / 2**j
         ks = range(-(2 ** (j + 1)), 2 ** (j + 1) + 1)
         for combo in itertools.product(ks, repeat=space.dim):
-            key = tuple(k * 2 ** (max_level - j) for k in combo)
+            key = tuple(k * 2 ** (DYADIC_DEPTH - j) for k in combo)
             if key in seen:
                 continue
             seen.add(key)
@@ -136,9 +140,7 @@ def subsequence_limit(
     *,
     conv_tol: float = 1e-6,
     min_length: int = 8,
-    min_keep: int = 2,
     truncation: int = 64,
-    metric_tail_tol: float = 1e-4,
     seed: int = 0,
 ) -> SubsequenceResult:
     """Extract a coordinatewise-convergent subsequence of capacities and
@@ -147,12 +149,15 @@ def subsequence_limit(
     One free coordinate (subset value) at a time, the current index set is
     repeatedly halved over the value interval, keeping the better-populated
     half (upper half on ties), until the interval width drops below
-    ``conv_tol``.  Raises when the sequence is too short to sustain the
-    halving.  The limit is the last surviving member, so monotonicity and
-    normalization transfer by inspection; the report re-checks them, runs
-    the state-membership checks on the limit, and requires the tail of the
-    pointwise-metric distances to sit below ``metric_tail_tol``.
+    ``conv_tol``.  Raises when the sequence has fewer than ``min_length``
+    members or the halving would keep fewer than two.  The limit is the last
+    surviving member, so monotonicity and normalization transfer by
+    inspection; the report re-checks them, runs the state-membership checks
+    on the limit, and requires the last three pointwise-metric distances,
+    over the first ``truncation`` probes, to sit at or below ``1e-4``.
     """
+    if min_length < 1 or truncation < 1:
+        raise ValueError("min_length and truncation must be at least 1")
     caps = list(caps)
     if len(caps) < min_length:
         raise ValueError(f"sequence too short: {len(caps)} < configured minimum {min_length}")
@@ -175,7 +180,7 @@ def subsequence_limit(
             upper = [i for i in indices if vals[i] > mid]
             # both halves are nonempty while lo < hi, so this strictly shrinks
             chosen = upper if len(upper) >= len(lower) else lower
-            if len(chosen) < min_keep:
+            if len(chosen) < 2:
                 raise ValueError(
                     f"sequence too short for convergence tolerance {conv_tol:g} "
                     f"(coordinate mask {mask} exhausted the halving)"
@@ -199,7 +204,7 @@ def subsequence_limit(
     membership = check_state(limit, seed=seed)
     checks["limit_state"] = membership.passed
     tail = distances[-min(3, len(distances)):]
-    checks["metric_tail"] = max(tail) <= metric_tail_tol
+    checks["metric_tail"] = max(tail) <= 1e-4
     passed = all(checks.values())
     report = PropertyReport(
         name="subsequence_limit",

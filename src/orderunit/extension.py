@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import Functional, PropertyReport
-from .spaces import TOL, OrderedSpace, _finite, as_vec
+from .spaces import TOL, OrderedSpace, _finite, as_vec, matvecs
 
 
 def _unit_component(space: OrderedSpace, v: np.ndarray) -> float:
@@ -80,7 +80,7 @@ class UnitSpan:
         return self.base.shape[0]
 
 
-def _canonical_lines(space: OrderedSpace, points, values, unit_value: float, tol: float = TOL):
+def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     """Canonicalize points (adjusting values along), merge duplicate lines.
 
     Returns ``(base, vals)``.  A non-finite input or a value conflict between
@@ -98,7 +98,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float, tol
     for p, g in zip(pts, vals):
         rep, mu = canonicalize(space, p)
         g_rep = g - mu * unit_value
-        if _is_zero(space, rep, tol):
+        if _is_zero(space, rep, TOL):
             # the point sits on the axis line, where the value is forced
             if abs(g_rep) > 1e-7:
                 raise ValueError(
@@ -106,7 +106,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float, tol
                     f"but the unit slope forces {mu * unit_value}"
                 )
             continue
-        dup = np.flatnonzero(_is_zero(space, rep - base[: len(out_vals)], tol))
+        dup = np.flatnonzero(_is_zero(space, rep - base[: len(out_vals)], TOL))
         if dup.size:
             if abs(out_vals[dup[0]] - g_rep) > 1e-7:
                 raise ValueError(
@@ -200,12 +200,9 @@ def partial_functional(
 
 
 def _thresholds(space: OrderedSpace, d: np.ndarray) -> np.ndarray:
-    """The ratios of :func:`orderunit.spaces.ray_thresholds`, one row per row ``d_i``.
-
-    A stack of matrix-vector products rounds as ``rows @ d_i`` does; ``d @ rows.T`` would not.
-    """
+    """The ratios of :func:`orderunit.spaces.ray_thresholds`, one row per row ``d_i``."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.matmul(space.cone.rows, d[:, :, None])[:, :, 0] / space.unit_pairings
+        return matvecs(space.cone.rows, d) / space.unit_pairings
 
 
 def _consistency_witness(pf: PartialFunctional, tol: float = TOL):
@@ -402,8 +399,8 @@ def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functi
 
     endpoint = "p_minus" if mode == "lower" else "midpoint"
 
-    def _eval(x, _pf=pf):
-        return getattr(extension_interval(_pf, x), endpoint)
+    def _eval(x):
+        return getattr(extension_interval(pf, x), endpoint)
 
     return Functional(space=pf.space, kind="extended", fn=_eval)
 

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .spaces import TOL, OrderedSpace, _finite, as_rows, as_vec, order_norms
+from .spaces import TOL, OrderedSpace, _finite, as_rows, as_vec, matvecs, order_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,18 +73,18 @@ class Capacity:
         """Value on the full ground set."""
         return float(self.values[self.full_mask])
 
-    def monotonicity_witness(self, tol: float = TOL):
-        """A covering pair ``(S minus {i}, S)`` with decreasing value, or None."""
+    def monotonicity_witness(self):
+        """A covering pair ``(S minus {i}, S)`` whose value drops by more than ``TOL``, or None."""
         for mask in range(1, 2**self.n):
             for i in range(self.n):
                 if mask & (1 << i):
                     sub = mask & ~(1 << i)
-                    if self.values[mask] < self.values[sub] - tol:
+                    if self.values[mask] < self.values[sub] - TOL:
                         return sub, mask
         return None
 
-    def is_monotone(self, tol: float = TOL) -> bool:
-        return self.monotonicity_witness(tol) is None
+    def is_monotone(self) -> bool:
+        return self.monotonicity_witness() is None
 
 
 _MAX_GROUND_SIZE = 16
@@ -181,8 +181,7 @@ def maxplus(weights, x) -> float:
 
 
 def _linear_rows(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # the stacked matmul runs ``w @ x`` per row; ``X @ w`` and ``einsum`` round differently
-    return np.matmul(X[:, None, :], w)[:, 0]
+    return matvecs(w[None, :], X)[:, 0]
 
 
 def _row_loop(fn, shape: tuple, X: np.ndarray) -> np.ndarray:

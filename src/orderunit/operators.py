@@ -121,16 +121,10 @@ def apply(T: Operator, x) -> np.ndarray:
     return T.fn(as_vec(x, T.domain.dim))
 
 
-def linear_positive(
-    domain: OrderedSpace,
-    codomain: OrderedSpace,
-    matrix,
-    strict: bool = True,
-    seed: int = 0,
-    samples: int = 128,
-) -> Operator:
-    """Matrix operator; with ``strict`` it must map sampled cone points into
-    the codomain cone (on orthant domains the generators are checked exactly)."""
+def linear_positive(domain: OrderedSpace, codomain: OrderedSpace, matrix, strict: bool = True) -> Operator:
+    """Matrix operator; with ``strict`` it must map 128 cone points, sampled
+    at seed 0, into the codomain cone (on orthant domains the generators are
+    checked exactly)."""
     m = _finite("linear_positive matrix", matrix)
     if m.shape != (codomain.dim, domain.dim):
         raise ValueError(
@@ -147,7 +141,7 @@ def linear_positive(
         batch=partial(matvecs, m),
     )
     if strict:
-        points = sampling.cone_points(domain, samples, sampling.rng_from(seed))
+        points = sampling.cone_points(domain, 128, 0)
         if domain.cone.orthant:
             points = np.concatenate([points, np.eye(domain.dim)])
         i = _first(~cone_contains_rows(codomain, T.batch(points)))
@@ -167,17 +161,14 @@ def clamp_operator(space: OrderedSpace) -> Operator:
     return Operator(domain=space, codomain=space, kind="clamp", fn=_clamp_eval, image_oracle=_in_band, batch=_clamp_rows)
 
 
-def stack_operator(domain: OrderedSpace, fs: Sequence[Functional], codomain: OrderedSpace | None = None) -> Operator:
-    """One functional per codomain coordinate; default codomain is the
-    orthant of matching dimension with an all-ones unit."""
+def stack_operator(domain: OrderedSpace, fs: Sequence[Functional]) -> Operator:
+    """One functional per codomain coordinate; the codomain is the orthant
+    of matching dimension with an all-ones unit."""
     fs = tuple(fs)
     if not fs:
         raise ValueError("stack requires at least one functional")
-    codomain = codomain if codomain is not None else orthant(len(fs))
-    if codomain.dim != len(fs):
-        raise ValueError("codomain dimension must match the number of functionals")
     return Operator(
-        domain=domain, codomain=codomain, kind="stack", fn=partial(_stack_eval, fs), functionals=fs, batch=partial(_stack_rows, fs)
+        domain=domain, codomain=orthant(len(fs)), kind="stack", fn=partial(_stack_eval, fs), functionals=fs, batch=partial(_stack_rows, fs)
     )
 
 
@@ -450,7 +441,6 @@ def openness_check(
     x0,
     epsilon: float,
     delta: float,
-    image_oracle=None,
     *,
     targets: int = 32,
     budget: int = 1000,
@@ -459,27 +449,28 @@ def openness_check(
 ) -> OpennessVerdict:
     """Probe openness of ``T`` at ``x0`` relative to its image.
 
-    Samples targets in the radius-``delta`` ball around ``T(x0)``
-    intersected with ``T(E)`` (membership decided by the oracle; exact
-    defaults exist for the clamp and matrix kinds, otherwise targets are
-    forward images) and searches the radius-``epsilon`` ball around ``x0``
-    for a preimage of each, ``budget`` evaluations per target.
+    Samples ``targets`` points in the radius-``delta`` ball around ``T(x0)``
+    intersected with ``T(E)`` (membership decided by ``T.image_oracle``,
+    which the clamp and matrix kinds set; without one, targets are forward
+    images) and searches the radius-``epsilon`` ball around ``x0`` for a
+    preimage of each, ``budget`` evaluations per target.
     """
     if not (epsilon > 0 and delta > 0):
         raise ValueError("epsilon and delta must be positive")
+    if targets < 1 or budget < 1:
+        raise ValueError("targets and budget must be at least 1")
     rng = sampling.rng_from(seed)
     x0 = as_vec(x0, T.domain.dim)
     center = apply(T, x0)
-    oracle = image_oracle if image_oracle is not None else T.image_oracle
 
     note = ""
     sampled = []
     tries = 0
-    if oracle is not None:
+    if T.image_oracle is not None:
         while len(sampled) < targets and tries < 200 * targets:
             y = sampling.ball_point(T.codomain, center, delta, rng)
             tries += 1
-            if oracle(y):
+            if T.image_oracle(y):
                 sampled.append(y)
         if not sampled:
             note = "no image points found inside the target ball"
@@ -576,16 +567,14 @@ def open_ball_image_check(
     return PropertyReport(name="open_ball_image", passed=True, samples=2 * n)
 
 
-def pointwise_limit(
-    Ts: Sequence[Operator], probes, *, tol: float = 1e-6, tail: int = 3
-) -> tuple[Operator, PropertyReport]:
+def pointwise_limit(Ts: Sequence[Operator], probes, *, tol: float = 1e-6) -> tuple[Operator, PropertyReport]:
     """Tabulated limit of an operator sequence on a probe set.
 
-    Convergence is checked as a Cauchy condition over the last ``tail + 1``
-    members at every probe (divergence raises, naming the probe).  The
-    returned operator evaluates by nearest probe line, completed along the
-    unit direction, which makes it weakly additive by construction; the
-    report also checks order preservation over the comparable probe pairs.
+    Convergence is checked as a Cauchy condition over the last four members
+    at every probe (divergence raises, naming the probe).  The returned
+    operator evaluates by nearest probe line, completed along the unit
+    direction, which makes it weakly additive by construction; the report
+    also checks order preservation over the comparable probe pairs.
     """
     Ts = list(Ts)
     if len(Ts) < 2:
@@ -594,7 +583,7 @@ def pointwise_limit(
     probe_list = [as_vec(p, dom.dim) for p in probes]
     probe_list.append(np.zeros(dom.dim))
 
-    window = Ts[-(tail + 1):]
+    window = Ts[-4:]
     for idx, p in enumerate(probe_list):
         values = [apply(T, p) for T in window]
         worst = max(
@@ -609,14 +598,14 @@ def pointwise_limit(
     table = [(p, apply(last, p)) for p in probe_list]
     unit_image = apply(last, dom.unit)
 
-    def _limit_eval(x, _table=table, _unit_image=unit_image, _dom=dom):
+    def _limit_eval(x):
         best_val, best_dist, best_shift = None, np.inf, 0.0
-        for p, v in _table:
-            lo, hi = ray_thresholds(_dom, p, x)
+        for p, v in table:
+            lo, hi = ray_thresholds(dom, p, x)
             dist = 0.5 * (hi - lo)
             if dist < best_dist:
                 best_dist, best_val, best_shift = dist, v, 0.5 * (hi + lo)
-        return best_val + best_shift * _unit_image
+        return best_val + best_shift * unit_image
 
     limit = custom_operator(dom, cod, _limit_eval)
 
@@ -633,32 +622,31 @@ def pointwise_limit(
     return limit, report
 
 
-def _matrix_from_json(domain: OrderedSpace, obj: dict, codomain: OrderedSpace | None, strict: bool) -> Operator:
+def _matrix_from_json(domain: OrderedSpace, obj: dict) -> Operator:
     matrix = np.asarray(obj["matrix"], dtype=float)
-    if codomain is None:
-        codomain = domain if matrix.shape[0] == domain.dim else orthant(matrix.shape[0])
-    return linear_positive(domain, codomain, matrix, strict=strict)
+    codomain = domain if matrix.shape[0] == domain.dim else orthant(matrix.shape[0])
+    return linear_positive(domain, codomain, matrix, strict=False)
 
 
 # kind -> (build from a descriptor, descriptor fields besides "kind");
 # ``custom`` operators have no descriptor form
 _DESCRIPTORS = {
     "linear_positive": (_matrix_from_json, lambda T: {"matrix": T.matrix.tolist()}),
-    "clamp": (lambda domain, obj, codomain, strict: clamp_operator(domain), lambda T: {}),
+    "clamp": (lambda domain, obj: clamp_operator(domain), lambda T: {}),
     "stack": (
-        lambda domain, obj, codomain, strict: stack_operator(
-            domain, [functional_from_json(domain, f) for f in obj["functionals"]], codomain
-        ),
+        lambda domain, obj: stack_operator(domain, [functional_from_json(domain, f) for f in obj["functionals"]]),
         lambda T: {"functionals": [functional_to_json(f) for f in T.functionals]},
     ),
 }
 
 
-def operator_from_json(domain: OrderedSpace, obj: dict, codomain: OrderedSpace | None = None, strict: bool = False) -> Operator:
+def operator_from_json(domain: OrderedSpace, obj: dict) -> Operator:
     """Build from ``{"kind": "linear_positive"|"clamp"|"stack", ...}``.
 
-    ``strict=False`` by default so diagnostic tooling can load a
-    cone-violating matrix and let the checkers report it.
+    A matrix maps into ``domain`` when its row count is ``domain.dim``, else
+    into the orthant of that many rows, and loads with ``strict=False``, so
+    diagnostic tooling can load a cone-violating matrix and let the checkers
+    report it.  A stack maps into the orthant of one coordinate per functional.
     """
     try:
         kind = obj["kind"]
@@ -666,7 +654,7 @@ def operator_from_json(domain: OrderedSpace, obj: dict, codomain: OrderedSpace |
         raise ValueError(f"bad operator descriptor: {exc}") from exc
     if not isinstance(kind, str) or kind not in _DESCRIPTORS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return _DESCRIPTORS[kind][0](domain, obj, codomain, strict)
+    return _DESCRIPTORS[kind][0](domain, obj)
 
 
 def operator_to_json(T: Operator) -> dict:

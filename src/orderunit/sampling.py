@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from .spaces import OrderedSpace, as_rows, cone_contains_rows, leq, order_norm, order_norms
+from .spaces import TOL, OrderedSpace, as_rows, cone_contains_rows, leq, order_norm, order_norms
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -60,8 +60,8 @@ def _draw_loop(space: OrderedSpace, n: int, rng, radius, scale: float, checked: 
             radii.append(abs(standard_normal()) * scale + 1e-12)  # |normal()|: only the sign differs
         d = normal(size=dim)
         while checked and not 0.0 < order_norm(space, d) < np.inf:
-            if np.any(space.unit_pairings <= 0):  # off the interior, no draw may ever be accepted
-                raise ValueError("ball sampling needs an interior order unit; a cone row pairs to <= 0 with it")
+            if np.any(space.unit_pairings <= TOL):  # not interior (see interior_contains): no draw may be accepted
+                raise ValueError("ball sampling needs an interior order unit; a cone row pairs to <= TOL with it")
             d = normal(size=dim)
         dirs.append(d)
         us.append(random())  # uniform(-1, 1) is -1 + 2 * random(), one draw
@@ -95,16 +95,17 @@ def cone_points(space: OrderedSpace, n: int, rng, scale: float = 2.0) -> np.ndar
     return np.concatenate([box, lams[:, None] * space.unit + (0.0 + offsets)])
 
 
-def _shift_arrays(space: OrderedSpace, n: int, rng, half_width: float = 2.0, lam_width: float = 3.0):
+def _shift_arrays(space: OrderedSpace, n: int, rng):
     """:func:`shift_samples` as the arrays ``(xs, lams)``."""
     rng = rng_from(rng)
-    xs = box_points(space, n, rng, half_width=half_width)
-    return xs, rng.uniform(-lam_width, lam_width, size=n)
+    xs = box_points(space, n, rng)
+    return xs, rng.uniform(-3.0, 3.0, size=n)
 
 
-def shift_samples(space: OrderedSpace, n: int, rng, half_width: float = 2.0, lam_width: float = 3.0):
-    """Pairs ``(x, lam)`` for probing behaviour along the unit direction."""
-    return list(zip(*_shift_arrays(space, n, rng, half_width, lam_width)))
+def shift_samples(space: OrderedSpace, n: int, rng):
+    """Pairs ``(x, lam)`` for probing behaviour along the unit direction:
+    ``x`` uniform in the box ``[-2, 2]^dim``, ``lam`` uniform in ``[-3, 3]``."""
+    return list(zip(*_shift_arrays(space, n, rng)))
 
 
 def probe_pairs(space: OrderedSpace) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -129,46 +130,41 @@ def probe_pairs(space: OrderedSpace) -> list[tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
-def _comparable_arrays(space: OrderedSpace, n: int, rng, scale: float = 2.0, include_probes: bool = True):
+def _comparable_arrays(space: OrderedSpace, n: int, rng):
     """:func:`comparable_pairs` as the arrays ``(xs, ys)``."""
     rng = rng_from(rng)
-    probes = probe_pairs(space) if include_probes else []
+    probes = probe_pairs(space)
     need = max(0, n - len(probes))
-    xs = box_points(space, need, rng, half_width=scale)
-    steps = cone_points(space, need, rng, scale=scale / 2.0)
+    xs = box_points(space, need, rng)
+    steps = cone_points(space, need, rng, scale=1.0)
     firsts = np.concatenate([as_rows([x for x, _ in probes], space.dim), xs])
     seconds = np.concatenate([as_rows([y for _, y in probes], space.dim), xs + steps])
     return firsts[:n], seconds[:n]
 
 
-def comparable_pairs(space: OrderedSpace, n: int, rng, scale: float = 2.0, include_probes: bool = True):
+def comparable_pairs(space: OrderedSpace, n: int, rng):
     """``n`` pairs ``(x, y)`` with ``x <= y``, built as ``y = x + cone point``.
 
-    The deterministic probe battery is prepended by default so the first
-    failure of an order-preservation check lands on a reproducible pair.
+    The deterministic probe battery comes first, so the first failure of an
+    order-preservation check lands on a reproducible pair; the random pairs
+    take ``x`` in the box ``[-2, 2]^dim`` and the cone step at scale 1.
     """
-    return list(zip(*_comparable_arrays(space, n, rng, scale, include_probes)))
+    return list(zip(*_comparable_arrays(space, n, rng)))
 
 
-def _pairs_within_arrays(space: OrderedSpace, delta: float, n: int, rng, half_width: float = 2.0):
+def _pairs_within_arrays(space: OrderedSpace, delta: float, n: int, rng):
     """:func:`pairs_within` as the arrays ``(xs, ys)``."""
     rng = rng_from(rng)
-    xs = box_points(space, n, rng, half_width=half_width)
+    xs = box_points(space, n, rng)
     return xs, xs + ball_points(space, np.zeros(space.dim), delta, n, rng)
 
 
-def pairs_within(space: OrderedSpace, delta: float, n: int, rng, half_width: float = 2.0):
-    """``n`` pairs with ``order_norm(x - y) < delta``."""
-    return list(zip(*_pairs_within_arrays(space, delta, n, rng, half_width)))
+def pairs_within(space: OrderedSpace, delta: float, n: int, rng):
+    """``n`` pairs with ``order_norm(x - y) < delta``, ``x`` in the box ``[-2, 2]^dim``."""
+    return list(zip(*_pairs_within_arrays(space, delta, n, rng)))
 
 
-def grid_points(dim: int, lo: float = 0.0, hi: float = 1.0, step: float = 0.5) -> np.ndarray:
-    """Exhaustive coordinate grid, the small-dimension alternative to sampling."""
-    axis = np.arange(lo, hi + step / 2, step)
-    return np.array(list(itertools.product(axis, repeat=dim)))
-
-
-def grid_comparable_pairs(space: OrderedSpace, lo: float = 0.0, hi: float = 1.0, step: float = 0.5):
-    """Every comparable pair on the grid; exhaustive for dim <= 3."""
-    pts = grid_points(space.dim, lo, hi, step)
+def grid_comparable_pairs(space: OrderedSpace):
+    """Every comparable pair on the grid ``{0, 0.5, 1}^dim``; exhaustive for dim <= 3."""
+    pts = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=space.dim)))
     return [(x, y) for x in pts for y in pts if leq(space, x, y)]

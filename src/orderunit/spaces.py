@@ -246,16 +246,16 @@ class SpaceValidation:
         return [c for c in self.checks if not c["passed"]]
 
 
-def _pointedness_witness(space: OrderedSpace, tol: float = TOL):
+def _pointedness_witness(space: OrderedSpace):
     """A nonzero ``v`` with both ``v`` and ``-v`` in the cone, or None.
 
     The lineality space of ``{x : rows @ x >= 0}`` is the kernel of the rows,
     so the cone holds a line exactly when the last right-singular vector,
-    scaled to largest entry ``+1``, has ``|rows @ v| <= tol``.
+    scaled to largest entry ``+1``, has ``|rows @ v| <= TOL``.
     """
     v = np.linalg.svd(space.cone.rows)[2][-1]
     v = v / v[np.argmax(np.abs(v))]
-    return v if np.max(np.abs(space.cone.rows @ v)) <= tol else None
+    return v if np.max(np.abs(space.cone.rows @ v)) <= TOL else None
 
 
 def _unit_interior_entry(space: OrderedSpace) -> dict:

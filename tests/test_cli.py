@@ -121,6 +121,17 @@ class TestCheck:
         assert proc.stdout == ""
         assert proc.stderr == f"error: {message}\n"
 
+    def test_descriptor_matrix_loads_without_the_cone_check(self, files, tmp_path):
+        # a cone-violating matrix is a failed law (exit 1), not a rejected descriptor (exit 2)
+        flip = tmp_path / "flip.json"
+        flip.write_text(json.dumps({"kind": "linear_positive", "matrix": [[1, 0], [0, -1]]}))
+        proc = run_cli(
+            "check", "--space", files["space2"], "--operator", str(flip), "--samples", "256", "--format", "json"
+        )
+        assert proc.returncode == 1
+        entry = next(c for c in json.loads(proc.stdout)["checks"] if c["name"] == "order_preserving")
+        assert entry["witness"] == {"x": [0.0, 0.0], "y": [1.0, 1.0], "T_x": [0.0, 0.0], "T_y": [1.0, -1.0]}
+
     def test_valid_space_entry(self, files):
         proc = run_cli(
             "check", "--space", files["space2"], "--functional", files["choq"], "--samples", "256", "--format", "json"
@@ -409,6 +420,32 @@ class TestCompact:
         short.write_text(json.dumps({"n": 2, "sequence": [{"values": {"3": 1.0}}] * 3}))
         proc = run_cli("compact", "--capacities", str(short))
         assert proc.returncode == 2
+
+
+class TestCounts:
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            (["openness", "--targets", "0"], "targets"),
+            (["openness", "--targets", "-1"], "targets"),
+            (["openness", "--budget", "0"], "budget"),
+            (["compact", "--capacities", "osc", "--truncation", "0"], "truncation"),
+            (["compact", "--capacities", "osc", "--truncation", "-3"], "truncation"),
+            (["compact", "--capacities", "empty", "--min-length", "0"], "min_length"),
+        ],
+    )
+    def test_count_below_one_is_input_error(self, files, tmp_path, command, name):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"n": 2, "sequence": []}))
+        if command[0] == "openness":
+            command = ["openness", "--space", "space2", "--operator", "clamp", "--at", "0,0",
+                       "--epsilon", "0.25", "--delta", "0.25", *command[1:]]
+        argv = [{**files, "empty": str(empty)}.get(arg, arg) for arg in command]
+        proc = run_cli(*argv, "--format", "json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert name in proc.stderr
 
 
 class TestFlags:

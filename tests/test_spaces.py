@@ -223,7 +223,7 @@ class TestNonFinite:
 
 
 class TestBoundaryUnitSampling:
-    @pytest.mark.parametrize("unit", [[1.0, 0.0], [-1.0, -1.0]])
+    @pytest.mark.parametrize("unit", [[1.0, 0.0], [-1.0, -1.0], [1e-320, 1.0]])
     def test_cone_points_raise_instead_of_looping(self, unit):
         space = ou.orthant(2, unit=unit)
         with pytest.raises(ValueError, match="interior order unit"):
