@@ -158,6 +158,8 @@ def subsequence_limit(
     """
     if min_length < 1 or truncation < 1:
         raise ValueError("min_length and truncation must be at least 1")
+    if not conv_tol >= 0:  # NaN too; below 0 the halving never ends on equal values
+        raise ValueError(f"conv_tol must be a nonnegative number, got {conv_tol}")
     caps = list(caps)
     if len(caps) < min_length:
         raise ValueError(f"sequence too short: {len(caps)} < configured minimum {min_length}")

@@ -19,6 +19,15 @@ cheap.  Consistency of the given line values (the pairwise inequalities
 that make the partial functional order-preserving on its span) is precisely
 what guarantees ``p_minus <= p_plus``.
 
+A partial functional stores the pairings ``rows @ x_i`` of the cone rows
+with every line once.  By linearity a threshold ratio
+``rows @ (y - x_i) / pairings`` is then ``(rows @ y - rows @ x_i) / pairings``,
+so a query costs one ``rows @ y`` and a subtraction against the stored
+pairings, the consistency scan subtracts stored columns with no matvec per
+pair, and an extension step appends one pairing column.  The two forms are
+equal in exact arithmetic but round differently, by a few units in the last
+place of the larger pairing.
+
 Beyond one-point and finite-list extension, :func:`canonical_extension`
 turns the endpoint maps themselves into a total functional: both
 ``p_minus`` and the midpoint ``(p_minus + p_plus) / 2`` shift exactly along
@@ -57,6 +66,12 @@ def _is_zero(space: OrderedSpace, v: np.ndarray, tol: float):
     """Zero test along the last axis: one verdict per vector."""
     scale = 1.0 + float(np.max(np.abs(space.unit)))
     return np.max(np.abs(v), axis=-1) <= tol * scale
+
+
+def _on_lines(space: OrderedSpace, rep: np.ndarray, base: np.ndarray, tol: float):
+    """Does representative ``rep`` lie on the line of each row of ``base``?"""
+    with np.errstate(over="ignore"):  # a difference that overflows is no zero
+        return _is_zero(space, rep - base, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +121,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
                     f"but the unit slope forces {mu * unit_value}"
                 )
             continue
-        dup = np.flatnonzero(_is_zero(space, rep - base[: len(out_vals)], TOL))
+        dup = np.flatnonzero(_on_lines(space, rep, base[: len(out_vals)], TOL))
         if dup.size:
             if abs(out_vals[dup[0]] - g_rep) > 1e-7:
                 raise ValueError(
@@ -127,7 +142,7 @@ def unit_span(space: OrderedSpace, points=()) -> UnitSpan:
 def span_contains(span: UnitSpan, v, tol: float = TOL) -> bool:
     """Is ``v`` on the axis line or on one of the base lines?"""
     rep, _ = canonicalize(span.space, v)
-    return bool(_is_zero(span.space, rep, tol) or np.any(_is_zero(span.space, rep - span.base, tol)))
+    return bool(_is_zero(span.space, rep, tol) or np.any(_on_lines(span.space, rep, span.base, tol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +162,7 @@ class PartialFunctional:
     unit_value: float
     X: np.ndarray = field(init=False, repr=False)  # origin (axis line), then base points
     G: np.ndarray = field(init=False, repr=False)  # their values: 0, then ``values``
+    AT: np.ndarray = field(init=False, repr=False)  # cone-row pairings ``rows @ x_i``, shape ``(rows, m + 1)``
     _witness: dict | None = field(init=False, repr=False)  # first violated inequality at ``TOL``
     consistent: bool = field(init=False)
 
@@ -158,8 +174,12 @@ class PartialFunctional:
             raise ValueError("unit_value must be nonnegative (order preservation on the axis line)")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "unit_value", float(self.unit_value))
-        object.__setattr__(self, "X", np.vstack([np.zeros(self.space.dim), self.subspace.base]))
+        X = np.vstack([np.zeros(self.space.dim), self.subspace.base])
+        with np.errstate(over="ignore", invalid="ignore"):
+            AT = np.ascontiguousarray(matvecs(self.space.cone.rows, X).T)
+        object.__setattr__(self, "X", X)
         object.__setattr__(self, "G", np.concatenate([[0.0], vals]))
+        object.__setattr__(self, "AT", AT)
         object.__setattr__(self, "_witness", _consistency_witness(self))
         object.__setattr__(self, "consistent", self._witness is None)
 
@@ -168,8 +188,9 @@ class PartialFunctional:
         return self.subspace.space
 
     @classmethod
-    def _stacked(cls, space: OrderedSpace, X: np.ndarray, G: np.ndarray, unit_value: float, witness):
-        """Instance over already stacked lines whose witness is known, bypassing ``__post_init__``."""
+    def _stacked(cls, space: OrderedSpace, X: np.ndarray, G: np.ndarray, AT: np.ndarray, unit_value: float, witness):
+        """Instance over already stacked lines whose pairings and witness are
+        known, bypassing ``__post_init__``."""
         pf = object.__new__(cls)
         for name, value in (
             ("subspace", UnitSpan(space=space, base=X[1:])),
@@ -177,6 +198,7 @@ class PartialFunctional:
             ("unit_value", unit_value),
             ("X", X),
             ("G", G),
+            ("AT", AT),
             ("_witness", witness),
             ("consistent", witness is None),
         ):
@@ -199,29 +221,25 @@ def partial_functional(
     return pf
 
 
-def _thresholds(space: OrderedSpace, d: np.ndarray) -> np.ndarray:
-    """The ratios of :func:`orderunit.spaces.ray_thresholds`, one row per row ``d_i``."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return matvecs(space.cone.rows, d) / space.unit_pairings
-
-
 def _consistency_witness(pf: PartialFunctional, tol: float = TOL):
     """First violated pairwise inequality, or None.
 
     Line ``j`` dominates line ``i`` once shifted up by the threshold
-    ``t_ij = inf { t : x_j + t*unit >= x_i }``, so the values must satisfy
+    ``t_ij = inf { t : x_j + t*unit >= x_i }``, the greatest ratio
+    ``rows @ (x_i - x_j) / pairings``, so the values must satisfy
     ``g_j + t_ij * c >= g_i``.
     """
-    X, G = pf.X, pf.G
+    AT, G = pf.AT, pf.G
     c = pf.unit_value
-    for i in range(len(G)):
-        t = _thresholds(pf.space, X[i] - X).max(axis=1)
-        with np.errstate(invalid="ignore"):
+    pairings = pf.space.unit_pairings[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(len(G)):
+            t = ((AT[:, i : i + 1] - AT) / pairings).max(axis=0)
             violated = G + t * c < G[i] - tol
-        violated[i] = False
-        js = np.flatnonzero(violated)
-        if js.size:
-            return _violation(G, c, i, int(js[0]), t[js[0]])
+            violated[i] = False
+            js = np.flatnonzero(violated)
+            if js.size:
+                return _violation(G, c, i, int(js[0]), t[js[0]])
     return None
 
 
@@ -236,7 +254,7 @@ def _violation(G: np.ndarray, c: float, i: int, j: int, t_ij) -> dict:
     }
 
 
-def _last_line_witness(space: OrderedSpace, X: np.ndarray, G: np.ndarray, c: float):
+def _last_line_witness(space: OrderedSpace, AT: np.ndarray, G: np.ndarray, c: float):
     """First violated inequality at ``TOL`` that involves the last line, in the
     order of :func:`_consistency_witness`.
 
@@ -245,12 +263,13 @@ def _last_line_witness(space: OrderedSpace, X: np.ndarray, G: np.ndarray, c: flo
     comes first and row ``k`` after it.
     """
     k = len(G) - 1
-    with np.errstate(invalid="ignore"):
-        t = _thresholds(space, X[:k] - X[k]).max(axis=1)  # t_ik, i < k
+    pairings = space.unit_pairings[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = ((AT[:, :k] - AT[:, k:]) / pairings).max(axis=0)  # t_ik, i < k
         hits = np.flatnonzero(G[k] + t * c < G[:k] - TOL)
         if hits.size:
             return _violation(G, c, int(hits[0]), k, t[hits[0]])
-        t = _thresholds(space, X[k] - X[:k]).max(axis=1)  # t_kj, j < k
+        t = ((AT[:, k:] - AT[:, :k]) / pairings).max(axis=0)  # t_kj, j < k
         hits = np.flatnonzero(G[:k] + t * c < G[k] - TOL)
         if hits.size:
             return _violation(G, c, k, int(hits[0]), t[hits[0]])
@@ -287,6 +306,9 @@ class ExtensionInterval:
 
 def _fold_min(v: np.ndarray) -> float:
     """``min(inf, v_0, v_1, ...)`` as Python folds it: NaN never wins, ties keep the first."""
+    least = v.min()
+    if least != 0 and least == least:  # neither zero nor NaN, so every tie has the same bits
+        return float(least)
     v = np.where(np.isnan(v), np.inf, v)
     return float(v[np.argmin(v)])
 
@@ -302,11 +324,12 @@ def extension_interval(pf: PartialFunctional, y, tol: float = TOL) -> ExtensionI
     """
     if not pf.consistent:
         raise ValueError("extension requires a consistent partial functional")
-    ratios = _thresholds(pf.space, as_vec(y, pf.space.dim) - pf.X)
+    y = as_vec(y, pf.space.dim)
     c = pf.unit_value
-    with np.errstate(invalid="ignore"):
-        p_plus = _fold_min(pf.G + c * ratios.max(axis=1))
-        p_minus = -_fold_min(-(pf.G + c * ratios.min(axis=1)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = ((pf.space.cone.rows @ y)[:, None] - pf.AT) / pf.space.unit_pairings[:, None]
+        p_plus = _fold_min(pf.G + c * ratios.max(axis=0))
+        p_minus = -_fold_min(-(pf.G + c * ratios.min(axis=0)))
     if p_minus > p_plus + tol:
         raise ValueError(
             f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
@@ -354,10 +377,12 @@ def _step(pf: PartialFunctional, y, rule: str, value, tol: float):
     rep, mu = canonicalize(pf.space, y)
     X = np.vstack([pf.X, rep])
     G = np.append(pf.G, p - mu * pf.unit_value)
-    witness = _last_line_witness(pf.space, X, G, pf.unit_value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        AT = np.column_stack([pf.AT, pf.space.cone.rows @ rep])
+    witness = _last_line_witness(pf.space, AT, G, pf.unit_value)
     if witness is not None:
         raise ValueError(f"inconsistent partial functional: {witness}")
-    return PartialFunctional._stacked(pf.space, X, G, pf.unit_value, witness), interval, p
+    return PartialFunctional._stacked(pf.space, X, G, AT, pf.unit_value, witness), interval, p
 
 
 def extend_one(

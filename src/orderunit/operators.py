@@ -624,6 +624,8 @@ def pointwise_limit(Ts: Sequence[Operator], probes, *, tol: float = 1e-6) -> tup
 
 def _matrix_from_json(domain: OrderedSpace, obj: dict) -> Operator:
     matrix = np.asarray(obj["matrix"], dtype=float)
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ValueError(f"linear_positive matrix must be a nonempty 2-d array, got shape {matrix.shape}")
     codomain = domain if matrix.shape[0] == domain.dim else orthant(matrix.shape[0])
     return linear_positive(domain, codomain, matrix, strict=False)
 

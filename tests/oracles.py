@@ -187,19 +187,17 @@ def interval_by_ray_thresholds(pf, y, tol=1e-9):
     return float(p_minus), float(p_plus)
 
 
-def consistency_witness_by_pairs(pf, tol=1e-9):
-    """First violated pairwise consistency inequality, one scalar call per pair.
-
-    Row-major over ``(line_i, line_j)``, ``i != j``, with the axis line first;
-    ``None`` when every inequality ``g_j + t_ij * c >= g_i - tol`` holds.
-    """
-    xs, gs = _lines(pf)
+def _first_violation(pf, threshold, tol):
+    """Row-major over ``(line_i, line_j)``, ``i != j``, with the axis line
+    first: the first pair with ``g_j + t_ij * c < g_i - tol``, where
+    ``t_ij = threshold(i, j)``, as a witness; ``None`` when none is violated."""
+    gs = _lines(pf)[1]
     c = pf.unit_value
-    for i, (x_i, g_i) in enumerate(zip(xs, gs)):
-        for j, (x_j, g_j) in enumerate(zip(xs, gs)):
+    for i, g_i in enumerate(gs):
+        for j, g_j in enumerate(gs):
             if i == j:
                 continue
-            _, t_ij = ray_thresholds(pf.space, x_j, x_i)
+            t_ij = threshold(i, j)
             if g_j + t_ij * c < g_i - tol:
                 return {
                     "line_i": i,
@@ -210,6 +208,56 @@ def consistency_witness_by_pairs(pf, tol=1e-9):
                     "slope": float(c),
                 }
     return None
+
+
+def consistency_witness_by_pairs(pf, tol=1e-9):
+    """First violated pairwise consistency inequality, one scalar
+    ray-threshold call per pair, on the difference ``x_i - x_j``."""
+    xs = _lines(pf)[0]
+    return _first_violation(pf, lambda i, j: ray_thresholds(pf.space, xs[j], xs[i])[1], tol)
+
+
+# References over the pairings ``rows @ x_i`` of the cone rows with each line.
+# The threshold ratio ``rows @ (y - x) / pairings`` equals
+# ``(rows @ y - rows @ x) / pairings`` by linearity but rounds differently;
+# the extension engine stores the pairings and must reproduce these loops bit
+# for bit, and the difference-first references above within a stated bound.
+
+
+def _line_pairings(pf):
+    """One matrix-vector product ``rows @ x_i`` per line, the axis line first."""
+    return [pf.space.cone.rows @ x for x in _lines(pf)[0]]
+
+
+def interval_by_pairings(pf, y, tol=1e-9):
+    """Extension interval endpoints from the pairings, one line at a time.
+
+    Per line the ratios are ``(rows @ y - rows @ x_i) / pairings``; the least
+    and the greatest ratio and the fold over the lines are Python ``min`` and
+    ``max``.
+    """
+    pairings = pf.space.unit_pairings
+    ay = pf.space.cone.rows @ np.asarray(y, dtype=float)
+    c = pf.unit_value
+    p_plus = np.inf
+    p_minus = -np.inf
+    for ax, g_i in zip(_line_pairings(pf), _lines(pf)[1]):
+        ratios = (ay - ax) / pairings
+        p_plus = min(p_plus, g_i + c * max(ratios))
+        p_minus = max(p_minus, g_i + c * min(ratios))
+    if p_minus > p_plus + tol:
+        raise ValueError(
+            f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
+        )
+    return float(p_minus), float(p_plus)
+
+
+def consistency_witness_by_pairings(pf, tol=1e-9):
+    """First violated pairwise consistency inequality, from the pairings: the
+    threshold ``t_ij`` is the Python ``max`` of ``(rows @ x_i - rows @ x_j) / pairings``."""
+    pairings = pf.space.unit_pairings
+    ax = _line_pairings(pf)
+    return _first_violation(pf, lambda i, j: max((ax[i] - ax[j]) / pairings), tol)
 
 
 def _unit_rep(space, p):

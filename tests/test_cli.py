@@ -215,6 +215,19 @@ class TestNonFiniteDescriptors:
         assert proc.stderr == f"error: {field} must be finite\n"
 
 
+class TestMatrixDescriptor:
+    @pytest.mark.parametrize(
+        "matrix, shape", [(5, "()"), ([], "(0,)"), ([[]], "(1, 0)")], ids=["scalar", "empty", "empty_row"]
+    )
+    def test_shape_checked_before_use(self, files, tmp_path, matrix, shape):
+        path = tmp_path / "operator.json"
+        path.write_text(json.dumps({"kind": "linear_positive", "matrix": matrix}))
+        proc = run_cli("check", "--space", files["space2"], "--operator", str(path), "--format", "json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: linear_positive matrix must be a nonempty 2-d array, got shape {shape}\n"
+
+
 class TestNorm:
     def test_values(self, files):
         proc = run_cli(
@@ -414,6 +427,17 @@ class TestCompact:
         monkeypatch.setattr(cli, "subsequence_limit", spy)
         assert cli.main(["compact", "--capacities", files["osc"], "--format", "json", *argv]) == 0
         assert seen == [expected]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_tol_below_zero_or_nan_is_input_error(self, tmp_path, tol):
+        # on a constant sequence a negative tolerance never ended the halving
+        constant = tmp_path / "constant.json"
+        constant.write_text(json.dumps({"n": 2, "sequence": [{"values": {"1": 0.3, "2": 0.6, "3": 1.0}}] * 10}))
+        proc = run_cli("compact", "--capacities", str(constant), "--tol", tol, "--format", "json", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "conv_tol" in proc.stderr
 
     def test_short_sequence_is_input_error(self, files, tmp_path):
         short = tmp_path / "short.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 import orderunit as ou
 from oracles import (
     canonical_lines_by_pairs,
+    consistency_witness_by_pairings,
     consistency_witness_by_pairs,
     interval_by_line_search,
+    interval_by_pairings,
     interval_by_ray_thresholds,
     span_contains_by_lines,
 )
@@ -123,13 +127,13 @@ class TestScalarReferences:
         pf = _build(*data)
         if pf is None:
             return
-        expected = consistency_witness_by_pairs(pf, tol)
+        expected = consistency_witness_by_pairings(pf, tol)
         report = ou.check_partial_consistency(pf, tol)
         assert repr(report.witness) == repr(expected)
-        assert pf.consistent == (consistency_witness_by_pairs(pf) is None)
+        assert pf.consistent == (consistency_witness_by_pairings(pf) is None)
         if not pf.consistent:
             space, points, values, c = data
-            message = f"inconsistent partial functional: {consistency_witness_by_pairs(pf)}"
+            message = f"inconsistent partial functional: {consistency_witness_by_pairings(pf)}"
             with pytest.raises(ValueError) as got:
                 ou.partial_functional(space, points, values, c)
             assert str(got.value) == message
@@ -151,7 +155,7 @@ class TestScalarReferences:
         for y in ys:
             assert ou.span_contains(pf.subspace, y) == span_contains_by_lines(pf.subspace, y)
             try:
-                lo, hi = interval_by_ray_thresholds(pf, y)
+                lo, hi = interval_by_pairings(pf, y)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
                     ou.extension_interval(pf, y)
@@ -172,12 +176,12 @@ class TestScalarReferences:
                 values[rng.integers(0, len(values), size=3)] += rng.uniform(-1.0, 1.0, size=3)
             pf = ou.partial_functional(space, pts, values, float(w @ space.unit), strict=False)
             witness = ou.check_partial_consistency(pf).witness
-            assert repr(witness) == repr(consistency_witness_by_pairs(pf))
+            assert repr(witness) == repr(consistency_witness_by_pairings(pf))
             if not pf.consistent:
                 continue
             for y in rng.uniform(-3.0, 3.0, size=(8, space.dim)):
                 interval = ou.extension_interval(pf, y)
-                lo, hi = interval_by_ray_thresholds(pf, y)
+                lo, hi = interval_by_pairings(pf, y)
                 assert (interval.p_minus.hex(), interval.p_plus.hex()) == (lo.hex(), hi.hex())
 
 
@@ -224,7 +228,7 @@ class TestExtensionStep:
             values=np.append(pf.values, g),
             unit_value=pf.unit_value,
         )
-        assert repr(full._witness) == repr(consistency_witness_by_pairs(full))
+        assert repr(full._witness) == repr(consistency_witness_by_pairings(full))
         if not interval.p_minus - tol <= p <= interval.p_plus + tol:
             with pytest.raises(ValueError, match="outside the admissible interval"):
                 ou.extend_one(pf, y, rule=rule, value=value, tol=tol)
@@ -241,10 +245,11 @@ class TestExtensionStep:
         assert _bits(out.subspace.base[m]) == _bits(rep)
         assert _bits(out.values[m]) == _bits(g)
         assert _bits(out.X) == _bits(full.X) and _bits(out.G) == _bits(full.G)
+        assert out.AT.shape == full.AT.shape and _bits(out.AT) == _bits(full.AT)
         assert ou.extension._consistency_witness(out) is None
-        assert consistency_witness_by_pairs(out) is None
+        assert consistency_witness_by_pairings(out) is None
         for t in (0.0, 1e-3):
-            assert repr(ou.check_partial_consistency(out, t).witness) == repr(consistency_witness_by_pairs(out, t))
+            assert repr(ou.check_partial_consistency(out, t).witness) == repr(consistency_witness_by_pairings(out, t))
 
     @settings(max_examples=100, deadline=None)
     @given(data=step_data(), rule=st.sampled_from(("lower", "upper", "midpoint")), k=st.integers(1, 6))
@@ -260,7 +265,101 @@ class TestExtensionStep:
         assert _bits(out.values) == _bits(step.values)
         # the last target shares the first one's line
         assert out.subspace.m == pf.subspace.m + k + (not ou.span_contains(pf.subspace, y))
-        assert out.consistent and consistency_witness_by_pairs(out) is None
+        assert out.consistent and consistency_witness_by_pairings(out) is None
+
+
+def _within(got, want, values=()):
+    """``got`` within ``1e-12 * (1 + |v|)`` of ``want``, ``v`` the largest of
+    ``want`` and ``values`` in magnitude; equal infinities agree."""
+    if got == want:
+        return True
+    scale = max((abs(v) for v in (want, *values)), default=0.0)
+    return abs(got - want) <= 1e-12 * (1.0 + scale)
+
+
+class TestDifferenceFirstReferences:
+    """The stored-pairing arithmetic ``(rows @ y - rows @ x) / pairings`` rounds
+    differently from the difference-first ``rows @ (y - x) / pairings`` of the
+    per-line ray-threshold references, by ``1e-12 * (1 + |value|)`` at most."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=partial_data(),
+        targets=st.lists(st.lists(coords, min_size=4, max_size=4), min_size=1, max_size=6),
+    )
+    def test_interval_endpoints(self, data, targets):
+        pf = _build(*data)
+        if pf is None or not pf.consistent:
+            return
+        ys = [np.array(t[: pf.space.dim]) for t in targets] + list(pf.subspace.base)
+        for y in ys:
+            # an infinite tolerance skips the empty-interval test, which each
+            # side makes at its own rounding
+            got = interval_by_pairings(pf, y, tol=np.inf)
+            want = interval_by_ray_thresholds(pf, y, tol=np.inf)
+            assert _within(got[0], want[0]) and _within(got[1], want[1]), (got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=partial_data(), tol=st.sampled_from((1e-9, 0.0, 1e-3)))
+    def test_witness_verdicts(self, data, tol):
+        pf = _build(*data)
+        if pf is None:
+            return
+        got = consistency_witness_by_pairings(pf, tol)
+        want = consistency_witness_by_pairs(pf, tol)
+        pair = lambda w: None if w is None else (w["line_i"], w["line_j"])
+        if pair(got) == pair(want):
+            assert got is None or _within(got["threshold"], want["threshold"])
+            return
+        # The verdicts part at the earlier of the two pairs, in the scan's
+        # row-major order: there the excess g_i - g_j - t_ij * c must sit
+        # within the bound of tol.
+        i, j = min(p for p in (pair(got), pair(want)) if p is not None)
+        xs, G, c = pf.X, pf.G, pf.unit_value
+        t_ij = ou.ray_thresholds(pf.space, xs[j], xs[i])[1]
+        excess = G[i] - G[j] - t_ij * c
+        assert _within(excess, tol, (G[i], G[j], t_ij * c)), (got, want)
+
+
+fold_entries = st.one_of(st.sampled_from((np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0)), st.floats())
+
+
+class TestFoldMin:
+    @settings(max_examples=500, deadline=None)
+    @given(v=st.lists(fold_entries, min_size=1, max_size=40))
+    def test_python_fold(self, v):
+        """NaN never wins, ties keep the first, and the sign of a zero is kept."""
+        a = np.array(v, dtype=float)
+        assert _bits(ou.extension._fold_min(a)) == _bits(min(np.inf, *v))
+        assert _bits(-ou.extension._fold_min(-a)) == _bits(max(-np.inf, *v))
+
+
+class TestOverflowWarnings:
+    """Complements the CLI-level ``TestOverflow``: at 1e308 scale the ratios,
+    the stored pairings and their differences overflow to infinities, and
+    nothing warns."""
+
+    def test_no_runtime_warning(self):
+        big = 1e308
+        spaces = (ou.halfspace_space([[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0]), ou.orthant(2, unit=[0.5, 0.5]))
+        # extend_one runs only on targets whose unit component is finite, so
+        # that each has a representative modulo the unit line
+        targets = ([big, -big], [-big, big], [1.7e308, -1.7e308], [0.5 * big, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for space in spaces:
+                # pairing differences of 2e308 in the consistency scan
+                ou.partial_functional(space, [[big, -big], [-big, big]], [-big, big], 1.0, strict=False)
+                w = space.cone.rows[0]  # (1, 0) on both spaces: a positive linear functional
+                pf = ou.partial_functional(space, [[1.0, 0.0], [big, -big]], [1.0, big], float(w @ space.unit))
+                ou.extension_interval(pf, [big, big])
+                for y in targets:
+                    ou.extension_interval(pf, y)
+                    for rule in ("lower", "upper", "midpoint"):
+                        try:
+                            ou.extend_one(pf, y, rule=rule)
+                        except ValueError:
+                            pass  # a target in the span, or a value that breaks consistency
 
 
 class TestSpan:
