@@ -50,7 +50,6 @@ from .operators import (
     unit_image_interior,
 )
 from .spaces import (
-    TOL,
     _unit_interior_entry,
     order_norm,
     orthant,
@@ -176,7 +175,7 @@ def run_extend(args) -> tuple[dict, int]:
     for text in args.target:
         y = _parse_point(text)
         try:
-            step = _step(pf, y, args.rule, args.value, TOL)
+            step = _step(pf, y, args.rule, args.value)
         except ValueError as exc:
             extension_interval(pf, y)  # input errors (a wrong length, an empty interval) raise again: exit 2
             entries.append({"target": y, "error": str(exc)})

@@ -19,8 +19,10 @@ cheap.  Consistency of the given line values (the pairwise inequalities
 that make the partial functional order-preserving on its span) is precisely
 what guarantees ``p_minus <= p_plus``.
 
-A partial functional stores the pairings ``rows @ x_i`` of the cone rows
-with every line once.  By linearity a threshold ratio
+A partial functional stores its lines once, stacked: ``X`` holds the origin
+(the axis line) and then the base points, ``G`` their values and ``AT`` the
+pairings ``rows @ x_i`` of the cone rows with every line; its ``values``
+and ``subspace`` are views of ``G`` and ``X``.  By linearity a threshold ratio
 ``rows @ (y - x_i) / pairings`` is then ``(rows @ y - rows @ x_i) / pairings``,
 so a query costs one ``rows @ y`` and a subtraction against the stored
 pairings, the consistency scan subtracts stored columns with no matvec per
@@ -37,7 +39,7 @@ additive, order-preserving functional restricting to the given values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +64,16 @@ def canonicalize(space: OrderedSpace, v) -> tuple[np.ndarray, float]:
     return w - mu * space.unit, mu
 
 
-def _is_zero(space: OrderedSpace, v: np.ndarray, tol: float):
-    """Zero test along the last axis: one verdict per vector."""
+def _is_zero(space: OrderedSpace, v: np.ndarray):
+    """Zero test at ``TOL`` along the last axis: one verdict per vector."""
     scale = 1.0 + float(np.max(np.abs(space.unit)))
-    return np.max(np.abs(v), axis=-1) <= tol * scale
+    return np.max(np.abs(v), axis=-1) <= TOL * scale
 
 
-def _on_lines(space: OrderedSpace, rep: np.ndarray, base: np.ndarray, tol: float):
+def _on_lines(space: OrderedSpace, rep: np.ndarray, base: np.ndarray):
     """Does representative ``rep`` lie on the line of each row of ``base``?"""
     with np.errstate(over="ignore"):  # a difference that overflows is no zero
-        return _is_zero(space, rep - base, tol)
+        return _is_zero(space, rep - base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +82,11 @@ class UnitSpan:
 
     ``base`` has shape ``(m, dim)``; the axis line is always implied and not
     listed.  Base points arriving on the axis line or on an already listed
-    line are merged away at construction.
+    line are merged away by :func:`unit_span`.
     """
 
     space: OrderedSpace
     base: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.base, dtype=float).reshape(-1, self.space.dim)
-        object.__setattr__(self, "base", pts)
 
     @property
     def m(self) -> int:
@@ -113,7 +111,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     for p, g in zip(pts, vals):
         rep, mu = canonicalize(space, p)
         g_rep = g - mu * unit_value
-        if _is_zero(space, rep, TOL):
+        if _is_zero(space, rep):
             # the point sits on the axis line, where the value is forced
             if abs(g_rep) > 1e-7:
                 raise ValueError(
@@ -121,7 +119,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
                     f"but the unit slope forces {mu * unit_value}"
                 )
             continue
-        dup = np.flatnonzero(_on_lines(space, rep, base[: len(out_vals)], TOL))
+        dup = np.flatnonzero(_on_lines(space, rep, base[: len(out_vals)]))
         if dup.size:
             if abs(out_vals[dup[0]] - g_rep) > 1e-7:
                 raise ValueError(
@@ -139,71 +137,55 @@ def unit_span(space: OrderedSpace, points=()) -> UnitSpan:
     return UnitSpan(space=space, base=base)
 
 
-def span_contains(span: UnitSpan, v, tol: float = TOL) -> bool:
+def span_contains(span: UnitSpan, v) -> bool:
     """Is ``v`` on the axis line or on one of the base lines?"""
     rep, _ = canonicalize(span.space, v)
-    return bool(_is_zero(span.space, rep, tol) or np.any(_on_lines(span.space, rep, span.base, tol)))
+    return bool(_is_zero(span.space, rep) or np.any(_on_lines(span.space, rep, span.base)))
 
 
 @dataclass(frozen=True, eq=False)
 class PartialFunctional:
     """Line values ``g_i = f(x_i)`` on a unit span, plus the slope ``c = f(unit)``.
 
-    ``consistent`` caches the pairwise order-consistency verdict computed at
-    construction.  Strict construction (the default of
-    :func:`partial_functional`) rejects inconsistent data; diagnostic code
-    can hold an inconsistent instance and inspect
-    :func:`check_partial_consistency`, but the extension operations refuse
-    to run on it.
+    The lines are stacked: row 0 of ``X`` is the origin, standing for the
+    axis line, and the rows after it are the canonical base points; ``G``
+    holds their values, ``0`` first.  ``AT`` holds the cone-row pairings
+    ``rows @ x_i``, one column per line, and ``_witness`` the first violated
+    consistency inequality at ``TOL``, or None.  Build instances with
+    :func:`partial_functional`.  Strict construction (its default) rejects
+    inconsistent data; diagnostic code can hold an inconsistent instance and
+    inspect :func:`check_partial_consistency`, but the extension operations
+    refuse to run on it.
     """
 
-    subspace: UnitSpan
-    values: np.ndarray
+    space: OrderedSpace
+    X: np.ndarray
+    G: np.ndarray
+    AT: np.ndarray
     unit_value: float
-    X: np.ndarray = field(init=False, repr=False)  # origin (axis line), then base points
-    G: np.ndarray = field(init=False, repr=False)  # their values: 0, then ``values``
-    AT: np.ndarray = field(init=False, repr=False)  # cone-row pairings ``rows @ x_i``, shape ``(rows, m + 1)``
-    _witness: dict | None = field(init=False, repr=False)  # first violated inequality at ``TOL``
-    consistent: bool = field(init=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        if vals.shape[0] != self.subspace.m:
-            raise ValueError("one value per base line required")
-        if self.unit_value < 0:
-            raise ValueError("unit_value must be nonnegative (order preservation on the axis line)")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "unit_value", float(self.unit_value))
-        X = np.vstack([np.zeros(self.space.dim), self.subspace.base])
-        with np.errstate(over="ignore", invalid="ignore"):
-            AT = np.ascontiguousarray(matvecs(self.space.cone.rows, X).T)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "G", np.concatenate([[0.0], vals]))
-        object.__setattr__(self, "AT", AT)
-        object.__setattr__(self, "_witness", _consistency_witness(self))
-        object.__setattr__(self, "consistent", self._witness is None)
+    _witness: dict | None
 
     @property
-    def space(self) -> OrderedSpace:
-        return self.subspace.space
+    def consistent(self) -> bool:
+        return self._witness is None
 
-    @classmethod
-    def _stacked(cls, space: OrderedSpace, X: np.ndarray, G: np.ndarray, AT: np.ndarray, unit_value: float, witness):
-        """Instance over already stacked lines whose pairings and witness are
-        known, bypassing ``__post_init__``."""
-        pf = object.__new__(cls)
-        for name, value in (
-            ("subspace", UnitSpan(space=space, base=X[1:])),
-            ("values", G[1:]),
-            ("unit_value", unit_value),
-            ("X", X),
-            ("G", G),
-            ("AT", AT),
-            ("_witness", witness),
-            ("consistent", witness is None),
-        ):
-            object.__setattr__(pf, name, value)
-        return pf
+    @property
+    def values(self) -> np.ndarray:
+        """The base-line values, a view of ``G``."""
+        return self.G[1:]
+
+    @property
+    def subspace(self) -> UnitSpan:
+        """The span of the base lines, a view of ``X``."""
+        return UnitSpan(space=self.space, base=self.X[1:])
+
+
+def _from_lines(space: OrderedSpace, X: np.ndarray, G: np.ndarray, unit_value: float) -> PartialFunctional:
+    """Partial functional over stacked lines: the pairings of every line and
+    the full consistency scan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        AT = np.ascontiguousarray(matvecs(space.cone.rows, X).T)
+    return PartialFunctional(space, X, G, AT, unit_value, _consistency_witness(space, AT, G, unit_value))
 
 
 def partial_functional(
@@ -215,27 +197,28 @@ def partial_functional(
     required; pass ``strict=False`` to hold inconsistent data for diagnosis.
     """
     base, vals = _canonical_lines(space, points, values, unit_value)
-    pf = PartialFunctional(subspace=UnitSpan(space=space, base=base), values=vals, unit_value=unit_value)
+    if unit_value < 0:
+        raise ValueError("unit_value must be nonnegative (order preservation on the axis line)")
+    X = np.vstack([np.zeros(space.dim), base])
+    pf = _from_lines(space, X, np.concatenate([[0.0], vals]), float(unit_value))
     if strict and not pf.consistent:
         raise ValueError(f"inconsistent partial functional: {pf._witness}")
     return pf
 
 
-def _consistency_witness(pf: PartialFunctional, tol: float = TOL):
-    """First violated pairwise inequality, or None.
+def _consistency_witness(space: OrderedSpace, AT: np.ndarray, G: np.ndarray, c: float):
+    """First violated pairwise inequality at ``TOL``, or None.
 
     Line ``j`` dominates line ``i`` once shifted up by the threshold
     ``t_ij = inf { t : x_j + t*unit >= x_i }``, the greatest ratio
     ``rows @ (x_i - x_j) / pairings``, so the values must satisfy
     ``g_j + t_ij * c >= g_i``.
     """
-    AT, G = pf.AT, pf.G
-    c = pf.unit_value
-    pairings = pf.space.unit_pairings[:, None]
+    pairings = space.unit_pairings[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i in range(len(G)):
             t = ((AT[:, i : i + 1] - AT) / pairings).max(axis=0)
-            violated = G + t * c < G[i] - tol
+            violated = G + t * c < G[i] - TOL
             violated[i] = False
             js = np.flatnonzero(violated)
             if js.size:
@@ -276,15 +259,12 @@ def _last_line_witness(space: OrderedSpace, AT: np.ndarray, G: np.ndarray, c: fl
     return None
 
 
-def check_partial_consistency(pf: PartialFunctional, tol: float = TOL) -> PropertyReport:
-    """Report on the pairwise order-consistency inequalities of ``pf``.
-
-    At the default ``tol`` this is the witness found at construction.
-    """
-    witness = pf._witness if tol == TOL else _consistency_witness(pf, tol)
-    n_pairs = (pf.subspace.m + 1) * pf.subspace.m
+def check_partial_consistency(pf: PartialFunctional) -> PropertyReport:
+    """Report on the pairwise order-consistency inequalities of ``pf``: the
+    witness found at construction."""
+    k = len(pf.G)
     return PropertyReport(
-        name="partial_consistency", passed=witness is None, samples=max(n_pairs, 1), witness=witness
+        name="partial_consistency", passed=pf.consistent, samples=max(k * (k - 1), 1), witness=pf._witness
     )
 
 
@@ -313,7 +293,7 @@ def _fold_min(v: np.ndarray) -> float:
     return float(v[np.argmin(v)])
 
 
-def extension_interval(pf: PartialFunctional, y, tol: float = TOL) -> ExtensionInterval:
+def extension_interval(pf: PartialFunctional, y) -> ExtensionInterval:
     """Exact admissible interval for ``f(y)``.
 
     Per line ``i``, the part of the line above ``y`` starts at the ray
@@ -330,7 +310,7 @@ def extension_interval(pf: PartialFunctional, y, tol: float = TOL) -> ExtensionI
         ratios = ((pf.space.cone.rows @ y)[:, None] - pf.AT) / pf.space.unit_pairings[:, None]
         p_plus = _fold_min(pf.G + c * ratios.max(axis=0))
         p_minus = -_fold_min(-(pf.G + c * ratios.min(axis=0)))
-    if p_minus > p_plus + tol:
+    if p_minus > p_plus + TOL:
         raise ValueError(
             f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
         )
@@ -340,7 +320,7 @@ def extension_interval(pf: PartialFunctional, y, tol: float = TOL) -> ExtensionI
 _RULES = ("lower", "upper", "midpoint", "given")
 
 
-def _pick_value(interval: ExtensionInterval, rule: str, value, tol: float) -> float:
+def _pick_value(interval: ExtensionInterval, rule: str, value) -> float:
     if rule == "lower":
         return interval.p_minus
     if rule == "upper":
@@ -351,7 +331,7 @@ def _pick_value(interval: ExtensionInterval, rule: str, value, tol: float) -> fl
         if value is None:
             raise ValueError("rule 'given' requires a value")
         p = float(value)
-        if not interval.p_minus - tol <= p <= interval.p_plus + tol:  # NaN is outside too
+        if not interval.p_minus - TOL <= p <= interval.p_plus + TOL:  # NaN is outside too
             raise ValueError(
                 f"value {p} outside the admissible interval [{interval.p_minus}, {interval.p_plus}]"
             )
@@ -359,7 +339,7 @@ def _pick_value(interval: ExtensionInterval, rule: str, value, tol: float) -> fl
     raise ValueError(f"unknown extension rule {rule!r}; expected one of {_RULES}")
 
 
-def _step(pf: PartialFunctional, y, rule: str, value, tol: float):
+def _step(pf: PartialFunctional, y, rule: str, value):
     """One extension step: None for a target already in the span of ``pf``,
     else ``(extended, interval, chosen value)``.
 
@@ -370,10 +350,10 @@ def _step(pf: PartialFunctional, y, rule: str, value, tol: float):
     already in the consistent ``pf``.
     """
     y = as_vec(y, pf.space.dim)
-    if span_contains(pf.subspace, y, tol):
+    if span_contains(pf.subspace, y):
         return None
-    interval = extension_interval(pf, y, tol)
-    p = _pick_value(interval, rule, value, tol)
+    interval = extension_interval(pf, y)
+    p = _pick_value(interval, rule, value)
     rep, mu = canonicalize(pf.space, y)
     X = np.vstack([pf.X, rep])
     G = np.append(pf.G, p - mu * pf.unit_value)
@@ -382,28 +362,26 @@ def _step(pf: PartialFunctional, y, rule: str, value, tol: float):
     witness = _last_line_witness(pf.space, AT, G, pf.unit_value)
     if witness is not None:
         raise ValueError(f"inconsistent partial functional: {witness}")
-    return PartialFunctional._stacked(pf.space, X, G, AT, pf.unit_value, witness), interval, p
+    return PartialFunctional(pf.space, X, G, AT, pf.unit_value, None), interval, p
 
 
-def extend_one(
-    pf: PartialFunctional, y, rule: str = "midpoint", value=None, tol: float = TOL
-) -> PartialFunctional:
+def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> PartialFunctional:
     """Extend ``pf`` by one point off its span; the restriction to the old
     lines is untouched and the result stays consistent."""
-    step = _step(pf, y, rule, value, tol)
+    step = _step(pf, y, rule, value)
     if step is None:
         raise ValueError("target point already lies in the span")
     return step[0]
 
 
-def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None, tol: float = TOL) -> PartialFunctional:
+def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None) -> PartialFunctional:
     """Fold :func:`extend_one` over the targets, skipping points already spanned.
 
     The fold order matters with the midpoint rule: earlier choices narrow
     later intervals.  Any order yields a consistent result.
     """
     for y in ys:
-        step = _step(pf, y, rule, value, tol)
+        step = _step(pf, y, rule, value)
         if step is not None:
             pf = step[0]
     return pf

@@ -352,7 +352,13 @@ def graph_check(
     return PropertyReport(name="graph_shift_closure", passed=False, samples=k + 1, witness=witness)
 
 
-def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng, tol: float):
+PREIMAGE_TOL = 1e-6
+"""Slack of the openness probes: a preimage search stops at a residual
+``|T(x) - y|`` at or below it, and :func:`open_ball_image_check` lets an
+image norm exceed ``epsilon`` by it."""
+
+
+def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng):
     """Multi-start coordinate descent for ``x`` in the open ball around
     ``x0`` with ``T(x) = y``; returns ``(x or None, best residual, evals)``.
 
@@ -389,7 +395,7 @@ def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng, tol: 
         x = s.copy()
         val = residual(x)
         step = epsilon / 2.0
-        while evals < budget and val > tol and step > 1e-14:
+        while evals < budget and val > PREIMAGE_TOL and step > 1e-14:
             improved = False
             for i in range(dom.dim):
                 for sign in (1.0, -1.0):
@@ -402,15 +408,15 @@ def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng, tol: 
                         x, val = cand, v
                         improved = True
                         break
-                if evals >= budget or val <= tol:
+                if evals >= budget or val <= PREIMAGE_TOL:
                     break
             if not improved:
                 step *= 0.5
         if val < best:
             best, best_x = val, x
-        if best <= tol:
+        if best <= PREIMAGE_TOL:
             return best_x, best, evals
-    return (best_x if best <= tol else None), best, evals
+    return (best_x if best <= PREIMAGE_TOL else None), best, evals
 
 
 @dataclass(frozen=True)
@@ -445,7 +451,6 @@ def openness_check(
     targets: int = 32,
     budget: int = 1000,
     seed: int = 0,
-    tol: float = 1e-6,
 ) -> OpennessVerdict:
     """Probe openness of ``T`` at ``x0`` relative to its image.
 
@@ -486,7 +491,7 @@ def openness_check(
     evals_total = 0
     witness = best_residual = None
     for y in sampled:
-        found, best, evals = _preimage_search(T, y, x0, epsilon, budget, rng, tol)
+        found, best, evals = _preimage_search(T, y, x0, epsilon, budget, rng)
         evals_total += evals
         if found is None:
             witness, best_residual = list(map(float, y)), float(best)
@@ -513,7 +518,6 @@ def open_ball_image_check(
     seed: int = 0,
     n: int = 64,
     budget: int = 800,
-    tol: float = 1e-6,
 ) -> PropertyReport:
     """For a declared-onto ``T`` with ``T(unit_E)`` the codomain unit, the
     image of the radius-``eps`` ball at zero is the radius-``eps`` ball at
@@ -543,7 +547,7 @@ def open_ball_image_check(
     zero_cod = np.zeros(T.codomain.dim)
     for x in sampling.ball_points(T.domain, zero_dom, epsilon, n, rng):
         nrm = order_norm(T.codomain, apply(T, x))
-        if nrm >= epsilon + tol:
+        if nrm >= epsilon + PREIMAGE_TOL:
             return PropertyReport(
                 name="open_ball_image",
                 passed=False,
@@ -551,7 +555,7 @@ def open_ball_image_check(
                 witness={"side": "forward", "x": list(map(float, x)), "image_norm": float(nrm)},
             )
     for y in sampling.ball_points(T.codomain, zero_cod, epsilon, n, rng):
-        found, best, _ = _preimage_search(T, y, zero_dom, epsilon, budget, rng, tol)
+        found, best, _ = _preimage_search(T, y, zero_dom, epsilon, budget, rng)
         if found is None:
             return PropertyReport(
                 name="open_ball_image",

@@ -6,8 +6,6 @@ the package is reproducible from a single integer seed.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .spaces import TOL, OrderedSpace, as_rows, cone_contains_rows, leq, order_norm, order_norms
@@ -162,9 +160,3 @@ def _pairs_within_arrays(space: OrderedSpace, delta: float, n: int, rng):
 def pairs_within(space: OrderedSpace, delta: float, n: int, rng):
     """``n`` pairs with ``order_norm(x - y) < delta``, ``x`` in the box ``[-2, 2]^dim``."""
     return list(zip(*_pairs_within_arrays(space, delta, n, rng)))
-
-
-def grid_comparable_pairs(space: OrderedSpace):
-    """Every comparable pair on the grid ``{0, 0.5, 1}^dim``; exhaustive for dim <= 3."""
-    pts = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=space.dim)))
-    return [(x, y) for x in pts for y in pts if leq(space, x, y)]

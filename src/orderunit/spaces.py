@@ -150,10 +150,10 @@ def cone_contains(space: OrderedSpace, x, tol: float = TOL) -> bool:
     return bool(np.all(space.cone.rows @ v >= -tol))
 
 
-def interior_contains(space: OrderedSpace, x, tol: float = TOL) -> bool:
-    """Strict membership: every half-space functional strictly positive."""
+def interior_contains(space: OrderedSpace, x) -> bool:
+    """Strict membership: every half-space functional above ``TOL``."""
     v = as_vec(x, space.dim)
-    return bool(np.all(space.cone.rows @ v > tol))
+    return bool(np.all(space.cone.rows @ v > TOL))
 
 
 def cone_contains_rows(space: OrderedSpace, X: np.ndarray, tol: float = TOL) -> np.ndarray:
@@ -161,9 +161,9 @@ def cone_contains_rows(space: OrderedSpace, X: np.ndarray, tol: float = TOL) -> 
     return np.all(matvecs(space.cone.rows, X) >= -tol, axis=1)
 
 
-def leq(space: OrderedSpace, x, y, tol: float = TOL) -> bool:
+def leq(space: OrderedSpace, x, y) -> bool:
     """Partial order: ``x <= y`` iff ``y - x`` lies in the cone."""
-    return cone_contains(space, as_vec(y, space.dim) - as_vec(x, space.dim), tol=tol)
+    return cone_contains(space, as_vec(y, space.dim) - as_vec(x, space.dim))
 
 
 def order_norm(space: OrderedSpace, x) -> float:
@@ -185,7 +185,7 @@ def order_norms(space: OrderedSpace, X: np.ndarray) -> np.ndarray:
     return ratios.max(axis=1)
 
 
-def nbhd_contains(space: OrderedSpace, z, delta: float, x, tol: float = TOL) -> bool:
+def nbhd_contains(space: OrderedSpace, z, delta: float, x) -> bool:
     """Is ``x`` in the open order ball of radius ``delta`` around ``z``?
 
     Equivalent to ``order_norm(x - z) < delta``; implemented through the
@@ -195,9 +195,7 @@ def nbhd_contains(space: OrderedSpace, z, delta: float, x, tol: float = TOL) -> 
         raise ValueError("delta must be positive")
     d = as_vec(x, space.dim) - as_vec(z, space.dim)
     shift = delta * space.unit
-    return interior_contains(space, shift + d, tol=tol) and interior_contains(
-        space, shift - d, tol=tol
-    )
+    return interior_contains(space, shift + d) and interior_contains(space, shift - d)
 
 
 def product(E: OrderedSpace, F: OrderedSpace) -> OrderedSpace:

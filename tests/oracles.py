@@ -6,6 +6,7 @@ suprema, monotone closure by lattice sweep.  None of it shares a code path
 with the closed forms it cross-checks.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -365,6 +366,12 @@ def convergent_monotone_capacities(rng, n_terms=100, n=3, ratio=0.85, scale=0.08
         Capacity(n=n, values=target.values + scale * ratio**k * direction)
         for k in range(n_terms)
     ]
+
+
+def grid_comparable_pairs(space):
+    """Every comparable pair on the grid ``{0, 0.5, 1}^dim``; exhaustive for dim <= 3."""
+    pts = np.array(list(itertools.product((0.0, 0.5, 1.0), repeat=space.dim)))
+    return [(x, y) for x in pts for y in pts if cone_contains(space, y - x)]
 
 
 # Per-row references for the batched evaluators, law checkers and samplers:

@@ -122,18 +122,18 @@ class TestScalarReferences:
         assert span.base.shape == span_base.shape and _bits(span.base) == _bits(span_base)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=partial_data(), tol=st.sampled_from((1e-9, 0.0, 1e-3)))
-    def test_consistency_witness(self, data, tol):
+    @given(data=partial_data())
+    def test_consistency_witness(self, data):
         pf = _build(*data)
         if pf is None:
             return
-        expected = consistency_witness_by_pairings(pf, tol)
-        report = ou.check_partial_consistency(pf, tol)
+        expected = consistency_witness_by_pairings(pf)
+        report = ou.check_partial_consistency(pf)
         assert repr(report.witness) == repr(expected)
-        assert pf.consistent == (consistency_witness_by_pairings(pf) is None)
+        assert pf.consistent == (expected is None)
         if not pf.consistent:
             space, points, values, c = data
-            message = f"inconsistent partial functional: {consistency_witness_by_pairings(pf)}"
+            message = f"inconsistent partial functional: {expected}"
             with pytest.raises(ValueError) as got:
                 ou.partial_functional(space, points, values, c)
             assert str(got.value) == message
@@ -210,35 +210,30 @@ class TestExtensionStep:
         rule=st.sampled_from(("lower", "upper", "midpoint", "given")),
         end=st.sampled_from(("p_minus", "p_plus")),
         offset=st.sampled_from((-2e-6, -5e-7, -2e-9, -5e-10, 0.0, 5e-10, 2e-9, 5e-7, 2e-6)),
-        tol=st.sampled_from((ou.TOL, 1e-6)),
     )
-    def test_step(self, data, rule, end, offset, tol):
+    def test_step(self, data, rule, end, offset):
         pf, y = data
         m, space = pf.subspace.m, pf.space
-        if ou.span_contains(pf.subspace, y, tol):
+        if ou.span_contains(pf.subspace, y):
             return
-        interval = ou.extension_interval(pf, y, tol)
+        interval = ou.extension_interval(pf, y)
         value = getattr(interval, end) + offset if rule == "given" else None
         p = {"lower": interval.p_minus, "upper": interval.p_plus, "midpoint": interval.midpoint, "given": value}[rule]
         rep, mu = ou.canonicalize(space, y)
         g = p - mu * pf.unit_value
         # the result the step must describe, checked by the full scan at construction
-        full = ou.PartialFunctional(
-            subspace=ou.UnitSpan(space=space, base=np.vstack([pf.subspace.base, rep])),
-            values=np.append(pf.values, g),
-            unit_value=pf.unit_value,
-        )
+        full = ou.extension._from_lines(space, np.vstack([pf.X, rep]), np.append(pf.G, g), pf.unit_value)
         assert repr(full._witness) == repr(consistency_witness_by_pairings(full))
-        if not interval.p_minus - tol <= p <= interval.p_plus + tol:
+        if not interval.p_minus - ou.TOL <= p <= interval.p_plus + ou.TOL:
             with pytest.raises(ValueError, match="outside the admissible interval"):
-                ou.extend_one(pf, y, rule=rule, value=value, tol=tol)
+                ou.extend_one(pf, y, rule=rule, value=value)
             return
         if not full.consistent:
             with pytest.raises(ValueError) as got:
-                ou.extend_one(pf, y, rule=rule, value=value, tol=tol)
+                ou.extend_one(pf, y, rule=rule, value=value)
             assert str(got.value) == f"inconsistent partial functional: {full._witness}"
             return
-        out = ou.extend_one(pf, y, rule=rule, value=value, tol=tol)
+        out = ou.extend_one(pf, y, rule=rule, value=value)
         assert out.subspace.m == m + 1 and out.consistent
         assert _bits(out.subspace.base[:m]) == _bits(pf.subspace.base)
         assert _bits(out.values[:m]) == _bits(pf.values)
@@ -246,10 +241,8 @@ class TestExtensionStep:
         assert _bits(out.values[m]) == _bits(g)
         assert _bits(out.X) == _bits(full.X) and _bits(out.G) == _bits(full.G)
         assert out.AT.shape == full.AT.shape and _bits(out.AT) == _bits(full.AT)
-        assert ou.extension._consistency_witness(out) is None
+        assert ou.extension._consistency_witness(space, out.AT, out.G, out.unit_value) is None
         assert consistency_witness_by_pairings(out) is None
-        for t in (0.0, 1e-3):
-            assert repr(ou.check_partial_consistency(out, t).witness) == repr(consistency_witness_by_pairings(out, t))
 
     @settings(max_examples=100, deadline=None)
     @given(data=step_data(), rule=st.sampled_from(("lower", "upper", "midpoint")), k=st.integers(1, 6))
@@ -266,6 +259,10 @@ class TestExtensionStep:
         # the last target shares the first one's line
         assert out.subspace.m == pf.subspace.m + k + (not ou.span_contains(pf.subspace, y))
         assert out.consistent and consistency_witness_by_pairings(out) is None
+        # the incremental steps leave what the full scan builds over the same lines
+        full = ou.extension._from_lines(out.space, out.X, out.G, out.unit_value)
+        assert full.AT.shape == out.AT.shape and _bits(full.AT) == _bits(out.AT)
+        assert full._witness is None
 
 
 def _within(got, want, values=()):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orderunit as ou
-from oracles import choquet_layer_cake, mc_sup_abs, random_monotone_capacity
+from oracles import choquet_layer_cake, grid_comparable_pairs, mc_sup_abs, random_monotone_capacity
 
 unit_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
@@ -159,7 +159,7 @@ class TestOrderPreserving:
         assert report.witness["f_y"] == pytest.approx(0.5, abs=1e-12)
 
     def test_choquet_monotone_passes_on_grid(self, orth3, rng):
-        pairs = ou.sampling.grid_comparable_pairs(orth3)
+        pairs = grid_comparable_pairs(orth3)
         for _ in range(10):
             cap = random_monotone_capacity(3, rng)
             f = ou.choquet_functional(orth3, cap)
@@ -168,10 +168,10 @@ class TestOrderPreserving:
     def test_non_monotone_capacity_fails_on_grid(self, orth2, orth3, rng):
         # monotone <=> order preserving, exhaustively on the half-step grid
         bad2 = ou.capacity_from_dict(2, {1: 0.9, 2: 0.6, 3: 0.7})
-        pairs2 = ou.sampling.grid_comparable_pairs(orth2)
+        pairs2 = grid_comparable_pairs(orth2)
         assert not ou.check_order_preserving(ou.choquet_functional(orth2, bad2), pairs=pairs2).passed
         bad3 = ou.capacity_from_dict(3, {1: 0.5, 2: 0.1, 4: 0.1, 3: 0.2, 5: 0.6, 6: 0.3, 7: 1.0})
-        pairs3 = ou.sampling.grid_comparable_pairs(orth3)
+        pairs3 = grid_comparable_pairs(orth3)
         assert not ou.check_order_preserving(ou.choquet_functional(orth3, bad3), pairs=pairs3).passed
 
 
