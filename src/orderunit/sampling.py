@@ -1,7 +1,10 @@
 """Seeded samplers shared by the property checkers, the CLI and the tests.
 
 All functions take an explicit ``numpy.random.Generator`` so every check in
-the package is reproducible from a single integer seed.
+the package is reproducible from a single integer seed.  The ball samplers
+draw in whole blocks: all radii, then all directions, then the redraws of
+the rejected directions in row order, then all lengths (see
+:func:`_ball_draws`).
 """
 
 from __future__ import annotations
@@ -25,46 +28,26 @@ def _ball_draws(space: OrderedSpace, n: int, rng, radius=None, scale: float = 1.
     """``(radii, offsets)``: ``n`` offsets with ``order_norm(offsets[k]) < radii[k]``
     (``radii`` is ``radius`` itself when one is given).
 
-    Every ball sampler draws through here, one loop.  Each draw takes from
-    ``rng``, in this order: with ``radius`` None, a radius
-    ``|normal()| * scale + 1e-12``; a direction ``normal(size=dim)``, drawn
-    again until its order norm is finite and positive; and a signed length
-    ``uniform(-1, 1)``.  Ziggurat draws use a variable part of the stream, so
-    the draws stay a loop, but the norms and the arithmetic on the draws run
-    on the stacked draws afterwards, bit for bit the per-draw arithmetic.
-    An interior unit rejects a normal direction with probability zero, so
-    the loop first draws without checking; only when a stacked norm shows
-    a rejection does the generator go back and draw again, checking each
-    direction, as a per-draw loop would have from the start.
+    Every ball sampler draws through here, in whole blocks taken from
+    ``rng`` in this order: with ``radius`` None, ``n`` radii
+    ``|normal()| * scale + 1e-12``; ``n`` directions ``normal(size=dim)``;
+    the redraws of the rejected directions (order norm not finite and
+    positive), one row at a time in row order, each until it is accepted;
+    and ``n`` signed lengths ``uniform(-1, 1)``.  Each block is bit for bit
+    that many scalar draws, so :func:`ball_point` takes a direction, its
+    redraws and then its length.
     """
-    start = rng.bit_generator.state
-    radii, dirs, us = _draw_loop(space, n, rng, radius, scale, checked=False)
+    radii = np.abs(rng.standard_normal(n)) * scale + 1e-12 if radius is None else radius
+    dirs = rng.normal(size=(n, space.dim))
     norms = order_norms(space, dirs)
-    if not ((0.0 < norms) & (norms < np.inf)).all():
-        rng.bit_generator.state = start
-        radii, dirs, us = _draw_loop(space, n, rng, radius, scale, checked=True)
-        norms = order_norms(space, dirs)
-    lengths = (-1.0 + 2.0 * us) * radii * (1.0 - 1e-12)
+    for k in np.flatnonzero(~((0.0 < norms) & (norms < np.inf))):
+        if np.any(space.unit_pairings <= TOL):  # not interior (see interior_contains): no draw may be accepted
+            raise ValueError("ball sampling needs an interior order unit; a cone row pairs to <= TOL with it")
+        while not 0.0 < norms[k] < np.inf:
+            dirs[k] = rng.normal(size=space.dim)
+            norms[k] = order_norm(space, dirs[k])
+    lengths = (-1.0 + 2.0 * rng.random(n)) * radii * (1.0 - 1e-12)  # uniform(-1, 1) is -1 + 2 * random()
     return radii, dirs * (lengths / norms)[:, None]
-
-
-def _draw_loop(space: OrderedSpace, n: int, rng, radius, scale: float, checked: bool):
-    """The raw draws of :func:`_ball_draws` as ``(radii, directions, randoms)``;
-    ``checked`` redraws a direction whose order norm is not finite and positive."""
-    dim, normal, standard_normal, random = space.dim, rng.normal, rng.standard_normal, rng.random
-    radii, dirs, us = [], [], []
-    for _ in range(n):
-        if radius is None:
-            radii.append(abs(standard_normal()) * scale + 1e-12)  # |normal()|: only the sign differs
-        d = normal(size=dim)
-        while checked and not 0.0 < order_norm(space, d) < np.inf:
-            if np.any(space.unit_pairings <= TOL):  # not interior (see interior_contains): no draw may be accepted
-                raise ValueError("ball sampling needs an interior order unit; a cone row pairs to <= TOL with it")
-            d = normal(size=dim)
-        dirs.append(d)
-        us.append(random())  # uniform(-1, 1) is -1 + 2 * random(), one draw
-    radii = np.array(radii) if radius is None else radius
-    return radii, np.array(dirs).reshape(n, dim), np.array(us)
 
 
 def ball_point(space: OrderedSpace, center, radius: float, rng) -> np.ndarray:

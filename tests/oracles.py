@@ -488,20 +488,38 @@ def equicontinuity_by_loop(family, eps, pairs, cap=1e6, tol=TOL):
 
 
 def ball_point_by_loop(space, center, radius, rng):
+    """One ball point in the single-draw order: a direction, drawn again
+    until its order norm is finite and positive, then a signed length."""
     center = np.asarray(center, dtype=float)
     while True:
         d = rng.normal(size=space.dim)
         nrm = order_norm(space, d)
         if np.isfinite(nrm) and nrm > 0:
             break
-        if np.any(space.unit_pairings <= 0):
+        if np.any(space.unit_pairings <= TOL):
             raise ValueError("ball sampling needs an interior order unit")
     t = rng.uniform(-1.0, 1.0) * radius * (1.0 - 1e-12)
     return center + d * (t / nrm)
 
 
+def ball_offsets_by_loop(space, n, rng, radius=None, scale=1.0):
+    """``(radii, offsets)`` of ``n`` ball draws, one generator call per value:
+    with ``radius`` None all ``n`` radii, then all ``n`` directions, then the
+    redraws of the rejected directions in row order, then all ``n`` lengths."""
+    radii = [radius] * n if radius is not None else [abs(rng.normal()) * scale + 1e-12 for _ in range(n)]
+    dirs = [rng.normal(size=space.dim) for _ in range(n)]
+    for k in range(n):
+        while not 0.0 < order_norm(space, dirs[k]) < np.inf:
+            if np.any(space.unit_pairings <= TOL):
+                raise ValueError("ball sampling needs an interior order unit")
+            dirs[k] = rng.normal(size=space.dim)
+    lengths = [rng.uniform(-1.0, 1.0) * r * (1.0 - 1e-12) for r in radii]
+    return radii, [d * (t / order_norm(space, d)) for d, t in zip(dirs, lengths)]
+
+
 def ball_points_by_loop(space, center, radius, n, rng):
-    points = [ball_point_by_loop(space, center, radius, rng) for _ in range(n)]
+    center = np.asarray(center, dtype=float)
+    points = [center + w for w in ball_offsets_by_loop(space, n, rng, radius=radius)[1]]
     return np.array(points).reshape(n, space.dim)
 
 
@@ -512,11 +530,10 @@ def cone_points_by_loop(space, n, rng, scale=2.0):
             break
         if cone_contains(space, c):
             out.append(c)
-    while len(out) < n:
-        lam = abs(rng.normal()) * scale + 1e-12
-        w = ball_point_by_loop(space, np.zeros(space.dim), lam, rng)
-        out.append(lam * space.unit + w)
-    return np.array(out[:n]).reshape(n, space.dim)
+    zero = np.zeros(space.dim)
+    lams, offsets = ball_offsets_by_loop(space, n - len(out), rng, scale=scale)
+    out.extend(lam * space.unit + (zero + w) for lam, w in zip(lams, offsets))
+    return np.array(out).reshape(n, space.dim)
 
 
 def comparable_pairs_by_loop(space, n, rng, scale=2.0, include_probes=True):
@@ -530,7 +547,7 @@ def comparable_pairs_by_loop(space, n, rng, scale=2.0, include_probes=True):
 
 def pairs_within_by_loop(space, delta, n, rng, half_width=2.0):
     xs = box_points(space, n, rng, half_width=half_width)
-    return [(x, x + ball_point_by_loop(space, np.zeros(space.dim), delta, rng)) for x in xs]
+    return [(x, x + y) for x, y in zip(xs, ball_points_by_loop(space, np.zeros(space.dim), delta, n, rng))]
 
 
 def norm_bounds_by_loop(space, samples=256, seed=0):

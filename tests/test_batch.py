@@ -18,6 +18,7 @@ import orderunit as ou
 from orderunit import cli, sampling
 from oracles import (
     apply_by_rows,
+    ball_point_by_loop,
     ball_points_by_loop,
     comparable_pairs_by_loop,
     cone_points_by_loop,
@@ -270,6 +271,26 @@ class TestBatchSamplers:
             assert same(sampling.ball_points(space, center, radius, n, rng), ball_points_by_loop(space, center, radius, n, ref))
             assert rng.bit_generator.state == ref.bit_generator.state
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, radius=st.sampled_from([1e-3, 1.0, 7.5]))
+    def test_ball_point_keeps_the_single_draw_order(self, seed, radius):
+        """A direction, its redraws, then the length: the openness searches' stream."""
+        for space in spaces():
+            center = np.arange(space.dim) - 0.5
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert same(sampling.ball_point(space, center, radius, rng), ball_point_by_loop(space, center, radius, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_the_overflow_row_reaches_the_redraws(self):
+        """About 7 % of the directions overflow the first row, so 64 draws take more than the blocks."""
+        space, n = spaces()[0], 64
+        rng, blocks = np.random.default_rng(0), np.random.default_rng(0)
+        sampling.ball_points(space, np.zeros(2), 1.0, n, rng)
+        blocks.normal(size=(n, 2))
+        blocks.random(n)
+        assert rng.bit_generator.state != blocks.bit_generator.state
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 5), seed=seeds)
     def test_norm_bounds_witness(self, data, dim, seed):
@@ -284,6 +305,46 @@ class TestBatchSamplers:
         entry = ou.validate_space(space, samples=samples, seed=seed).checks[2]
         assert json.dumps(entry["detail"]) == json.dumps(expected)
         assert entry["passed"] == (expected is None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestSamplerInvariants:
+    """What the samplers promise, whatever order they draw in.
+
+    The order norms are taken of the offsets divided by the radius: the
+    ``1e308`` row of the first space overflows on offsets past about 1.8,
+    and the norm is positively homogeneous.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=sizes, radius=st.sampled_from([1e-3, 1.0, 7.5]))
+    def test_ball_points_lie_in_the_open_ball(self, seed, n, radius):
+        for space in spaces():
+            center = np.arange(space.dim) - 0.5
+            for p in sampling.ball_points(space, center, radius, n, seed):
+                assert ou.order_norm(space, (p - center) / radius) < 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=sizes)
+    def test_cone_points_lie_in_the_cone(self, seed, n):
+        for space in spaces():
+            points = sampling.cone_points(space, n, seed)
+            assert points.shape == (n, space.dim)
+            assert all(ou.cone_contains(space, p) for p in points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=sizes)
+    def test_comparable_pairs_are_ordered(self, seed, n):
+        for space in spaces():
+            pairs = sampling.comparable_pairs(space, n, seed)
+            assert len(pairs) == n and all(ou.leq(space, x, y) for x, y in pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, n=sizes, delta=st.sampled_from([1e-3, 0.5, 3.0]))
+    def test_pairs_within_are_within_delta(self, seed, n, delta):
+        for space in spaces():
+            pairs = sampling.pairs_within(space, delta, n, seed)
+            assert len(pairs) == n and all(ou.order_norm(space, (y - x) / delta) < 1.0 for x, y in pairs)
 
 
 class TestEmptyInputs:

@@ -1,3 +1,12 @@
+"""The command-line interface: exit codes, formats and the gallery bytes.
+
+``GALLERY_SEED7`` (``tests/data/gallery_seed7.json``) holds the bytes of
+``gallery --seed 7 --format json``.  Regenerate it (only when a change to the
+gallery output is intended) with
+
+    PYTHONPATH=src python -m orderunit gallery --seed 7 --format json > tests/data/gallery_seed7.json
+"""
+
 import json
 import subprocess
 import sys

@@ -229,6 +229,18 @@ class TestBoundaryUnitSampling:
         with pytest.raises(ValueError, match="interior order unit"):
             ou.sampling.cone_points(space, 8, 0)
 
+    @pytest.mark.parametrize("unit", [[1.0, 0.0], [-1.0, -1.0], [1e-320, 1.0]])
+    def test_ball_points_raise_instead_of_looping(self, unit):
+        space = ou.orthant(2, unit=unit)
+        with pytest.raises(ValueError, match="interior order unit"):
+            ou.sampling.ball_points(space, np.zeros(2), 1.0, 8, 0)
+
+    @pytest.mark.parametrize("unit", [[1.0, 0.0], [-1.0, -1.0], [1e-320, 1.0]])
+    def test_pairs_within_raise_instead_of_looping(self, unit):
+        space = ou.orthant(2, unit=unit)
+        with pytest.raises(ValueError, match="interior order unit"):
+            ou.sampling.pairs_within(space, 0.5, 8, 0)
+
 
 class TestJson:
     def test_roundtrip_orthant(self, orth2):
