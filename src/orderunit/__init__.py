@@ -53,6 +53,7 @@ from .functionals import (
 )
 from .extension import (
     ExtensionInterval,
+    NonFiniteError,
     PartialFunctional,
     UnitSpan,
     canonical_extension,

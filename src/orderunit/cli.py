@@ -22,6 +22,7 @@ import numpy as np
 
 from .dual import subsequence_limit
 from .extension import (
+    NonFiniteError,
     _step,
     check_partial_consistency,
     extension_interval,
@@ -176,6 +177,8 @@ def run_extend(args) -> tuple[dict, int]:
         y = _parse_point(text)
         try:
             step = _step(pf, y, args.rule, args.value)
+        except NonFiniteError:
+            raise  # exit 1 with one error line, as for any result that is not finite
         except ValueError as exc:
             extension_interval(pf, y)  # input errors (a wrong length, an empty interval) raise again: exit 2
             entries.append({"target": y, "error": str(exc)})
@@ -426,7 +429,7 @@ def main(argv=None) -> int:
         payload, code = args.handler(args)
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_VIOLATION if isinstance(exc, NonFiniteError) else EXIT_INPUT
     try:
         text = _render(payload, args.fmt, time.perf_counter() - start)
     except ValueError as exc:

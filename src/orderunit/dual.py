@@ -29,9 +29,8 @@ from .functionals import (
     check_order_preserving,
     check_weak_additivity,
     choquet_functional,
-    evaluate,
 )
-from .spaces import TOL, OrderedSpace, as_vec, order_norm
+from .spaces import TOL, OrderedSpace, as_rows, as_vec, order_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +53,8 @@ class WeakNeighborhood:
 
 def weak_nbhd_contains(nbhd: WeakNeighborhood, g: Functional) -> bool:
     """Is ``g`` within ``eps`` of the center at every probe?"""
-    f = nbhd.center
-    return all(abs(evaluate(f, p) - evaluate(g, p)) < nbhd.eps for p in nbhd.probes)
+    P = as_rows(nbhd.probes, g.space.dim)
+    return bool(np.all(np.abs(nbhd.center.batch(P) - g.batch(P)) < nbhd.eps))
 
 
 def absorbing_factor(space: OrderedSpace, x, eps: float) -> float:
@@ -75,19 +74,17 @@ def dense_sequence(space: OrderedSpace, limit: int = 64) -> list[np.ndarray]:
 
     Level ``j`` contributes the vectors with coordinates ``k / 2**j`` for
     ``|k| <= 2**(j+1)``, enumerated lexicographically; points seen at an
-    earlier level are skipped.  The levels, up to ``DYADIC_DEPTH``, exhaust
-    the dyadic rationals of an ever-growing box, so the full sequence is
-    dense in every bounded region.
+    earlier level, those with every ``k`` even, are skipped.  The levels, up
+    to ``DYADIC_DEPTH``, exhaust the dyadic rationals of an ever-growing box,
+    so the full sequence is dense in every bounded region.
     """
-    out, seen = [], set()
+    out = []
     for j in range(DYADIC_DEPTH + 1):
         step = 1.0 / 2**j
         ks = range(-(2 ** (j + 1)), 2 ** (j + 1) + 1)
         for combo in itertools.product(ks, repeat=space.dim):
-            key = tuple(k * 2 ** (DYADIC_DEPTH - j) for k in combo)
-            if key in seen:
+            if j and not any(k & 1 for k in combo):
                 continue
-            seen.add(key)
             out.append(np.array(combo, dtype=float) * step)
             if len(out) >= limit:
                 return out
@@ -96,12 +93,13 @@ def dense_sequence(space: OrderedSpace, limit: int = 64) -> list[np.ndarray]:
 
 def weak_metric(f: Functional, g: Functional, seq=None, truncation: int = 64) -> float:
     """Summable pointwise metric over a dense probe sequence:
-    ``sum_k 2**-k * min(1, |f(x_k) - g(x_k)|)``."""
+    ``sum_k 2**-k * min(1, |f(x_k) - g(x_k)|)``, summed in order of ``k``."""
     if seq is None:
         seq = dense_sequence(f.space, limit=truncation)
+    X = as_rows(seq[:truncation], f.space.dim)
     total = 0.0
-    for k, x in enumerate(seq[:truncation], start=1):
-        total += 2.0**-k * min(1.0, abs(evaluate(f, x) - evaluate(g, x)))
+    for k, gap in enumerate(np.abs(f.batch(X) - g.batch(X)).tolist(), start=1):
+        total += 2.0**-k * min(1.0, gap)
     return total
 
 
@@ -171,11 +169,9 @@ def subsequence_limit(
             raise ValueError("all capacities must be normalized (value 1 on the full set)")
 
     indices = list(range(len(caps)))
-    free_masks = [m for m in range(1, 2**n - 1)]
-    for mask in free_masks:
+    for mask in range(1, 2**n - 1):  # the free coordinates
         vals = {i: float(caps[i].values[mask]) for i in indices}
-        lo = min(vals.values())
-        hi = max(vals.values())
+        lo, hi = min(vals.values()), max(vals.values())
         while hi - lo > conv_tol:
             mid = 0.5 * (lo + hi)
             lower = [i for i in indices if vals[i] <= mid]
@@ -188,8 +184,7 @@ def subsequence_limit(
                     f"(coordinate mask {mask} exhausted the halving)"
                 )
             indices = chosen
-            lo = min(vals[i] for i in indices)
-            hi = max(vals[i] for i in indices)
+            lo, hi = min(vals[i] for i in indices), max(vals[i] for i in indices)
 
     limit_cap = caps[indices[-1]]
     limit = choquet_functional(space, limit_cap)
@@ -205,8 +200,7 @@ def subsequence_limit(
     }
     membership = check_state(limit, seed=seed)
     checks["limit_state"] = membership.passed
-    tail = distances[-min(3, len(distances)):]
-    checks["metric_tail"] = max(tail) <= 1e-4
+    checks["metric_tail"] = max(distances[-3:]) <= 1e-4
     passed = all(checks.values())
     report = PropertyReport(
         name="subsequence_limit",

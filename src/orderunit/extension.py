@@ -28,7 +28,8 @@ so a query costs one ``rows @ y`` and a subtraction against the stored
 pairings, the consistency scan subtracts stored columns with no matvec per
 pair, and an extension step appends one pairing column.  The two forms are
 equal in exact arithmetic but round differently, by a few units in the last
-place of the larger pairing.
+place of the larger pairing.  A line whose value or pairings overflow
+would bound nothing, so it is refused with :class:`NonFiniteError`.
 
 Beyond one-point and finite-list extension, :func:`canonical_extension`
 turns the endpoint maps themselves into a total functional: both
@@ -39,12 +40,17 @@ additive, order-preserving functional restricting to the given values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functionals import Functional, PropertyReport
 from .spaces import TOL, OrderedSpace, _finite, as_vec, matvecs
+
+
+class NonFiniteError(ValueError):
+    """A line value or cone-row pairing derived from finite input is not finite, so it would bound nothing."""
 
 
 def _unit_component(space: OrderedSpace, v: np.ndarray) -> float:
@@ -182,9 +188,11 @@ class PartialFunctional:
 
 def _from_lines(space: OrderedSpace, X: np.ndarray, G: np.ndarray, unit_value: float) -> PartialFunctional:
     """Partial functional over stacked lines: the pairings of every line and
-    the full consistency scan."""
+    the full consistency scan.  A value or a pairing that is not finite raises."""
     with np.errstate(over="ignore", invalid="ignore"):
         AT = np.ascontiguousarray(matvecs(space.cone.rows, X).T)
+    if not (np.isfinite(AT).all() and np.isfinite(G).all()):
+        raise NonFiniteError("a base line's value or cone-row pairing is not finite")
     return PartialFunctional(space, X, G, AT, unit_value, _consistency_witness(space, AT, G, unit_value))
 
 
@@ -344,10 +352,11 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     else ``(extended, interval, chosen value)``.
 
     An empty interval raises as :func:`extension_interval` does; so do a
-    value the rule cannot pick and a new line that breaks consistency.  The
-    stored lines are carried over as they are; only the inequalities
-    between them and the new line are evaluated, since the others hold
-    already in the consistent ``pf``.
+    value the rule cannot pick, a new line that breaks consistency and, as
+    :class:`NonFiniteError`, a new line whose value or pairings are not
+    finite.  The stored lines are carried over as they are; only the
+    inequalities between them and the new line are evaluated, since the
+    others hold already in the consistent ``pf``.
     """
     y = as_vec(y, pf.space.dim)
     if span_contains(pf.subspace, y):
@@ -355,14 +364,17 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     interval = extension_interval(pf, y)
     p = _pick_value(interval, rule, value)
     rep, mu = canonicalize(pf.space, y)
-    X = np.vstack([pf.X, rep])
-    G = np.append(pf.G, p - mu * pf.unit_value)
+    g = p - mu * pf.unit_value
     with np.errstate(over="ignore", invalid="ignore"):
-        AT = np.column_stack([pf.AT, pf.space.cone.rows @ rep])
+        col = pf.space.cone.rows @ rep
+    if not (math.isfinite(g) and np.isfinite(col).all()):
+        raise NonFiniteError(f"target {y.tolist()}: its line value or a cone-row pairing is not finite")
+    G = np.append(pf.G, g)
+    AT = np.column_stack([pf.AT, col])
     witness = _last_line_witness(pf.space, AT, G, pf.unit_value)
     if witness is not None:
         raise ValueError(f"inconsistent partial functional: {witness}")
-    return PartialFunctional(pf.space, X, G, AT, pf.unit_value, None), interval, p
+    return PartialFunctional(pf.space, np.vstack([pf.X, rep]), G, AT, pf.unit_value, None), interval, p
 
 
 def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> PartialFunctional:

@@ -289,12 +289,16 @@ def _first(failing: np.ndarray):
     return int(hits[0]) if hits.size else None
 
 
-def _shift_report(name: str, batch, unit, unit_image, xs, lams, size, shown, tol: float) -> PropertyReport:
-    """Fails on the first sample ``(x, lam)`` whose shift defect
-    ``batch(x + lam*unit) - batch(x) - lam*unit_image`` has ``size`` above ``tol``
-    (``size`` maps the stacked defects to one number each); the witness gives
-    the defect as ``shown(defect)``."""
-    defects = batch(xs + lams[:, None] * unit) - batch(xs) - np.multiply.outer(lams, unit_image)
+def _shift_report(name: str, batch, space, unit_image, samples, seed: int, n: int, size, shown, tol: float) -> PropertyReport:
+    """Fails on the first sample ``(x, lam)``, given or else ``n`` drawn at ``seed``,
+    whose shift defect ``batch(x + lam*unit) - batch(x) - lam*unit_image`` has
+    ``size`` above ``tol`` (``size`` maps the stacked defects to one number
+    each); the witness gives the defect as ``shown(defect)``."""
+    if samples is None:
+        xs, lams = sampling._shift_arrays(space, n, sampling.rng_from(seed))
+    else:
+        xs, lams = _unzip(samples, space.dim)
+    defects = batch(xs + lams[:, None] * space.unit) - batch(xs) - np.multiply.outer(lams, unit_image)
     i = _first(size(defects) > tol)
     if i is None:
         return PropertyReport(name=name, passed=True, samples=len(xs))
@@ -302,10 +306,15 @@ def _shift_report(name: str, batch, unit, unit_image, xs, lams, size, shown, tol
     return PropertyReport(name=name, passed=False, samples=len(xs), witness=witness)
 
 
-def _order_report(name: str, batch, xs, ys, broken, image: str, shown) -> PropertyReport:
-    """Fails on the first comparable pair ``(x, y)`` with ``broken(batch(x), batch(y))``
-    (``broken`` compares stacked images row by row); the witness gives the
-    images as ``<image>_x`` and ``<image>_y`` through ``shown``."""
+def _order_report(name: str, batch, space, pairs, seed: int, n: int, broken, image: str, shown) -> PropertyReport:
+    """Fails on the first comparable pair ``(x, y)``, given or else ``n`` drawn at
+    ``seed``, with ``broken(batch(x), batch(y))`` (``broken`` compares stacked
+    images row by row); the witness gives the images as ``<image>_x`` and
+    ``<image>_y`` through ``shown``."""
+    if pairs is None:
+        xs, ys = sampling._comparable_arrays(space, n, sampling.rng_from(seed))
+    else:
+        xs, ys = _unzip(pairs, space.dim, space.dim)
     fxs, fys = batch(xs), batch(ys)
     i = _first(broken(fxs, fys))
     if i is None:
@@ -323,22 +332,14 @@ def check_weak_additivity(
     f: Functional, samples=None, *, seed: int = 0, n: int = 2**14, tol: float = TOL
 ) -> PropertyReport:
     """Does ``f(x + lam*unit) - f(x) - lam*f(unit)`` vanish on the samples?"""
-    if samples is None:
-        xs, lams = sampling._shift_arrays(f.space, n, sampling.rng_from(seed))
-    else:
-        xs, lams = _unzip(samples, f.space.dim)
-    return _shift_report("weak_additivity", f.batch, f.space.unit, f.unit_value, xs, lams, np.abs, float, tol)
+    return _shift_report("weak_additivity", f.batch, f.space, f.unit_value, samples, seed, n, np.abs, float, tol)
 
 
 def check_order_preserving(
     f: Functional, pairs=None, *, seed: int = 0, n: int = 2**14, tol: float = TOL
 ) -> PropertyReport:
     """Does ``x <= y`` imply ``f(x) <= f(y)`` on the sampled comparable pairs?"""
-    if pairs is None:
-        xs, ys = sampling._comparable_arrays(f.space, n, sampling.rng_from(seed))
-    else:
-        xs, ys = _unzip(pairs, f.space.dim, f.space.dim)
-    return _order_report("order_preserving", f.batch, xs, ys, lambda fx, fy: fx > fy + tol, "f", float)
+    return _order_report("order_preserving", f.batch, f.space, pairs, seed, n, lambda fx, fy: fx > fy + tol, "f", float)
 
 
 def check_normed(f: Functional, tol: float = TOL) -> PropertyReport:
@@ -409,18 +410,28 @@ _DESCRIPTORS = {
 }
 
 
-def functional_from_json(space: OrderedSpace, obj: dict) -> Functional:
-    """Build from ``{"kind": ..., "weights": [...] | "capacity": {...}}``."""
+def _from_descriptor(descriptors: dict, noun: str, space: OrderedSpace, obj: dict):
+    """Build through ``descriptors`` (``kind -> (build, fields)``) from ``{"kind": ..., <fields>}``."""
     try:
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad functional descriptor: {exc}") from exc
-    if not isinstance(kind, str) or kind not in _DESCRIPTORS:
-        raise ValueError(f"unknown functional kind {kind!r}")
-    return _DESCRIPTORS[kind][0](space, obj)
+        raise ValueError(f"bad {noun} descriptor: {exc}") from exc
+    if not isinstance(kind, str) or kind not in descriptors:
+        raise ValueError(f"unknown {noun} kind {kind!r}")
+    return descriptors[kind][0](space, obj)
+
+
+def _to_descriptor(descriptors: dict, noun: str, subject) -> dict:
+    """``{"kind": ..., <fields>}`` of a functional or operator through ``descriptors``."""
+    if subject.kind not in descriptors:
+        raise ValueError(f"{noun} kind {subject.kind!r} has no descriptor form")
+    return {"kind": subject.kind, **descriptors[subject.kind][1](subject)}
+
+
+def functional_from_json(space: OrderedSpace, obj: dict) -> Functional:
+    """Build from ``{"kind": ..., "weights": [...] | "capacity": {...}}``."""
+    return _from_descriptor(_DESCRIPTORS, "functional", space, obj)
 
 
 def functional_to_json(f: Functional) -> dict:
-    if f.kind not in _DESCRIPTORS:
-        raise ValueError(f"functional kind {f.kind!r} has no descriptor form")
-    return {"kind": f.kind, **_DESCRIPTORS[f.kind][1](f)}
+    return _to_descriptor(_DESCRIPTORS, "functional", f)

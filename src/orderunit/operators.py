@@ -29,9 +29,11 @@ from .functionals import (
     Functional,
     PropertyReport,
     _first,
+    _from_descriptor,
     _order_report,
     _row_loop,
     _shift_report,
+    _to_descriptor,
     _unzip,
     evaluate,
     functional_from_json,
@@ -193,9 +195,7 @@ class OperatorFamily:
         first = members[0]
         for T in members[1:]:
             same = (
-                T.domain.dim == first.domain.dim
-                and T.codomain.dim == first.codomain.dim
-                and np.array_equal(T.domain.cone.rows, first.domain.cone.rows)
+                np.array_equal(T.domain.cone.rows, first.domain.cone.rows)
                 and np.array_equal(T.codomain.cone.rows, first.codomain.cone.rows)
                 and np.array_equal(T.domain.unit, first.domain.unit)
                 and np.array_equal(T.codomain.unit, first.codomain.unit)
@@ -231,26 +231,18 @@ def check_weakly_additive_op(
     T: Operator, samples=None, *, seed: int = 0, n: int = 2**12, tol: float = TOL
 ) -> PropertyReport:
     """Componentwise defect of ``T(x + lam*unit) - T(x) - lam*T(unit)``."""
-    if samples is None:
-        xs, lams = sampling._shift_arrays(T.domain, n, sampling.rng_from(seed))
-    else:
-        xs, lams = _unzip(samples, T.domain.dim)
-    return _shift_report("weakly_additive", T.batch, T.domain.unit, T.unit_image, xs, lams, _max_abs_rows, _max_abs, tol)
+    return _shift_report("weakly_additive", T.batch, T.domain, T.unit_image, samples, seed, n, _max_abs_rows, _max_abs, tol)
 
 
 def check_order_preserving_op(
     T: Operator, pairs=None, *, seed: int = 0, n: int = 2**12, tol: float = TOL
 ) -> PropertyReport:
     """``x <= y`` in the domain must give ``T(x) <= T(y)`` in the codomain."""
-    if pairs is None:
-        xs, ys = sampling._comparable_arrays(T.domain, n, sampling.rng_from(seed))
-    else:
-        xs, ys = _unzip(pairs, T.domain.dim, T.domain.dim)
 
     def broken(txs, tys):
         return ~cone_contains_rows(T.codomain, tys - txs, tol=tol)
 
-    return _order_report("order_preserving", T.batch, xs, ys, broken, "T", lambda v: list(map(float, v)))
+    return _order_report("order_preserving", T.batch, T.domain, pairs, seed, n, broken, "T", lambda v: list(map(float, v)))
 
 
 def unit_image_interior(T: Operator) -> bool:
@@ -311,11 +303,10 @@ def certify_equicontinuity(
             witness={"reason": "unbounded orbit at the unit", "bound": modulus.bound, "cap": cap},
         )
     delta = modulus.delta(eps)
-    dim = family.domain.dim
     if pairs is None:
         xs, ys = sampling._pairs_within_arrays(family.domain, min(delta, 1e6), n, sampling.rng_from(seed))
     else:
-        xs, ys = _unzip(pairs, dim, dim)
+        xs, ys = _unzip(pairs, family.domain.dim, family.domain.dim)
     samples = len(xs) * len(family)
     for k, T in enumerate(family):
         gaps = order_norms(family.codomain, T.batch(xs) - T.batch(ys))
@@ -360,7 +351,7 @@ image norm exceed ``epsilon`` by it."""
 
 def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng):
     """Multi-start coordinate descent for ``x`` in the open ball around
-    ``x0`` with ``T(x) = y``; returns ``(x or None, best residual, evals)``.
+    ``x0`` with ``T(x) = y``; returns ``(x or None, best residual, evals <= budget)``.
 
     Exhausting the budget is a semi-decision: it reports that no preimage
     was *found*, not that none exists.
@@ -401,7 +392,7 @@ def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng):
                 for sign in (1.0, -1.0):
                     cand = x.copy()
                     cand[i] += sign * step
-                    if not inside(cand):
+                    if evals >= budget or not inside(cand):
                         continue
                     v = residual(cand)
                     if v < val - 1e-15:
@@ -544,17 +535,17 @@ def open_ball_image_check(
         )
 
     zero_dom = np.zeros(T.domain.dim)
-    zero_cod = np.zeros(T.codomain.dim)
-    for x in sampling.ball_points(T.domain, zero_dom, epsilon, n, rng):
-        nrm = order_norm(T.codomain, apply(T, x))
-        if nrm >= epsilon + PREIMAGE_TOL:
-            return PropertyReport(
-                name="open_ball_image",
-                passed=False,
-                samples=n,
-                witness={"side": "forward", "x": list(map(float, x)), "image_norm": float(nrm)},
-            )
-    for y in sampling.ball_points(T.codomain, zero_cod, epsilon, n, rng):
+    xs = sampling.ball_points(T.domain, zero_dom, epsilon, n, rng)
+    norms = order_norms(T.codomain, T.batch(xs))
+    i = _first(norms >= epsilon + PREIMAGE_TOL)
+    if i is not None:
+        return PropertyReport(
+            name="open_ball_image",
+            passed=False,
+            samples=n,
+            witness={"side": "forward", "x": list(map(float, xs[i])), "image_norm": float(norms[i])},
+        )
+    for y in sampling.ball_points(T.codomain, np.zeros(T.codomain.dim), epsilon, n, rng):
         found, best, _ = _preimage_search(T, y, zero_dom, epsilon, budget, rng)
         if found is None:
             return PropertyReport(
@@ -584,27 +575,22 @@ def pointwise_limit(Ts: Sequence[Operator], probes, *, tol: float = 1e-6) -> tup
     if len(Ts) < 2:
         raise ValueError("need at least two operators to take a limit")
     dom, cod = Ts[0].domain, Ts[0].codomain
-    probe_list = [as_vec(p, dom.dim) for p in probes]
-    probe_list.append(np.zeros(dom.dim))
+    P = np.array([as_vec(p, dom.dim) for p in probes] + [np.zeros(dom.dim)])
 
-    window = Ts[-4:]
-    for idx, p in enumerate(probe_list):
-        values = [apply(T, p) for T in window]
-        worst = max(
-            order_norm(cod, a - b) for i, a in enumerate(values) for b in values[i + 1:]
-        )
+    window = [T.batch(P) for T in Ts[-4:]]
+    for idx, p in enumerate(P):
+        values = [images[idx] for images in window]
+        worst = max(order_norm(cod, a - b) for i, a in enumerate(values) for b in values[i + 1:])
         if worst > tol:
             raise ValueError(
                 f"sequence diverges at probe {idx} ({p.tolist()}): tail spread {worst:g} > {tol:g}"
             )
 
-    last = Ts[-1]
-    table = [(p, apply(last, p)) for p in probe_list]
-    unit_image = apply(last, dom.unit)
+    unit_image = apply(Ts[-1], dom.unit)
 
     def _limit_eval(x):
         best_val, best_dist, best_shift = None, np.inf, 0.0
-        for p, v in table:
+        for p, v in zip(P, window[-1]):
             lo, hi = ray_thresholds(dom, p, x)
             dist = 0.5 * (hi - lo)
             if dist < best_dist:
@@ -613,8 +599,8 @@ def pointwise_limit(Ts: Sequence[Operator], probes, *, tol: float = 1e-6) -> tup
 
     limit = custom_operator(dom, cod, _limit_eval)
 
-    wa = check_weakly_additive_op(limit, samples=[(p, lam) for p, _ in table for lam in (-1.5, 0.5, 2.0)])
-    pairs = [(p, q) for p, _ in table for q, _ in table if leq(dom, p, q)]
+    wa = check_weakly_additive_op(limit, samples=[(p, lam) for p in P for lam in (-1.5, 0.5, 2.0)])
+    pairs = [(p, q) for p in P for q in P if leq(dom, p, q)]
     op = check_order_preserving_op(limit, pairs=pairs)
     passed = wa.passed and op.passed
     report = PropertyReport(
@@ -654,16 +640,8 @@ def operator_from_json(domain: OrderedSpace, obj: dict) -> Operator:
     diagnostic tooling can load a cone-violating matrix and let the checkers
     report it.  A stack maps into the orthant of one coordinate per functional.
     """
-    try:
-        kind = obj["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad operator descriptor: {exc}") from exc
-    if not isinstance(kind, str) or kind not in _DESCRIPTORS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    return _DESCRIPTORS[kind][0](domain, obj)
+    return _from_descriptor(_DESCRIPTORS, "operator", domain, obj)
 
 
 def operator_to_json(T: Operator) -> dict:
-    if T.kind not in _DESCRIPTORS:
-        raise ValueError(f"operator kind {T.kind!r} has no descriptor form")
-    return {"kind": T.kind, **_DESCRIPTORS[T.kind][1](T)}
+    return _to_descriptor(_DESCRIPTORS, "operator", T)

@@ -22,7 +22,9 @@ from orderunit import (
     order_norm,
     ray_thresholds,
 )
-from orderunit.sampling import box_points, probe_pairs
+from orderunit.dual import DYADIC_DEPTH
+from orderunit.operators import PREIMAGE_TOL
+from orderunit.sampling import box_points, probe_pairs, rng_from
 
 
 def norm_by_bisection(space, x, iters=80):
@@ -561,4 +563,49 @@ def norm_bounds_by_loop(space, samples=256, seed=0):
             if cone_contains(space, shift - x) and cone_contains(space, shift + x):
                 continue
         return {"x": x.tolist(), "norm": float(lam) if np.isfinite(lam) else None}
+    return None
+
+
+def dense_sequence_by_keys(space, limit=64):
+    """The dyadic probe sequence with a set of the points seen so far, each
+    kept as its integer numerator over ``2**DYADIC_DEPTH``."""
+    out, seen = [], set()
+    for j in range(DYADIC_DEPTH + 1):
+        step = 1.0 / 2**j
+        ks = range(-(2 ** (j + 1)), 2 ** (j + 1) + 1)
+        for combo in itertools.product(ks, repeat=space.dim):
+            key = tuple(k * 2 ** (DYADIC_DEPTH - j) for k in combo)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(np.array(combo, dtype=float) * step)
+            if len(out) >= limit:
+                return out
+    return out
+
+
+def weak_metric_by_loop(f, g, seq=None, truncation=64):
+    """``sum_k 2**-k * min(1, |f(x_k) - g(x_k)|)``, one probe at a time."""
+    if seq is None:
+        seq = dense_sequence_by_keys(f.space, limit=truncation)
+    total = 0.0
+    for k, x in enumerate(seq[:truncation], start=1):
+        total += 2.0**-k * min(1.0, abs(evaluate(f, x) - evaluate(g, x)))
+    return total
+
+
+def weak_nbhd_contains_by_loop(nbhd, g):
+    f = nbhd.center
+    return all(abs(evaluate(f, p) - evaluate(g, p)) < nbhd.eps for p in nbhd.probes)
+
+
+def open_ball_forward_by_loop(T, epsilon, seed=0, n=64):
+    """The forward side of ``open_ball_image_check``, point by point: the
+    witness of the first ball point whose image norm reaches
+    ``epsilon + PREIMAGE_TOL``, or None."""
+    zero = np.zeros(T.domain.dim)
+    for x in ball_points_by_loop(T.domain, zero, epsilon, n, rng_from(seed)):
+        nrm = order_norm(T.codomain, apply(T, x))
+        if nrm >= epsilon + PREIMAGE_TOL:
+            return {"side": "forward", "x": list(map(float, x)), "image_norm": float(nrm)}
     return None

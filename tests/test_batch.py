@@ -22,16 +22,20 @@ from oracles import (
     ball_points_by_loop,
     comparable_pairs_by_loop,
     cone_points_by_loop,
+    dense_sequence_by_keys,
     equicontinuity_by_loop,
     evaluate_by_rows,
     graph_check_by_loop,
     lipschitz_defect_by_loop,
     norm_bounds_by_loop,
+    open_ball_forward_by_loop,
     order_preserving_by_loop,
     order_preserving_op_by_loop,
     pairs_within_by_loop,
     positive_by_loop,
     weak_additivity_by_loop,
+    weak_metric_by_loop,
+    weak_nbhd_contains_by_loop,
     weakly_additive_op_by_loop,
 )
 
@@ -211,6 +215,52 @@ class TestBatchCheckers:
             ou.check_order_preserving(f, n=64).passed for f in subject_functionals()
         } | {ou.check_weakly_additive_op(T, n=64).passed for T in subject_operators()}
         assert verdicts == {True, False}
+
+
+class TestBatchProbeSets:
+    """The weak metric, the neighbourhood test and the open-ball forward side
+    evaluate their point sets in one batch; the loops evaluate point by point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4), seed=seeds, truncation=st.integers(1, 12))
+    def test_weak_metric_equals_the_loop(self, data, dim, seed, truncation):
+        fs = functionals(dim, seed)
+        seq = list(data.draw(points(dim, max_rows=2 * truncation)))  # shorter and longer than the truncation
+        for f in fs:
+            for g in fs:
+                assert same(ou.weak_metric(f, g, seq, truncation), weak_metric_by_loop(f, g, seq, truncation))
+                assert same(ou.weak_metric(f, g, truncation=truncation), weak_metric_by_loop(f, g, truncation=truncation))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(2, 4), seed=seeds, eps=st.sampled_from([1e-9, 0.1, 1.0, 4.0]))
+    def test_weak_nbhd_contains_equals_the_loop(self, data, dim, seed, eps):
+        fs = functionals(dim, seed)
+        probes = data.draw(points(dim).filter(len))
+        for f in fs:
+            nbhd = ou.WeakNeighborhood(f, tuple(probes), eps)
+            for g in fs:
+                assert ou.weak_nbhd_contains(nbhd, g) is weak_nbhd_contains_by_loop(nbhd, g)
+
+    def test_dense_sequence_equals_the_seen_set(self):
+        for dim, limit in [(1, 10**6), (2, 10**6), (3, 20000), (4, 5000)]:
+            space = ou.orthant(dim)
+            assert same(ou.dense_sequence(space, limit=limit), dense_sequence_by_keys(space, limit=limit))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=seeds, epsilon=st.sampled_from([0.05, 0.5, 2.0]))
+    def test_open_ball_forward_side_equals_the_loop(self, seed, epsilon):
+        orth2 = ou.orthant(2)
+        # unit to unit, but the gap x1 - x2 is tripled, so images leave the matching ball
+        matrix = [[2.0, -1.0], [-1.0, 2.0]]
+        for T in (
+            ou.linear_positive(orth2, orth2, matrix, strict=False),
+            ou.custom_operator(orth2, orth2, lambda x: np.array(matrix) @ x),
+        ):
+            expected = open_ball_forward_by_loop(T, epsilon, seed=seed, n=16)
+            assert expected is not None
+            report = ou.open_ball_image_check(T, epsilon, seed=seed, n=16)
+            assert not report.passed and report.samples == 16
+            assert json.dumps(report.witness) == json.dumps(expected)
 
 
 def spaces():

@@ -300,6 +300,36 @@ class TestOverflow:
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
+class TestNonFiniteLines:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "space, partial, target",
+        [
+            # the base line's pairings with the rows (2, 0) and (0, 2) overflow
+            (
+                {"dim": 2, "cone": {"halfspaces": [[2.0, 0.0], [0.0, 2.0]]}, "unit": [1.0, 1.0]},
+                {"base_points": [[1e308, -1e308]], "values": [0.0], "unit_value": 1.0},
+                "1,0",
+            ),
+            # the interval at the target is [-inf, inf], so its midpoint is NaN
+            (
+                {"dim": 2, "cone": "orthant", "unit": [0.5, 0.5]},
+                {"base_points": [], "values": [], "unit_value": 1.0},
+                "1e308,-1e308",
+            ),
+        ],
+        ids=["base_line_pairing", "target_value"],
+    )
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, space, partial, target, fmt):
+        for name, obj in (("space", space), ("partial", partial)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        argv = ["extend", "--space", str(tmp_path / "space.json"), "--partial", str(tmp_path / "partial.json")]
+        assert cli.main([*argv, "--target", target, "--format", fmt]) == cli.EXIT_VIOLATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "not finite" in err
+
+
 class TestExtend:
     def test_midpoint_interval(self, files):
         proc = run_cli(

@@ -359,6 +359,35 @@ class TestOverflowWarnings:
                             pass  # a target in the span, or a value that breaks consistency
 
 
+class TestNonFiniteLines:
+    """A line whose value or cone-row pairing overflows is refused: every
+    comparison with it would be false, so it would bound nothing."""
+
+    def test_base_line_with_an_overflowing_pairing(self):
+        space = ou.halfspace_space([[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
+        for strict in (True, False):
+            with pytest.raises(ou.NonFiniteError, match="not finite"):
+                ou.partial_functional(space, [[1e308, -1e308]], [0.0], 1.0, strict=strict)
+
+    @pytest.mark.parametrize("rule", ["lower", "upper", "midpoint"])
+    def test_step_with_an_infinite_interval(self, rule):
+        # the interval at the target is [-inf, inf], so no rule picks a finite value
+        pf = ou.partial_functional(ou.orthant(2, unit=[0.5, 0.5]), [], [], 1.0)
+        with pytest.raises(ou.NonFiniteError, match="not finite"):
+            ou.extend_one(pf, [1e308, -1e308], rule=rule)
+        with pytest.raises(ou.NonFiniteError):
+            ou.extend_all(pf, [[1.0, 0.0], [1e308, -1e308]], rule=rule)
+
+    def test_step_with_an_overflowing_pairing(self):
+        space = ou.halfspace_space([[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
+        pf = ou.partial_functional(space, [], [], 1.0)
+        with pytest.raises(ou.NonFiniteError, match="not finite"):
+            ou.extend_one(pf, [1e308, -1e308], rule="given", value=0.0)
+
+    def test_is_a_value_error(self):
+        assert issubclass(ou.NonFiniteError, ValueError)
+
+
 class TestSpan:
     def test_examples(self, orth2):
         span = ou.unit_span(orth2, [[1.0, 0.0]])

@@ -267,3 +267,9 @@ class TestJsonDescriptors:
                 ou.functional_to_json(f)
         with pytest.raises(ValueError, match="unknown functional kind"):
             ou.functional_from_json(orth2, {"kind": ["linear"]})
+
+    @pytest.mark.parametrize("obj, message", [({}, "'kind'"), ([], "list indices must be integers or slices, not str")])
+    def test_bad_descriptor_message(self, orth2, obj, message):
+        with pytest.raises(ValueError) as info:
+            ou.functional_from_json(orth2, obj)
+        assert str(info.value) == f"bad functional descriptor: {message}"

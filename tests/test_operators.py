@@ -303,6 +303,15 @@ class TestOpenness:
         with pytest.raises(ValueError):
             ou.openness_check(ou.clamp_operator(orth2), [0.0, 0.0], 0.0, 0.1)
 
+    def test_search_never_exceeds_its_budget(self, orth2):
+        T = ou.clamp_operator(orth2)
+        # reachable, reachable after a move on each axis, and off the band (never found)
+        targets = ([0.3, 0.2], [-0.2, 0.35], [0.0, 1.4])
+        for budget in range(1, 40):
+            for y in targets:
+                _, _, evals = ou.operators._preimage_search(T, y, [0.0, 0.0], 0.5, budget, ou.sampling.rng_from(budget))
+                assert evals <= budget, (budget, y)
+
     def test_clamp_image_oracle_matches_forward_grid(self, orth2):
         T = ou.clamp_operator(orth2)
         oracle = T.image_oracle
@@ -391,3 +400,9 @@ class TestJson:
                 ou.operator_to_json(T)
         with pytest.raises(ValueError, match="unknown operator kind"):
             ou.operator_from_json(orth2, {"kind": ["linear_positive"]})
+
+    @pytest.mark.parametrize("obj, message", [({}, "'kind'"), ([], "list indices must be integers or slices, not str")])
+    def test_bad_descriptor_message(self, orth2, obj, message):
+        with pytest.raises(ValueError) as info:
+            ou.operator_from_json(orth2, obj)
+        assert str(info.value) == f"bad operator descriptor: {message}"
