@@ -50,6 +50,7 @@ from .operators import (
     operator_from_json,
     unit_image_interior,
 )
+from .sampling import ball_samplable
 from .spaces import (
     _unit_interior_entry,
     order_norm,
@@ -119,11 +120,11 @@ def run_check(args) -> tuple[dict, int]:
     validation = validate_space(space)
     failures = {c["name"]: c["detail"] for c in validation.failures}
     checks = [{"name": "space_valid", "passed": validation.ok, "samples": validation.samples, "witness": failures or None}]
-    interior = "unit_interior" not in failures  # the law checkers' samplers need an interior unit
+    samplable = ball_samplable(space)  # the law checkers draw from the ball
     n = args.samples
     if args.functional:
         f = functional_from_json(space, _load_json(args.functional))
-        if interior:
+        if samplable:
             checks.append(check_weak_additivity(f, seed=args.seed, n=n, tol=args.tol).to_json())
             checks.append(check_order_preserving(f, seed=args.seed, n=n, tol=args.tol).to_json())
             checks.append(check_normed(f, tol=args.tol).to_json())
@@ -131,7 +132,7 @@ def run_check(args) -> tuple[dict, int]:
         subject = {"functional": args.functional}
     else:
         T = operator_from_json(space, _load_json(args.operator))
-        if interior:
+        if samplable:
             checks.append(check_weakly_additive_op(T, seed=args.seed, n=min(n, 8192), tol=args.tol).to_json())
             checks.append(check_order_preserving_op(T, seed=args.seed, n=min(n, 8192), tol=args.tol).to_json())
         subject = {"operator": args.operator, "unit_image_interior": unit_image_interior(T)}
@@ -160,10 +161,12 @@ def run_norm(args) -> tuple[dict, int]:
 
 def run_extend(args) -> tuple[dict, int]:
     space = space_from_json(_load_json(args.space))
-    pf = partial_from_json(space, _load_json(args.partial), strict=False)
+    partial = _load_json(args.partial)
+    # a boundary unit makes the unit-scaled pairings of the partial functional not finite, so check it first
     failure = _unit_not_interior("extend", space)
     if failure:
         return failure, EXIT_VIOLATION
+    pf = partial_from_json(space, partial, strict=False)
     if not pf.consistent:
         payload = {
             "command": "extend",

@@ -21,15 +21,18 @@ what guarantees ``p_minus <= p_plus``.
 
 A partial functional stores its lines once, stacked: ``X`` holds the origin
 (the axis line) and then the base points, ``G`` their values and ``AT`` the
-pairings ``rows @ x_i`` of the cone rows with every line; its ``values``
-and ``subspace`` are views of ``G`` and ``X``.  By linearity a threshold ratio
-``rows @ (y - x_i) / pairings`` is then ``(rows @ y - rows @ x_i) / pairings``,
-so a query costs one ``rows @ y`` and a subtraction against the stored
-pairings, the consistency scan subtracts stored columns with no matvec per
-pair, and an extension step appends one pairing column.  The two forms are
-equal in exact arithmetic but round differently, by a few units in the last
-place of the larger pairing.  A line whose value or pairings overflow
-would bound nothing, so it is refused with :class:`NonFiniteError`.
+unit-scaled pairings ``R @ x_i``: every line in multiples of the unit along
+each of the space's unit-scaled rows ``R`` (``OrderedSpace.unit_rows``),
+one column per line.  Its ``values`` and ``subspace`` are views of ``G``
+and ``X``.  By linearity the thresholds ``R @ (y - x_i)`` are then
+``R @ y - R @ x_i``, so a query costs one ``R @ y`` and a subtraction
+against the stored columns, the consistency scan subtracts stored columns
+with no matvec per pair, and an extension step appends one column.  The
+two forms are equal in exact arithmetic but round differently, by a few
+units in the last place of the larger term.  A line whose value or pairings overflow would bound nothing,
+so it is refused with :class:`NonFiniteError`.  Results on a unit that is
+not interior are unspecified; where a row pairs to zero with it, its
+unit-scaled row is not finite and every line is refused.
 
 Beyond one-point and finite-list extension, :func:`canonical_extension`
 turns the endpoint maps themselves into a total functional: both
@@ -50,7 +53,7 @@ from .spaces import TOL, OrderedSpace, _finite, as_vec, matvecs
 
 
 class NonFiniteError(ValueError):
-    """A line value or cone-row pairing derived from finite input is not finite, so it would bound nothing."""
+    """A line value or unit-scaled pairing derived from finite input is not finite, so it would bound nothing."""
 
 
 def _unit_component(space: OrderedSpace, v: np.ndarray) -> float:
@@ -155,8 +158,8 @@ class PartialFunctional:
 
     The lines are stacked: row 0 of ``X`` is the origin, standing for the
     axis line, and the rows after it are the canonical base points; ``G``
-    holds their values, ``0`` first.  ``AT`` holds the cone-row pairings
-    ``rows @ x_i``, one column per line, and ``_witness`` the first violated
+    holds their values, ``0`` first.  ``AT`` holds the unit-scaled pairings
+    ``unit_rows @ x_i``, one column per line, and ``_witness`` the first violated
     consistency inequality at ``TOL``, or None.  Build instances with
     :func:`partial_functional`.  Strict construction (its default) rejects
     inconsistent data; diagnostic code can hold an inconsistent instance and
@@ -187,13 +190,14 @@ class PartialFunctional:
 
 
 def _from_lines(space: OrderedSpace, X: np.ndarray, G: np.ndarray, unit_value: float) -> PartialFunctional:
-    """Partial functional over stacked lines: the pairings of every line and
-    the full consistency scan.  A value or a pairing that is not finite raises."""
+    """Partial functional over stacked lines: the unit-scaled pairings of
+    every line and the full consistency scan.  A value or a pairing that is
+    not finite raises."""
     with np.errstate(over="ignore", invalid="ignore"):
-        AT = np.ascontiguousarray(matvecs(space.cone.rows, X).T)
+        AT = np.ascontiguousarray(matvecs(space.unit_rows, X).T)
     if not (np.isfinite(AT).all() and np.isfinite(G).all()):
-        raise NonFiniteError("a base line's value or cone-row pairing is not finite")
-    return PartialFunctional(space, X, G, AT, unit_value, _consistency_witness(space, AT, G, unit_value))
+        raise NonFiniteError("a base line's value or unit-scaled pairing is not finite")
+    return PartialFunctional(space, X, G, AT, unit_value, _consistency_witness(AT, G, unit_value))
 
 
 def partial_functional(
@@ -214,18 +218,17 @@ def partial_functional(
     return pf
 
 
-def _consistency_witness(space: OrderedSpace, AT: np.ndarray, G: np.ndarray, c: float):
+def _consistency_witness(AT: np.ndarray, G: np.ndarray, c: float):
     """First violated pairwise inequality at ``TOL``, or None.
 
     Line ``j`` dominates line ``i`` once shifted up by the threshold
-    ``t_ij = inf { t : x_j + t*unit >= x_i }``, the greatest ratio
-    ``rows @ (x_i - x_j) / pairings``, so the values must satisfy
+    ``t_ij = inf { t : x_j + t*unit >= x_i }``, the greatest entry of
+    ``unit_rows @ (x_i - x_j)``, so the values must satisfy
     ``g_j + t_ij * c >= g_i``.
     """
-    pairings = space.unit_pairings[:, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(G)):
-            t = ((AT[:, i : i + 1] - AT) / pairings).max(axis=0)
+            t = (AT[:, i : i + 1] - AT).max(axis=0)
             violated = G + t * c < G[i] - TOL
             violated[i] = False
             js = np.flatnonzero(violated)
@@ -245,7 +248,7 @@ def _violation(G: np.ndarray, c: float, i: int, j: int, t_ij) -> dict:
     }
 
 
-def _last_line_witness(space: OrderedSpace, AT: np.ndarray, G: np.ndarray, c: float):
+def _last_line_witness(AT: np.ndarray, G: np.ndarray, c: float):
     """First violated inequality at ``TOL`` that involves the last line, in the
     order of :func:`_consistency_witness`.
 
@@ -254,13 +257,12 @@ def _last_line_witness(space: OrderedSpace, AT: np.ndarray, G: np.ndarray, c: fl
     comes first and row ``k`` after it.
     """
     k = len(G) - 1
-    pairings = space.unit_pairings[:, None]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = ((AT[:, :k] - AT[:, k:]) / pairings).max(axis=0)  # t_ik, i < k
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (AT[:, :k] - AT[:, k:]).max(axis=0)  # t_ik, i < k
         hits = np.flatnonzero(G[k] + t * c < G[:k] - TOL)
         if hits.size:
             return _violation(G, c, int(hits[0]), k, t[hits[0]])
-        t = ((AT[:, k:] - AT[:, :k]) / pairings).max(axis=0)  # t_kj, j < k
+        t = (AT[:, k:] - AT[:, :k]).max(axis=0)  # t_kj, j < k
         hits = np.flatnonzero(G[:k] + t * c < G[k] - TOL)
         if hits.size:
             return _violation(G, c, k, int(hits[0]), t[hits[0]])
@@ -314,10 +316,10 @@ def extension_interval(pf: PartialFunctional, y) -> ExtensionInterval:
         raise ValueError("extension requires a consistent partial functional")
     y = as_vec(y, pf.space.dim)
     c = pf.unit_value
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = ((pf.space.cone.rows @ y)[:, None] - pf.AT) / pf.space.unit_pairings[:, None]
-        p_plus = _fold_min(pf.G + c * ratios.max(axis=0))
-        p_minus = -_fold_min(-(pf.G + c * ratios.min(axis=0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (pf.space.unit_rows @ y)[:, None] - pf.AT
+        p_plus = _fold_min(pf.G + c * t.max(axis=0))
+        p_minus = -_fold_min(-(pf.G + c * t.min(axis=0)))
     if p_minus > p_plus + TOL:
         raise ValueError(
             f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
@@ -353,8 +355,8 @@ def _step(pf: PartialFunctional, y, rule: str, value):
 
     An empty interval raises as :func:`extension_interval` does; so do a
     value the rule cannot pick, a new line that breaks consistency and, as
-    :class:`NonFiniteError`, a new line whose value or pairings are not
-    finite.  The stored lines are carried over as they are; only the
+    :class:`NonFiniteError`, a new line whose value or unit-scaled pairings
+    are not finite.  The stored lines are carried over as they are; only the
     inequalities between them and the new line are evaluated, since the
     others hold already in the consistent ``pf``.
     """
@@ -366,12 +368,12 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     rep, mu = canonicalize(pf.space, y)
     g = p - mu * pf.unit_value
     with np.errstate(over="ignore", invalid="ignore"):
-        col = pf.space.cone.rows @ rep
+        col = pf.space.unit_rows @ rep
     if not (math.isfinite(g) and np.isfinite(col).all()):
-        raise NonFiniteError(f"target {y.tolist()}: its line value or a cone-row pairing is not finite")
+        raise NonFiniteError(f"target {y.tolist()}: its line value or a unit-scaled pairing is not finite")
     G = np.append(pf.G, g)
     AT = np.column_stack([pf.AT, col])
-    witness = _last_line_witness(pf.space, AT, G, pf.unit_value)
+    witness = _last_line_witness(AT, G, pf.unit_value)
     if witness is not None:
         raise ValueError(f"inconsistent partial functional: {witness}")
     return PartialFunctional(pf.space, np.vstack([pf.X, rep]), G, AT, pf.unit_value, None), interval, p

@@ -277,9 +277,10 @@ class EquicontinuityModulus:
 
 def equicontinuity_modulus(family: OperatorFamily, cap: float = 1e6) -> EquicontinuityModulus:
     """Boundedness of the single orbit at the unit yields one modulus for
-    the whole family; families exceeding ``cap`` are reported unbounded."""
-    bound = max(operator_modulus(T) for T in family)
-    return EquicontinuityModulus(bound=float(bound), cap=float(cap), unbounded=bound > cap, size=len(family))
+    the whole family; families exceeding ``cap``, or with a modulus that is
+    not finite, are reported unbounded."""
+    bound = float(np.max([operator_modulus(T) for T in family]))  # a NaN anywhere is the bound
+    return EquicontinuityModulus(bound=bound, cap=float(cap), unbounded=not bound <= cap, size=len(family))
 
 
 def certify_equicontinuity(

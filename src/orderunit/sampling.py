@@ -24,6 +24,23 @@ def box_points(space: OrderedSpace, n: int, rng, half_width: float = 2.0) -> np.
     return rng.uniform(-half_width, half_width, size=(n, space.dim))
 
 
+def ball_samplable(space: OrderedSpace) -> bool:
+    """Does every cone row pair above ``TOL`` with the unit (as in
+    :func:`interior_contains`), with every unit-scaled row finite?  Otherwise
+    the ball draws could leave the ball or never be accepted."""
+    return bool(np.all(space.unit_pairings > TOL) and np.isfinite(space.unit_rows).all())
+
+
+def _require_interior_unit(space: OrderedSpace) -> None:
+    """Raise unless :func:`ball_samplable`; every sampler that draws from the
+    ball calls this before its first draw."""
+    if not ball_samplable(space):
+        raise ValueError(
+            "ball sampling needs an interior order unit: a cone row pairs to <= TOL with it, "
+            "or its unit-scaled row is not finite"
+        )
+
+
 def _ball_draws(space: OrderedSpace, n: int, rng, radius=None, scale: float = 1.0):
     """``(radii, offsets)``: ``n`` offsets with ``order_norm(offsets[k]) < radii[k]``
     (``radii`` is ``radius`` itself when one is given).
@@ -35,14 +52,14 @@ def _ball_draws(space: OrderedSpace, n: int, rng, radius=None, scale: float = 1.
     positive), one row at a time in row order, each until it is accepted;
     and ``n`` signed lengths ``uniform(-1, 1)``.  Each block is bit for bit
     that many scalar draws, so :func:`ball_point` takes a direction, its
-    redraws and then its length.
+    redraws and then its length.  A unit that is not interior raises before
+    the first draw.
     """
+    _require_interior_unit(space)
     radii = np.abs(rng.standard_normal(n)) * scale + 1e-12 if radius is None else radius
     dirs = rng.normal(size=(n, space.dim))
     norms = order_norms(space, dirs)
     for k in np.flatnonzero(~((0.0 < norms) & (norms < np.inf))):
-        if np.any(space.unit_pairings <= TOL):  # not interior (see interior_contains): no draw may be accepted
-            raise ValueError("ball sampling needs an interior order unit; a cone row pairs to <= TOL with it")
         while not 0.0 < norms[k] < np.inf:
             dirs[k] = rng.normal(size=space.dim)
             norms[k] = order_norm(space, dirs[k])
@@ -68,6 +85,7 @@ def cone_points(space: OrderedSpace, n: int, rng, scale: float = 2.0) -> np.ndar
     cone for any interior unit, so the sampler never stalls on narrow cones.
     The first ``n // 2`` accepted box candidates come first.
     """
+    _require_interior_unit(space)
     rng = rng_from(rng)
     candidates = box_points(space, 3 * n, rng, half_width=scale)
     box = candidates[cone_contains_rows(space, candidates)][: n // 2]
@@ -113,6 +131,7 @@ def probe_pairs(space: OrderedSpace) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _comparable_arrays(space: OrderedSpace, n: int, rng):
     """:func:`comparable_pairs` as the arrays ``(xs, ys)``."""
+    _require_interior_unit(space)
     rng = rng_from(rng)
     probes = probe_pairs(space)
     need = max(0, n - len(probes))
@@ -135,6 +154,7 @@ def comparable_pairs(space: OrderedSpace, n: int, rng):
 
 def _pairs_within_arrays(space: OrderedSpace, delta: float, n: int, rng):
     """:func:`pairs_within` as the arrays ``(xs, ys)``."""
+    _require_interior_unit(space)
     rng = rng_from(rng)
     xs = box_points(space, n, rng)
     return xs, xs + ball_points(space, np.zeros(space.dim), delta, n, rng)

@@ -131,6 +131,24 @@ class OrderedSpace:
         """Row-by-row inner products of the half-space rows with the unit."""
         return self.cone.rows @ self.unit
 
+    @cached_property
+    def unit_rows(self) -> np.ndarray:
+        """The cone rows in multiples of the unit: each row divided by its
+        largest absolute entry, then by that scaled row's pairing with the
+        unit, so every row pairs to 1 with the unit.
+
+        On an interior unit each row is a positive linear functional normed
+        at the unit, and every ratio to the unit (the order norm, the ray
+        thresholds, the extension lines) reads this one form.  Scaling
+        first keeps a large finite row from overflowing.  Entries are not
+        finite when a row pairs to zero with the unit, or so near zero that
+        the division overflows.
+        """
+        rows = self.cone.rows
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scaled = rows / np.abs(rows).max(axis=1, keepdims=True)
+            return scaled / (scaled @ self.unit)[:, None]
+
 
 def orthant(dim: int, unit=None) -> OrderedSpace:
     """The nonnegative orthant in ``dim`` dimensions, default unit all-ones."""
@@ -169,20 +187,19 @@ def leq(space: OrderedSpace, x, y) -> bool:
 def order_norm(space: OrderedSpace, x) -> float:
     """Least ``lam >= 0`` with ``-lam*unit <= x <= lam*unit``.
 
-    Closed form over the rows: ``max_k |a_k.x| / (a_k.unit)``.  Returns
-    ``inf``/``nan`` when the unit is not interior; validate first.
+    Closed form over the unit-scaled rows: ``max |unit_rows @ x|``, which is
+    ``max_k |a_k.x| / (a_k.unit)``.  The result on a unit that is not
+    interior is unspecified; validate first.
     """
     v = as_vec(x, space.dim)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = np.abs(space.cone.rows @ v) / space.unit_pairings
-    return float(np.max(ratios))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(space.unit_rows @ v)))
 
 
 def order_norms(space: OrderedSpace, X: np.ndarray) -> np.ndarray:
     """:func:`order_norm` for every row of the ``(n, dim)`` array ``X``."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = np.abs(matvecs(space.cone.rows, X)) / space.unit_pairings
-    return ratios.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(matvecs(space.unit_rows, X)).max(axis=1)
 
 
 def nbhd_contains(space: OrderedSpace, z, delta: float, x) -> bool:
@@ -225,8 +242,8 @@ def ray_thresholds(space: OrderedSpace, x, y) -> tuple[float, float]:
     Both are finite for an interior unit, and ``lambda_minus <= lambda_plus``.
     """
     d = as_vec(y, space.dim) - as_vec(x, space.dim)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = (space.cone.rows @ d) / space.unit_pairings
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = space.unit_rows @ d
     return float(np.min(ratios)), float(np.max(ratios))
 
 

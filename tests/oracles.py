@@ -220,34 +220,46 @@ def consistency_witness_by_pairs(pf, tol=1e-9):
     return _first_violation(pf, lambda i, j: ray_thresholds(pf.space, xs[j], xs[i])[1], tol)
 
 
-# References over the pairings ``rows @ x_i`` of the cone rows with each line.
-# The threshold ratio ``rows @ (y - x) / pairings`` equals
-# ``(rows @ y - rows @ x) / pairings`` by linearity but rounds differently;
-# the extension engine stores the pairings and must reproduce these loops bit
-# for bit, and the difference-first references above within a stated bound.
+# References over the unit-scaled pairings ``R @ x_i`` of each line, where
+# ``R`` holds the cone rows in multiples of the unit.  The threshold
+# ``R @ (y - x)`` equals ``R @ y - R @ x`` by linearity but rounds
+# differently; the extension engine stores the pairings and must reproduce
+# these loops bit for bit, and the difference-first references above within
+# a stated bound.
+
+
+def unit_rows_by_rows(space):
+    """The unit-scaled rows, built here one row at a time: each cone row over
+    its largest absolute entry, then over that scaled row's pairing with the
+    unit.  The pairings are one matrix-vector product, as the library forms
+    them, since a product per row rounds differently."""
+    scaled = np.array([row / max(abs(row)) for row in space.cone.rows])
+    pairings = scaled @ space.unit
+    return np.array([row / p for row, p in zip(scaled, pairings)])
 
 
 def _line_pairings(pf):
-    """One matrix-vector product ``rows @ x_i`` per line, the axis line first."""
-    return [pf.space.cone.rows @ x for x in _lines(pf)[0]]
+    """The unit-scaled rows and one matrix-vector product ``R @ x_i`` per line, the axis line first."""
+    R = unit_rows_by_rows(pf.space)
+    return R, [R @ x for x in _lines(pf)[0]]
 
 
 def interval_by_pairings(pf, y, tol=1e-9):
-    """Extension interval endpoints from the pairings, one line at a time.
+    """Extension interval endpoints from the unit-scaled pairings, one line at a time.
 
-    Per line the ratios are ``(rows @ y - rows @ x_i) / pairings``; the least
-    and the greatest ratio and the fold over the lines are Python ``min`` and
+    Per line the thresholds are ``R @ y - R @ x_i``; the least and the
+    greatest threshold and the fold over the lines are Python ``min`` and
     ``max``.
     """
-    pairings = pf.space.unit_pairings
-    ay = pf.space.cone.rows @ np.asarray(y, dtype=float)
+    R, pairings = _line_pairings(pf)
+    ay = R @ np.asarray(y, dtype=float)
     c = pf.unit_value
     p_plus = np.inf
     p_minus = -np.inf
-    for ax, g_i in zip(_line_pairings(pf), _lines(pf)[1]):
-        ratios = (ay - ax) / pairings
-        p_plus = min(p_plus, g_i + c * max(ratios))
-        p_minus = max(p_minus, g_i + c * min(ratios))
+    for ax, g_i in zip(pairings, _lines(pf)[1]):
+        t = ay - ax
+        p_plus = min(p_plus, g_i + c * max(t))
+        p_minus = max(p_minus, g_i + c * min(t))
     if p_minus > p_plus + tol:
         raise ValueError(
             f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
@@ -256,11 +268,57 @@ def interval_by_pairings(pf, y, tol=1e-9):
 
 
 def consistency_witness_by_pairings(pf, tol=1e-9):
-    """First violated pairwise consistency inequality, from the pairings: the
-    threshold ``t_ij`` is the Python ``max`` of ``(rows @ x_i - rows @ x_j) / pairings``."""
-    pairings = pf.space.unit_pairings
-    ax = _line_pairings(pf)
-    return _first_violation(pf, lambda i, j: max((ax[i] - ax[j]) / pairings), tol)
+    """First violated pairwise consistency inequality, from the unit-scaled
+    pairings: the threshold ``t_ij`` is the Python ``max`` of ``R @ x_i - R @ x_j``."""
+    ax = _line_pairings(pf)[1]
+    return _first_violation(pf, lambda i, j: max(ax[i] - ax[j]), tol)
+
+
+# Exact references: every float is a ``Fraction`` exactly, so these values
+# carry no rounding and do not depend on the order of any sum.  They read the
+# raw cone rows, not the unit-scaled ones.
+
+
+def _dot(a, b):
+    return sum((p * q for p, q in zip(a, b)), Fraction(0))
+
+
+def unit_ratios_exact(space, v):
+    """``a_k.v / a_k.unit`` for every cone row ``a_k``, as Fractions; ``v`` may hold floats or Fractions."""
+    v = [Fraction(x) for x in v]
+    u = [Fraction(x) for x in space.unit]
+    rows = [[Fraction(a) for a in row] for row in space.cone.rows]
+    return [_dot(a, v) / _dot(a, u) for a in rows]
+
+
+def order_norm_exact(space, x):
+    """The order norm ``max_k |a_k.x| / a_k.unit``, exactly."""
+    return max(abs(r) for r in unit_ratios_exact(space, [float(a) for a in x]))
+
+
+def ray_thresholds_exact(space, x, y):
+    """``(lambda_minus, lambda_plus)`` of :func:`orderunit.ray_thresholds`, exactly,
+    for the exact difference ``y - x``."""
+    d = [Fraction(float(b)) - Fraction(float(a)) for a, b in zip(x, y)]
+    ratios = unit_ratios_exact(space, d)
+    return min(ratios), max(ratios)
+
+
+def unit_ratio_scale(space, magnitudes, ratios):
+    """``max_k (|a_k|.m + |r_k| * |a_k|.|unit|) / a_k.unit``, exactly, for the
+    entrywise magnitudes ``m`` of the terms a ratio sums and the ratios ``r_k``.
+
+    The size of the terms in ``a_k.v / a_k.unit`` and in the pairing it
+    divides by: a float evaluation that rounds each term a bounded number of
+    times is off by a bounded multiple of ``eps`` times this scale."""
+    m = [Fraction(float(x)) for x in magnitudes]
+    u = [Fraction(x) for x in space.unit]
+    scales = []
+    for row, r in zip(space.cone.rows, ratios):
+        a = [Fraction(x) for x in row]
+        size = [abs(x) for x in a]
+        scales.append((_dot(size, m) + abs(r) * _dot(size, [abs(x) for x in u])) / _dot(a, u))
+    return max(scales)
 
 
 def _unit_rep(space, p):

@@ -265,8 +265,9 @@ class TestBatchProbeSets:
 
 def spaces():
     return [
-        # a first row that overflows on about 7 % of the normal directions: the ball draws reject some
-        ou.halfspace_space([[1e308, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        # a unit-scaled first row (1e308, 0) that overflows on about 7 % of the
+        # normal directions: the ball draws reject some
+        ou.halfspace_space([[1e300, 0.0], [0.0, 1.0]], [1e-308, 1.0]),
         ou.orthant(2),
         ou.orthant(4),
         ou.orthant(3, unit=[1.0, 2.0, 1.0]),
@@ -362,8 +363,8 @@ class TestSamplerInvariants:
     """What the samplers promise, whatever order they draw in.
 
     The order norms are taken of the offsets divided by the radius: the
-    ``1e308`` row of the first space overflows on offsets past about 1.8,
-    and the norm is positively homogeneous.
+    unit-scaled ``1e308`` row of the first space overflows on offsets past
+    about 1.8, and the norm is positively homogeneous.
     """
 
     @settings(max_examples=40, deadline=None)

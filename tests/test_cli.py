@@ -170,6 +170,19 @@ class TestCheck:
         assert entry["witness"]["unit_interior"] == {"min_row_pairing": 0.0, "row": 1}
         assert entry["witness"]["norm_bounds"]["norm"] is None
 
+    def test_infinite_unit_scaled_row_reports_only_the_space(self, tmp_path):
+        """Interior at ``TOL``, but the unit-scaled first row is infinite, so the
+        norms are too: the samplers would refuse, and the checkers are skipped."""
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"dim": 2, "cone": {"halfspaces": [[1e308, 0.0], [0.0, 1.0]]}, "unit": [1e-310, 1.0]}))
+        functional = tmp_path / "f.json"
+        functional.write_text(json.dumps({"kind": "linear", "weights": [1.0, 1.0]}))
+        proc = run_cli("check", "--space", str(space), "--functional", str(functional), "--format", "json")
+        assert proc.returncode == 1, proc.stderr
+        checks = json.loads(proc.stdout)["checks"]
+        assert [c["name"] for c in checks] == ["space_valid"]
+        assert list(checks[0]["witness"]) == ["norm_bounds"]
+
     def test_check_does_not_import_scipy(self, files):
         code = (
             "import sys; from orderunit import cli; "
@@ -305,9 +318,10 @@ class TestNonFiniteLines:
     @pytest.mark.parametrize(
         "space, partial, target",
         [
-            # the base line's pairings with the rows (2, 0) and (0, 2) overflow
+            # the base line's unit-scaled pairings overflow: over their pairing 1
+            # with the unit (0.5, 0.5), the rows scale to (2, 0) and (0, 2)
             (
-                {"dim": 2, "cone": {"halfspaces": [[2.0, 0.0], [0.0, 2.0]]}, "unit": [1.0, 1.0]},
+                {"dim": 2, "cone": {"halfspaces": [[2.0, 0.0], [0.0, 2.0]]}, "unit": [0.5, 0.5]},
                 {"base_points": [[1e308, -1e308]], "values": [0.0], "unit_value": 1.0},
                 "1,0",
             ),

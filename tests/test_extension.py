@@ -241,7 +241,7 @@ class TestExtensionStep:
         assert _bits(out.values[m]) == _bits(g)
         assert _bits(out.X) == _bits(full.X) and _bits(out.G) == _bits(full.G)
         assert out.AT.shape == full.AT.shape and _bits(out.AT) == _bits(full.AT)
-        assert ou.extension._consistency_witness(space, out.AT, out.G, out.unit_value) is None
+        assert ou.extension._consistency_witness(out.AT, out.G, out.unit_value) is None
         assert consistency_witness_by_pairings(out) is None
 
     @settings(max_examples=100, deadline=None)
@@ -275,8 +275,8 @@ def _within(got, want, values=()):
 
 
 class TestDifferenceFirstReferences:
-    """The stored-pairing arithmetic ``(rows @ y - rows @ x) / pairings`` rounds
-    differently from the difference-first ``rows @ (y - x) / pairings`` of the
+    """The stored-pairing arithmetic ``R @ y - R @ x`` on the unit-scaled rows
+    ``R`` rounds differently from the difference-first ``R @ (y - x)`` of the
     per-line ray-threshold references, by ``1e-12 * (1 + |value|)`` at most."""
 
     @settings(max_examples=200, deadline=None)
@@ -332,9 +332,9 @@ class TestFoldMin:
 
 
 class TestOverflowWarnings:
-    """Complements the CLI-level ``TestOverflow``: at 1e308 scale the ratios,
-    the stored pairings and their differences overflow to infinities, and
-    nothing warns."""
+    """Complements the CLI-level ``TestOverflow``: at 1e308 scale the
+    thresholds and the differences of the stored unit-scaled pairings
+    overflow to infinities, and nothing warns."""
 
     def test_no_runtime_warning(self):
         big = 1e308
@@ -345,10 +345,12 @@ class TestOverflowWarnings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for space in spaces:
-                # pairing differences of 2e308 in the consistency scan
-                ou.partial_functional(space, [[big, -big], [-big, big]], [-big, big], 1.0, strict=False)
+                # lines whose largest unit-scaled pairing is 1e308, so the pairings
+                # are finite and their differences of 2e308 in the consistency scan are not
+                s = big / np.abs(space.unit_rows).max()
+                ou.partial_functional(space, [[s, -s], [-s, s]], [-big, big], 1.0, strict=False)
                 w = space.cone.rows[0]  # (1, 0) on both spaces: a positive linear functional
-                pf = ou.partial_functional(space, [[1.0, 0.0], [big, -big]], [1.0, big], float(w @ space.unit))
+                pf = ou.partial_functional(space, [[1.0, 0.0], [s, -s]], [1.0, s], float(w @ space.unit))
                 ou.extension_interval(pf, [big, big])
                 for y in targets:
                     ou.extension_interval(pf, y)
@@ -360,11 +362,13 @@ class TestOverflowWarnings:
 
 
 class TestNonFiniteLines:
-    """A line whose value or cone-row pairing overflows is refused: every
-    comparison with it would be false, so it would bound nothing."""
+    """A line whose value or unit-scaled pairing overflows is refused: every
+    comparison with it would be false, so it would bound nothing.  Over its
+    pairing 1 with the unit (0.5, 0.5), each row below scales to (2, 0) or
+    (0, 2), so the pairings of (1e308, -1e308) overflow."""
 
     def test_base_line_with_an_overflowing_pairing(self):
-        space = ou.halfspace_space([[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
+        space = ou.halfspace_space([[2.0, 0.0], [0.0, 2.0]], [0.5, 0.5])
         for strict in (True, False):
             with pytest.raises(ou.NonFiniteError, match="not finite"):
                 ou.partial_functional(space, [[1e308, -1e308]], [0.0], 1.0, strict=strict)
@@ -379,7 +383,7 @@ class TestNonFiniteLines:
             ou.extend_all(pf, [[1.0, 0.0], [1e308, -1e308]], rule=rule)
 
     def test_step_with_an_overflowing_pairing(self):
-        space = ou.halfspace_space([[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
+        space = ou.halfspace_space([[2.0, 0.0], [0.0, 2.0]], [0.5, 0.5])
         pf = ou.partial_functional(space, [], [], 1.0)
         with pytest.raises(ou.NonFiniteError, match="not finite"):
             ou.extend_one(pf, [1e308, -1e308], rule="given", value=0.0)

@@ -154,6 +154,19 @@ class TestEquicontinuity:
         assert not modulus.unbounded
         assert modulus.delta(0.5) == pytest.approx(0.5)
 
+    def test_modulus_that_is_not_finite_is_unbounded(self):
+        # the unit (1, 0) pairs to zero with the second row, so the order norm of the unit image is NaN
+        modulus = ou.equicontinuity_modulus(ou.OperatorFamily((ou.identity_operator(ou.orthant(2, unit=[1.0, 0.0])),)))
+        assert np.isnan(modulus.bound) and modulus.unbounded
+        # a NaN after a finite modulus, which Python's max would drop
+        orth2 = ou.orthant(2)
+        hook = ou.custom_operator(orth2, orth2, lambda x: np.array([np.nan, x[1]]))
+        family = ou.OperatorFamily((ou.identity_operator(orth2), hook))
+        assert np.isnan(ou.operator_modulus(hook))
+        modulus = ou.equicontinuity_modulus(family)
+        assert np.isnan(modulus.bound) and modulus.unbounded
+        assert not ou.certify_equicontinuity(family, 0.5).passed
+
     def test_single_member_scaled(self, orth2):
         T = ou.linear_positive(orth2, orth2, 2.0 * np.eye(2))
         modulus = ou.equicontinuity_modulus(ou.OperatorFamily((T,)))

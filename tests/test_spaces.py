@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +85,24 @@ class TestOrderNorm:
             x = rng.normal(size=2)
             if np.max(np.abs(x)) > 1e-6:
                 assert ou.order_norm(hs2, x) > 0
+
+
+class TestUnitRows:
+    def test_a_large_finite_row_does_not_overflow(self):
+        space = ou.halfspace_space([[1e308, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        assert ou.order_norm(space, [2.0, 0.0]) == 2.0
+        assert ou.ray_thresholds(space, [0.0, 0.0], [2.0, -1.0]) == (-1.0, 2.0)
+        assert ou.validate_space(space).ok
+
+    def test_every_row_pairs_to_one_with_the_unit(self, hs4):
+        for space in (hs4, ou.orthant(3, unit=[1.0, 2.0, 4.0]), ou.halfspace_space([[3e-5, 1.0], [1.0, 7e6]], [1.0, 0.5])):
+            assert np.allclose(space.unit_rows @ space.unit, 1.0, rtol=1e-15, atol=0.0)
+            assert np.array_equal(np.sign(space.unit_rows), np.sign(space.cone.rows))
+
+    def test_a_row_that_pairs_to_zero_is_not_finite(self):
+        assert not np.isfinite(ou.orthant(2, unit=[1.0, 0.0]).unit_rows[1]).any()
+        # interior at TOL, but the scaled row (1, 0) pairs to 1e-310, whose reciprocal overflows
+        assert np.isinf(ou.halfspace_space([[1e308, 0.0], [0.0, 1.0]], [1e-310, 1.0]).unit_rows[0, 0])
 
 
 class TestNeighborhoods:
@@ -222,24 +243,73 @@ class TestNonFinite:
             ou.orthant(2, unit=[1.0, bad])
 
 
+BAD_UNITS = [[1.0, 0.0], [-1.0, -1.0], [1e-320, 1.0], [1.0, -1.0]]
+
+
 class TestBoundaryUnitSampling:
-    @pytest.mark.parametrize("unit", [[1.0, 0.0], [-1.0, -1.0], [1e-320, 1.0]])
+    @pytest.mark.parametrize("unit", BAD_UNITS)
     def test_cone_points_raise_instead_of_looping(self, unit):
         space = ou.orthant(2, unit=unit)
         with pytest.raises(ValueError, match="interior order unit"):
             ou.sampling.cone_points(space, 8, 0)
 
-    @pytest.mark.parametrize("unit", [[1.0, 0.0], [-1.0, -1.0], [1e-320, 1.0]])
+    @pytest.mark.parametrize("unit", BAD_UNITS)
     def test_ball_points_raise_instead_of_looping(self, unit):
         space = ou.orthant(2, unit=unit)
         with pytest.raises(ValueError, match="interior order unit"):
             ou.sampling.ball_points(space, np.zeros(2), 1.0, 8, 0)
 
-    @pytest.mark.parametrize("unit", [[1.0, 0.0], [-1.0, -1.0], [1e-320, 1.0]])
+    @pytest.mark.parametrize("unit", BAD_UNITS)
     def test_pairs_within_raise_instead_of_looping(self, unit):
         space = ou.orthant(2, unit=unit)
         with pytest.raises(ValueError, match="interior order unit"):
             ou.sampling.pairs_within(space, 0.5, 8, 0)
+
+    @pytest.mark.parametrize("unit", BAD_UNITS)
+    def test_no_draw_before_the_refusal(self, unit):
+        space = ou.orthant(2, unit=unit)
+        samplers = (
+            lambda rng: ou.sampling.cone_points(space, 8, rng),
+            lambda rng: ou.sampling.ball_points(space, np.zeros(2), 1.0, 8, rng),
+            lambda rng: ou.sampling.ball_point(space, np.zeros(2), 1.0, rng),
+            lambda rng: ou.sampling.pairs_within(space, 0.5, 8, rng),
+            lambda rng: ou.sampling.comparable_pairs(space, 8, rng),
+        )
+        for draw in samplers:
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="interior order unit"):
+                draw(rng)
+            assert rng.bit_generator.state == state
+
+    def test_a_unit_outside_the_cone_is_refused_by_the_checkers(self):
+        # (1, -1) pairs to -1 with the second row: every ball draw is accepted, so only the guard refuses
+        space = ou.orthant(2, unit=[1.0, -1.0])
+        family = ou.OperatorFamily((ou.identity_operator(space),))
+        with pytest.raises(ValueError, match="interior order unit"):
+            ou.certify_equicontinuity(family, 0.5)
+        with pytest.raises(ValueError, match="interior order unit"):
+            ou.check_positive(ou.linear_functional(space, [1.0, 0.0]))
+
+    def test_an_infinite_unit_scaled_row_raises_instead_of_looping(self):
+        """Interior at ``TOL``, but the unit-scaled first row is infinite, so every
+        direction's order norm is too; a child process with a timeout turns a
+        sampler that never accepts a draw into a failure."""
+        code = (
+            "import numpy as np, orderunit as ou\n"
+            "space = ou.halfspace_space([[1e308, 0.0], [0.0, 1.0]], [1e-310, 1.0])\n"
+            "assert ou.interior_contains(space, space.unit)\n"
+            "for draw in (lambda: ou.sampling.ball_points(space, np.zeros(2), 1.0, 8, 0),\n"
+            "             lambda: ou.sampling.cone_points(space, 8, 0)):\n"
+            "    try:\n"
+            "        draw()\n"
+            "    except ValueError as exc:\n"
+            "        assert 'interior order unit' in str(exc), exc\n"
+            "    else:\n"
+            "        raise SystemExit('no refusal')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestJson:
