@@ -17,22 +17,23 @@ below.  Over a polyhedral cone both reduce to one ray threshold per line
 (:func:`orderunit.spaces.ray_thresholds`), so the interval is exact and
 cheap.  Consistency of the given line values (the pairwise inequalities
 that make the partial functional order-preserving on its span) is precisely
-what guarantees ``p_minus <= p_plus``.
+what guarantees ``p_minus <= p_plus``.  Every comparison of two values allows
+one slack, ``TOL * (1 + size)`` for their size with the slope's share (``1e3``
+at ``1e12``), so rounding refuses neither consistent data nor the engine's own
+endpoints.
 
 A partial functional stores its lines once, stacked: ``X`` holds the origin
 (the axis line) and then the base points, ``G`` their values and ``AT`` the
 unit-scaled pairings ``R @ x_i``: every line in multiples of the unit along
 each of the space's unit-scaled rows ``R`` (``OrderedSpace.unit_rows``),
-one column per line.  Its ``values`` and ``subspace`` are views of ``G``
-and ``X``.  By linearity the thresholds ``R @ (y - x_i)`` are then
-``R @ y - R @ x_i``, so a query costs one ``R @ y`` and a subtraction
-against the stored columns, the consistency scan subtracts stored columns
-with no matvec per pair, and an extension step appends one column.  The
-two forms are equal in exact arithmetic but round differently, by a few
-units in the last place of the larger term.  A line whose value or pairings overflow would bound nothing,
-so it is refused with :class:`NonFiniteError`.  Results on a unit that is
-not interior are unspecified; where a row pairs to zero with it, its
-unit-scaled row is not finite and every line is refused.
+one column per line.  By linearity the thresholds ``R @ (y - x_i)`` are
+then ``R @ y - R @ x_i`` (equal in exact arithmetic, rounding differently),
+so a query costs one ``R @ y`` and a subtraction against the stored
+columns, the consistency scan subtracts stored columns with no matvec per
+pair, and an extension step appends one column.  A line whose value or
+pairings overflow would bound nothing, so it raises :class:`NonFiniteError`.
+Results on a unit that is not interior are unspecified; where a row pairs
+to zero with it, its unit-scaled row is not finite and every line is refused.
 
 Beyond one-point and finite-list extension, :func:`canonical_extension`
 turns the endpoint maps themselves into a total functional: both
@@ -105,8 +106,8 @@ class UnitSpan:
 def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     """Canonicalize points (adjusting values along), merge duplicate lines.
 
-    Returns ``(base, vals)``.  A non-finite input or a value conflict between
-    merged duplicates raises.
+    Returns ``(base, vals)``.  A non-finite input raises, and so does a value conflict
+    between two merged points beyond the slack of their values and ``c * mu``.
     """
     _finite("unit_value", unit_value)
     pts = [as_vec(p, space.dim) for p in points]
@@ -116,13 +117,14 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     if len(vals) != len(pts):
         raise ValueError("one value per base point required")
     base = np.empty((len(pts), space.dim))
-    out_vals = []
+    out_vals, sizes = [], []  # per kept line, the value and the |value| and |mu| it was read from
+    c = abs(unit_value)
     for p, g in zip(pts, vals):
         rep, mu = canonicalize(space, p)
         g_rep = g - mu * unit_value
         if _is_zero(space, rep):
             # the point sits on the axis line, where the value is forced
-            if abs(g_rep) > 1e-7:
+            if abs(g_rep) > _slack(abs(g) + c * abs(mu)):
                 raise ValueError(
                     f"value conflict on the axis line: point {p.tolist()} carries {g}, "
                     f"but the unit slope forces {mu * unit_value}"
@@ -130,13 +132,15 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
             continue
         dup = np.flatnonzero(_on_lines(space, rep, base[: len(out_vals)]))
         if dup.size:
-            if abs(out_vals[dup[0]] - g_rep) > 1e-7:
+            g_k, mu_k = sizes[dup[0]]
+            if abs(out_vals[dup[0]] - g_rep) > _slack(g_k + abs(g) + c * max(mu_k, abs(mu))):
                 raise ValueError(
                     f"value conflict on a duplicate line: {out_vals[dup[0]]} vs {g_rep}"
                 )
             continue
         base[len(out_vals)] = rep
         out_vals.append(g_rep)
+        sizes.append((abs(g), abs(mu)))
     return base[: len(out_vals)], np.array(out_vals)
 
 
@@ -160,7 +164,7 @@ class PartialFunctional:
     axis line, and the rows after it are the canonical base points; ``G``
     holds their values, ``0`` first.  ``AT`` holds the unit-scaled pairings
     ``unit_rows @ x_i``, one column per line, and ``_witness`` the first violated
-    consistency inequality at ``TOL``, or None.  Build instances with
+    consistency inequality, or None.  Build instances with
     :func:`partial_functional`.  Strict construction (its default) rejects
     inconsistent data; diagnostic code can hold an inconsistent instance and
     inspect :func:`check_partial_consistency`, but the extension operations
@@ -218,54 +222,33 @@ def partial_functional(
     return pf
 
 
+def _slack(size):
+    """``TOL * (1 + size)``: the one tolerance of every value comparison here."""
+    return TOL * (1.0 + size)
+
+
 def _consistency_witness(AT: np.ndarray, G: np.ndarray, c: float):
-    """First violated pairwise inequality at ``TOL``, or None.
+    """First violated pairwise inequality, or None.
 
     Line ``j`` dominates line ``i`` once shifted up by the threshold
     ``t_ij = inf { t : x_j + t*unit >= x_i }``, the greatest entry of
     ``unit_rows @ (x_i - x_j)``, so the values must satisfy
-    ``g_j + t_ij * c >= g_i``.
+    ``g_j + t_ij * c >= g_i`` up to the pair's slack, of the size
+    ``|g_i| + |g_j| + c * max(a_i, a_j)`` with ``a_k = max|unit_rows @ x_k|``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        a, size = np.abs(AT).max(axis=0), np.abs(G)
+        floor = G - _slack(size)  # below the least slack of any pair with line i
         for i in range(len(G)):
             t = (AT[:, i : i + 1] - AT).max(axis=0)
-            violated = G + t * c < G[i] - TOL
-            violated[i] = False
-            js = np.flatnonzero(violated)
+            h = G + t * c
+            js = np.flatnonzero(h < floor[i])
             if js.size:
-                return _violation(G, c, i, int(js[0]), t[js[0]])
-    return None
-
-
-def _violation(G: np.ndarray, c: float, i: int, j: int, t_ij) -> dict:
-    return {
-        "line_i": i,
-        "line_j": j,
-        "threshold": float(t_ij),
-        "g_i": float(G[i]),
-        "g_j": float(G[j]),
-        "slope": float(c),
-    }
-
-
-def _last_line_witness(AT: np.ndarray, G: np.ndarray, c: float):
-    """First violated inequality at ``TOL`` that involves the last line, in the
-    order of :func:`_consistency_witness`.
-
-    When every pair among the other lines holds, this is the witness the full
-    scan returns: row ``i < k`` can fail only in column ``k``, so the column
-    comes first and row ``k`` after it.
-    """
-    k = len(G) - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = (AT[:, :k] - AT[:, k:]).max(axis=0)  # t_ik, i < k
-        hits = np.flatnonzero(G[k] + t * c < G[:k] - TOL)
-        if hits.size:
-            return _violation(G, c, int(hits[0]), k, t[hits[0]])
-        t = (AT[:, k:] - AT[:, :k]).max(axis=0)  # t_kj, j < k
-        hits = np.flatnonzero(G[:k] + t * c < G[k] - TOL)
-        if hits.size:
-            return _violation(G, c, k, int(hits[0]), t[hits[0]])
+                js = js[h[js] < G[i] - _slack(size[i] + size[js] + c * np.maximum(a[i], a[js]))]
+                if js.size:
+                    j = int(js[0])
+                    return {"line_i": i, "line_j": j, "threshold": float(t[j]),
+                            "g_i": float(G[i]), "g_j": float(G[j]), "slope": float(c)}
     return None
 
 
@@ -303,6 +286,12 @@ def _fold_min(v: np.ndarray) -> float:
     return float(v[np.argmin(v)])
 
 
+def _thresholds(pf: PartialFunctional, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per stored line, the least and greatest entry of ``r - unit_rows @ x_i``; call under ``np.errstate``."""
+    t = r[:, None] - pf.AT
+    return t.min(axis=0), t.max(axis=0)
+
+
 def extension_interval(pf: PartialFunctional, y) -> ExtensionInterval:
     """Exact admissible interval for ``f(y)``.
 
@@ -310,24 +299,28 @@ def extension_interval(pf: PartialFunctional, y) -> ExtensionInterval:
     threshold ``lambda_plus(x_i, y)`` and the part below ends at
     ``lambda_minus(x_i, y)``; the interval endpoints are the min/max of the
     corresponding line values.  Consistency of ``pf`` makes the interval
-    nonempty.
+    nonempty; endpoints crossed within the slack of the two lines that set them,
+    plus ``c * max|unit_rows @ y|`` for the query, are rounding and are returned.
     """
     if not pf.consistent:
         raise ValueError("extension requires a consistent partial functional")
     y = as_vec(y, pf.space.dim)
-    c = pf.unit_value
+    G, c = pf.G, pf.unit_value
     with np.errstate(over="ignore", invalid="ignore"):
-        t = (pf.space.unit_rows @ y)[:, None] - pf.AT
-        p_plus = _fold_min(pf.G + c * t.max(axis=0))
-        p_minus = -_fold_min(-(pf.G + c * t.min(axis=0)))
-    if p_minus > p_plus + TOL:
-        raise ValueError(
-            f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
-        )
+        ry = pf.space.unit_rows @ y
+        lo_t, hi_t = _thresholds(pf, ry)
+        above, below = G + c * hi_t, G + c * lo_t
+        p_plus, p_minus = _fold_min(above), -_fold_min(-below)
+        if p_minus > p_plus:
+            a, b = np.flatnonzero(above == p_plus)[0], np.flatnonzero(below == p_minus)[0]
+            size = abs(G[a]) + abs(G[b]) + c * (np.abs(pf.AT[:, [a, b]]).max() + np.abs(ry).max())
+            if p_minus > p_plus + _slack(size):
+                raise ValueError(f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent")
     return ExtensionInterval(p_minus=float(p_minus), p_plus=float(p_plus))
 
 
 _RULES = ("lower", "upper", "midpoint", "given")
+_OUTSIDE = "value {} outside the admissible interval [{}, {}]"
 
 
 def _pick_value(interval: ExtensionInterval, rule: str, value) -> float:
@@ -341,10 +334,8 @@ def _pick_value(interval: ExtensionInterval, rule: str, value) -> float:
         if value is None:
             raise ValueError("rule 'given' requires a value")
         p = float(value)
-        if not interval.p_minus - TOL <= p <= interval.p_plus + TOL:  # NaN is outside too
-            raise ValueError(
-                f"value {p} outside the admissible interval [{interval.p_minus}, {interval.p_plus}]"
-            )
+        if not math.isfinite(p):  # no line value, so in no interval
+            raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
         return p
     raise ValueError(f"unknown extension rule {rule!r}; expected one of {_RULES}")
 
@@ -353,12 +344,11 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     """One extension step: None for a target already in the span of ``pf``,
     else ``(extended, interval, chosen value)``.
 
-    An empty interval raises as :func:`extension_interval` does; so do a
-    value the rule cannot pick, a new line that breaks consistency and, as
-    :class:`NonFiniteError`, a new line whose value or unit-scaled pairings
-    are not finite.  The stored lines are carried over as they are; only the
-    inequalities between them and the new line are evaluated, since the
-    others hold already in the consistent ``pf``.
+    The rule picks ``p`` in the interval at ``y``, stored as ``g = p - mu * c`` on the
+    line of ``y``'s representative ``rep`` and checked there with each pair's slack,
+    as the scan checks the new pairs.  A ``given`` value that fails raises; another
+    rule's value fails only by the rounding of ``mu * c`` far along the unit, and is
+    moved into the bounds at ``rep``.  Non-finite lines and empty intervals raise.
     """
     y = as_vec(y, pf.space.dim)
     if span_contains(pf.subspace, y):
@@ -366,17 +356,26 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     interval = extension_interval(pf, y)
     p = _pick_value(interval, rule, value)
     rep, mu = canonicalize(pf.space, y)
-    g = p - mu * pf.unit_value
+    G, c = pf.G, pf.unit_value
+    g = p - mu * c
     with np.errstate(over="ignore", invalid="ignore"):
         col = pf.space.unit_rows @ rep
-    if not (math.isfinite(g) and np.isfinite(col).all()):
-        raise NonFiniteError(f"target {y.tolist()}: its line value or a unit-scaled pairing is not finite")
-    G = np.append(pf.G, g)
-    AT = np.column_stack([pf.AT, col])
-    witness = _last_line_witness(AT, G, pf.unit_value)
-    if witness is not None:
-        raise ValueError(f"inconsistent partial functional: {witness}")
-    return PartialFunctional(pf.space, np.vstack([pf.X, rep]), G, AT, pf.unit_value, None), interval, p
+        if not (math.isfinite(g) and np.isfinite(col).all()):
+            raise NonFiniteError(f"target {y.tolist()}: its line value or a unit-scaled pairing is not finite")
+        lo_t, hi_t = _thresholds(pf, col)
+        above, below = G + hi_t * c, g - lo_t * c  # the scan's sides of the pairs (new, j) and (j, new)
+        s = _slack(abs(g))  # below the slack of every pair with the new line
+        if ((above < g - s) | (below < G - s)).any():
+            s = _slack(abs(g) + np.abs(G) + c * np.maximum(np.abs(col).max(), np.abs(pf.AT).max(axis=0)))
+            if ((above < g - s) | (below < G - s)).any():
+                if rule == "given":
+                    raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
+                lo, hi = -_fold_min(-(G + c * lo_t)), _fold_min(G + c * hi_t)
+                if lo > hi:  # crossed within the slacks: take the middle of what they admit
+                    lo = hi = 0.5 * (_fold_min(above + s) - _fold_min(s - (G + c * lo_t)))
+                g = min(max(g, lo), hi)
+    X, AT = np.vstack([pf.X, rep]), np.column_stack([pf.AT, col])
+    return PartialFunctional(pf.space, X, np.append(G, g), AT, c, None), interval, p
 
 
 def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> PartialFunctional:

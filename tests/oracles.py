@@ -116,6 +116,23 @@ def choquet_layer_cake(cap: Capacity, x):
     return float(total)
 
 
+def slack(size, tol=TOL):
+    """``tol * (1 + size)``, the one tolerance of the extension engine's value
+    comparisons, for two values compared whose size, with their slopes'
+    share, is ``size``."""
+    return tol * (1.0 + size)
+
+
+def pair_size(g_i, g_j, c, a_i, a_j):
+    """``|g_i| + |g_j| + c * max(max|a_i|, max|a_j|)``: the size of two line
+    values ``g_i``, ``g_j`` whose unit-scaled pairings are ``a_i``, ``a_j``."""
+    return abs(g_i) + abs(g_j) + c * max(_magnitude(a_i), _magnitude(a_j))
+
+
+def _magnitude(a):
+    return max(abs(float(v)) for v in np.ravel(a))
+
+
 def interval_by_line_search(pf, y, iters=80):
     """Extension interval endpoints by per-line bisection.
 
@@ -177,31 +194,47 @@ def interval_by_ray_thresholds(pf, y, tol=1e-9):
     y = np.asarray(y, dtype=float)
     xs, gs = _lines(pf)
     c = pf.unit_value
-    p_plus = np.inf
-    p_minus = -np.inf
+    bounds = []
     for x_i, g_i in zip(xs, gs):
         lo, hi = ray_thresholds(pf.space, x_i, y)
-        p_plus = min(p_plus, g_i + c * hi)
-        p_minus = max(p_minus, g_i + c * lo)
-    if p_minus > p_plus + tol:
-        raise ValueError(
-            f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
-        )
+        bounds.append((g_i + c * lo, g_i + c * hi))
+    R, pairings = _line_pairings(pf)
+    return _nonempty(bounds, gs, c, pairings, R @ y, tol)
+
+
+def _nonempty(bounds, gs, c, pairings, ay, tol):
+    """Fold per-line ``(lower, upper)`` bounds with Python ``max`` and ``min``.
+    Endpoints crossed beyond the slack of the two lines that set them, with
+    ``c * max|ay|`` added for the query ``ay``, raise."""
+    p_plus, p_minus, a, b = np.inf, -np.inf, 0, 0
+    for k, (lower, upper) in enumerate(bounds):
+        if upper < p_plus:
+            p_plus, a = upper, k
+        if lower > p_minus:
+            p_minus, b = lower, k
+    if p_minus > p_plus:
+        size = abs(gs[a]) + abs(gs[b]) + c * (max(_magnitude(pairings[a]), _magnitude(pairings[b])) + _magnitude(ay))
+        if p_minus > p_plus + slack(size, tol):
+            raise ValueError(
+                f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
+            )
     return float(p_minus), float(p_plus)
 
 
 def _first_violation(pf, threshold, tol):
     """Row-major over ``(line_i, line_j)``, ``i != j``, with the axis line
-    first: the first pair with ``g_j + t_ij * c < g_i - tol``, where
-    ``t_ij = threshold(i, j)``, as a witness; ``None`` when none is violated."""
+    first: the first pair with ``g_j + t_ij * c < g_i - s``, where
+    ``t_ij = threshold(i, j)`` and ``s`` is the :func:`slack` of the pair's
+    :func:`pair_size`, as a witness; ``None`` when none is violated."""
     gs = _lines(pf)[1]
     c = pf.unit_value
+    pairings = _line_pairings(pf)[1]
     for i, g_i in enumerate(gs):
         for j, g_j in enumerate(gs):
             if i == j:
                 continue
             t_ij = threshold(i, j)
-            if g_j + t_ij * c < g_i - tol:
+            if g_j + t_ij * c < g_i - slack(pair_size(g_i, g_j, c, pairings[i], pairings[j]), tol):
                 return {
                     "line_i": i,
                     "line_j": j,
@@ -254,17 +287,16 @@ def interval_by_pairings(pf, y, tol=1e-9):
     R, pairings = _line_pairings(pf)
     ay = R @ np.asarray(y, dtype=float)
     c = pf.unit_value
-    p_plus = np.inf
-    p_minus = -np.inf
-    for ax, g_i in zip(pairings, _lines(pf)[1]):
-        t = ay - ax
-        p_plus = min(p_plus, g_i + c * max(t))
-        p_minus = max(p_minus, g_i + c * min(t))
-    if p_minus > p_plus + tol:
-        raise ValueError(
-            f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent"
-        )
-    return float(p_minus), float(p_plus)
+    gs = _lines(pf)[1]
+    bounds = [(g_i + c * min(ay - ax), g_i + c * max(ay - ax)) for ax, g_i in zip(pairings, gs)]
+    return _nonempty(bounds, gs, c, pairings, ay, tol)
+
+
+def line_slacks(pf, x, g, tol=TOL):
+    """The :func:`slack` of each pair that a new line through ``x`` with value
+    ``g`` forms with a line of ``pf``, the axis line first."""
+    R, pairings = _line_pairings(pf)
+    return [slack(pair_size(g, g_j, pf.unit_value, R @ x, a_j), tol) for g_j, a_j in zip(_lines(pf)[1], pairings)]
 
 
 def consistency_witness_by_pairings(pf, tol=1e-9):
@@ -304,6 +336,36 @@ def ray_thresholds_exact(space, x, y):
     return min(ratios), max(ratios)
 
 
+def extension_interval_exact(pf, y):
+    """``(p_minus, p_plus)`` of :func:`orderunit.extension_interval` over the
+    stored lines, exactly: per line the exact ray thresholds of ``y - x_i``.
+    Each endpoint comes with the first line that sets it, as ``(value, line)``."""
+    c = Fraction(pf.unit_value)
+    xs, gs = _lines(pf)
+    bounds = [ray_thresholds_exact(pf.space, x, y) for x in xs]
+    uppers = [Fraction(g) + c * hi for g, (_, hi) in zip(gs, bounds)]
+    lowers = [Fraction(g) + c * lo for g, (lo, _) in zip(gs, bounds)]
+    p_plus, p_minus = min(uppers), max(lowers)
+    return (p_minus, lowers.index(p_minus)), (p_plus, uppers.index(p_plus))
+
+
+def consistency_pairs_exact(pf):
+    """Row-major over ``(line_i, line_j)``, ``i != j``, with the axis line
+    first: ``(i, j, t_ij, excess)`` with the exact threshold ``t_ij``, the
+    greatest ratio of ``x_i - x_j``, and the exact excess
+    ``g_i - g_j - t_ij * c``.  The pair is violated when the excess passes
+    the slack, so the exact witness at a slack is the first such pair."""
+    c = Fraction(pf.unit_value)
+    xs, gs = _lines(pf)
+    out = []
+    for i, (x_i, g_i) in enumerate(zip(xs, gs)):
+        for j, (x_j, g_j) in enumerate(zip(xs, gs)):
+            if i != j:
+                t_ij = ray_thresholds_exact(pf.space, x_j, x_i)[1]
+                out.append((i, j, t_ij, Fraction(g_i) - Fraction(g_j) - t_ij * c))
+    return out
+
+
 def unit_ratio_scale(space, magnitudes, ratios):
     """``max_k (|a_k|.m + |r_k| * |a_k|.|unit|) / a_k.unit``, exactly, for the
     entrywise magnitudes ``m`` of the terms a ratio sums and the ratios ``r_k``.
@@ -337,16 +399,18 @@ def canonical_lines_by_pairs(space, points, values=None, unit_value=0.0, tol=1e-
 
     Projects each point off the unit, drops points on the axis line and
     merges points on an already listed line, raising on value conflicts
-    exactly as the extension engine does.  Returns ``(base, vals)``.
+    exactly as the extension engine does: beyond the :func:`slack` of the
+    two values and their multiples ``c * mu`` of the unit.  Returns ``(base, vals)``.
     """
     pts = [np.asarray(p, dtype=float) for p in points]
     vals = [0.0] * len(pts) if values is None else [float(v) for v in values]
-    base, out_vals = [], []
+    c = abs(unit_value)
+    base, out_vals, read = [], [], []
     for p, g in zip(pts, vals):
         rep, mu = _unit_rep(space, p)
         g_rep = g - mu * unit_value
         if _negligible(space, rep, tol):
-            if values is not None and abs(g_rep) > 1e-7:
+            if values is not None and abs(g_rep) > slack(abs(g) + c * abs(mu), tol):
                 raise ValueError(
                     f"value conflict on the axis line: point {p.tolist()} carries {g}, "
                     f"but the unit slope forces {mu * unit_value}"
@@ -355,7 +419,8 @@ def canonical_lines_by_pairs(space, points, values=None, unit_value=0.0, tol=1e-
         merged = False
         for i, b in enumerate(base):
             if _negligible(space, rep - b, tol):
-                if values is not None and abs(out_vals[i] - g_rep) > 1e-7:
+                g_i, mu_i = read[i]
+                if values is not None and abs(out_vals[i] - g_rep) > slack(abs(g_i) + abs(g) + c * max(abs(mu_i), abs(mu)), tol):
                     raise ValueError(
                         f"value conflict on a duplicate line: {out_vals[i]} vs {g_rep}"
                     )
@@ -364,6 +429,7 @@ def canonical_lines_by_pairs(space, points, values=None, unit_value=0.0, tol=1e-
         if not merged:
             base.append(rep)
             out_vals.append(g_rep)
+            read.append((g, mu))
     return np.array(base).reshape(-1, space.dim), np.array(out_vals)
 
 

@@ -39,3 +39,30 @@ def interior_unit_spaces(draw):
     space = ou.halfspace_space(rows * 10.0 ** exponents[:, None], unit)
     assume(ou.validate_space(space, samples=16).ok)
     return space
+
+
+def point_arrays(dim, n, bound=4.0):
+    """``n`` points with coordinates up to ``bound``, shape ``(n, dim)``."""
+    return arrays(float, (n, dim), elements=entries(bound))
+
+
+@st.composite
+def positive_functionals(draw, slopes=(0, 12)):
+    """``(space, w)``: a generated space and the weights of a positive linear
+    functional on it, a nonnegative combination of the unit-scaled rows, whose
+    slope ``w @ unit`` is ``[0.5, 1] * 10**e`` for ``e`` in ``slopes``."""
+    space = draw(interior_unit_spaces())
+    weights = draw(arrays(float, space.cone.rows.shape[0], elements=st.floats(0.0, 1.0)))
+    assume(weights.sum() > 0.1)
+    w = weights @ space.unit_rows
+    w *= draw(st.floats(0.5, 1.0)) * 10.0 ** draw(st.integers(*slopes)) / float(w @ space.unit)
+    return space, w
+
+
+@st.composite
+def positive_partial_data(draw, max_points=4, slopes=(0, 12)):
+    """``(space, points, values, c)``: up to ``max_points`` points, their values
+    under a positive linear functional of :func:`positive_functionals` and its slope."""
+    space, w = draw(positive_functionals(slopes))
+    pts = draw(point_arrays(space.dim, draw(st.integers(0, max_points))))
+    return space, pts, pts @ w, float(w @ space.unit)

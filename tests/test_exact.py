@@ -1,20 +1,34 @@
-"""The order norm and the ray thresholds against exact rational references,
-on generated spaces whose rows span twelve orders of magnitude.
+"""The order norm, the ray thresholds and the extension engine against exact
+rational references, on generated spaces whose rows span twelve orders of
+magnitude, with slopes ``c = f(unit)`` up to ``1e12`` for the engine.
 
 The bound is ``K * eps * scale``, where ``scale`` (``oracles.unit_ratio_scale``)
-is the size of the terms that the ratio and its pairing with the unit sum.
+is the size of the terms that the ratio and its pairing with the unit sum;
+for a line value ``g + c * t`` it is ``|g| + c`` times the scale of ``t``.
+The engine's errors also sit far below its slack, the one tolerance of its
+value comparisons.
 """
 
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import orderunit as ou
-from oracles import order_norm_exact, ray_thresholds_exact, unit_ratio_scale, unit_ratios_exact
-from strategies import entries, interior_unit_spaces
+from oracles import (
+    consistency_pairs_exact,
+    extension_interval_exact,
+    order_norm_exact,
+    pair_size,
+    ray_thresholds_exact,
+    slack,
+    unit_ratio_scale,
+    unit_ratios_exact,
+    unit_rows_by_rows,
+)
+from strategies import entries, interior_unit_spaces, point_arrays, positive_partial_data
 
 EPS = np.finfo(float).eps
 K = 2
@@ -30,6 +44,17 @@ def points(space, n):
 
 def within(got, exact, scale) -> bool:
     return abs(Fraction(got) - exact) <= K * Fraction(EPS) * scale
+
+
+def threshold_scale(space, x, y):
+    """The scale of the greatest or least ratio of ``y - x``."""
+    d = [Fraction(float(b)) - Fraction(float(a)) for a, b in zip(x, y)]
+    return unit_ratio_scale(space, np.abs(x) + np.abs(y), unit_ratios_exact(space, d))
+
+
+SLACK_SHARE = Fraction(1, 1000)
+"""The engine's errors stay below this share of the slack they are compared with
+(measured: under 1e-5)."""
 
 
 class TestExactReferences:
@@ -54,3 +79,58 @@ class TestExactReferences:
         lo, hi = ou.ray_thresholds(space, x, y)
         exact_lo, exact_hi = ray_thresholds_exact(space, x, y)
         assert within(lo, exact_lo, scale) and within(hi, exact_hi, scale)
+
+
+class TestExactExtension:
+    @settings(max_examples=200, deadline=None)
+    @given(data=positive_partial_data(), draws=st.data())
+    def test_extension_interval(self, data, draws):
+        space, pts, values, c = data
+        pf = ou.partial_functional(space, pts, values, c)
+        R = unit_rows_by_rows(space)
+        magnitudes = [np.max(np.abs(R @ x)) for x in pf.X]
+        for y in draws.draw(point_arrays(space.dim, 2)):
+            interval = ou.extension_interval(pf, y)
+            scale = max(abs(Fraction(g)) + Fraction(c) * threshold_scale(space, x, y) for x, g in zip(pf.X, pf.G))
+            for got, (want, k) in zip((interval.p_minus, interval.p_plus), extension_interval_exact(pf, y)):
+                assert within(got, want, scale)
+                # the least slack of a crossing that the line setting the endpoint takes part in
+                share = SLACK_SHARE * Fraction(slack(abs(pf.G[k]) + c * (magnitudes[k] + np.max(np.abs(R @ y)))))
+                assert abs(Fraction(got) - want) <= share
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=positive_partial_data(),
+        lift=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(-6, 1), st.sampled_from((-1.0, 1.0)))),
+    )
+    def test_consistency_witness(self, data, lift):
+        """The witness is the first pair whose exact excess ``g_i - g_j - t_ij * c``
+        passes the slack, with its threshold within the bound of the exact one."""
+        space, pts, values, c = data
+        values = values.copy()
+        if lift is not None and len(values):
+            k, exponent, sign = lift
+            values[k % len(values)] += sign * 10.0**exponent * (1.0 + np.max(np.abs(values)))
+        try:
+            pf = ou.partial_functional(space, pts, values, c, strict=False)
+        except ValueError:
+            return  # a value conflict between merged points
+        R = unit_rows_by_rows(space)
+        bound = K * Fraction(EPS)
+        expected = None
+        for i, j, t_ij, excess in consistency_pairs_exact(pf):
+            s = Fraction(slack(pair_size(pf.G[i], pf.G[j], c, R @ pf.X[i], R @ pf.X[j])))
+            t_scale = threshold_scale(space, pf.X[j], pf.X[i])
+            size = abs(Fraction(pf.G[i])) + abs(Fraction(pf.G[j])) + Fraction(c) * t_scale
+            # a pair whose exact excess is within rounding of the slack may go either way
+            assume(abs(excess - s) > bound * size)
+            if excess > s:
+                expected = (i, j, t_ij, t_scale)
+                break
+        witness = ou.check_partial_consistency(pf).witness
+        if expected is None:
+            assert witness is None
+            return
+        i, j, t_ij, t_scale = expected
+        assert (witness["line_i"], witness["line_j"]) == (i, j)
+        assert within(witness["threshold"], t_ij, t_scale)

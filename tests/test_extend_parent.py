@@ -51,7 +51,9 @@ CASES = {
     "given_without_value": (ORTH2, AXIS, ["--target=1,0", "--rule", "given"]),
     "wrong_length_target": (ORTH2, ONE_LINE, ["--target=0,1", "--target=1,2,3"]),
     "inconsistent_partial": (ORTH2, {"base_points": [[1.0, 0.0]], "values": [2.0], "unit_value": 1.0}, ["--target=0,1"]),
-    # consistent at the tolerance, but rounding at this slope empties the interval at the target
+    # the stored value is an endpoint at a slope of 3.3e8, so rounding crosses the interval at the
+    # target by one unit in the last place (1.5e-8); the slack of the two lines that set the
+    # endpoints is 0.46 there, and the step succeeds
     "empty_interval": (
         ORTH2,
         {

@@ -13,7 +13,11 @@ from oracles import (
     interval_by_line_search,
     interval_by_pairings,
     interval_by_ray_thresholds,
+    line_slacks,
+    pair_size,
+    slack,
     span_contains_by_lines,
+    unit_rows_by_rows,
 )
 
 FIXED_SPACES = None
@@ -202,36 +206,39 @@ def step_data(draw):
 
 
 class TestExtensionStep:
-    """One extension step appends a line and checks only the pairs that involve it."""
+    """One extension step appends a line.  Its value is checked against the
+    thresholds at the new line's stored pairings with the slack of each pair,
+    so a ``given`` value is accepted exactly when the full scan passes."""
 
     @settings(max_examples=300, deadline=None)
     @given(
         data=step_data(),
         rule=st.sampled_from(("lower", "upper", "midpoint", "given")),
         end=st.sampled_from(("p_minus", "p_plus")),
-        offset=st.sampled_from((-2e-6, -5e-7, -2e-9, -5e-10, 0.0, 5e-10, 2e-9, 5e-7, 2e-6)),
+        offset=st.sampled_from((-10.0, -2.0, -0.5, 0.0, 0.5, 2.0, 10.0)),
     )
     def test_step(self, data, rule, end, offset):
         pf, y = data
-        m, space = pf.subspace.m, pf.space
+        m, space, c = pf.subspace.m, pf.space, pf.unit_value
         if ou.span_contains(pf.subspace, y):
             return
         interval = ou.extension_interval(pf, y)
-        value = getattr(interval, end) + offset if rule == "given" else None
-        p = {"lower": interval.p_minus, "upper": interval.p_plus, "midpoint": interval.midpoint, "given": value}[rule]
         rep, mu = ou.canonicalize(space, y)
-        g = p - mu * pf.unit_value
+        # the largest slack of a pair that the new line forms at the interval's end
+        edge = getattr(interval, end)
+        s = max(line_slacks(pf, rep, edge - mu * c))
+        value = edge + offset * s if rule == "given" else None
+        p = {"lower": interval.p_minus, "upper": interval.p_plus, "midpoint": interval.midpoint, "given": value}[rule]
+        g = p - mu * c
         # the result the step must describe, checked by the full scan at construction
-        full = ou.extension._from_lines(space, np.vstack([pf.X, rep]), np.append(pf.G, g), pf.unit_value)
+        full = ou.extension._from_lines(space, np.vstack([pf.X, rep]), np.append(pf.G, g), c)
         assert repr(full._witness) == repr(consistency_witness_by_pairings(full))
-        if not interval.p_minus - ou.TOL <= p <= interval.p_plus + ou.TOL:
-            with pytest.raises(ValueError, match="outside the admissible interval"):
-                ou.extend_one(pf, y, rule=rule, value=value)
-            return
+        assert full.consistent or rule == "given"
         if not full.consistent:
             with pytest.raises(ValueError) as got:
                 ou.extend_one(pf, y, rule=rule, value=value)
-            assert str(got.value) == f"inconsistent partial functional: {full._witness}"
+            interval_text = f"[{interval.p_minus}, {interval.p_plus}]"
+            assert str(got.value) == f"value {value} outside the admissible interval {interval_text}"
             return
         out = ou.extend_one(pf, y, rule=rule, value=value)
         assert out.subspace.m == m + 1 and out.consistent
@@ -310,12 +317,14 @@ class TestDifferenceFirstReferences:
             return
         # The verdicts part at the earlier of the two pairs, in the scan's
         # row-major order: there the excess g_i - g_j - t_ij * c must sit
-        # within the bound of tol.
+        # within the bound of the pair's slack at tol.
         i, j = min(p for p in (pair(got), pair(want)) if p is not None)
         xs, G, c = pf.X, pf.G, pf.unit_value
         t_ij = ou.ray_thresholds(pf.space, xs[j], xs[i])[1]
         excess = G[i] - G[j] - t_ij * c
-        assert _within(excess, tol, (G[i], G[j], t_ij * c)), (got, want)
+        R = unit_rows_by_rows(pf.space)
+        s = slack(pair_size(G[i], G[j], c, R @ xs[i], R @ xs[j]), tol)
+        assert _within(excess, s, (G[i], G[j], t_ij * c)), (got, want)
 
 
 fold_entries = st.one_of(st.sampled_from((np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0)), st.floats())
@@ -387,6 +396,22 @@ class TestNonFiniteLines:
         pf = ou.partial_functional(space, [], [], 1.0)
         with pytest.raises(ou.NonFiniteError, match="not finite"):
             ou.extend_one(pf, [1e308, -1e308], rule="given", value=0.0)
+
+    def test_given_value_whose_line_value_overflows(self):
+        # the value 0 lies in the interval [0, inf] at the target, but stored as
+        # 0 - mu * c on the line of the target's representative it is -inf;
+        # that raises before the value is checked against the stored lines
+        pf = ou.partial_functional(ou.orthant(2, unit=[0.5, 0.5]), [], [], 1e10)
+        with pytest.raises(ou.NonFiniteError, match="not finite"):
+            ou.extend_one(pf, [1e300, 0.0], rule="given", value=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_given_value_that_is_not_finite_is_outside(self, value):
+        # no line value, so in no interval, also where the interval is unbounded on that side
+        pf = ou.partial_functional(ou.orthant(2, unit=[0.5, 0.5]), [], [], 1.0)
+        with pytest.raises(ValueError, match=f"value {value} outside the admissible interval") as got:
+            ou.extend_one(pf, [1e308, -1e308], rule="given", value=value)
+        assert not isinstance(got.value, ou.NonFiniteError)
 
     def test_is_a_value_error(self):
         assert issubclass(ou.NonFiniteError, ValueError)

@@ -1,0 +1,190 @@
+"""The extension engine's one slack, ``TOL * (1 + size)`` for two values of
+that size with their slopes' share, on generated spaces with slopes
+``c = f(unit)`` up to ``1e12``.
+
+The engine never refuses its own endpoint choices or data read off a
+positive linear functional, and its results rebuild consistent, also for
+targets far along the unit; a ``given`` value is accepted within half the
+least slack of the pairs it forms past an endpoint and refused at twice the
+largest; data lifted beyond those slacks gives the oracle's witness.  A
+guard keeps small numeric literals, which would be a second tolerance, out
+of the engine.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import orderunit as ou
+from oracles import consistency_witness_by_pairings, line_slacks
+from strategies import point_arrays, positive_functionals, positive_partial_data
+
+EPS = np.finfo(float).eps
+ENGINE = Path(__file__).resolve().parent.parent / "src" / "orderunit" / "extension.py"
+
+
+def rebuilt(pf, values=None):
+    """``pf`` built again from its base points and values (or ``values``), not strict."""
+    values = pf.values if values is None else values
+    return ou.partial_functional(pf.space, pf.subspace.base, values, pf.unit_value, strict=False)
+
+
+class TestChains:
+    @settings(max_examples=200, deadline=None)
+    @given(data=positive_partial_data(), rule=st.sampled_from(("lower", "upper", "midpoint")), draws=st.data())
+    def test_the_engine_never_refuses_its_own_endpoints(self, data, rule, draws):
+        space, pts, values, c = data
+        pf = ou.partial_functional(space, pts, values, c)
+        targets = draws.draw(point_arrays(space.dim, 4))
+        out = ou.extend_all(pf, targets[:3], rule=rule)
+        ou.extension_interval(out, targets[3])
+        again = rebuilt(out)
+        assert again.consistent and consistency_witness_by_pairings(again) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=positive_partial_data(slopes=(10, 10)),
+        rule=st.sampled_from(("lower", "upper", "midpoint")),
+        shifts=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        exponent=st.integers(6, 8),
+        draws=st.data(),
+    )
+    def test_targets_far_along_the_unit(self, data, rule, shifts, exponent, draws):
+        """Far along the unit the rounding of ``mu * c`` can pass the slack; the
+        step then moves the value into the bounds where it is stored, and the
+        result rebuilds consistent.  Each target keeps its own line, well off
+        the axis line and the others: shifted this far, a target on one of them
+        would leave a rounding residue above the zero test's ``TOL`` and be
+        stored as a line of its own."""
+        space, pts, values, c = data
+        pf = ou.partial_functional(space, pts, values, c)
+        offsets = draws.draw(point_arrays(space.dim, 3))
+        reps = [ou.canonicalize(space, x)[0] for x in (np.zeros(space.dim), *pts, *offsets)]
+        assume(all(np.max(np.abs(a - b)) > 1e-3 for k, a in enumerate(reps) for b in reps[k + 1 :]))
+        targets = offsets + np.outer(shifts, space.unit) * 10.0**exponent
+        out = ou.extend_all(pf, targets, rule=rule)
+        again = rebuilt(out)
+        assert again.consistent and consistency_witness_by_pairings(again) is None
+
+
+class TestGiven:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=positive_partial_data(),
+        end=st.sampled_from(("p_minus", "p_plus")),
+        offset=st.sampled_from((-0.5, 0.5, 2.0)),
+        shift=st.floats(-1.0, 1.0),
+        exponent=st.integers(0, 3),
+        draws=st.data(),
+    )
+    def test_accepted_within_the_slack_and_refused_beyond(self, data, end, offset, shift, exponent, draws):
+        space, pts, values, c = data
+        pf = ou.partial_functional(space, pts, values, c)
+        y = draws.draw(point_arrays(space.dim, 1))[0] + shift * 10.0**exponent * space.unit
+        if ou.span_contains(pf.subspace, y):
+            return
+        interval = ou.extension_interval(pf, y)
+        rep, mu = ou.canonicalize(space, y)
+        edge = getattr(interval, end)
+        slacks = line_slacks(pf, rep, edge - mu * c)
+        s = min(slacks) if offset < 1 else max(slacks)
+        value = edge + (offset if end == "p_plus" else -offset) * s  # a positive offset points outward
+        # the value is stored as value - mu * c, whose rounding must stay well below the slack
+        assume(EPS * (abs(value) + abs(mu * c)) < 1e-3 * s)
+        if offset == 2.0:
+            message = f"value {value} outside the admissible interval [{interval.p_minus}, {interval.p_plus}]"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ou.extend_one(pf, y, rule="given", value=value)
+            return
+        out = ou.extend_one(pf, y, rule="given", value=value)
+        assert out.values[-1] == value - mu * c
+        assert rebuilt(out).consistent
+
+
+class TestDuplicates:
+    @settings(max_examples=200, deadline=None)
+    @given(data=positive_functionals(slopes=(10, 12)), draws=st.data())
+    def test_shifted_and_axis_points_merge_without_conflict(self, data, draws):
+        space, w = data
+        pts = draws.draw(point_arrays(space.dim, draws.draw(st.integers(1, 3))))
+        shifts = draws.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * len(pts), max_size=2 * len(pts)))
+        scales = 10.0 ** np.array(draws.draw(st.lists(st.integers(0, 3), min_size=len(shifts), max_size=len(shifts))))
+        lams = np.array(shifts) * scales
+        k = len(pts)
+        points = np.vstack([pts, pts + lams[:k, None] * space.unit, lams[k:, None] * space.unit])
+        pf = ou.partial_functional(space, points, points @ w, float(w @ space.unit))
+        assert pf.subspace.m <= k
+
+
+class TestLifted:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=positive_partial_data(),
+        rule=st.sampled_from(("lower", "upper")),
+        factor=st.floats(2.0, 1e3),
+        draws=st.data(),
+    )
+    def test_data_lifted_beyond_the_slack_gives_the_oracle_witness(self, data, rule, factor, draws):
+        space, pts, values, c = data
+        pf = ou.partial_functional(space, pts, values, c)
+        y = draws.draw(point_arrays(space.dim, 1))[0]
+        if ou.span_contains(pf.subspace, y):
+            return
+        out = ou.extend_one(pf, y, rule=rule)
+        lifted = out.values.copy()
+        lifted[-1] += (factor if rule == "upper" else -factor) * max(line_slacks(pf, out.X[-1], out.G[-1]))
+        bad = rebuilt(out, lifted)
+        witness = ou.check_partial_consistency(bad).witness
+        assert witness is not None
+        assert repr(witness) == repr(consistency_witness_by_pairings(bad))
+        with pytest.raises(ValueError, match=re.escape(f"inconsistent partial functional: {witness}")):
+            ou.partial_functional(space, out.subspace.base, lifted, c)
+
+
+class TestPerPair:
+    """Each comparison allows the slack of the two values it compares, so a
+    large line elsewhere hides nothing between small ones."""
+
+    def test_a_far_line_hides_no_violation(self):
+        space = ou.orthant(2)
+        # (2, 0) >= (1, 0), yet f(2, 0) = 0 < 400 = f(1, 0)
+        for points, values in (([[1, 0], [2, 0]], [400, 0]), ([[1, 0], [2, 0], [1e12, 0]], [400, 0, 5e11])):
+            with pytest.raises(ValueError, match="inconsistent partial functional"):
+                ou.partial_functional(space, points, values, 1.0)
+            pf = ou.partial_functional(space, points, values, 1.0, strict=False)
+            assert repr(ou.check_partial_consistency(pf).witness) == repr(consistency_witness_by_pairings(pf))
+
+    def test_a_far_line_hides_no_value_conflict(self):
+        space = ou.orthant(2)
+        for points, values in (([[1, 0], [1, 0]], [1, 1 + 1e-6]), ([[1e12, 0], [1, 0], [1, 0]], [1e12, 1, 1 + 1e-6])):
+            with pytest.raises(ValueError, match="value conflict on a duplicate line"):
+                ou.partial_functional(space, points, values, 1.0)
+
+    def test_a_far_line_widens_no_given_range(self):
+        # f(x) = x_1 on the lines of (1, 0) and (0, 1e12); the axis line sets p_plus = 2 at (2, 0)
+        pf = ou.partial_functional(ou.orthant(2), [[1, 0], [0, 1e12]], [1, 0], 1.0)
+        interval = ou.extension_interval(pf, [2, 0])
+        assert (interval.p_minus, interval.p_plus) == (1.0, 2.0)
+        ou.extend_one(pf, [2, 0], rule="given", value=2.0)
+        with pytest.raises(ValueError, match="outside the admissible interval"):
+            ou.extend_one(pf, [2, 0], rule="given", value=2.0 + 1e-6)
+
+
+def test_the_engine_has_no_second_tolerance():
+    """Every value comparison in the engine allows the one slack; a numeric
+    literal in ``(0, 1e-3)`` would be a tolerance of its own."""
+    tree = ast.parse(ENGINE.read_text())
+    small = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, (int, float))
+        and not isinstance(node.value, bool)
+        and 0 < node.value < 1e-3
+    ]
+    assert small == []
