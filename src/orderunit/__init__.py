@@ -66,7 +66,6 @@ from .extension import (
     partial_functional,
     partial_to_json,
     span_contains,
-    unit_span,
 )
 from .operators import (
     EquicontinuityModulus,

@@ -20,7 +20,11 @@ that make the partial functional order-preserving on its span) is precisely
 what guarantees ``p_minus <= p_plus``.  Every comparison of two values allows
 one slack, ``TOL * (1 + size)`` for their size with the slope's share (``1e3``
 at ``1e12``), so rounding refuses neither consistent data nor the engine's own
-endpoints.
+endpoints.  The one line test reads the same slack: a point is on a stored
+line when the order-norm gap between their unit-scaled columns is within the
+slack of the point's and the line's order norms, so points far along the unit
+still find their lines; values merged onto one line may also differ by
+``c * gap``, the most a functional of slope ``c`` moves over the gap.
 
 A partial functional stores its lines once, stacked: ``X`` holds the origin
 (the axis line) and then the base points, ``G`` their values and ``AT`` the
@@ -74,16 +78,12 @@ def canonicalize(space: OrderedSpace, v) -> tuple[np.ndarray, float]:
     return w - mu * space.unit, mu
 
 
-def _is_zero(space: OrderedSpace, v: np.ndarray):
-    """Zero test at ``TOL`` along the last axis: one verdict per vector."""
-    scale = 1.0 + float(np.max(np.abs(space.unit)))
-    return np.max(np.abs(v), axis=-1) <= TOL * scale
-
-
-def _on_lines(space: OrderedSpace, rep: np.ndarray, base: np.ndarray):
-    """Does representative ``rep`` lie on the line of each row of ``base``?"""
-    with np.errstate(over="ignore"):  # a difference that overflows is no zero
-        return _is_zero(space, rep - base)
+def _line_gaps(AT: np.ndarray, a: np.ndarray, size):
+    """The order-norm gap ``max|a - AT[:, k]|`` from the unit-scaled column ``a``
+    to each stored line ``k``, and which lines hold it: those at a finite gap
+    within the slack of ``size`` plus ``max|AT[:, k]|``.  Call under ``np.errstate``."""
+    gap = np.abs(a[:, None] - AT).max(axis=0)
+    return gap, np.isfinite(gap) & (gap <= _slack(size + np.abs(AT).max(axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +92,7 @@ class UnitSpan:
 
     ``base`` has shape ``(m, dim)``; the axis line is always implied and not
     listed.  Base points arriving on the axis line or on an already listed
-    line are merged away by :func:`unit_span`.
+    line are merged away by :func:`partial_functional`.
     """
 
     space: OrderedSpace
@@ -104,56 +104,47 @@ class UnitSpan:
 
 
 def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
-    """Canonicalize points (adjusting values along), merge duplicate lines.
+    """Canonicalize points (adjusting values along), merge points on one line.
 
-    Returns ``(base, vals)``.  A non-finite input raises, and so does a value conflict
-    between two merged points beyond the slack of their values and ``c * mu``.
+    Returns ``(base, vals)``.  Line 0 is the axis line.  A point joins the first
+    line that holds it (:func:`_line_gaps`, the size being its ``|mu| + max|R rep|``
+    plus the kept point's ``|mu|``), else starts a line.  A non-finite input raises,
+    and so does a joining value that differs from the line's beyond ``c * gap``,
+    the most a functional of slope ``c`` moves over the gap, plus the slack of
+    the two values and ``c * mu``.
     """
     _finite("unit_value", unit_value)
-    pts = [as_vec(p, space.dim) for p in points]
-    _finite("base_points", pts)
+    P = np.array([as_vec(p, space.dim) for p in points]).reshape(-1, space.dim)
+    _finite("base_points", P)
     vals = [float(v) for v in values]
     _finite("values", vals)
-    if len(vals) != len(pts):
+    if len(vals) != len(P):
         raise ValueError("one value per base point required")
-    base = np.empty((len(pts), space.dim))
-    out_vals, sizes = [], []  # per kept line, the value and the |value| and |mu| it was read from
-    c = abs(unit_value)
-    for p, g in zip(pts, vals):
-        rep, mu = canonicalize(space, p)
-        g_rep = g - mu * unit_value
-        if _is_zero(space, rep):
-            # the point sits on the axis line, where the value is forced
-            if abs(g_rep) > _slack(abs(g) + c * abs(mu)):
-                raise ValueError(
-                    f"value conflict on the axis line: point {p.tolist()} carries {g}, "
-                    f"but the unit slope forces {mu * unit_value}"
-                )
-            continue
-        dup = np.flatnonzero(_on_lines(space, rep, base[: len(out_vals)]))
-        if dup.size:
-            g_k, mu_k = sizes[dup[0]]
-            if abs(out_vals[dup[0]] - g_rep) > _slack(g_k + abs(g) + c * max(mu_k, abs(mu))):
-                raise ValueError(
-                    f"value conflict on a duplicate line: {out_vals[dup[0]]} vs {g_rep}"
-                )
-            continue
-        base[len(out_vals)] = rep
-        out_vals.append(g_rep)
-        sizes.append((abs(g), abs(mu)))
-    return base[: len(out_vals)], np.array(out_vals)
-
-
-def unit_span(space: OrderedSpace, points=()) -> UnitSpan:
-    """Span of the given points; ``points=()`` is the bare axis line."""
-    base, _ = _canonical_lines(space, points, np.zeros(len(points)), 0.0)
-    return UnitSpan(space=space, base=base)
-
-
-def span_contains(span: UnitSpan, v) -> bool:
-    """Is ``v`` on the axis line or on one of the base lines?"""
-    rep, _ = canonicalize(span.space, v)
-    return bool(_is_zero(span.space, rep) or np.any(_on_lines(span.space, rep, span.base)))
+    u, c, n, keep = space.unit, abs(unit_value), 1, []
+    AT = np.zeros((space.unit_rows.shape[0], len(P) + 1))
+    G, g_read, mu_read = np.zeros((3, len(P) + 1))  # per line, its value and the |value| and |mu| it was read from
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap that is not finite holds no point
+        mus = matvecs(u[None], P)[:, 0] / float(u @ u)
+        reps = P - mus[:, None] * u
+        cols = matvecs(space.unit_rows, reps)
+        for i, (a, g) in enumerate(zip(cols, vals)):
+            mu = float(mus[i])
+            g_rep = g - mu * unit_value
+            gap, on = _line_gaps(AT[:, :n], a, abs(mu) + np.abs(a).max() + mu_read[:n])
+            if on.any():
+                k = int(np.argmax(on))
+                if abs(G[k] - g_rep) > c * gap[k] + _slack(g_read[k] + abs(g) + c * max(mu_read[k], abs(mu))):
+                    if k == 0:
+                        raise ValueError(
+                            f"value conflict on the axis line: point {P[i].tolist()} carries {g}, "
+                            f"but the unit slope forces {mu * unit_value}"
+                        )
+                    raise ValueError(f"value conflict on a duplicate line: {G[k]} vs {g_rep}")
+                continue
+            AT[:, n], G[n], g_read[n], mu_read[n] = a, g_rep, abs(g), abs(mu)
+            keep.append(i)
+            n += 1
+    return reps[keep], G[1:n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +193,14 @@ def _from_lines(space: OrderedSpace, X: np.ndarray, G: np.ndarray, unit_value: f
     if not (np.isfinite(AT).all() and np.isfinite(G).all()):
         raise NonFiniteError("a base line's value or unit-scaled pairing is not finite")
     return PartialFunctional(space, X, G, AT, unit_value, _consistency_witness(AT, G, unit_value))
+
+
+def span_contains(pf: PartialFunctional, v) -> bool:
+    """Is ``v`` on one of the stored lines of ``pf``, the axis line first (:func:`_line_gaps`)?"""
+    rep, mu = canonicalize(pf.space, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = pf.space.unit_rows @ rep
+        return bool(_line_gaps(pf.AT, a, abs(mu) + np.abs(a).max())[1].any())
 
 
 def partial_functional(
@@ -351,7 +350,7 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     moved into the bounds at ``rep``.  Non-finite lines and empty intervals raise.
     """
     y = as_vec(y, pf.space.dim)
-    if span_contains(pf.subspace, y):
+    if span_contains(pf, y):
         return None
     interval = extension_interval(pf, y)
     p = _pick_value(interval, rule, value)

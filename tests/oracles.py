@@ -7,6 +7,7 @@ with the closed forms it cross-checks.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -337,16 +338,17 @@ def ray_thresholds_exact(space, x, y):
 
 
 def extension_interval_exact(pf, y):
-    """``(p_minus, p_plus)`` of :func:`orderunit.extension_interval` over the
-    stored lines, exactly: per line the exact ray thresholds of ``y - x_i``.
-    Each endpoint comes with the first line that sets it, as ``(value, line)``."""
+    """The per-line bounds of :func:`orderunit.extension_interval` over the
+    stored lines, exactly: per line ``i`` the lower and the upper bound
+    ``g_i + c * t`` at the exact ray thresholds of ``y - x_i``, as the lists
+    ``(lowers, uppers)``; ``p_minus`` is ``max(lowers)`` and ``p_plus`` is
+    ``min(uppers)``."""
     c = Fraction(pf.unit_value)
     xs, gs = _lines(pf)
     bounds = [ray_thresholds_exact(pf.space, x, y) for x in xs]
-    uppers = [Fraction(g) + c * hi for g, (_, hi) in zip(gs, bounds)]
     lowers = [Fraction(g) + c * lo for g, (lo, _) in zip(gs, bounds)]
-    p_plus, p_minus = min(uppers), max(lowers)
-    return (p_minus, lowers.index(p_minus)), (p_plus, uppers.index(p_plus))
+    uppers = [Fraction(g) + c * hi for g, (_, hi) in zip(gs, bounds)]
+    return lowers, uppers
 
 
 def consistency_pairs_exact(pf):
@@ -390,55 +392,58 @@ def _unit_rep(space, p):
     return p - mu * u, mu
 
 
-def _negligible(space, v, tol):
-    return bool(np.max(np.abs(v)) <= tol * (1.0 + float(np.max(np.abs(space.unit)))))
+def _line_gap(a, b, size):
+    """The order-norm gap ``max|a - b|`` between two unit-scaled columns, and
+    whether the line of ``b`` holds the point of ``a``: every entry of the gap
+    finite and the gap within the :func:`slack` of ``size`` plus ``max|b|``."""
+    diffs = [abs(x - y) for x, y in zip(a, b)]
+    gap = max(diffs)
+    return gap, all(map(math.isfinite, diffs)) and gap <= slack(size + _magnitude(b))
 
 
-def canonical_lines_by_pairs(space, points, values=None, unit_value=0.0, tol=1e-9):
-    """Base points modulo the unit line, merged by one zero test per pair.
+def canonical_lines_by_pairs(space, points, values, unit_value):
+    """Base points modulo the unit line, merged by one line test per pair.
 
-    Projects each point off the unit, drops points on the axis line and
-    merges points on an already listed line, raising on value conflicts
-    exactly as the extension engine does: beyond the :func:`slack` of the
-    two values and their multiples ``c * mu`` of the unit.  Returns ``(base, vals)``.
+    Projects each point off the unit and pairs its representative with the
+    unit-scaled rows, one row at a time.  A point joins the first line, the
+    axis line first, that holds it at the slack of its ``|mu| + max|R rep|``
+    plus the kept point's ``|mu|`` (:func:`_line_gap`); its value conflicts,
+    raising as the extension engine does, beyond ``c * gap`` plus the
+    :func:`slack` of the two values and their multiples ``c * mu`` of the
+    unit.  Returns ``(base, vals)``.
     """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    vals = [0.0] * len(pts) if values is None else [float(v) for v in values]
+    R = unit_rows_by_rows(space)
     c = abs(unit_value)
-    base, out_vals, read = [], [], []
-    for p, g in zip(pts, vals):
+    lines = [(np.zeros(space.dim), np.zeros(len(R)), 0.0, 0.0, 0.0)]  # rep, R @ rep, value, |value| and |mu| read
+    for p, g in zip(points, values):
+        p, g = np.asarray(p, dtype=float), float(g)
         rep, mu = _unit_rep(space, p)
+        a = R @ rep
         g_rep = g - mu * unit_value
-        if _negligible(space, rep, tol):
-            if values is not None and abs(g_rep) > slack(abs(g) + c * abs(mu), tol):
-                raise ValueError(
-                    f"value conflict on the axis line: point {p.tolist()} carries {g}, "
-                    f"but the unit slope forces {mu * unit_value}"
-                )
-            continue
-        merged = False
-        for i, b in enumerate(base):
-            if _negligible(space, rep - b, tol):
-                g_i, mu_i = read[i]
-                if values is not None and abs(out_vals[i] - g_rep) > slack(abs(g_i) + abs(g) + c * max(abs(mu_i), abs(mu)), tol):
+        for k, (_, b, g_k, g_read, mu_read) in enumerate(lines):
+            gap, holds = _line_gap(a, b, abs(mu) + _magnitude(a) + mu_read)
+            if not holds:
+                continue
+            if abs(g_k - g_rep) > c * gap + slack(g_read + abs(g) + c * max(mu_read, abs(mu))):
+                if k == 0:
                     raise ValueError(
-                        f"value conflict on a duplicate line: {out_vals[i]} vs {g_rep}"
+                        f"value conflict on the axis line: point {p.tolist()} carries {g}, "
+                        f"but the unit slope forces {mu * unit_value}"
                     )
-                merged = True
-                break
-        if not merged:
-            base.append(rep)
-            out_vals.append(g_rep)
-            read.append((g, mu))
-    return np.array(base).reshape(-1, space.dim), np.array(out_vals)
+                raise ValueError(f"value conflict on a duplicate line: {g_k} vs {g_rep}")
+            break
+        else:
+            lines.append((rep, a, g_rep, abs(g), abs(mu)))
+    base = np.array([line[0] for line in lines[1:]]).reshape(-1, space.dim)
+    return base, np.array([line[2] for line in lines[1:]])
 
 
-def span_contains_by_lines(span, v, tol=1e-9):
-    """Span membership by one zero test per line, the axis line first."""
-    rep, _ = _unit_rep(span.space, np.asarray(v, dtype=float))
-    return _negligible(span.space, rep, tol) or any(
-        _negligible(span.space, rep - b, tol) for b in span.base
-    )
+def span_contains_by_lines(pf, v):
+    """Span membership by one line test per stored line, the axis line first."""
+    R, pairings = _line_pairings(pf)
+    rep, mu = _unit_rep(pf.space, np.asarray(v, dtype=float))
+    a = R @ rep
+    return any(_line_gap(a, b, abs(mu) + _magnitude(a))[1] for b in pairings)
 
 
 def mc_sup_abs(f, n=4096, seed=0):

@@ -121,8 +121,10 @@ class TestScalarReferences:
             assert pf.subspace.base.shape == base.shape
             assert _bits(pf.subspace.base) == _bits(base)
             assert _bits(pf.values) == _bits(vals)
-        span_base, _ = canonical_lines_by_pairs(space, points)
-        span = ou.unit_span(space, points)
+        # the lines alone: zero values at slope zero never conflict
+        zeros = np.zeros(len(points))
+        span_base, _ = canonical_lines_by_pairs(space, points, zeros, 0.0)
+        span = ou.partial_functional(space, points, zeros, 0.0, strict=False).subspace
         assert span.base.shape == span_base.shape and _bits(span.base) == _bits(span_base)
 
     @settings(max_examples=200, deadline=None)
@@ -157,7 +159,7 @@ class TestScalarReferences:
         lower = ou.canonical_extension(pf, mode="lower")
         mid = ou.canonical_extension(pf, mode="midpoint")
         for y in ys:
-            assert ou.span_contains(pf.subspace, y) == span_contains_by_lines(pf.subspace, y)
+            assert ou.span_contains(pf, y) == span_contains_by_lines(pf, y)
             try:
                 lo, hi = interval_by_pairings(pf, y)
             except ValueError as exc:
@@ -220,7 +222,7 @@ class TestExtensionStep:
     def test_step(self, data, rule, end, offset):
         pf, y = data
         m, space, c = pf.subspace.m, pf.space, pf.unit_value
-        if ou.span_contains(pf.subspace, y):
+        if ou.span_contains(pf, y):
             return
         interval = ou.extension_interval(pf, y)
         rep, mu = ou.canonicalize(space, y)
@@ -259,12 +261,12 @@ class TestExtensionStep:
         out = ou.extend_all(pf, ys, rule=rule)
         step = pf
         for target in ys:
-            if not ou.span_contains(step.subspace, target):
+            if not ou.span_contains(step, target):
                 step = ou.extend_one(step, target, rule=rule)
         assert _bits(out.subspace.base) == _bits(step.subspace.base)
         assert _bits(out.values) == _bits(step.values)
         # the last target shares the first one's line
-        assert out.subspace.m == pf.subspace.m + k + (not ou.span_contains(pf.subspace, y))
+        assert out.subspace.m == pf.subspace.m + k + (not ou.span_contains(pf, y))
         assert out.consistent and consistency_witness_by_pairings(out) is None
         # the incremental steps leave what the full scan builds over the same lines
         full = ou.extension._from_lines(out.space, out.X, out.G, out.unit_value)
@@ -418,21 +420,24 @@ class TestNonFiniteLines:
 
 
 class TestSpan:
+    """Span membership reads the stored lines of a partial functional; zero
+    values at slope zero give the lines alone."""
+
     def test_examples(self, orth2):
-        span = ou.unit_span(orth2, [[1.0, 0.0]])
-        assert ou.span_contains(span, [3.0, 2.0])
-        assert ou.span_contains(span, [5.0, 5.0])
-        assert not ou.span_contains(span, [1.0, 2.0])
+        pf = ou.partial_functional(orth2, [[1.0, 0.0]], [0.0], 0.0)
+        assert ou.span_contains(pf, [3.0, 2.0])
+        assert ou.span_contains(pf, [5.0, 5.0])
+        assert not ou.span_contains(pf, [1.0, 2.0])
 
     def test_empty_span_is_axis_line(self, orth2):
-        span = ou.unit_span(orth2)
-        assert span.m == 0
-        assert ou.span_contains(span, [-2.0, -2.0])
-        assert not ou.span_contains(span, [1.0, 0.0])
+        pf = ou.partial_functional(orth2, [], [], 0.0)
+        assert pf.subspace.m == 0
+        assert ou.span_contains(pf, [-2.0, -2.0])
+        assert not ou.span_contains(pf, [1.0, 0.0])
 
     def test_duplicate_lines_merge(self, orth2):
-        span = ou.unit_span(orth2, [[1.0, 0.0], [3.0, 2.0], [2.0, 2.0]])
-        assert span.m == 1
+        pf = ou.partial_functional(orth2, [[1.0, 0.0], [3.0, 2.0], [2.0, 2.0]], [0.0, 0.0, 0.0], 0.0)
+        assert pf.subspace.m == 1
 
 
 class TestPartialFunctional:
@@ -553,7 +558,7 @@ class TestExtendOne:
             space = _spaces()[k % len(_spaces())]
             pf = consistent_instance(space, rng, m=2)
             y = rng.uniform(-3.0, 3.0, size=space.dim)
-            if ou.span_contains(pf.subspace, y):
+            if ou.span_contains(pf, y):
                 continue
             interval = ou.extension_interval(pf, y)
             for rule in ("lower", "upper", "midpoint"):

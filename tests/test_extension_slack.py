@@ -6,9 +6,11 @@ The engine never refuses its own endpoint choices or data read off a
 positive linear functional, and its results rebuild consistent, also for
 targets far along the unit; a ``given`` value is accepted within half the
 least slack of the pairs it forms past an endpoint and refused at twice the
-largest; data lifted beyond those slacks gives the oracle's witness.  A
-guard keeps small numeric literals, which would be a second tolerance, out
-of the engine.
+largest; data lifted beyond those slacks gives the oracle's witness.  The
+line test reads the same slack: targets on a stored line far along the unit
+are spanned, a point within the slack of a line merges into it, and merged
+values conflict only beyond ``c * gap`` plus the slack.  A guard keeps small
+numeric literals, which would be a second tolerance, out of the engine.
 """
 
 import ast
@@ -21,11 +23,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import orderunit as ou
-from oracles import consistency_witness_by_pairings, line_slacks
+from oracles import canonical_lines_by_pairs, consistency_witness_by_pairings, line_slacks, slack
 from strategies import point_arrays, positive_functionals, positive_partial_data
 
 EPS = np.finfo(float).eps
 ENGINE = Path(__file__).resolve().parent.parent / "src" / "orderunit" / "extension.py"
+
+
+far_multiples = st.tuples(st.floats(-1.0, 1.0), st.integers(0, 8)).map(lambda t: t[0] * 10.0 ** t[1])
+"""Multiples of the unit up to ``1e8`` in magnitude, spread over the scales."""
 
 
 def rebuilt(pf, values=None):
@@ -57,17 +63,17 @@ class TestChains:
     def test_targets_far_along_the_unit(self, data, rule, shifts, exponent, draws):
         """Far along the unit the rounding of ``mu * c`` can pass the slack; the
         step then moves the value into the bounds where it is stored, and the
-        result rebuilds consistent.  Each target keeps its own line, well off
-        the axis line and the others: shifted this far, a target on one of them
-        would leave a rounding residue above the zero test's ``TOL`` and be
-        stored as a line of its own."""
+        result rebuilds consistent.  A target on a stored line, shifted along
+        the unit by up to ``1e8``, is skipped as spanned."""
         space, pts, values, c = data
         pf = ou.partial_functional(space, pts, values, c)
-        offsets = draws.draw(point_arrays(space.dim, 3))
-        reps = [ou.canonicalize(space, x)[0] for x in (np.zeros(space.dim), *pts, *offsets)]
-        assume(all(np.max(np.abs(a - b)) > 1e-3 for k, a in enumerate(reps) for b in reps[k + 1 :]))
-        targets = offsets + np.outer(shifts, space.unit) * 10.0**exponent
-        out = ou.extend_all(pf, targets, rule=rule)
+        lams = draws.draw(st.lists(far_multiples, min_size=len(pf.X), max_size=len(pf.X)))
+        spanned = [x + lam * space.unit for x, lam in zip(pf.X, lams)]  # the axis line first
+        assert all(ou.span_contains(pf, t) for t in spanned)
+        fresh = draws.draw(point_arrays(space.dim, 3)) + np.outer(shifts, space.unit) * 10.0**exponent
+        out = ou.extend_all(pf, [*spanned, *fresh, *spanned], rule=rule)
+        assert out.subspace.m <= pf.subspace.m + len(fresh)
+        assert out.X[: len(pf.X)].tobytes() == pf.X.tobytes()
         again = rebuilt(out)
         assert again.consistent and consistency_witness_by_pairings(again) is None
 
@@ -86,7 +92,7 @@ class TestGiven:
         space, pts, values, c = data
         pf = ou.partial_functional(space, pts, values, c)
         y = draws.draw(point_arrays(space.dim, 1))[0] + shift * 10.0**exponent * space.unit
-        if ou.span_contains(pf.subspace, y):
+        if ou.span_contains(pf, y):
             return
         interval = ou.extension_interval(pf, y)
         rep, mu = ou.canonicalize(space, y)
@@ -121,6 +127,65 @@ class TestDuplicates:
         assert pf.subspace.m <= k
 
 
+class TestLineTest:
+    """A point is on a stored line when the order-norm gap between their
+    unit-scaled columns is within the slack of their order norms; a merged
+    value may differ by ``c * gap`` plus the slack of the two values."""
+
+    def test_a_point_off_the_axis_line_beyond_the_slack_keeps_its_line(self):
+        # (0.001953125, 0) is 1.95e-9 units off the axis line, beyond its slack
+        # of 1.0e-9, and its value is consistent as a line of its own
+        space = ou.halfspace_space([[1, 1e-6], [1, 1e-6], [0.999999, 1.000001]], [1, 1e-6])
+        pf = ou.partial_functional(space, [[0, 0], [0.001953125, 0]], [0, 0.0019531230468730469], 1.0)
+        assert pf.consistent and pf.subspace.m == 1
+
+    @staticmethod
+    def near_pair(space, draws):
+        """A point ``x``, the origin or a drawn point, a point ``y`` and their
+        order-norm gap ``gap`` (rounding aside), up to 0.9 of the least slack
+        of the line test between them."""
+        x, d = draws.draw(point_arrays(space.dim, 2))
+        x = x * draws.draw(st.sampled_from((0.0, 1.0)))  # on the axis line or on a line of its own
+        rep_x, mu_x = ou.canonicalize(space, x)
+        step = np.max(np.abs(space.unit_rows @ ou.canonicalize(space, d)[0]))
+        assume(step > 1e-3 * np.max(np.abs(d)))
+        gap = draws.draw(st.floats(0.0, 0.9)) * slack(abs(mu_x) + np.max(np.abs(space.unit_rows @ rep_x)))
+        y = x + gap / step * d
+        return x, y, gap
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=positive_functionals(), draws=st.data())
+    def test_a_point_within_the_slack_merges_without_conflict(self, data, draws):
+        space, w = data
+        c = float(w @ space.unit)
+        x, y, _ = self.near_pair(space, draws)
+        alone = ou.partial_functional(space, [x], [x @ w], c)
+        pf = ou.partial_functional(space, [x, y], [x @ w, y @ w], c)
+        assert pf.subspace.m == alone.subspace.m
+        base, vals = canonical_lines_by_pairs(space, [x, y], [x @ w, y @ w], c)
+        assert pf.subspace.base.tobytes() == base.tobytes() and pf.values.tobytes() == vals.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=positive_functionals(), sign=st.sampled_from((-1.0, 1.0)), draws=st.data())
+    def test_a_value_beyond_the_gap_and_the_slack_conflicts(self, data, sign, draws):
+        space, w = data
+        c = float(w @ space.unit)
+        x, y, gap = self.near_pair(space, draws)
+        mu_x, mu_y = ou.canonicalize(space, x)[1], ou.canonicalize(space, y)[1]
+        bound = c * gap + slack(abs(x @ w) + abs(y @ w) + c * max(abs(mu_x), abs(mu_y)))
+        value = y @ w + sign * 3.0 * bound
+        alone = ou.partial_functional(space, [x], [x @ w], c)
+        if alone.subspace.m:
+            message = f"value conflict on a duplicate line: {alone.values[0]} vs {value - mu_y * c}"
+        else:
+            message = f"value conflict on the axis line: point {y.tolist()} carries {value}, but the unit slope forces {mu_y * c}"
+        with pytest.raises(ValueError) as got:
+            ou.partial_functional(space, [x, y], [x @ w, value], c)
+        assert str(got.value) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            canonical_lines_by_pairs(space, [x, y], [x @ w, value], c)
+
+
 class TestLifted:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -133,7 +198,7 @@ class TestLifted:
         space, pts, values, c = data
         pf = ou.partial_functional(space, pts, values, c)
         y = draws.draw(point_arrays(space.dim, 1))[0]
-        if ou.span_contains(pf.subspace, y):
+        if ou.span_contains(pf, y):
             return
         out = ou.extend_one(pf, y, rule=rule)
         lifted = out.values.copy()
