@@ -33,8 +33,12 @@ each of the space's unit-scaled rows ``R`` (``OrderedSpace.unit_rows``),
 one column per line.  By linearity the thresholds ``R @ (y - x_i)`` are
 then ``R @ y - R @ x_i`` (equal in exact arithmetic, rounding differently),
 so a query costs one ``R @ y`` and a subtraction against the stored
-columns, the consistency scan subtracts stored columns with no matvec per
-pair, and an extension step appends one column.  A line whose value or
+columns, and an extension step appends one column and its order norm
+``max|R @ x|`` (kept in ``norms``).  Construction is one chunked block of
+pairwise column differences, with no matvec per pair: the merge of points
+onto lines reads the gaps ``max|a_i - a_k|`` from it and the consistency scan
+the thresholds ``max(a_i - a_k)``, chunked over ``i`` so that no temporary
+passes :data:`_BLOCK` items.  A line whose value or
 pairings overflow would bound nothing, so it raises :class:`NonFiniteError`.
 Results on a unit that is not interior are unspecified; where a row pairs
 to zero with it, its unit-scaled row is not finite and every line is refused.
@@ -78,12 +82,15 @@ def canonicalize(space: OrderedSpace, v) -> tuple[np.ndarray, float]:
     return w - mu * space.unit, mu
 
 
-def _line_gaps(AT: np.ndarray, a: np.ndarray, size):
-    """The order-norm gap ``max|a - AT[:, k]|`` from the unit-scaled column ``a``
-    to each stored line ``k``, and which lines hold it: those at a finite gap
-    within the slack of ``size`` plus ``max|AT[:, k]|``.  Call under ``np.errstate``."""
-    gap = np.abs(a[:, None] - AT).max(axis=0)
-    return gap, np.isfinite(gap) & (gap <= _slack(size + np.abs(AT).max(axis=0)))
+_BLOCK = 1 << 17
+"""Float64 items in one temporary block of the pairwise scans (1 MiB)."""
+
+
+def _chunks(n: int, per_row: int):
+    """Ranges ``(s, e)`` over ``n`` rows of ``per_row`` items each, as many rows
+    a range as fit in one :data:`_BLOCK`, at least one."""
+    step = max(1, _BLOCK // max(per_row, 1))
+    return ((s, min(s + step, n)) for s in range(0, n, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +113,14 @@ class UnitSpan:
 def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     """Canonicalize points (adjusting values along), merge points on one line.
 
-    Returns ``(base, vals)``.  Line 0 is the axis line.  A point joins the first
-    line that holds it (:func:`_line_gaps`, the size being its ``|mu| + max|R rep|``
-    plus the kept point's ``|mu|``), else starts a line.  A non-finite input raises,
+    Returns ``(base, vals)``.  Line 0 is the axis line.  Point ``i``, with
+    multiple ``mu_i`` of the unit and unit-scaled column ``a_i``, is held by the
+    axis line when ``max|a_i|`` is within the slack of ``|mu_i| + max|a_i|``, and
+    by an earlier point ``k`` when their gap ``max|a_i - a_k|`` is finite and within
+    the slack of ``|mu_i| + max|a_i| + |mu_k| + max|a_k|``.  Every gap and slack
+    comes from one chunked block of pairwise column differences; only the points
+    held by something then pass in order, joining the axis line first, else the
+    first earlier point still kept that holds them.  A non-finite input raises,
     and so does a joining value that differs from the line's beyond ``c * gap``,
     the most a functional of slope ``c`` moves over the gap, plus the slack of
     the two values and ``c * mu``.
@@ -116,35 +128,46 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     _finite("unit_value", unit_value)
     P = np.array([as_vec(p, space.dim) for p in points]).reshape(-1, space.dim)
     _finite("base_points", P)
-    vals = [float(v) for v in values]
-    _finite("values", vals)
-    if len(vals) != len(P):
+    g = _finite("values", [float(v) for v in values])
+    if len(g) != len(P):
         raise ValueError("one value per base point required")
-    u, c, n, keep = space.unit, abs(unit_value), 1, []
-    AT = np.zeros((space.unit_rows.shape[0], len(P) + 1))
-    G, g_read, mu_read = np.zeros((3, len(P) + 1))  # per line, its value and the |value| and |mu| it was read from
+    u, c, n = space.unit, abs(unit_value), len(P)
+    kept, joins = np.ones(n, dtype=bool), []  # joins: (point, line held by, gap); line 0 is the axis line
     with np.errstate(over="ignore", invalid="ignore"):  # a gap that is not finite holds no point
         mus = matvecs(u[None], P)[:, 0] / float(u @ u)
         reps = P - mus[:, None] * u
         cols = matvecs(space.unit_rows, reps)
-        for i, (a, g) in enumerate(zip(cols, vals)):
-            mu = float(mus[i])
-            g_rep = g - mu * unit_value
-            gap, on = _line_gaps(AT[:, :n], a, abs(mu) + np.abs(a).max() + mu_read[:n])
-            if on.any():
-                k = int(np.argmax(on))
-                if abs(G[k] - g_rep) > c * gap[k] + _slack(g_read[k] + abs(g) + c * max(mu_read[k], abs(mu))):
-                    if k == 0:
-                        raise ValueError(
-                            f"value conflict on the axis line: point {P[i].tolist()} carries {g}, "
-                            f"but the unit slope forces {mu * unit_value}"
-                        )
-                    raise ValueError(f"value conflict on a duplicate line: {G[k]} vs {g_rep}")
-                continue
-            AT[:, n], G[n], g_read[n], mu_read[n] = a, g_rep, abs(g), abs(mu)
-            keep.append(i)
-            n += 1
-    return reps[keep], G[1:n]
+        G, mu_abs, norms = g - mus * unit_value, np.abs(mus), np.abs(cols).max(axis=1)
+        size = mu_abs + norms
+        on_axis = np.isfinite(norms) & (norms <= _slack(size))
+        CT = np.ascontiguousarray(cols.T)
+        for s, e in _chunks(n, CT.shape[0] * n):
+            gap = np.abs(CT[:, s:e, None] - CT[:, None, :e]).max(axis=0)  # to every earlier point, and some later
+            held = np.isfinite(gap) & (gap <= _slack((size[s:e, None] + mu_abs[:e]) + norms[:e]))
+            held &= np.arange(e) < np.arange(s, e)[:, None]
+            for r in np.flatnonzero(on_axis[s:e] | held.any(axis=1)):
+                i = s + r
+                if on_axis[i]:
+                    kept[i] = False
+                    joins.append((i, 0, norms[i]))
+                    continue
+                ks = np.flatnonzero(held[r, :i] & kept[:i])
+                if ks.size:
+                    kept[i] = False
+                    joins.append((i, ks[0] + 1, gap[r, ks[0]]))
+        if joins:
+            i, k, gap = map(np.array, zip(*joins))
+            G_k, g_k, mu_k = (np.concatenate([[0.0], x])[k] for x in (G, np.abs(g), mu_abs))
+            conflict = np.abs(G_k - G[i]) > c * gap + _slack(g_k + np.abs(g[i]) + c * np.maximum(mu_k, mu_abs[i]))
+            if conflict.any():
+                i, k = int(i[conflict][0]), int(k[conflict][0])
+                if k == 0:
+                    raise ValueError(
+                        f"value conflict on the axis line: point {P[i].tolist()} carries {float(g[i])}, "
+                        f"but the unit slope forces {float(mus[i]) * unit_value}"
+                    )
+                raise ValueError(f"value conflict on a duplicate line: {G[k - 1]} vs {float(G[i])}")
+    return reps[kept], G[kept]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +177,9 @@ class PartialFunctional:
     The lines are stacked: row 0 of ``X`` is the origin, standing for the
     axis line, and the rows after it are the canonical base points; ``G``
     holds their values, ``0`` first.  ``AT`` holds the unit-scaled pairings
-    ``unit_rows @ x_i``, one column per line, and ``_witness`` the first violated
-    consistency inequality, or None.  Build instances with
+    ``unit_rows @ x_i``, one column per line, ``norms`` each column's largest
+    absolute entry (the order norm of ``x_i``), and ``_witness`` the first
+    violated consistency inequality, or None.  Build instances with
     :func:`partial_functional`.  Strict construction (its default) rejects
     inconsistent data; diagnostic code can hold an inconsistent instance and
     inspect :func:`check_partial_consistency`, but the extension operations
@@ -166,6 +190,7 @@ class PartialFunctional:
     X: np.ndarray
     G: np.ndarray
     AT: np.ndarray
+    norms: np.ndarray
     unit_value: float
     _witness: dict | None
 
@@ -186,21 +211,30 @@ class PartialFunctional:
 
 def _from_lines(space: OrderedSpace, X: np.ndarray, G: np.ndarray, unit_value: float) -> PartialFunctional:
     """Partial functional over stacked lines: the unit-scaled pairings of
-    every line and the full consistency scan.  A value or a pairing that is
-    not finite raises."""
+    every line, their norms and the full consistency scan.  A value or a
+    pairing that is not finite raises."""
     with np.errstate(over="ignore", invalid="ignore"):
         AT = np.ascontiguousarray(matvecs(space.unit_rows, X).T)
     if not (np.isfinite(AT).all() and np.isfinite(G).all()):
         raise NonFiniteError("a base line's value or unit-scaled pairing is not finite")
-    return PartialFunctional(space, X, G, AT, unit_value, _consistency_witness(AT, G, unit_value))
+    norms = np.abs(AT).max(axis=0)
+    return PartialFunctional(space, X, G, AT, norms, unit_value, _consistency_witness(AT, G, norms, unit_value))
+
+
+def _spanned(pf: PartialFunctional, col: np.ndarray, size) -> bool:
+    """Is the point of unit-scaled column ``col`` on a stored line of ``pf``: at a
+    finite order-norm gap ``max|col - AT[:, k]|`` within the slack of ``size``
+    (its ``|mu| + max|col|``) plus the line's ``max|AT[:, k]|``?  Call under ``np.errstate``."""
+    gap = np.abs(col[:, None] - pf.AT).max(axis=0)
+    return bool((np.isfinite(gap) & (gap <= _slack(size + pf.norms))).any())
 
 
 def span_contains(pf: PartialFunctional, v) -> bool:
-    """Is ``v`` on one of the stored lines of ``pf``, the axis line first (:func:`_line_gaps`)?"""
+    """Is ``v`` on one of the stored lines of ``pf``, the axis line first (:func:`_spanned`)?"""
     rep, mu = canonicalize(pf.space, v)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = pf.space.unit_rows @ rep
-        return bool(_line_gaps(pf.AT, a, abs(mu) + np.abs(a).max())[1].any())
+        col = pf.space.unit_rows @ rep
+        return _spanned(pf, col, abs(mu) + np.abs(col).max())
 
 
 def partial_functional(
@@ -226,28 +260,32 @@ def _slack(size):
     return TOL * (1.0 + size)
 
 
-def _consistency_witness(AT: np.ndarray, G: np.ndarray, c: float):
-    """First violated pairwise inequality, or None.
+def _consistency_witness(AT: np.ndarray, G: np.ndarray, norms: np.ndarray, c: float):
+    """First violated pairwise inequality in row-major order, or None.
 
     Line ``j`` dominates line ``i`` once shifted up by the threshold
     ``t_ij = inf { t : x_j + t*unit >= x_i }``, the greatest entry of
     ``unit_rows @ (x_i - x_j)``, so the values must satisfy
     ``g_j + t_ij * c >= g_i`` up to the pair's slack, of the size
-    ``|g_i| + |g_j| + c * max(a_i, a_j)`` with ``a_k = max|unit_rows @ x_k|``.
+    ``|g_i| + |g_j| + c * max(a_i, a_j)`` with ``a_k = max|unit_rows @ x_k|``
+    (``norms``).  The thresholds come from one chunked block of pairwise column
+    differences, ``T[i, j] = max_r(AT[r, i] - AT[r, j])``; a chunk's pairs pass
+    the least slack of any pair with their line ``i`` first, and only the pairs
+    that fail it are held to their own slack.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        a, size = np.abs(AT).max(axis=0), np.abs(G)
+        size = np.abs(G)
         floor = G - _slack(size)  # below the least slack of any pair with line i
-        for i in range(len(G)):
-            t = (AT[:, i : i + 1] - AT).max(axis=0)
-            h = G + t * c
-            js = np.flatnonzero(h < floor[i])
-            if js.size:
-                js = js[h[js] < G[i] - _slack(size[i] + size[js] + c * np.maximum(a[i], a[js]))]
-                if js.size:
-                    j = int(js[0])
-                    return {"line_i": i, "line_j": j, "threshold": float(t[j]),
-                            "g_i": float(G[i]), "g_j": float(G[j]), "slope": float(c)}
+        for s, e in _chunks(len(G), AT.shape[0] * len(G)):
+            T = (AT[:, s:e, None] - AT[:, None, :]).max(axis=0)
+            h = G + T * c
+            r, j = np.nonzero(h < floor[s:e, None])
+            i = r + s
+            fails = np.flatnonzero(h[r, j] < G[i] - _slack(size[i] + size[j] + c * np.maximum(norms[i], norms[j])))
+            if fails.size:
+                r, i, j = r[fails[0]], int(i[fails[0]]), int(j[fails[0]])
+                return {"line_i": i, "line_j": j, "threshold": float(T[r, j]),
+                        "g_i": float(G[i]), "g_j": float(G[j]), "slope": float(c)}
     return None
 
 
@@ -343,29 +381,33 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     """One extension step: None for a target already in the span of ``pf``,
     else ``(extended, interval, chosen value)``.
 
-    The rule picks ``p`` in the interval at ``y``, stored as ``g = p - mu * c`` on the
-    line of ``y``'s representative ``rep`` and checked there with each pair's slack,
-    as the scan checks the new pairs.  A ``given`` value that fails raises; another
+    ``y`` is canonicalized once: its representative ``rep``, multiple ``mu`` of the
+    unit and column ``unit_rows @ rep`` serve the span test, the stored value and
+    the new column.  The rule picks ``p`` in the interval at ``y``, stored as
+    ``g = p - mu * c`` on the line of ``rep`` and checked there with each pair's
+    slack, as the scan checks the new pairs.  A ``given`` value that fails raises; another
     rule's value fails only by the rounding of ``mu * c`` far along the unit, and is
     moved into the bounds at ``rep``.  Non-finite lines and empty intervals raise.
     """
     y = as_vec(y, pf.space.dim)
-    if span_contains(pf, y):
-        return None
+    rep, mu = canonicalize(pf.space, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        col = pf.space.unit_rows @ rep
+        norm = np.abs(col).max()
+        if _spanned(pf, col, abs(mu) + norm):
+            return None
     interval = extension_interval(pf, y)
     p = _pick_value(interval, rule, value)
-    rep, mu = canonicalize(pf.space, y)
     G, c = pf.G, pf.unit_value
     g = p - mu * c
     with np.errstate(over="ignore", invalid="ignore"):
-        col = pf.space.unit_rows @ rep
         if not (math.isfinite(g) and np.isfinite(col).all()):
             raise NonFiniteError(f"target {y.tolist()}: its line value or a unit-scaled pairing is not finite")
         lo_t, hi_t = _thresholds(pf, col)
         above, below = G + hi_t * c, g - lo_t * c  # the scan's sides of the pairs (new, j) and (j, new)
         s = _slack(abs(g))  # below the slack of every pair with the new line
         if ((above < g - s) | (below < G - s)).any():
-            s = _slack(abs(g) + np.abs(G) + c * np.maximum(np.abs(col).max(), np.abs(pf.AT).max(axis=0)))
+            s = _slack(abs(g) + np.abs(G) + c * np.maximum(norm, pf.norms))
             if ((above < g - s) | (below < G - s)).any():
                 if rule == "given":
                     raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
@@ -374,7 +416,7 @@ def _step(pf: PartialFunctional, y, rule: str, value):
                     lo = hi = 0.5 * (_fold_min(above + s) - _fold_min(s - (G + c * lo_t)))
                 g = min(max(g, lo), hi)
     X, AT = np.vstack([pf.X, rep]), np.column_stack([pf.AT, col])
-    return PartialFunctional(pf.space, X, np.append(G, g), AT, c, None), interval, p
+    return PartialFunctional(pf.space, X, np.append(G, g), AT, np.append(pf.norms, norm), c, None), interval, p
 
 
 def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> PartialFunctional:

@@ -392,7 +392,7 @@ class TestExtend:
         assert len(calls) == 1
 
     def test_one_span_test_and_one_interval_per_target(self, files, monkeypatch, capsys):
-        counts = {"span_contains": 0, "extension_interval": 0}
+        counts = {"_spanned": 0, "extension_interval": 0}
         for name in counts:
             real = getattr(extension, name)
 
@@ -409,7 +409,7 @@ class TestExtend:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert [("skipped" in e) for e in payload["targets"]] == [False, False, True, False]
-        assert counts == {"span_contains": 4, "extension_interval": 3}
+        assert counts == {"_spanned": 4, "extension_interval": 3}
         assert len(payload["result"]["base_points"]) == 3
 
     def test_boundary_unit_fails(self, files):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import orderunit as ou
 from oracles import (
     canonical_lines_by_pairs,
+    consistency_pairs_exact,
     consistency_witness_by_pairings,
     consistency_witness_by_pairs,
     interval_by_line_search,
@@ -19,6 +21,7 @@ from oracles import (
     span_contains_by_lines,
     unit_rows_by_rows,
 )
+from strategies import interior_unit_spaces
 
 FIXED_SPACES = None
 
@@ -108,6 +111,36 @@ def _build(space, points, values, c):
     return ou.partial_functional(space, points, values, c, strict=False)
 
 
+OVERFLOW_SPACE = ou.halfspace_space([[1e300, 0.0], [0.0, 1.0]], [1e-308, 1.0])
+"""Its unit-scaled first row is ``(1e308, 0)``: pairings near ``1e308`` and gaps
+between them that overflow, so that lines at an infinite gap hold no point."""
+
+
+@st.composite
+def many_points(draw, max_points=60):
+    """Up to ``max_points`` points on a generated space or on :data:`OVERFLOW_SPACE`,
+    with axis-line points, repeated lines and up to three values perturbed on the
+    scale of the largest, read off a positive linear functional; numpy draws them from a drawn seed."""
+    space = draw(st.one_of(interior_unit_spaces(), st.just(OVERFLOW_SPACE)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, 1.0, size=space.cone.rows.shape[0]) @ space.cone.rows
+    points = []
+    for kind in rng.integers(0, 4, size=draw(st.integers(0, max_points))):
+        lam = rng.uniform(-3.0, 3.0)
+        if kind == 0:
+            points.append(lam * space.unit)
+        elif kind == 1 and points:
+            points.append(points[rng.integers(len(points))] + lam * space.unit)
+        else:
+            points.append(rng.uniform(-1.0, 1.0, size=space.dim))
+    values = [float(p @ w) for p in points]
+    if values and draw(st.booleans()):
+        scale = 1.0 + max(map(abs, values))
+        for i in rng.integers(0, len(values), size=draw(st.integers(1, 3))):
+            values[i] += rng.uniform(-4.0, 4.0) * scale
+    return space, points, values, float(w @ space.unit)
+
+
 class TestScalarReferences:
     """The stacked-line engine reproduces the per-line scalar loops bit for bit."""
 
@@ -171,6 +204,32 @@ class TestScalarReferences:
             assert (interval.p_minus.hex(), interval.p_plus.hex()) == (lo.hex(), hi.hex())
             assert lower(y).hex() == lo.hex()
             assert mid(y).hex() == (0.5 * (lo + hi)).hex()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @settings(max_examples=100, deadline=None)
+    @given(data=many_points(), block=st.integers(1, 4000))
+    def test_chunk_edges_inside_the_data(self, data, block):
+        """With blocks of a few rows, chunk edges fall inside the pairwise gaps
+        and the threshold scan; lines, values, witnesses and messages keep their bits."""
+        space, points, values, c = data
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ou.extension, "_BLOCK", block)
+            try:
+                base, vals = canonical_lines_by_pairs(space, points, values, c)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    ou.extension._canonical_lines(space, points, values, c)
+                assert str(got.value) == str(exc)
+                return
+            got_base, got_vals = ou.extension._canonical_lines(space, points, values, c)
+            assert got_base.shape == base.shape and _bits(got_base) == _bits(base)
+            assert _bits(got_vals) == _bits(vals)
+            try:
+                pf = ou.partial_functional(space, points, values, c, strict=False)
+            except ou.NonFiniteError:
+                assert not np.isfinite(base @ unit_rows_by_rows(space).T).all()
+                return
+            assert repr(ou.check_partial_consistency(pf).witness) == repr(consistency_witness_by_pairings(pf))
 
     def test_many_lines_seeded(self, rng):
         for k in range(60):
@@ -250,7 +309,8 @@ class TestExtensionStep:
         assert _bits(out.values[m]) == _bits(g)
         assert _bits(out.X) == _bits(full.X) and _bits(out.G) == _bits(full.G)
         assert out.AT.shape == full.AT.shape and _bits(out.AT) == _bits(full.AT)
-        assert ou.extension._consistency_witness(out.AT, out.G, out.unit_value) is None
+        assert _bits(out.norms) == _bits(full.norms) == _bits(np.abs(out.AT).max(axis=0))
+        assert ou.extension._consistency_witness(out.AT, out.G, out.norms, out.unit_value) is None
         assert consistency_witness_by_pairings(out) is None
 
     @settings(max_examples=100, deadline=None)
@@ -489,6 +549,109 @@ class TestPartialFunctional:
         # (2,1) = (1,0) + unit, so both describe one line and must agree
         pf = ou.partial_functional(orth2, [[1.0, 0.0], [2.0, 1.0]], [0.5, 1.5], 1.0)
         assert pf.subspace.m == 1
+
+
+class TestBlockMerge:
+    """Pins of the block construction: only points that something holds pass in
+    order, the axis line first, a point merged away is never a line, and the
+    first violated pair is the row-major first at any chunk size."""
+
+    @staticmethod
+    def point(mu, r):
+        """``mu * unit + (r, -r)`` on ``orthant(2)``: its representative and its
+        unit-scaled column are ``(r, -r)``, its order norm ``|r|``."""
+        return mu * np.ones(2) + np.array([r, -r])
+
+    def test_a_point_held_only_by_a_merged_point_starts_a_line(self, orth2):
+        # the line slack is 1e-9 * (1 + both |mu| + both order norms): about 0.2 for
+        # (p0, p1), 0.1 for (p0, p2) and (p1, p2), at gaps 0.15, 0.2 and 0.05
+        p0, p1, p2 = self.point(1e8, 1.0), self.point(-1e8, 1.15), self.point(0.0, 1.2)
+        zeros = [0.0, 0.0, 0.0]
+        assert ou.partial_functional(orth2, [p0, p1], zeros[:2], 0.0).subspace.m == 1
+        assert ou.partial_functional(orth2, [p1, p2], zeros[:2], 0.0).subspace.m == 1
+        assert ou.partial_functional(orth2, [p0, p2], zeros[:2], 0.0).subspace.m == 2
+        pf = ou.partial_functional(orth2, [p0, p1, p2], zeros, 0.0)
+        base, _ = canonical_lines_by_pairs(orth2, [p0, p1, p2], zeros, 0.0)
+        assert pf.subspace.m == 2 and _bits(pf.subspace.base) == _bits(base)
+        assert _bits(pf.subspace.base[1]) == _bits(ou.canonicalize(orth2, p2)[0])
+
+    def test_a_point_held_by_the_axis_line_and_a_line_joins_the_axis_line(self, orth2):
+        # p1 is within the slack (about 0.1) of the axis line and of p0's line; the axis
+        # line gives it the value c * mu, p0's line the value 0.5 of their representative
+        p0, p1 = self.point(0.0, 0.05), self.point(1e8, 0.06)
+        pf = ou.partial_functional(orth2, [p0, p1], [0.5, 1e8], 1.0, strict=False)
+        assert pf.subspace.m == 1 and _bits(pf.values) == _bits([0.5])
+        message = (
+            "value conflict on the axis line: point [100000000.06, 99999999.94] carries 100000000.5, "
+            "but the unit slope forces 100000000.0"
+        )
+        for build in (ou.extension._canonical_lines, canonical_lines_by_pairs):
+            with pytest.raises(ValueError) as got:
+                build(orth2, [p0, p1], [0.5, 1e8 + 0.5], 1.0)
+            assert str(got.value) == message
+
+    def test_the_first_violated_pair_in_row_major_order(self, orth2, monkeypatch):
+        points = [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [3.0, -1.0]]
+        values = [0.5, 0.5, 0.5, 4.0, 4.0]  # lines 4 and 5 lifted above lines 0 to 3
+        want = {"line_i": 4, "line_j": 0, "threshold": 1.0, "g_i": 3.0, "g_j": 0.0, "slope": 1.0}
+        # 6 lines of 2 unit-scaled rows: one block, rows one by one, rows in pairs
+        for block in (ou.extension._BLOCK, 12, 24):
+            monkeypatch.setattr(ou.extension, "_BLOCK", block)
+            pf = ou.partial_functional(orth2, points, values, 1.0, strict=False)
+            assert pf._witness == want
+            assert repr(pf._witness) == repr(consistency_witness_by_pairings(pf))
+        violated = [(i, j) for i, j, _, excess in consistency_pairs_exact(pf) if excess > 0]
+        assert violated == [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0), (5, 1), (5, 2), (5, 3)]
+
+    def test_the_first_conflict_in_the_order_of_the_data_keeps_its_message(self, orth2):
+        # (2, 1) = (1, 0) + unit, with line values -0.5 and 3.5 at slope 1; (1, 1)
+        # lies on the axis line, where the slope forces 1.0
+        points, values = [[1.0, 0.0], [2.0, 1.0], [1.0, 1.0]], [0.0, 5.0, 7.0]
+        expected = (
+            "value conflict on a duplicate line: -0.5 vs 3.5",
+            "value conflict on the axis line: point [1.0, 1.0] carries 7.0, but the unit slope forces 1.0",
+        )
+        for order, message in zip(([0, 1, 2], [2, 1, 0]), expected):
+            ps, vs = [points[k] for k in order], [values[k] for k in order]
+            for build in (ou.partial_functional, canonical_lines_by_pairs):
+                with pytest.raises(ValueError) as got:
+                    build(orth2, ps, vs, 1.0)
+                assert str(got.value) == message
+
+
+class TestMemory:
+    """The pairwise blocks are chunked to about 1 MiB each: one unchunked block
+    of the gaps between 3,000 points on HS4 would take about 360 MB."""
+
+    BOUND = 32 * 2**20
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_partial_functional_on_3000_points(self, hs4, rng):
+        w = dual_cone_weights(hs4, rng)
+        points = rng.uniform(-3.0, 3.0, size=(3000, hs4.dim))
+        pf, peak = self.peak(lambda: ou.partial_functional(hs4, points, points @ w, float(w @ hs4.unit)))
+        assert pf.subspace.m == 3000 and pf.consistent
+        assert peak < self.BOUND
+
+    def test_consistency_scan_on_400_lines(self, hs4, rng):
+        w = dual_cone_weights(hs4, rng)
+        points = rng.uniform(-3.0, 3.0, size=(400, hs4.dim))
+        values = points @ w
+        values[-1] += 100.0  # the last line, so the scan passes every chunk
+        c = float(w @ hs4.unit)
+        report, peak = self.peak(
+            lambda: ou.check_partial_consistency(ou.partial_functional(hs4, points, values, c, strict=False))
+        )
+        assert not report.passed and report.witness["line_i"] == 400
+        assert peak < self.BOUND
 
 
 class TestExtensionInterval:
