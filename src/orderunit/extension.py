@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import Functional, PropertyReport
-from .spaces import TOL, OrderedSpace, _finite, as_vec, matvecs
+from .spaces import TOL, OrderedSpace, _finite, _max_abs_rows, as_rows, as_vec, matvecs
 
 
 class NonFiniteError(ValueError):
@@ -126,8 +126,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     the two values and ``c * mu``.
     """
     _finite("unit_value", unit_value)
-    P = np.array([as_vec(p, space.dim) for p in points]).reshape(-1, space.dim)
-    _finite("base_points", P)
+    P = _finite("base_points", as_rows(points, space.dim))
     g = _finite("values", [float(v) for v in values])
     if len(g) != len(P):
         raise ValueError("one value per base point required")
@@ -137,7 +136,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
         mus = matvecs(u[None], P)[:, 0] / float(u @ u)
         reps = P - mus[:, None] * u
         cols = matvecs(space.unit_rows, reps)
-        G, mu_abs, norms = g - mus * unit_value, np.abs(mus), np.abs(cols).max(axis=1)
+        G, mu_abs, norms = g - mus * unit_value, np.abs(mus), _max_abs_rows(cols)
         size = mu_abs + norms
         on_axis = np.isfinite(norms) & (norms <= _slack(size))
         CT = np.ascontiguousarray(cols.T)

@@ -43,6 +43,7 @@ from .spaces import (
     TOL,
     OrderedSpace,
     _finite,
+    _max_abs_rows,
     as_rows,
     as_vec,
     cone_contains_rows,
@@ -223,10 +224,6 @@ def _max_abs(v: np.ndarray) -> float:
     return float(np.max(np.abs(v)))
 
 
-def _max_abs_rows(V: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(V), axis=1)
-
-
 def check_weakly_additive_op(
     T: Operator, samples=None, *, seed: int = 0, n: int = 2**12, tol: float = TOL
 ) -> PropertyReport:
@@ -335,7 +332,7 @@ def graph_check(
     for j, lam in enumerate(lambdas):
         shifted = xs + lam * unit
         images = txs if lam == 0.0 else T.batch(shifted)
-        defects[:, j] = np.max(np.abs(gxs + lam * gu - np.concatenate([shifted, images], axis=1)), axis=1)
+        defects[:, j] = _max_abs_rows(gxs + lam * gu - np.concatenate([shifted, images], axis=1))
     k = _first(defects.ravel() > tol)  # row-major: sample by sample, each over the lambdas
     if k is None:
         return PropertyReport(name="graph_shift_closure", passed=True, samples=defects.size)

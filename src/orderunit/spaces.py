@@ -6,6 +6,23 @@ the partial order, the order norm, its neighbourhood balls, and the ray
 thresholds used by the extension machinery.  Every predicate reduces to sign
 tests on a handful of inner products, shared tolerance ``TOL``.
 
+The row forms of the kernels (:func:`order_norms`, :func:`cone_contains_rows`)
+agree with the one-point forms bit for bit and verdict for verdict.
+:func:`matvecs` is their exact path: it rounds each row's products as the
+one-point kernel does.  :func:`cone_contains_rows` decides most rows from one
+block product ``P = rows @ X.T`` instead, which rounds differently, and keeps
+every verdict exact with a filter.  Two orders of summing ``d`` products lie
+within ``2 * gamma_d * S`` of each other, where ``S`` is the sum of the
+absolute products and ``gamma_d = d*u / (1 - d*u)`` (``u = 2**-53``); the
+bound ``B = (2d + 4) * u * fl(|rows| @ |X|.T) + 1e-300`` covers that gap.  A
+row whose every ``P - B`` clears ``-tol`` is in, a row with some ``P + B``
+below ``-tol`` is out, and every other row, as well as one with a NaN, an
+infinity or a sum near overflow, takes the exact path.  Maxima of absolute
+values along a short row axis fold ``np.maximum`` column by column
+(:func:`_max_abs_rows`).  The predicates and the row kernels run under
+``np.errstate(over="ignore", invalid="ignore")``: an overflow is a value
+(``inf`` or NaN), never a warning.
+
 Construction is total on finite input: a unit sitting on the cone boundary
 or an unpointed row set does not raise, it is reported by
 :func:`validate_space`.  This keeps diagnostic tooling able to load and
@@ -44,9 +61,17 @@ def as_vec(x, dim: int) -> np.ndarray:
 
 def as_rows(X, dim: int) -> np.ndarray:
     """Coerce ``X`` to a float array of ``dim``-vectors, shape ``(n, dim)``
-    (``n`` may be 0), or raise ValueError."""
-    a = np.asarray(X, dtype=float)
-    if a.size == 0:
+    (an empty sequence is ``n = 0``), or raise ValueError.
+
+    One conversion for the whole block; ragged input is converted again row
+    by row, so the error names the first row that fails."""
+    try:
+        a = np.asarray(X, dtype=float)
+    except ValueError:
+        for x in X:
+            as_vec(x, dim)
+        raise
+    if a.shape == (0,):
         a = a.reshape(0, dim)
     if a.ndim != 2 or a.shape[1] != dim:
         raise ValueError(
@@ -63,6 +88,21 @@ def matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     rounds differently.
     """
     return np.matmul(X[:, None, :], M.T)[:, 0, :]
+
+
+def _max_abs_rows(V: np.ndarray) -> np.ndarray:
+    """``np.abs(V).max(axis=1)`` for an ``(n, k)`` array with ``k >= 1``, bit for bit.
+
+    One ``np.maximum`` over ``n`` entries per column, where the reduction
+    along the short row axis pays a loop per row.  The bits are the same:
+    absolute values have no ``-0.0`` to tie with ``+0.0``, and NaN wins in
+    either order.
+    """
+    A = np.abs(V)
+    out = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        np.maximum(out, A[:, j], out=out)
+    return out
 
 
 def _finite(name: str, a) -> np.ndarray:
@@ -165,23 +205,79 @@ def halfspace_space(rows, unit) -> OrderedSpace:
 def cone_contains(space: OrderedSpace, x, tol: float = TOL) -> bool:
     """Membership of ``x`` in the positive cone (boundary inclusive)."""
     v = as_vec(x, space.dim)
-    return bool(np.all(space.cone.rows @ v >= -tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.all(space.cone.rows @ v >= -tol))
 
 
 def interior_contains(space: OrderedSpace, x) -> bool:
     """Strict membership: every half-space functional above ``TOL``."""
     v = as_vec(x, space.dim)
-    return bool(np.all(space.cone.rows @ v > TOL))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.all(space.cone.rows @ v > TOL))
+
+
+_BLOCK = 2**14
+"""Entries per temporary of :func:`cone_contains_rows` (128 KiB): a block
+holds ``_BLOCK // (cone rows)`` points.  Blocks of 2 MiB and more lose most
+of the gain to fresh-page faults."""
 
 
 def cone_contains_rows(space: OrderedSpace, X: np.ndarray, tol: float = TOL) -> np.ndarray:
-    """:func:`cone_contains` for every row of the ``(n, dim)`` array ``X``."""
-    return np.all(matvecs(space.cone.rows, X) >= -tol, axis=1)
+    """:func:`cone_contains` for every row of the ``(n, dim)`` array ``X``,
+    verdict for verdict.
+
+    Each block of ``_BLOCK // (cone rows)`` points is decided from one matrix
+    product ``P = rows @ X.T`` where it can be, and through the exact per-row
+    products of :func:`matvecs` where it cannot.
+
+    The filter.  For a point ``x`` and a cone row ``m`` in ``d`` dimensions,
+    let ``s`` be the exact ``m.x`` and ``S = sum |m_k x_k|``.  Any order of
+    summation, the one-point kernel's and the block product's alike, lies
+    within ``gamma_d * S`` of ``s`` (``gamma_d = d*u / (1 - d*u)``,
+    ``u = 2**-53``), so ``|P - p| <= 2 * gamma_d * S`` for the one-point
+    product ``p``.  The computed ``fl(S)`` is at least ``(1 - gamma_d) * S``,
+    so ``2 * gamma_d * S <= 2*d*u / (1 - 2*d*u) * fl(S)``, and the bound
+    ``B = (2d + 4) * u * fl(S) + 1e-300`` covers that with a margin of
+    about ``4 * u * fl(S)``: enough for the rounding of ``B`` itself while
+    ``d < 2**26``.  The ``1e-300`` covers underflow, where each product
+    may lose up to ``2**-1075`` more.  ``fl(S)`` comes from
+    ``2|rows| @ |X|.T``, so ``B`` is ``inf`` once ``S`` nears ``2**1023``,
+    which keeps every partial sum of ``p`` clear of overflow wherever ``B``
+    is finite.
+
+    Rounding is monotone, and ``p`` and ``-tol`` are floats.  So when every
+    ``P - B >= -tol`` (in floats) every ``p >= -tol``, and the row is in;
+    when some ``P + B < -tol``, that ``p < -tol``, and the row is out.  A
+    NaN or infinite entry of ``X``, or a ``B`` that is not finite, makes
+    both tests false on its cone row.  Every row that neither test decides
+    takes the exact path.
+    """
+    rows = space.cone.rows
+    X = as_rows(X, space.dim)
+    twice_abs = 2.0 * np.abs(rows)
+    scale = (space.dim + 2) * 2.0**-53  # times 2|rows| gives (2d + 4) * u
+    step = max(1, _BLOCK // len(rows))
+    inside = np.empty(len(X), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, len(X), step):
+            Y = X[s : s + step]
+            P = rows @ Y.T  # (cone rows, block): each fold over the cone rows reads contiguous memory
+            B = twice_abs @ np.abs(Y).T
+            B *= scale
+            B += 1e-300
+            surely_in = (P - B).min(axis=0) >= -tol
+            P += B
+            exact = np.flatnonzero(~surely_in & ~(P.min(axis=0) < -tol))
+            inside[s : s + len(Y)] = surely_in
+            if exact.size:
+                inside[s + exact] = np.all(matvecs(rows, Y[exact]) >= -tol, axis=1)
+    return inside
 
 
 def leq(space: OrderedSpace, x, y) -> bool:
     """Partial order: ``x <= y`` iff ``y - x`` lies in the cone."""
-    return cone_contains(space, as_vec(y, space.dim) - as_vec(x, space.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cone_contains(space, as_vec(y, space.dim) - as_vec(x, space.dim))
 
 
 def order_norm(space: OrderedSpace, x) -> float:
@@ -199,7 +295,7 @@ def order_norm(space: OrderedSpace, x) -> float:
 def order_norms(space: OrderedSpace, X: np.ndarray) -> np.ndarray:
     """:func:`order_norm` for every row of the ``(n, dim)`` array ``X``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(matvecs(space.unit_rows, X)).max(axis=1)
+        return _max_abs_rows(matvecs(space.unit_rows, X))
 
 
 def nbhd_contains(space: OrderedSpace, z, delta: float, x) -> bool:
@@ -210,9 +306,10 @@ def nbhd_contains(space: OrderedSpace, z, delta: float, x) -> bool:
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
-    d = as_vec(x, space.dim) - as_vec(z, space.dim)
-    shift = delta * space.unit
-    return interior_contains(space, shift + d) and interior_contains(space, shift - d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = as_vec(x, space.dim) - as_vec(z, space.dim)
+        shift = delta * space.unit
+        return interior_contains(space, shift + d) and interior_contains(space, shift - d)
 
 
 def product(E: OrderedSpace, F: OrderedSpace) -> OrderedSpace:

@@ -6,7 +6,9 @@ the per-row loops in ``oracles.py``.
 """
 
 import json
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from oracles import (
     weak_nbhd_contains_by_loop,
     weakly_additive_op_by_loop,
 )
+from strategies import interior_unit_spaces, point_arrays
 
 # coordinates with ties, signed zeros and units, so sorts, maxima and signs get exercised
 coords = st.one_of(
@@ -46,6 +49,18 @@ coords = st.one_of(
 )
 seeds = st.integers(0, 2**16)
 sizes = st.one_of(st.sampled_from([0, 1, 3, 7]), st.integers(0, 41))
+
+
+# overflowing, non-finite and subnormal coordinates
+SPECIAL_COORDS = [np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -1e-310]
+
+
+def non_finite_rows(data, dim):
+    """One to three rows mixing ``coords`` and ``SPECIAL_COORDS``, each holding a NaN or an infinity."""
+    rows = data.draw(arrays(float, (data.draw(st.integers(1, 3)), dim), elements=st.one_of(coords, st.sampled_from(SPECIAL_COORDS))))
+    for row in rows:
+        row[data.draw(st.integers(0, dim - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return rows
 
 
 def same(a, b) -> bool:
@@ -125,10 +140,109 @@ class TestBatchEvaluators:
         rows = data.draw(arrays(float, (data.draw(st.integers(1, 2 * dim)), dim), elements=coords))
         space = ou.halfspace_space(rows, np.ones(dim))
         X = data.draw(points(dim, max_rows=20))
+        # rows holding NaN and infinities, in the middle so the folds meet them after finite rows
+        X = np.insert(X, len(X) // 2, non_finite_rows(data, dim), axis=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert same(ou.spaces.order_norms(space, X), [ou.order_norm(space, x) for x in X])
+            assert same(ou.spaces._max_abs_rows(X), [np.max(np.abs(x)) for x in X])
         assert same(ou.spaces.cone_contains_rows(space, X), [ou.cone_contains(space, x) for x in X])
+
+
+@st.composite
+def membership_blocks(draw):
+    """``(space, X, tol)`` for the block cone membership.
+
+    A generated space with each cone row scaled by a power of ten in
+    ``1e±12``, and points scaled the same way.  Most points are moved along
+    the unit onto the face ``a.x = -tol`` of a drawn cone row ``a`` (exact up
+    to rounding) and then nudged up to two ulps along one coordinate, so
+    their verdicts rest on the last bits; a few coordinates are NaN, ``±inf``,
+    ``±1e308`` or subnormal.
+    """
+    space = draw(interior_unit_spaces())
+    k, dim = space.cone.rows.shape
+    rows = space.cone.rows * 10.0 ** draw(arrays(int, k, elements=st.integers(-12, 12)))[:, None]
+    space, unit = ou.halfspace_space(rows, space.unit), space.unit
+    tol = draw(st.sampled_from([0.0, ou.spaces.TOL, 1e-6]))
+    n = draw(st.integers(1, 24))
+    X = draw(point_arrays(dim, n)) * 10.0 ** draw(arrays(int, n, elements=st.integers(-12, 12)))[:, None]
+    faces = draw(arrays(int, n, elements=st.integers(-1, k - 1)))  # -1 leaves the point where it is
+    nudges = draw(arrays(int, n, elements=st.integers(-2, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero(faces >= 0):
+            a = rows[faces[i]]
+            X[i] -= (a @ X[i] + tol) / (a @ unit) * unit
+            for _ in range(abs(nudges[i])):
+                X[i, i % dim] = np.nextafter(X[i, i % dim], nudges[i] * np.inf)
+    for _ in range(draw(st.integers(0, 3))):
+        X[draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1))] = draw(st.sampled_from(SPECIAL_COORDS))
+    return space, X, tol
+
+
+class TestBlockMembership:
+    """``cone_contains_rows`` decides rows from one block product with a
+    rounding filter, and sends every row the filter cannot decide through the
+    exact per-row products of ``matvecs``: its verdicts are ``cone_contains``'s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=membership_blocks(), block=st.one_of(st.integers(1, 40), st.just(ou.spaces._BLOCK)))
+    def test_verdicts_equal_the_scalar_predicate(self, case, block):
+        space, X, tol = case
+        with mock.patch.object(ou.spaces, "_BLOCK", block):  # small blocks put block edges inside the data
+            got = ou.spaces.cone_contains_rows(space, X, tol)
+        assert same(got, [ou.cone_contains(space, x, tol) for x in X])
+
+    def test_face_rows_take_the_exact_path(self, orth4, monkeypatch):
+        real, exact = ou.spaces.matvecs, []
+
+        def spy(M, X):
+            exact.append(X.copy())
+            return real(M, X)
+
+        monkeypatch.setattr(ou.spaces, "matvecs", spy)
+        below = np.nextafter(-1e-9, -np.inf)
+        X = np.array(
+            [
+                [1.0, 2.0, 3.0, 4.0],  # interior: in by the filter
+                [0.0, 2.0, 3.0, 4.0],  # on a face
+                [-1.0, 2.0, 3.0, 4.0],  # out by the filter
+                [-1e-9, 1.0, 1.0, 1.0],  # exactly at -TOL: in
+                [below, 1.0, 1.0, 1.0],  # one ulp below -TOL: out
+                [np.nan, 1.0, 1.0, 1.0],
+            ]
+        )
+        assert list(ou.spaces.cone_contains_rows(orth4, X)) == [True, True, False, True, False, False]
+        assert same(np.concatenate(exact), X[3:])
+        exact.clear()
+        assert list(ou.spaces.cone_contains_rows(orth4, X, tol=0.0)) == [True, True, False, False, False, False]
+        assert same(np.concatenate(exact), X[[1, 5]])
+
+    def test_cone_predicates_stay_silent_on_overflow(self):
+        space = ou.halfspace_space([[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0])
+        big = np.array([1e308, 1e308])
+        X = np.array([big, -big, [1e308, -1e308], [-1e308, 1e308], [np.inf, 1.0], [np.nan, 0.0], [1e308, 5e-324]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ou.cone_contains(space, big) and ou.interior_contains(space, big)
+            assert ou.leq(space, -0.5 * big, 0.5 * big) and not ou.leq(space, big, -big)
+            assert ou.nbhd_contains(space, big, 1.0, big) and not ou.nbhd_contains(space, -big, 1.0, big)
+            for tol in (0.0, ou.spaces.TOL):
+                got = ou.spaces.cone_contains_rows(space, X, tol)
+                assert same(got, [ou.cone_contains(space, x, tol) for x in X])
+        assert list(got) == [True, False, False, True, False, False, True]  # 0 * inf is NaN, never in
+
+    def test_cone_points_memory(self):
+        """Blocks of 4,096 points peak at about 12.7 MiB here, mostly the 6 MiB of
+        box candidates; one block over all 196,608 candidates peaks at 25.7 MiB."""
+        tracemalloc.start()
+        try:
+            points = sampling.cone_points(ou.orthant(4), 2**16, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (2**16, 4)
+        assert peak < 16 * 2**20
 
 
 def subject_functionals():

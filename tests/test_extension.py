@@ -545,6 +545,16 @@ class TestPartialFunctional:
         with pytest.raises(ValueError, match="duplicate"):
             ou.partial_functional(orth2, [[1.0, 0.0], [2.0, 1.0]], [0.5, 0.9], 1.0)
 
+    @pytest.mark.parametrize(
+        "points", [[[1.0, 0.0], [1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]], [[1.0, 0.0], [1.0]], [[]], [1.0, 2.0]]
+    )
+    def test_ragged_or_wrong_length_points_raise(self, orth2, points):
+        """The points are stacked in one conversion; a ragged block names its first wrong row."""
+        with pytest.raises(ValueError, match="dimension mismatch") as got:
+            ou.partial_functional(orth2, points, [0.0] * len(points), 1.0)
+        if points[0] == [1.0, 0.0]:
+            assert str(got.value).endswith(f"got shape ({len(points[1])},)")
+
     def test_canonical_values_adjusted(self, orth2):
         # (2,1) = (1,0) + unit, so both describe one line and must agree
         pf = ou.partial_functional(orth2, [[1.0, 0.0], [2.0, 1.0]], [0.5, 1.5], 1.0)
