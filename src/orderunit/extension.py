@@ -20,11 +20,11 @@ that make the partial functional order-preserving on its span) is precisely
 what guarantees ``p_minus <= p_plus``.  Every comparison of two values allows
 one slack, ``TOL * (1 + size)`` for their size with the slope's share (``1e3``
 at ``1e12``), so rounding refuses neither consistent data nor the engine's own
-endpoints.  The one line test reads the same slack: a point is on a stored
-line when the order-norm gap between their unit-scaled columns is within the
-slack of the point's and the line's order norms, so points far along the unit
-still find their lines; values merged onto one line may also differ by
-``c * gap``, the most a functional of slope ``c`` moves over the gap.
+endpoints.  The one line test, for span membership and merging alike, reads
+the same slack: a point is on a line when the order-norm gap between their
+unit-scaled columns is within the slack of the point's ``|mu|`` along the unit
+and order norm plus the line's order norm, so points far along the unit find
+their lines; values merged onto one line may also differ by ``c * gap``.
 
 A partial functional stores its lines once, stacked: ``X`` holds the origin
 (the axis line) and then the base points, ``G`` their values and ``AT`` the
@@ -36,9 +36,10 @@ so a query costs one ``R @ y`` and a subtraction against the stored
 columns, and an extension step appends one column and its order norm
 ``max|R @ x|`` (kept in ``norms``).  Construction is one chunked block of
 pairwise column differences, with no matvec per pair: the merge of points
-onto lines reads the gaps ``max|a_i - a_k|`` from it and the consistency scan
-the thresholds ``max(a_i - a_k)``, chunked over ``i`` so that no temporary
-passes :data:`_BLOCK` items.  A line whose value or
+onto lines (the axis line first, as the origin) reads the gaps
+``max|a_i - a_k|`` from it and the consistency scan the thresholds
+``max(a_i - a_k)``, chunked over ``i`` so that no temporary passes
+:data:`_BLOCK` items.  A line whose value or
 pairings overflow would bound nothing, so it raises :class:`NonFiniteError`.
 Results on a unit that is not interior are unspecified; where a row pairs
 to zero with it, its unit-scaled row is not finite and every line is refused.
@@ -113,51 +114,47 @@ class UnitSpan:
 def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     """Canonicalize points (adjusting values along), merge points on one line.
 
-    Returns ``(base, vals)``.  Line 0 is the axis line.  Point ``i``, with
-    multiple ``mu_i`` of the unit and unit-scaled column ``a_i``, is held by the
-    axis line when ``max|a_i|`` is within the slack of ``|mu_i| + max|a_i|``, and
-    by an earlier point ``k`` when their gap ``max|a_i - a_k|`` is finite and within
-    the slack of ``|mu_i| + max|a_i| + |mu_k| + max|a_k|``.  Every gap and slack
-    comes from one chunked block of pairwise column differences; only the points
-    held by something then pass in order, joining the axis line first, else the
-    first earlier point still kept that holds them.  A non-finite input raises,
-    and so does a joining value that differs from the line's beyond ``c * gap``,
-    the most a functional of slope ``c`` moves over the gap, plus the slack of
-    the two values and ``c * mu``.
+    Returns ``(base, vals)``.  Line 0 is the axis line, the origin put before
+    the points, so that point ``i`` is line ``i`` of the block.  Line ``k`` holds
+    it as :func:`_spanned` does: their gap ``max|a_i - a_k|`` of unit-scaled columns
+    is finite and within the slack of ``|mu_i| + max|a_i|`` plus ``max|a_k|``.
+    Every gap and slack comes from one chunked block of pairwise column
+    differences; only the points held by an earlier line then pass in order,
+    each joining the first line still kept that holds it.  A non-finite input
+    raises, and so does a joining value that differs from the line's beyond
+    ``c * gap``, the most a functional of slope ``c`` moves over the gap, plus
+    the slack of the two values and ``c`` times the larger ``|mu|``.
     """
     _finite("unit_value", unit_value)
     P = _finite("base_points", as_rows(points, space.dim))
     g = _finite("values", [float(v) for v in values])
     if len(g) != len(P):
         raise ValueError("one value per base point required")
+    P, g = np.vstack([np.zeros(space.dim), P]), np.concatenate([[0.0], g])  # line 0 is the axis line
     u, c, n = space.unit, abs(unit_value), len(P)
-    kept, joins = np.ones(n, dtype=bool), []  # joins: (point, line held by, gap); line 0 is the axis line
+    kept, joins = np.ones(n, dtype=bool), []  # joins: (point, line held by, gap); point i is line i
     with np.errstate(over="ignore", invalid="ignore"):  # a gap that is not finite holds no point
         mus = matvecs(u[None], P)[:, 0] / float(u @ u)
         reps = P - mus[:, None] * u
         cols = matvecs(space.unit_rows, reps)
         G, mu_abs, norms = g - mus * unit_value, np.abs(mus), _max_abs_rows(cols)
         size = mu_abs + norms
-        on_axis = np.isfinite(norms) & (norms <= _slack(size))
         CT = np.ascontiguousarray(cols.T)
         for s, e in _chunks(n, CT.shape[0] * n):
-            gap = np.abs(CT[:, s:e, None] - CT[:, None, :e]).max(axis=0)  # to every earlier point, and some later
-            held = np.isfinite(gap) & (gap <= _slack((size[s:e, None] + mu_abs[:e]) + norms[:e]))
+            gap = np.abs(CT[:, s:e, None] - CT[:, None, :e]).max(axis=0)  # to every earlier line, and some later
+            held = np.isfinite(gap) & (gap <= _slack(size[s:e, None] + norms[:e]))
             held &= np.arange(e) < np.arange(s, e)[:, None]
-            for r in np.flatnonzero(on_axis[s:e] | held.any(axis=1)):
+            for r in np.flatnonzero(held.any(axis=1)):
                 i = s + r
-                if on_axis[i]:
-                    kept[i] = False
-                    joins.append((i, 0, norms[i]))
-                    continue
                 ks = np.flatnonzero(held[r, :i] & kept[:i])
                 if ks.size:
                     kept[i] = False
-                    joins.append((i, ks[0] + 1, gap[r, ks[0]]))
+                    joins.append((i, ks[0], gap[r, ks[0]]))
         if joins:
             i, k, gap = map(np.array, zip(*joins))
-            G_k, g_k, mu_k = (np.concatenate([[0.0], x])[k] for x in (G, np.abs(g), mu_abs))
-            conflict = np.abs(G_k - G[i]) > c * gap + _slack(g_k + np.abs(g[i]) + c * np.maximum(mu_k, mu_abs[i]))
+            g_abs = np.abs(g)
+            pair = g_abs[k] + g_abs[i] + c * np.maximum(mu_abs[k], mu_abs[i])
+            conflict = np.abs(G[k] - G[i]) > c * gap + _slack(pair)
             if conflict.any():
                 i, k = int(i[conflict][0]), int(k[conflict][0])
                 if k == 0:
@@ -165,8 +162,8 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
                         f"value conflict on the axis line: point {P[i].tolist()} carries {float(g[i])}, "
                         f"but the unit slope forces {float(mus[i]) * unit_value}"
                     )
-                raise ValueError(f"value conflict on a duplicate line: {G[k - 1]} vs {float(G[i])}")
-    return reps[kept], G[kept]
+                raise ValueError(f"value conflict on a duplicate line: {G[k]} vs {float(G[i])}")
+    return reps[kept][1:], G[kept][1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,7 +471,7 @@ def partial_from_json(space: OrderedSpace, obj: dict, strict: bool = True) -> Pa
 
 def partial_to_json(pf: PartialFunctional) -> dict:
     return {
-        "base_points": pf.subspace.base.tolist(),
+        "base_points": pf.X[1:].tolist(),
         "values": pf.values.tolist(),
         "unit_value": pf.unit_value,
     }

@@ -407,10 +407,11 @@ def canonical_lines_by_pairs(space, points, values, unit_value):
     Projects each point off the unit and pairs its representative with the
     unit-scaled rows, one row at a time.  A point joins the first line, the
     axis line first, that holds it at the slack of its ``|mu| + max|R rep|``
-    plus the kept point's ``|mu|`` (:func:`_line_gap`); its value conflicts,
-    raising as the extension engine does, beyond ``c * gap`` plus the
-    :func:`slack` of the two values and their multiples ``c * mu`` of the
-    unit.  Returns ``(base, vals)``.
+    (:func:`_line_gap`), the size that span membership reads, so the kept
+    point's ``|mu|`` does not count there; its value conflicts, raising as the
+    extension engine does, beyond ``c * gap`` plus the :func:`slack` of the two
+    values and their multiples ``c * mu`` of the unit, the kept point's
+    included.  Returns ``(base, vals)``.
     """
     R = unit_rows_by_rows(space)
     c = abs(unit_value)
@@ -421,7 +422,7 @@ def canonical_lines_by_pairs(space, points, values, unit_value):
         a = R @ rep
         g_rep = g - mu * unit_value
         for k, (_, b, g_k, g_read, mu_read) in enumerate(lines):
-            gap, holds = _line_gap(a, b, abs(mu) + _magnitude(a) + mu_read)
+            gap, holds = _line_gap(a, b, abs(mu) + _magnitude(a))
             if not holds:
                 continue
             if abs(g_k - g_rep) > c * gap + slack(g_read + abs(g) + c * max(mu_read, abs(mu))):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -21,7 +22,7 @@ from oracles import (
     span_contains_by_lines,
     unit_rows_by_rows,
 )
-from strategies import interior_unit_spaces
+from strategies import interior_unit_spaces, point_arrays
 
 FIXED_SPACES = None
 
@@ -573,9 +574,9 @@ class TestBlockMerge:
         return mu * np.ones(2) + np.array([r, -r])
 
     def test_a_point_held_only_by_a_merged_point_starts_a_line(self, orth2):
-        # the line slack is 1e-9 * (1 + both |mu| + both order norms): about 0.2 for
-        # (p0, p1), 0.1 for (p0, p2) and (p1, p2), at gaps 0.15, 0.2 and 0.05
-        p0, p1, p2 = self.point(1e8, 1.0), self.point(-1e8, 1.15), self.point(0.0, 1.2)
+        # the line slack is 1e-9 * (1 + the later point's |mu| + both order norms):
+        # about 0.1 for each pair, at gaps 0.07 for (p0, p1) and (p1, p2), 0.14 for (p0, p2)
+        p0, p1, p2 = self.point(0.0, 1.0), self.point(1e8, 1.07), self.point(-1e8, 1.14)
         zeros = [0.0, 0.0, 0.0]
         assert ou.partial_functional(orth2, [p0, p1], zeros[:2], 0.0).subspace.m == 1
         assert ou.partial_functional(orth2, [p1, p2], zeros[:2], 0.0).subspace.m == 1
@@ -627,6 +628,46 @@ class TestBlockMerge:
                 with pytest.raises(ValueError) as got:
                     build(orth2, ps, vs, 1.0)
                 assert str(got.value) == message
+
+
+class TestOneLineTest:
+    """Merging and span membership hold a point by one rule, so every data point
+    is spanned by its own partial functional, in any order of the data and
+    after a JSON round trip."""
+
+    @staticmethod
+    def round_trip(pf):
+        return ou.partial_from_json(pf.space, json.loads(json.dumps(ou.partial_to_json(pf))))
+
+    @pytest.mark.parametrize("order, lines", [((0, 1), 2), ((1, 0), 1)])
+    def test_a_point_near_a_line_far_along_the_unit(self, orth2, order, lines):
+        # unit-scaled columns (0.5, -0.5) and (0.55, -0.55) at gap 0.05: the slack is
+        # about 0.1 for the far point joining the near one, 2e-9 the other way round
+        data = [np.array([1.0, 0.0]) + 1e8 * np.ones(2), np.array([1.1, 0.0])]
+        points = [data[k] for k in order]
+        pf = ou.partial_functional(orth2, points, [0.0, 0.0], 0.0)
+        assert len(pf.G) - 1 == lines
+        for held in (pf, self.round_trip(pf)):
+            assert all(ou.span_contains(held, p) for p in data)
+        assert len(ou.extend_all(pf, [[1.1, 0.0]]).G) == len(pf.G)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_data_point_is_spanned(self, data):
+        space = data.draw(interior_unit_spaces())
+        bases = data.draw(point_arrays(space.dim, data.draw(st.integers(1, 2)), bound=1.0))
+        points = []
+        for _ in range(data.draw(st.integers(2, 5))):
+            base = bases[data.draw(st.integers(0, len(bases) - 1))]
+            shift = data.draw(st.floats(-1e8, 1e8))
+            # nudged about as far as the line slack 1e-9 * (1 + |shift| + ...) reaches
+            scale = data.draw(st.sampled_from((1e-10, 1e-9, 1e-8))) * (1 + abs(shift))
+            points.append(base + shift * space.unit + scale * data.draw(point_arrays(space.dim, 1, bound=1.0))[0])
+        zeros = [0.0] * len(points)
+        for order in data.draw(st.lists(st.permutations(range(len(points))), min_size=1, max_size=3)):
+            pf = ou.partial_functional(space, [points[k] for k in order], zeros, 0.0)
+            for held in (pf, self.round_trip(pf)):
+                assert all(ou.span_contains(held, p) for p in points)
 
 
 class TestMemory:
