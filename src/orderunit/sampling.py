@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import TOL, OrderedSpace, as_rows, cone_contains_rows, leq, order_norm, order_norms
+from .spaces import OrderedSpace, _unit_interior_entry, as_rows, cone_contains_rows, leq, order_norm, order_norms
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -24,21 +24,12 @@ def box_points(space: OrderedSpace, n: int, rng, half_width: float = 2.0) -> np.
     return rng.uniform(-half_width, half_width, size=(n, space.dim))
 
 
-def ball_samplable(space: OrderedSpace) -> bool:
-    """Does every cone row pair above ``TOL`` with the unit (as in
-    :func:`interior_contains`), with every unit-scaled row finite?  Otherwise
-    the ball draws could leave the ball or never be accepted."""
-    return bool(np.all(space.unit_pairings > TOL) and np.isfinite(space.unit_rows).all())
-
-
 def _require_interior_unit(space: OrderedSpace) -> None:
-    """Raise unless :func:`ball_samplable`; every sampler that draws from the
-    ball calls this before its first draw."""
-    if not ball_samplable(space):
-        raise ValueError(
-            "ball sampling needs an interior order unit: a cone row pairs to <= TOL with it, "
-            "or its unit-scaled row is not finite"
-        )
+    """Raise unless the unit is interior (``validate_space``'s ``unit_interior``
+    check); otherwise the ball draws could leave the ball or never be accepted.
+    Every sampler that draws from the ball calls this before its first draw."""
+    if not _unit_interior_entry(space)["passed"]:
+        raise ValueError("ball sampling needs an interior order unit: a scaled cone row pairs to <= TOL with it, or overflows")
 
 
 def _ball_draws(space: OrderedSpace, n: int, rng, radius=None, scale: float = 1.0):

@@ -3,8 +3,9 @@
 A space is a polyhedral cone in half-space form together with a distinguished
 interior point, the order unit.  Everything else is derived from the rows:
 the partial order, the order norm, its neighbourhood balls, and the ray
-thresholds used by the extension machinery.  Every predicate reduces to sign
-tests on a handful of inner products, shared tolerance ``TOL``.
+thresholds used by the extension machinery.  The cone stores its rows scaled
+to largest absolute entry 1, so every predicate reduces to sign tests on a
+handful of inner products, shared tolerance ``TOL``, whatever the row scale.
 
 The row forms of the kernels (:func:`order_norms`, :func:`cone_contains_rows`)
 agree with the one-point forms bit for bit and verdict for verdict.
@@ -117,6 +118,8 @@ def _finite(name: str, a) -> np.ndarray:
 class ConeSpec:
     """Polyhedral cone ``{x : rows @ x >= 0}``.
 
+    Each nonzero row is stored over its largest absolute entry, which changes
+    neither the cone nor the unit's place in it; a zero row stays zero.
     ``orthant`` tags the special case where the rows are the identity, i.e.
     the nonnegative orthant.  At least ``dim`` rows are required for the cone
     to have a chance of being pointed; fewer rows always leave a free line.
@@ -129,7 +132,8 @@ class ConeSpec:
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
         if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValueError("cone requires a nonempty 2-d array of half-space rows")
-        object.__setattr__(self, "rows", _finite("cone rows", rows))
+        top = np.abs(_finite("cone rows", rows)).max(axis=1, keepdims=True)
+        object.__setattr__(self, "rows", rows / np.where(top > 0.0, top, 1.0))
 
     @property
     def dim(self) -> int:
@@ -168,26 +172,22 @@ class OrderedSpace:
 
     @cached_property
     def unit_pairings(self) -> np.ndarray:
-        """Row-by-row inner products of the half-space rows with the unit."""
-        return self.cone.rows @ self.unit
+        """Row-by-row inner products of the stored (scaled) cone rows with the unit."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.cone.rows @ self.unit
 
     @cached_property
     def unit_rows(self) -> np.ndarray:
-        """The cone rows in multiples of the unit: each row divided by its
-        largest absolute entry, then by that scaled row's pairing with the
-        unit, so every row pairs to 1 with the unit.
+        """The cone rows in multiples of the unit: each stored row over its
+        pairing with the unit, so every row pairs to 1 with the unit.
 
         On an interior unit each row is a positive linear functional normed
         at the unit, and every ratio to the unit (the order norm, the ray
-        thresholds, the extension lines) reads this one form.  Scaling
-        first keeps a large finite row from overflowing.  Entries are not
-        finite when a row pairs to zero with the unit, or so near zero that
-        the division overflows.
+        thresholds, the extension lines) reads this one form; its entries
+        are then at most ``1 / TOL`` in magnitude.
         """
-        rows = self.cone.rows
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            scaled = rows / np.abs(rows).max(axis=1, keepdims=True)
-            return scaled / (scaled @ self.unit)[:, None]
+            return self.cone.rows / self.unit_pairings[:, None]
 
 
 def orthant(dim: int, unit=None) -> OrderedSpace:
@@ -371,13 +371,16 @@ def _pointedness_witness(space: OrderedSpace):
 
 
 def _unit_interior_entry(space: OrderedSpace) -> dict:
-    """The ``unit_interior`` check of :func:`validate_space`, with the least unit pairing."""
+    """The one test of "the unit is interior": every stored row pairs with it
+    finitely and above ``TOL``.  The detail names the least pairing, one that
+    is not finite first and written as null, so it stays strict JSON."""
     pairings = space.unit_pairings
-    k_min = int(np.argmin(pairings))
+    finite = np.isfinite(pairings)
+    k = int(np.argmin(np.where(finite, pairings, -np.inf)))
     return {
         "name": "unit_interior",
-        "passed": interior_contains(space, space.unit),
-        "detail": {"min_row_pairing": float(pairings[k_min]), "row": k_min},
+        "passed": bool(finite[k] and pairings[k] > TOL),
+        "detail": {"min_row_pairing": float(pairings[k]) if finite[k] else None, "row": k},
     }
 
 
@@ -412,6 +415,7 @@ def validate_space(space: OrderedSpace, samples: int = 256, seed: int = 0) -> Sp
 
 
 def space_to_json(space: OrderedSpace) -> dict:
+    """The space's descriptor; half-space rows are written as stored, scaled to largest absolute entry 1."""
     cone = "orthant" if space.cone.orthant else {"halfspaces": space.cone.rows.tolist()}
     return {"dim": space.dim, "cone": cone, "unit": space.unit.tolist()}
 

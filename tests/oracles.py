@@ -262,12 +262,13 @@ def consistency_witness_by_pairs(pf, tol=1e-9):
 # a stated bound.
 
 
-def unit_rows_by_rows(space):
+def unit_rows_by_rows(space, rows=None):
     """The unit-scaled rows, built here one row at a time: each cone row over
     its largest absolute entry, then over that scaled row's pairing with the
     unit.  The pairings are one matrix-vector product, as the library forms
-    them, since a product per row rounds differently."""
-    scaled = np.array([row / max(abs(row)) for row in space.cone.rows])
+    them, since a product per row rounds differently.  ``rows`` are the cone
+    rows as given, by default the stored ones."""
+    scaled = np.array([row / max(abs(row)) for row in (space.cone.rows if rows is None else rows)])
     pairings = scaled @ space.unit
     return np.array([row / p for row, p in zip(scaled, pairings)])
 
@@ -619,17 +620,26 @@ def equicontinuity_by_loop(family, eps, pairs, cap=1e6, tol=TOL):
     return PropertyReport(name="equicontinuity", passed=True, samples=len(pairs) * len(family))
 
 
+def _refuse_unless_interior(space):
+    """The samplers' refusal, before any draw: some cone row, scaled to
+    largest absolute entry 1, pairs with the unit to ``TOL`` or less, or to a
+    value that is not finite."""
+    with np.errstate(all="ignore"):
+        pairings = [(row / max(abs(row))) @ space.unit for row in space.cone.rows]
+    if not all(np.isfinite(p) and p > TOL for p in pairings):
+        raise ValueError("ball sampling needs an interior order unit")
+
+
 def ball_point_by_loop(space, center, radius, rng):
     """One ball point in the single-draw order: a direction, drawn again
     until its order norm is finite and positive, then a signed length."""
+    _refuse_unless_interior(space)
     center = np.asarray(center, dtype=float)
     while True:
         d = rng.normal(size=space.dim)
         nrm = order_norm(space, d)
         if np.isfinite(nrm) and nrm > 0:
             break
-        if np.any(space.unit_pairings <= TOL):
-            raise ValueError("ball sampling needs an interior order unit")
     t = rng.uniform(-1.0, 1.0) * radius * (1.0 - 1e-12)
     return center + d * (t / nrm)
 
@@ -638,12 +648,11 @@ def ball_offsets_by_loop(space, n, rng, radius=None, scale=1.0):
     """``(radii, offsets)`` of ``n`` ball draws, one generator call per value:
     with ``radius`` None all ``n`` radii, then all ``n`` directions, then the
     redraws of the rejected directions in row order, then all ``n`` lengths."""
+    _refuse_unless_interior(space)
     radii = [radius] * n if radius is not None else [abs(rng.normal()) * scale + 1e-12 for _ in range(n)]
     dirs = [rng.normal(size=space.dim) for _ in range(n)]
     for k in range(n):
         while not 0.0 < order_norm(space, dirs[k]) < np.inf:
-            if np.any(space.unit_pairings <= TOL):
-                raise ValueError("ball sampling needs an interior order unit")
             dirs[k] = rng.normal(size=space.dim)
     lengths = [rng.uniform(-1.0, 1.0) * r * (1.0 - 1e-12) for r in radii]
     return radii, [d * (t / order_norm(space, d)) for d, t in zip(dirs, lengths)]

@@ -5,6 +5,7 @@ positions, equal report bytes and equal random streams.  The references are
 the per-row loops in ``oracles.py``.
 """
 
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -20,6 +21,7 @@ import orderunit as ou
 from orderunit import cli, sampling
 from oracles import (
     apply_by_rows,
+    ball_offsets_by_loop,
     ball_point_by_loop,
     ball_points_by_loop,
     comparable_pairs_by_loop,
@@ -154,9 +156,10 @@ def membership_blocks(draw):
     """``(space, X, tol)`` for the block cone membership.
 
     A generated space with each cone row scaled by a power of ten in
-    ``1e±12``, and points scaled the same way.  Most points are moved along
-    the unit onto the face ``a.x = -tol`` of a drawn cone row ``a`` (exact up
-    to rounding) and then nudged up to two ulps along one coordinate, so
+    ``1e±12`` (the space stores it scaled back to largest entry 1), and
+    points scaled the same way.  Most points are moved along the unit onto
+    the face ``a.x = -tol`` of a drawn stored cone row ``a`` (exact up to
+    rounding) and then nudged up to two ulps along one coordinate, so
     their verdicts rest on the last bits; a few coordinates are NaN, ``±inf``,
     ``±1e308`` or subnormal.
     """
@@ -164,6 +167,7 @@ def membership_blocks(draw):
     k, dim = space.cone.rows.shape
     rows = space.cone.rows * 10.0 ** draw(arrays(int, k, elements=st.integers(-12, 12)))[:, None]
     space, unit = ou.halfspace_space(rows, space.unit), space.unit
+    rows = space.cone.rows
     tol = draw(st.sampled_from([0.0, ou.spaces.TOL, 1e-6]))
     n = draw(st.integers(1, 24))
     X = draw(point_arrays(dim, n)) * 10.0 ** draw(arrays(int, n, elements=st.integers(-12, 12)))[:, None]
@@ -379,9 +383,6 @@ class TestBatchProbeSets:
 
 def spaces():
     return [
-        # a unit-scaled first row (1e308, 0) that overflows on about 7 % of the
-        # normal directions: the ball draws reject some
-        ou.halfspace_space([[1e300, 0.0], [0.0, 1.0]], [1e-308, 1.0]),
         ou.orthant(2),
         ou.orthant(4),
         ou.orthant(3, unit=[1.0, 2.0, 1.0]),
@@ -393,11 +394,34 @@ def spaces():
     ]
 
 
+class ZeroedNormals(np.random.Generator):
+    """A generator whose normal draws at the given positions of its stream of
+    normals are zero; every other draw is ``default_rng(seed)``'s."""
+
+    def __init__(self, seed, zeroed):
+        super().__init__(np.random.PCG64(seed))
+        self._zeroed, self._drawn = set(zeroed), 0
+
+    def _script(self, draws):
+        a = np.array(draws, dtype=float)
+        flat = a.reshape(-1)
+        for i in range(flat.size):
+            if self._drawn + i in self._zeroed:
+                flat[i] = 0.0
+        self._drawn += flat.size
+        return a if a.ndim else float(a)
+
+    def normal(self, size=None):
+        return self._script(super().normal(size=size))
+
+    def standard_normal(self, size=None):
+        return self._script(super().standard_normal(size))
+
+
 def stacked(pairs, dim):
     return np.array([np.stack(p) for p in pairs]).reshape(len(pairs), 2, dim)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 class TestBatchSamplers:
     """Equal points and the generator left in the same state."""
 
@@ -447,14 +471,25 @@ class TestBatchSamplers:
                 assert same(sampling.ball_point(space, center, radius, rng), ball_point_by_loop(space, center, radius, ref))
             assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_the_overflow_row_reaches_the_redraws(self):
-        """About 7 % of the directions overflow the first row, so 64 draws take more than the blocks."""
-        space, n = spaces()[0], 64
-        rng, blocks = np.random.default_rng(0), np.random.default_rng(0)
-        sampling.ball_points(space, np.zeros(2), 1.0, n, rng)
-        blocks.normal(size=(n, 2))
-        blocks.random(n)
-        assert rng.bit_generator.state != blocks.bit_generator.state
+    def test_a_zero_direction_reaches_the_redraws(self):
+        """A direction of norm 0 is drawn again, in the loop's order.  On an
+        interior unit only underflow reaches it, so the generator is scripted:
+        the second direction of the first block is zero."""
+        n = 5
+        for space, radius in itertools.product(spaces(), [None, 0.5]):
+            first = (0 if radius else n) + space.dim  # normals before the second direction
+            zeroed = range(first, first + space.dim)
+            rng, ref, plain = ZeroedNormals(7, zeroed), ZeroedNormals(7, zeroed), np.random.default_rng(7)
+            got = sampling._ball_draws(space, n, rng, radius)
+            expected = ball_offsets_by_loop(space, n, ref, radius=radius)
+            assert same(np.broadcast_to(got[0], n), expected[0]) and same(got[1], np.array(expected[1]))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            sampling._ball_draws(space, n, plain, radius)
+            assert rng.bit_generator.state != plain.bit_generator.state  # the redraw took normals past the blocks
+        space = spaces()[0]
+        rng, ref = ZeroedNormals(7, range(2)), ZeroedNormals(7, range(2))
+        assert same(sampling.ball_point(space, [1.0, 2.0], 0.5, rng), ball_point_by_loop(space, [1.0, 2.0], 0.5, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 5), seed=seeds)
@@ -472,14 +507,9 @@ class TestBatchSamplers:
         assert entry["passed"] == (expected is None)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 class TestSamplerInvariants:
-    """What the samplers promise, whatever order they draw in.
-
-    The order norms are taken of the offsets divided by the radius: the
-    unit-scaled ``1e308`` row of the first space overflows on offsets past
-    about 1.8, and the norm is positively homogeneous.
-    """
+    """What the samplers promise, whatever order they draw in.  Each order
+    norm is taken of the offset over the radius and compared with 1."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=seeds, n=sizes, radius=st.sampled_from([1e-3, 1.0, 7.5]))

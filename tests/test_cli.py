@@ -44,6 +44,8 @@ def files(tmp_path_factory):
     nan_row = write("nan_row.json", {"dim": 2, "cone": {"halfspaces": [[1.0, 0.0], [float("nan"), 1.0]]}, "unit": [1, 1]})
     boundary = write("boundary.json", {"dim": 2, "cone": "orthant", "unit": [1, 0]})
     half = write("half.json", {"dim": 2, "cone": "orthant", "unit": [0.5, 0.5]})
+    overflow_unit = write("overflow_unit.json", {"dim": 2, "cone": {"halfspaces": [[1, 1], [1, 0.9]]}, "unit": [1e308, 1e308]})
+    linear = write("linear.json", {"kind": "linear", "weights": [1.0, 1.0]})
     gap = write("gap.json", {"kind": "sqrt_gap"})
     choq = write(
         "choq.json",
@@ -73,6 +75,8 @@ def files(tmp_path_factory):
         "nan_row": nan_row,
         "boundary": boundary,
         "half": half,
+        "overflow_unit": overflow_unit,
+        "linear": linear,
         "gap": gap,
         "choq": choq,
         "clamp": clamp,
@@ -171,8 +175,9 @@ class TestCheck:
         assert entry["witness"]["norm_bounds"]["norm"] is None
 
     def test_infinite_unit_scaled_row_reports_only_the_space(self, tmp_path):
-        """Interior at ``TOL``, but the unit-scaled first row is infinite, so the
-        norms are too: the samplers would refuse, and the checkers are skipped."""
+        """The stored first row ``(1, 0)`` pairs to ``1e-310`` with the unit, so the
+        unit is not interior and the unit-scaled first row is infinite, as are
+        the norms: the samplers would refuse, and the checkers are skipped."""
         space = tmp_path / "space.json"
         space.write_text(json.dumps({"dim": 2, "cone": {"halfspaces": [[1e308, 0.0], [0.0, 1.0]]}, "unit": [1e-310, 1.0]}))
         functional = tmp_path / "f.json"
@@ -181,7 +186,18 @@ class TestCheck:
         assert proc.returncode == 1, proc.stderr
         checks = json.loads(proc.stdout)["checks"]
         assert [c["name"] for c in checks] == ["space_valid"]
-        assert list(checks[0]["witness"]) == ["norm_bounds"]
+        assert sorted(checks[0]["witness"]) == ["norm_bounds", "unit_interior"]
+        assert checks[0]["witness"]["unit_interior"] == {"min_row_pairing": 1e-310, "row": 0}
+
+    def test_overflowing_unit_reports_only_the_space(self, files):
+        """Both pairings of the unit overflow: every unit-scaled row would be zero
+        and every order norm 0, so the ball draws would never be accepted."""
+        proc = run_cli(
+            "check", "--space", files["overflow_unit"], "--functional", files["linear"], "--format", "json", timeout=60
+        )
+        assert proc.returncode == 1, proc.stderr
+        (entry,) = json.loads(proc.stdout)["checks"]
+        assert entry["witness"] == {"unit_interior": {"min_row_pairing": None, "row": 0}}
 
     def test_check_does_not_import_scipy(self, files):
         code = (
@@ -271,6 +287,17 @@ class TestNorm:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "coordinates must be finite" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_overflowing_unit_fails_instead_of_a_zero_norm(self, files):
+        proc = run_cli("norm", "--space", files["overflow_unit"], "--point", "1,-1", "--format", "json")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout) == {
+            "checks": [
+                {"name": "unit_interior", "passed": False, "detail": {"min_row_pairing": None, "row": 0}}
+            ],
+            "command": "norm",
+            "exit_status": 1,
+        }
 
     def test_boundary_unit_fails_without_scipy(self, files):
         code = (
@@ -452,6 +479,14 @@ class TestOpenness:
         # the timeout turns a sampler that never accepts a point into a failure
         proc = run_cli(
             "openness", "--space", files["boundary"], "--operator", files["clamp"],
+            "--at", "0,0", "--epsilon", "0.25", "--delta", "0.25", "--format", "json", timeout=60,
+        )
+        assert proc.returncode == 1
+        assert [c["name"] for c in json.loads(proc.stdout)["checks"]] == ["unit_interior"]
+
+    def test_overflowing_unit_fails(self, files):
+        proc = run_cli(
+            "openness", "--space", files["overflow_unit"], "--operator", files["clamp"],
             "--at", "0,0", "--epsilon", "0.25", "--delta", "0.25", "--format", "json", timeout=60,
         )
         assert proc.returncode == 1

@@ -197,11 +197,14 @@ class TestEquicontinuity:
         report = ou.certify_equicontinuity(ou.OperatorFamily(members), 0.5, n=128)
         assert report.passed
 
-    def test_family_validation(self, orth2, orth3):
+    def test_family_validation(self, orth2, orth3, hs2):
         with pytest.raises(ValueError, match="at least one"):
             ou.OperatorFamily(())
         with pytest.raises(ValueError, match="share"):
             ou.OperatorFamily((ou.identity_operator(orth2), ou.identity_operator(orth3)))
+        # the same cone with rows scaled by 1e-3 and 7 is the same domain
+        rescaled = ou.halfspace_space(hs2.cone.rows * np.array([[1e-3], [7.0]]), hs2.unit)
+        assert len(ou.OperatorFamily((ou.identity_operator(hs2), ou.identity_operator(rescaled)))) == 2
 
 
 class TestGraph:

@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import orderunit as ou
-from oracles import exact_rank, norm_by_bisection, norms_by_bisection
+from oracles import (
+    ball_offsets_by_loop,
+    exact_rank,
+    norm_by_bisection,
+    norms_by_bisection,
+    unit_rows_by_rows,
+)
+from strategies import interior_unit_spaces, point_arrays
 
 coord = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 vec2 = st.tuples(coord, coord).map(np.array)
@@ -245,6 +253,43 @@ class TestNonFinite:
 
 BAD_UNITS = [[1.0, 0.0], [-1.0, -1.0], [1e-320, 1.0], [1.0, -1.0]]
 
+# stored rows (1, 0) and (0, 1): the first pairs to 1e-308 with the unit, below TOL
+TINY_PAIRING = ([[1e300, 0.0], [0.0, 1.0]], [1e-308, 1.0])
+# both pairings overflow, so every unit-scaled row would be zero and every order norm 0
+OVERFLOWING_UNIT = ([[1.0, 1.0], [1.0, 0.9]], [1e308, 1e308])
+
+
+def samplers(space):
+    """Every sampler that draws from the order ball, each as a function of its generator."""
+    zero = np.zeros(space.dim)
+    return (
+        lambda rng: ou.sampling.cone_points(space, 8, rng),
+        lambda rng: ou.sampling.ball_points(space, zero, 1.0, 8, rng),
+        lambda rng: ou.sampling.ball_point(space, zero, 1.0, rng),
+        lambda rng: ou.sampling.pairs_within(space, 0.5, 8, rng),
+        lambda rng: ou.sampling.comparable_pairs(space, 8, rng),
+    )
+
+
+def refusal(space):
+    """The samplers' refusal message, or None when the first sampler draws."""
+    try:
+        samplers(space)[0](np.random.default_rng(0))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def assert_refused_before_drawing(space):
+    for draw in samplers(space):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="interior order unit"):
+            draw(rng)
+        assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="interior order unit"):  # the loop references refuse too
+        ball_offsets_by_loop(space, 0, np.random.default_rng(0))
+
 
 class TestBoundaryUnitSampling:
     @pytest.mark.parametrize("unit", BAD_UNITS)
@@ -267,20 +312,16 @@ class TestBoundaryUnitSampling:
 
     @pytest.mark.parametrize("unit", BAD_UNITS)
     def test_no_draw_before_the_refusal(self, unit):
-        space = ou.orthant(2, unit=unit)
-        samplers = (
-            lambda rng: ou.sampling.cone_points(space, 8, rng),
-            lambda rng: ou.sampling.ball_points(space, np.zeros(2), 1.0, 8, rng),
-            lambda rng: ou.sampling.ball_point(space, np.zeros(2), 1.0, rng),
-            lambda rng: ou.sampling.pairs_within(space, 0.5, 8, rng),
-            lambda rng: ou.sampling.comparable_pairs(space, 8, rng),
-        )
-        for draw in samplers:
-            rng = np.random.default_rng(0)
-            state = rng.bit_generator.state
-            with pytest.raises(ValueError, match="interior order unit"):
-                draw(rng)
-            assert rng.bit_generator.state == state
+        assert_refused_before_drawing(ou.orthant(2, unit=unit))
+
+    @pytest.mark.parametrize(
+        "rows, unit, least", [(*TINY_PAIRING, 1e-308), (*OVERFLOWING_UNIT, None)], ids=["tiny_pairing", "overflowing_unit"]
+    )
+    def test_the_scaled_pairings_decide_the_refusal(self, rows, unit, least):
+        space = ou.halfspace_space(rows, unit)
+        detail = {"min_row_pairing": least, "row": 0}  # a pairing that is not finite is null, so the JSON stays strict
+        assert ou.validate_space(space).checks[0] == {"name": "unit_interior", "passed": False, "detail": detail}
+        assert_refused_before_drawing(space)
 
     def test_a_unit_outside_the_cone_is_refused_by_the_checkers(self):
         # (1, -1) pairs to -1 with the second row: every ball draw is accepted, so only the guard refuses
@@ -292,13 +333,14 @@ class TestBoundaryUnitSampling:
             ou.check_positive(ou.linear_functional(space, [1.0, 0.0]))
 
     def test_an_infinite_unit_scaled_row_raises_instead_of_looping(self):
-        """Interior at ``TOL``, but the unit-scaled first row is infinite, so every
-        direction's order norm is too; a child process with a timeout turns a
+        """The stored first row ``(1, 0)`` pairs to ``1e-310`` with the unit, so the
+        unit is not interior and the unit-scaled first row is infinite, as is
+        every direction's order norm; a child process with a timeout turns a
         sampler that never accepts a draw into a failure."""
         code = (
             "import numpy as np, orderunit as ou\n"
             "space = ou.halfspace_space([[1e308, 0.0], [0.0, 1.0]], [1e-310, 1.0])\n"
-            "assert ou.interior_contains(space, space.unit)\n"
+            "assert not ou.interior_contains(space, space.unit) and np.isinf(space.unit_rows[0, 0])\n"
             "for draw in (lambda: ou.sampling.ball_points(space, np.zeros(2), 1.0, 8, 0),\n"
             "             lambda: ou.sampling.cone_points(space, 8, 0)):\n"
             "    try:\n"
@@ -310,6 +352,57 @@ class TestBoundaryUnitSampling:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+def bits(space):
+    """The stored rows and unit, to compare bit for bit."""
+    return space.cone.rows.tobytes(), space.unit.tobytes()
+
+
+class TestRowScale:
+    """A positive multiple of a half-space row cuts out the same cone, so the
+    stored rows, every predicate and the samplers' refusal ignore it."""
+
+    def test_a_tiny_row_cuts_out_the_orthant(self):
+        tiny = ou.halfspace_space([[1e-10, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        plain = ou.halfspace_space([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        assert bits(tiny) == bits(plain)
+        assert ou.validate_space(tiny).ok and ou.validate_space(tiny) == ou.validate_space(plain)
+        for draw_tiny, draw_plain in zip(samplers(tiny), samplers(plain)):
+            got = np.asarray(draw_tiny(np.random.default_rng(3)))
+            assert got.tobytes() == np.asarray(draw_plain(np.random.default_rng(3))).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=interior_unit_spaces(), data=st.data())
+    def test_a_power_of_two_per_row_changes_no_bit(self, space, data):
+        k, dim = space.cone.rows.shape
+        raw = space.cone.rows * 2.0 ** data.draw(arrays(int, k, elements=st.integers(-40, 40)))[:, None]
+        scaled = ou.halfspace_space(raw, space.unit)
+        assert bits(scaled) == bits(space)
+        assert ou.validate_space(scaled) == ou.validate_space(space)
+        assert refusal(scaled) == refusal(space)
+        X = data.draw(point_arrays(dim, data.draw(st.integers(0, 16))))
+        for tol in (0.0, ou.TOL, 1e-6):
+            assert np.array_equal(ou.spaces.cone_contains_rows(scaled, X, tol), ou.spaces.cone_contains_rows(space, X, tol))
+        M = data.draw(arrays(float, (dim, dim), elements=st.floats(-0.25, 1.0)))
+        T, T_scaled = (ou.linear_positive(s, s, M, strict=False) for s in (space, scaled))
+        for tol in (0.0, ou.TOL, 1e-6):
+            a = ou.check_order_preserving_op(T, seed=1, n=64, tol=tol).to_json()
+            assert a == ou.check_order_preserving_op(T_scaled, seed=1, n=64, tol=tol).to_json()
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=interior_unit_spaces(), data=st.data())
+    def test_a_power_of_ten_per_row_keeps_the_verdicts(self, space, data):
+        k = space.cone.rows.shape[0]
+        raw = space.cone.rows * 10.0 ** data.draw(arrays(int, k, elements=st.integers(-12, 12)))[:, None]
+        scaled = ou.halfspace_space(raw, space.unit)
+        assert ou.validate_space(scaled).ok == ou.validate_space(space).ok
+        assert refusal(scaled) == refusal(space)
+        # the stored rows are the given ones over their largest entries, so the
+        # unit-scaled rows are the formula of the raw rows, bit for bit
+        expected = unit_rows_by_rows(scaled, raw)
+        assert expected.tobytes() == scaled.unit_rows.tobytes()
+        assert bits(ou.space_from_json(ou.space_to_json(scaled))) == bits(scaled)
 
 
 class TestJson:
