@@ -18,6 +18,7 @@ functional per codomain coordinate) and ``custom``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -347,64 +348,79 @@ PREIMAGE_TOL = 1e-6
 image norm exceed ``epsilon`` by it."""
 
 
+def _norm2(r: np.ndarray) -> float:
+    """``sqrt(r @ r)``; where only the sum of squares overflows, it is taken
+    over ``r / max|r|`` and scaled back.  Call under ``np.errstate``."""
+    rr = r @ r
+    if rr == np.inf and np.isfinite(r).all():
+        s = float(np.max(np.abs(r)))
+        u = r / s
+        return math.sqrt(u @ u) * s
+    return math.sqrt(rr)
+
+
 def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng):
     """Multi-start coordinate descent for ``x`` in the open ball around
     ``x0`` with ``T(x) = y``; returns ``(x or None, best residual, evals <= budget)``.
 
     Exhausting the budget is a semi-decision: it reports that no preimage
-    was *found*, not that none exists.
+    was *found*, not that none exists.  One point at a time: each move's
+    ball test ``max |unit_rows @ (x - x0)| < epsilon * (1 - 1e-12)`` is
+    :func:`order_norm`'s, NaN included, and its residual ``_norm2(T.fn(x) - y)``.
     """
-    dom = T.domain
+    dom, fn = T.domain, T.fn
+    R = dom.unit_rows
     y = as_vec(y, T.codomain.dim)
     x0 = as_vec(x0, dom.dim)
+    limit = epsilon * (1.0 - 1e-12)
     evals = 0
 
     def inside(x):
-        return order_norm(dom, x - x0) < epsilon * (1.0 - 1e-12)
+        return all(abs(v) < limit for v in (R @ (x - x0)).tolist())
 
     def residual(x):
         nonlocal evals
         evals += 1
-        r = apply(T, x) - y
-        return float(np.sqrt(r @ r))
+        return _norm2(fn(x) - y)
 
-    starts = [x0.copy()]
-    if T.codomain.dim == dom.dim and inside(y):
-        starts.append(y.copy())
-    if T.matrix is not None:
-        sol, *_ = np.linalg.lstsq(T.matrix, y, rcond=None)
-        if inside(sol):
-            starts.append(sol)
-    starts.extend(sampling.ball_point(dom, x0, epsilon * 0.95, rng) for _ in range(6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        starts = [x0.copy()]
+        if T.codomain.dim == dom.dim and inside(y):
+            starts.append(y.copy())
+        if T.matrix is not None:
+            sol, *_ = np.linalg.lstsq(T.matrix, y, rcond=None)
+            if inside(sol):
+                starts.append(sol)
+        starts.extend(sampling.ball_point(dom, x0, epsilon * 0.95, rng) for _ in range(6))
 
-    best_x, best = None, np.inf
-    for s in starts:
-        if evals >= budget:
-            break
-        x = s.copy()
-        val = residual(x)
-        step = epsilon / 2.0
-        while evals < budget and val > PREIMAGE_TOL and step > 1e-14:
-            improved = False
-            for i in range(dom.dim):
-                for sign in (1.0, -1.0):
-                    cand = x.copy()
-                    cand[i] += sign * step
-                    if evals >= budget or not inside(cand):
-                        continue
-                    v = residual(cand)
-                    if v < val - 1e-15:
-                        x, val = cand, v
-                        improved = True
+        best_x, best = None, np.inf
+        for s in starts:
+            if evals >= budget:
+                break
+            x = s.copy()
+            val = residual(x)
+            step = epsilon / 2.0
+            while evals < budget and val > PREIMAGE_TOL and step > 1e-14:
+                improved = False
+                for i in range(dom.dim):
+                    for sign in (1.0, -1.0):
+                        cand = x.copy()
+                        cand[i] += sign * step
+                        if evals >= budget or not inside(cand):
+                            continue
+                        v = residual(cand)
+                        if v < val - 1e-15:
+                            x, val = cand, v
+                            improved = True
+                            break
+                    if evals >= budget or val <= PREIMAGE_TOL:
                         break
-                if evals >= budget or val <= PREIMAGE_TOL:
-                    break
-            if not improved:
-                step *= 0.5
-        if val < best:
-            best, best_x = val, x
-        if best <= PREIMAGE_TOL:
-            return best_x, best, evals
+                if not improved:
+                    step *= 0.5
+            if val < best:
+                best, best_x = val, x
+            if best <= PREIMAGE_TOL:
+                return best_x, best, evals
     return (best_x if best <= PREIMAGE_TOL else None), best, evals
 
 
@@ -413,7 +429,9 @@ class OpennessVerdict:
     """Outcome of a relative-openness probe.
 
     A FAIL means the budgeted search found no preimage for ``witness``; it
-    is evidence against openness at the probed point, not a proof.
+    is evidence against openness at the probed point, not a proof.  A probe
+    that sampled no target (``targets_tested == 0``) tested nothing, so it
+    fails too, with ``witness`` None and the note saying why.
     """
 
     passed: bool
@@ -447,7 +465,9 @@ def openness_check(
     intersected with ``T(E)`` (membership decided by ``T.image_oracle``,
     which the clamp and matrix kinds set; without one, targets are forward
     images) and searches the radius-``epsilon`` ball around ``x0`` for a
-    preimage of each, ``budget`` evaluations per target.
+    preimage of each, ``budget`` evaluations per target, in sampling order,
+    stopping at the first target without one.  It passes only when at least
+    one target was sampled and every target got a preimage.
     """
     if not (epsilon > 0 and delta > 0):
         raise ValueError("epsilon and delta must be positive")
@@ -487,7 +507,7 @@ def openness_check(
             note = note or "search budget exhausted without a preimage"
             break
     return OpennessVerdict(
-        passed=witness is None,
+        passed=witness is None and bool(sampled),
         witness=witness,
         center=list(map(float, center)),
         epsilon=float(epsilon),

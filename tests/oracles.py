@@ -25,7 +25,7 @@ from orderunit import (
 )
 from orderunit.dual import DYADIC_DEPTH
 from orderunit.operators import PREIMAGE_TOL
-from orderunit.sampling import box_points, probe_pairs, rng_from
+from orderunit.sampling import ball_point, box_points, probe_pairs, rng_from
 
 
 def norm_by_bisection(space, x, iters=80):
@@ -748,3 +748,62 @@ def open_ball_forward_by_loop(T, epsilon, seed=0, n=64):
         if nrm >= epsilon + PREIMAGE_TOL:
             return {"side": "forward", "x": list(map(float, x)), "image_norm": float(nrm)}
     return None
+
+
+def preimage_search_by_loop(T, y, x0, epsilon, budget, rng):
+    """The preimage search of ``openness_check``, through the public
+    ``order_norm``, ``apply`` and ``ball_point``: the same starts, the same
+    coordinate moves and the same budget check before every candidate, so
+    ``(x or None, best residual, evals)`` match bit for bit wherever
+    ``r @ r`` is finite."""
+    y = np.asarray(y, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
+    evals = 0
+
+    def inside(x):
+        return order_norm(T.domain, x - x0) < epsilon * (1.0 - 1e-12)
+
+    def residual(x):
+        nonlocal evals
+        evals += 1
+        r = apply(T, x) - y
+        return float(np.sqrt(r @ r))
+
+    starts = [x0.copy()]
+    if T.codomain.dim == T.domain.dim and inside(y):
+        starts.append(y.copy())
+    if T.matrix is not None:
+        sol = np.linalg.lstsq(T.matrix, y, rcond=None)[0]
+        if inside(sol):
+            starts.append(sol)
+    for _ in range(6):
+        starts.append(ball_point(T.domain, x0, epsilon * 0.95, rng))
+
+    best_x, best = None, np.inf
+    for s in starts:
+        if evals >= budget:
+            break
+        x = s.copy()
+        val = residual(x)
+        step = epsilon / 2.0
+        while evals < budget and val > PREIMAGE_TOL and step > 1e-14:
+            improved = False
+            for i in range(T.domain.dim):
+                for sign in (1.0, -1.0):
+                    cand = x.copy()
+                    cand[i] += sign * step
+                    if evals >= budget or not inside(cand):
+                        continue
+                    v = residual(cand)
+                    if v < val - 1e-15:
+                        x, val, improved = cand, v, True
+                        break
+                if evals >= budget or val <= PREIMAGE_TOL:
+                    break
+            if not improved:
+                step *= 0.5
+        if val < best:
+            best, best_x = val, x
+        if best <= PREIMAGE_TOL:
+            return best_x, best, evals
+    return (best_x if best <= PREIMAGE_TOL else None), best, evals

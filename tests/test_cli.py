@@ -10,6 +10,7 @@ gallery output is intended) with
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,37 @@ class TestOpenness:
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["verdict"]["witness"] is not None
+
+    def test_no_sampled_target_fails(self, files, capsys):
+        # at --delta 1e4 the same probe fails on a target; at 1e6 it samples none
+        argv = ["openness", "--space", files["space2"], "--operator", files["clamp"], "--at", "0,0", "--epsilon", "1"]
+        assert cli.main([*argv, "--delta", "1e4", "--format", "json"]) == 1
+        capsys.readouterr()
+        assert cli.main([*argv, "--delta", "1e6", "--format", "json"]) == 1
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert (verdict["passed"], verdict["witness"], verdict["targets_tested"]) == (False, None, 0)
+        assert verdict["note"] == "no image points found inside the target ball"
+
+    def test_residual_past_the_square_overflow_is_a_strict_json_verdict(self, tmp_path, capsys):
+        # |T(x) - y| is about 1e196, but its square overflows
+        (tmp_path / "space.json").write_text(json.dumps({"dim": 2, "cone": "orthant", "unit": [1, 1]}))
+        (tmp_path / "identity.json").write_text(json.dumps({"kind": "linear_positive", "matrix": [[1, 0], [0, 1]]}))
+        argv = [
+            "openness", "--space", str(tmp_path / "space.json"), "--operator", str(tmp_path / "identity.json"),
+            "--at=1e200,-1e200", "--epsilon", "1e200", "--delta", "1e200", "--targets", "4", "--budget", "60", "--format", "json",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        verdict = json.loads(out, parse_constant=refuse)["verdict"]
+        assert not verdict["passed"] and verdict["targets_tested"] == 4
+        assert 1e196 < verdict["best_residual"] < 1e197
 
     def test_boundary_unit_fails(self, files):
         # the timeout turns a sampler that never accepts a point into a failure

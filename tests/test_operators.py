@@ -1,8 +1,15 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import orderunit as ou
-from oracles import random_monotone_capacity
+from oracles import preimage_search_by_loop, random_monotone_capacity
+from strategies import interior_unit_spaces
 from test_functionals import DESCRIPTORS as FUNCTIONAL_DESCRIPTORS
 
 DESCRIPTORS = {
@@ -10,6 +17,31 @@ DESCRIPTORS = {
     "clamp": {"kind": "clamp"},
     "stack": {"kind": "stack", "functionals": [FUNCTIONAL_DESCRIPTORS[k] for k in sorted(FUNCTIONAL_DESCRIPTORS)]},
 }
+
+SEARCH_OPERATORS = {
+    "clamp": lambda orth2, space: ou.clamp_operator(orth2),
+    "linear_square": lambda orth2, space: ou.operator_from_json(orth2, DESCRIPTORS["linear_positive"]),
+    "linear_tall": lambda orth2, space: ou.linear_positive(orth2, ou.orthant(3), [[1.0, 0.0], [0.5, 0.5], [0.0, 2.0]]),
+    "stack": lambda orth2, space: ou.operator_from_json(orth2, DESCRIPTORS["stack"]),
+    "identity": lambda orth2, space: ou.identity_operator(space),
+    "custom": lambda orth2, space: ou.custom_operator(orth2, orth2, lambda x: np.array([x[0] * x[-1], max(x)])),
+}
+"""The operators the preimage search serves, by kind; ``identity`` acts on ``space``, the others on ``orth2``."""
+
+radii = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+def search_bits(result):
+    """``(x or None, best residual, evals)`` of a search, as bits."""
+    x, best, evals = result
+    return (None if x is None else x.tobytes()), float(best).hex(), evals
+
+
+def search_case(data, kind):
+    """An operator of ``kind`` and a point of its domain."""
+    space = data.draw(interior_unit_spaces()) if kind == "identity" else ou.orthant(2)
+    T = SEARCH_OPERATORS[kind](ou.orthant(2), space)
+    return T, data.draw(arrays(float, T.domain.dim, elements=st.floats(-4.0, 4.0)))
 
 
 def choquet_stack(space, caps):
@@ -319,14 +351,40 @@ class TestOpenness:
         with pytest.raises(ValueError):
             ou.openness_check(ou.clamp_operator(orth2), [0.0, 0.0], 0.0, 0.1)
 
-    def test_search_never_exceeds_its_budget(self, orth2):
-        T = ou.clamp_operator(orth2)
-        # reachable, reachable after a move on each axis, and off the band (never found)
-        targets = ([0.3, 0.2], [-0.2, 0.35], [0.0, 1.4])
-        for budget in range(1, 40):
-            for y in targets:
-                _, _, evals = ou.operators._preimage_search(T, y, [0.0, 0.0], 0.5, budget, ou.sampling.rng_from(budget))
-                assert evals <= budget, (budget, y)
+    def test_search_never_exceeds_its_budget(self, orth2, hs2):
+        zero = np.zeros(2)
+        for kind, build in SEARCH_OPERATORS.items():
+            T = build(orth2, hs2)
+            # reachable, reachable after a move on each axis, and 1.4 away on every other axis (off the clamp's band)
+            targets = [T([0.3, 0.2]), T([-0.2, 0.35]), T(zero) + 1.4 * (np.arange(T.codomain.dim) % 2)]
+            for budget in range(1, 40):
+                for y in targets:
+                    _, _, evals = ou.operators._preimage_search(T, y, zero, 0.5, budget, ou.sampling.rng_from(budget))
+                    assert evals <= budget, (kind, budget, y)
+
+    def test_no_sampled_target_fails(self, orth2):
+        # the band |y1 - y0| <= 1 is too thin for 200 * targets draws in so wide a ball
+        verdict = ou.openness_check(ou.clamp_operator(orth2), [0.0, 0.0], 1.0, 1e6)
+        assert (verdict.passed, verdict.witness, verdict.targets_tested, verdict.evals_used) == (False, None, 0, 0)
+        assert verdict.note == "no image points found inside the target ball"
+        # at a smaller delta the probe fails on a target, so a larger delta must not pass
+        assert not ou.openness_check(ou.clamp_operator(orth2), [0.0, 0.0], 1.0, 1e4).passed
+
+    def test_no_forward_image_target_fails(self, orth2):
+        T = ou.custom_operator(orth2, orth2, lambda x: 2.0 * x)
+        verdict = ou.openness_check(T, [0.0, 0.0], 1.0, 1e-12, targets=2)
+        assert (verdict.passed, verdict.witness, verdict.targets_tested) == (False, None, 0)
+        assert verdict.note.startswith("no image oracle")
+
+    def test_a_residual_past_the_square_overflow_stays_finite(self, orth2):
+        T = ou.identity_operator(orth2)
+        _, best, evals = ou.operators._preimage_search(T, [1e200, -1e200], [-1e200, 1e200], 1e200, 3, ou.sampling.rng_from(0))
+        assert evals == 3 and 1e199 < best < np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ou.operators._norm2(np.array([3.0, -4.0]) * 2.0**700) == 5.0 * 2.0**700
+            assert ou.operators._norm2(np.array([np.inf, 1.0])) == np.inf
+            assert np.isnan(ou.operators._norm2(np.array([np.nan, 1e300])))
+
 
     def test_clamp_image_oracle_matches_forward_grid(self, orth2):
         T = ou.clamp_operator(orth2)
@@ -337,6 +395,42 @@ class TestOpenness:
                 assert oracle(T([x1, x2]))
         assert not oracle([0.0, 1.5])
         assert not oracle([2.0, 0.5])
+
+
+class TestPreimageSearchOracle:
+    """``_preimage_search`` and the two checks that run it against
+    ``oracles.preimage_search_by_loop``, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(SEARCH_OPERATORS)), budget=st.integers(1, 1200), radius=radii, seed=st.integers(0, 2**16))
+    def test_search_equals_the_loop(self, data, kind, budget, radius, seed):
+        T, x0 = search_case(data, kind)
+        # near T(x0) at the radius's scale: on and off the clamp's band, in and out of a matrix's range
+        y = T(x0) + radius * data.draw(arrays(float, T.codomain.dim, elements=st.floats(-2.0, 2.0)))
+        got = ou.operators._preimage_search(T, y, x0, radius, budget, ou.sampling.rng_from(seed))
+        want = preimage_search_by_loop(T, y, x0, radius, budget, ou.sampling.rng_from(seed))
+        assert search_bits(got) == search_bits(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(sorted(SEARCH_OPERATORS)),
+        epsilon=radii,
+        delta=radii,
+        count=st.integers(1, 6),
+        budget=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+    )
+    def test_checks_equal_the_loop(self, data, kind, epsilon, delta, count, budget, seed):
+        T, x0 = search_case(data, kind)
+        checks = (
+            lambda: ou.openness_check(T, x0, epsilon, delta, targets=count, budget=budget, seed=seed),
+            lambda: ou.open_ball_image_check(T, epsilon, seed=seed, n=count, budget=budget),
+        )
+        for check in checks:
+            plain = json.dumps(check().to_json(), sort_keys=True)
+            with mock.patch.object(ou.operators, "_preimage_search", preimage_search_by_loop):
+                assert json.dumps(check().to_json(), sort_keys=True) == plain
 
 
 class TestOpenBallImage:
