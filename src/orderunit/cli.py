@@ -8,6 +8,9 @@ Exit codes: 0 all requested checks passed, 1 a property/contract check
 failed (the report carries a witness), 2 malformed input.  JSON reports are
 byte-deterministic for a fixed seed: keys are sorted and wall-clock timing
 is only rendered in text mode.
+
+Each handler reads its JSON input before it imports the layers it calls,
+and only those, so a malformed file exits 2 without loading NumPy.
 """
 
 from __future__ import annotations
@@ -18,46 +21,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from .dual import subsequence_limit
-from .extension import (
-    NonFiniteError,
-    _step,
-    check_partial_consistency,
-    extension_interval,
-    extend_one,
-    partial_from_json,
-    partial_to_json,
-    partial_functional,
-)
-from .functionals import (
-    _MAX_GROUND_SIZE,
-    capacity_from_json,
-    capacity_to_json,
-    check_normed,
-    check_order_preserving,
-    check_positive,
-    check_weak_additivity,
-    functional_from_json,
-    sqrt_gap_functional,
-)
-from .operators import (
-    check_order_preserving_op,
-    check_weakly_additive_op,
-    clamp_operator,
-    openness_check,
-    operator_from_json,
-    unit_image_interior,
-)
-from .spaces import (
-    _unit_interior_entry,
-    order_norm,
-    orthant,
-    space_from_json,
-    validate_space,
-)
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
@@ -66,6 +29,13 @@ EXIT_INPUT = 2
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_space(path: str):
+    obj = _load_json(path)
+    from .spaces import space_from_json
+
+    return space_from_json(obj)
 
 
 def _parse_point(text: str) -> list[float]:
@@ -108,6 +78,8 @@ def _render(payload: dict, fmt: str, elapsed: float) -> str:
 
 def _unit_not_interior(command: str, space) -> dict | None:
     """The failure payload of a value-returning command on a space whose unit is not interior."""
+    from .spaces import _unit_interior_entry
+
     entry = _unit_interior_entry(space)
     if entry["passed"]:
         return None
@@ -115,14 +87,25 @@ def _unit_not_interior(command: str, space) -> dict | None:
 
 
 def run_check(args) -> tuple[dict, int]:
-    space = space_from_json(_load_json(args.space))
+    space = _read_space(args.space)
+    from .spaces import validate_space
+
     validation = validate_space(space)
     failures = {c["name"]: c["detail"] for c in validation.failures}
     checks = [{"name": "space_valid", "passed": validation.ok, "samples": validation.samples, "witness": failures or None}]
     samplable = "unit_interior" not in failures  # the law checkers draw from the ball
     n = args.samples
     if args.functional:
-        f = functional_from_json(space, _load_json(args.functional))
+        obj = _load_json(args.functional)
+        from .functionals import (
+            check_normed,
+            check_order_preserving,
+            check_positive,
+            check_weak_additivity,
+            functional_from_json,
+        )
+
+        f = functional_from_json(space, obj)
         if samplable:
             checks.append(check_weak_additivity(f, seed=args.seed, n=n, tol=args.tol).to_json())
             checks.append(check_order_preserving(f, seed=args.seed, n=n, tol=args.tol).to_json())
@@ -130,7 +113,15 @@ def run_check(args) -> tuple[dict, int]:
             checks.append(check_positive(f, seed=args.seed, n=min(n, 4096), tol=args.tol).to_json())
         subject = {"functional": args.functional}
     else:
-        T = operator_from_json(space, _load_json(args.operator))
+        obj = _load_json(args.operator)
+        from .operators import (
+            check_order_preserving_op,
+            check_weakly_additive_op,
+            operator_from_json,
+            unit_image_interior,
+        )
+
+        T = operator_from_json(space, obj)
         if samplable:
             checks.append(check_weakly_additive_op(T, seed=args.seed, n=min(n, 8192), tol=args.tol).to_json())
             checks.append(check_order_preserving_op(T, seed=args.seed, n=min(n, 8192), tol=args.tol).to_json())
@@ -148,7 +139,9 @@ def run_check(args) -> tuple[dict, int]:
 
 
 def run_norm(args) -> tuple[dict, int]:
-    space = space_from_json(_load_json(args.space))
+    space = _read_space(args.space)
+    from .spaces import order_norm
+
     points = [_parse_point(text) for text in args.point]
     failure = _unit_not_interior("norm", space)
     if failure:
@@ -159,8 +152,17 @@ def run_norm(args) -> tuple[dict, int]:
 
 
 def run_extend(args) -> tuple[dict, int]:
-    space = space_from_json(_load_json(args.space))
+    space = _read_space(args.space)
     partial = _load_json(args.partial)
+    from .extension import (
+        NonFiniteError,
+        _step,
+        check_partial_consistency,
+        extension_interval,
+        partial_from_json,
+        partial_to_json,
+    )
+
     # a boundary unit makes the unit-scaled pairings of the partial functional not finite, so check it first
     failure = _unit_not_interior("extend", space)
     if failure:
@@ -196,8 +198,11 @@ def run_extend(args) -> tuple[dict, int]:
 
 
 def run_openness(args) -> tuple[dict, int]:
-    space = space_from_json(_load_json(args.space))
-    T = operator_from_json(space, _load_json(args.operator))
+    space = _read_space(args.space)
+    obj = _load_json(args.operator)
+    from .operators import openness_check, operator_from_json
+
+    T = operator_from_json(space, obj)
     at = _parse_point(args.at)
     failure = _unit_not_interior("openness", space)
     if failure:
@@ -227,6 +232,10 @@ def run_compact(args) -> tuple[dict, int]:
         seq = obj["sequence"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad capacity-sequence descriptor: {exc}") from exc
+    from .dual import subsequence_limit
+    from .functionals import _MAX_GROUND_SIZE, capacity_from_json, capacity_to_json
+    from .spaces import orthant
+
     if not 0 <= n <= _MAX_GROUND_SIZE:  # checked here too, since an empty sequence builds no capacity
         raise ValueError(f"capacity ground size must lie in [0, {_MAX_GROUND_SIZE}], got {n}")
     caps = []
@@ -259,8 +268,12 @@ def _fixture(name: str, expected: str, matched: bool, detail=None) -> dict:
 
 def _gallery_band_open(rng) -> dict:
     """Sampled interior balls, around 16 points of the open band ``|x2 - x1| < 1``, stay inside it."""
-    space = orthant(2)
+    import numpy as np
+
     from .sampling import ball_points
+    from .spaces import orthant
+
+    space = orthant(2)
 
     ok = True
     min_margin = np.inf
@@ -282,6 +295,13 @@ def _gallery_band_open(rng) -> dict:
 
 
 def run_gallery(args) -> tuple[dict, int]:
+    import numpy as np
+
+    from .extension import extend_one, extension_interval, partial_functional
+    from .functionals import check_order_preserving, check_positive, check_weak_additivity, sqrt_gap_functional
+    from .operators import check_order_preserving_op, check_weakly_additive_op, clamp_operator, openness_check
+    from .spaces import orthant
+
     seed = args.seed
     rng = np.random.default_rng(seed)
     fixtures = []
@@ -431,7 +451,9 @@ def main(argv=None) -> int:
         payload, code = args.handler(args)
     except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION if isinstance(exc, NonFiniteError) else EXIT_INPUT
+        extension = sys.modules.get(f"{__package__}.extension")  # only the extension engine raises NonFiniteError
+        nonfinite = extension is not None and isinstance(exc, extension.NonFiniteError)
+        return EXIT_VIOLATION if nonfinite else EXIT_INPUT
     try:
         text = _render(payload, args.fmt, time.perf_counter() - start)
     except ValueError as exc:

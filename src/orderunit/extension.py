@@ -303,7 +303,12 @@ class ExtensionInterval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.p_minus + self.p_plus)
+        """``0.5 * (p_minus + p_plus)``, or ``0.5 * p_minus + 0.5 * p_plus`` when
+        only the sum of two finite endpoints overflows."""
+        mid = 0.5 * (self.p_minus + self.p_plus)
+        if math.isinf(mid) and math.isfinite(self.p_minus) and math.isfinite(self.p_plus):
+            return 0.5 * self.p_minus + 0.5 * self.p_plus
+        return mid
 
     @property
     def width(self) -> float:

@@ -411,14 +411,20 @@ _DESCRIPTORS = {
 
 
 def _from_descriptor(descriptors: dict, noun: str, space: OrderedSpace, obj: dict):
-    """Build through ``descriptors`` (``kind -> (build, fields)``) from ``{"kind": ..., <fields>}``."""
+    """Build through ``descriptors`` (``kind -> (build, fields)``) from ``{"kind": ..., <fields>}``;
+    a subject whose value at the unit is not finite is refused."""
     try:
         kind = obj["kind"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad {noun} descriptor: {exc}") from exc
     if not isinstance(kind, str) or kind not in descriptors:
         raise ValueError(f"unknown {noun} kind {kind!r}")
-    return descriptors[kind][0](space, obj)
+    with np.errstate(all="ignore"):  # an overflow at the unit is the error raised below, not a warning
+        subject = descriptors[kind][0](space, obj)
+    at_unit = subject.unit_value if noun == "functional" else subject.unit_image
+    if not np.isfinite(at_unit).all():
+        raise ValueError(f"bad {noun} descriptor: its value at the unit, {np.asarray(at_unit).tolist()}, is not finite")
+    return subject
 
 
 def _to_descriptor(descriptors: dict, noun: str, subject) -> dict:

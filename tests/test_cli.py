@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import orderunit as ou
-from orderunit import cli, extension
+from orderunit import cli, dual, extension
 
 PYTHON = sys.executable
 GALLERY_SEED7 = Path(__file__).parent / "data" / "gallery_seed7.json"
@@ -192,13 +192,18 @@ class TestCheck:
 
     def test_overflowing_unit_reports_only_the_space(self, files):
         """Both pairings of the unit overflow: every unit-scaled row would be zero
-        and every order norm 0, so the ball draws would never be accepted."""
+        and every order norm 0, so the ball draws would never be accepted.  The
+        Choquet functional is finite at the unit; the linear one with weights
+        (1, 1) is not, so its descriptor is refused first."""
         proc = run_cli(
-            "check", "--space", files["overflow_unit"], "--functional", files["linear"], "--format", "json", timeout=60
+            "check", "--space", files["overflow_unit"], "--functional", files["choq"], "--format", "json", timeout=60
         )
         assert proc.returncode == 1, proc.stderr
         (entry,) = json.loads(proc.stdout)["checks"]
         assert entry["witness"] == {"unit_interior": {"min_row_pairing": None, "row": 0}}
+        proc = run_cli("check", "--space", files["overflow_unit"], "--functional", files["linear"], "--format", "json")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: bad functional descriptor: its value at the unit, inf, is not finite\n"
 
     def test_check_does_not_import_scipy(self, files):
         code = (
@@ -210,6 +215,43 @@ class TestCheck:
         proc = subprocess.run([PYTHON, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "False"
+
+
+class TestLayerImports:
+    """Each command loads only the layers it calls, after it has read its input."""
+
+    @pytest.mark.parametrize(
+        "argv, code, layers",
+        [
+            (["norm", "--space", "space2", "--point", "1,2"], 0, ["spaces"]),
+            (["check", "--space", "space2", "--functional", "choq", "--samples", "64"], 0, ["functionals", "sampling", "spaces"]),
+            (
+                ["check", "--space", "space2", "--operator", "clamp", "--samples", "64"],
+                0,
+                ["functionals", "operators", "sampling", "spaces"],
+            ),
+            (
+                ["extend", "--space", "space2", "--partial", "partial", "--target", "1,0"],
+                0,
+                ["extension", "functionals", "sampling", "spaces"],
+            ),
+            (["compact", "--capacities", "osc"], 0, ["dual", "functionals", "sampling", "spaces"]),
+            (["check", "--space", "broken", "--functional", "linear"], 2, []),
+            (["norm", "--space", "broken", "--point", "1,2"], 2, []),
+        ],
+        ids=["norm", "check_functional", "check_operator", "extend", "compact", "check_malformed", "norm_malformed"],
+    )
+    def test_loaded_modules(self, files, argv, code, layers):
+        argv = [files.get(a, a) for a in argv] + ["--format", "json"]
+        script = (
+            "import sys; from orderunit import cli; "
+            f"rc = cli.main({argv!r}); "
+            "print(sorted(m for m in sys.modules if m.startswith('orderunit.')), 'numpy' in sys.modules); sys.exit(rc)"
+        )
+        proc = subprocess.run([PYTHON, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == code
+        expected = sorted(f"orderunit.{m}" for m in ["cli", *layers])
+        assert proc.stdout.splitlines()[-1] == f"{expected} {bool(layers)}"
 
 
 class TestNonFiniteDescriptors:
@@ -235,6 +277,33 @@ class TestNonFiniteDescriptors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == f"error: {field} must be finite\n"
+
+    @pytest.mark.parametrize(
+        "flag, obj, refused",
+        [
+            ("--functional", {"kind": "linear", "weights": [2, 1]}, "functional descriptor: its value at the unit, inf"),
+            (
+                "--operator",
+                {"kind": "linear_positive", "matrix": [[2, 0], [0, 1]]},
+                "operator descriptor: its value at the unit, [inf, 1.0]",
+            ),
+            (
+                "--operator",
+                {"kind": "stack", "functionals": [{"kind": "linear", "weights": [2, 1]}]},
+                "functional descriptor: its value at the unit, inf",
+            ),
+        ],
+        ids=["functional", "operator", "stacked_functional"],
+    )
+    def test_check_rejects_a_value_at_the_unit_that_overflows(self, tmp_path, flag, obj, refused):
+        # 2e308 + 1 at the unit (1e308, 1): one error line, no overflow warning
+        space, path = tmp_path / "space.json", tmp_path / "descriptor.json"
+        space.write_text(json.dumps({"dim": 2, "cone": "orthant", "unit": [1e308, 1]}))
+        path.write_text(json.dumps(obj))
+        proc = run_cli("check", "--space", str(space), flag, str(path), "--samples", "64", "--format", "json")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: bad {refused}, is not finite\n"
 
     @pytest.mark.parametrize(
         "partial, field",
@@ -384,6 +453,16 @@ class TestExtend:
         assert entry["p_minus"] == 0.0
         assert entry["p_plus"] == 1.0
         assert entry["value"] == 0.5
+
+    def test_midpoint_of_endpoints_whose_sum_overflows(self, files, tmp_path, capsys):
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps({"base_points": [[1.0, 0.0]], "values": [1.5e308], "unit_value": 1.6e308}))
+        argv = ["extend", "--space", files["space2"], "--partial", str(partial), "--target", "1,0.5", "--format", "json"]
+        assert cli.main(argv) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        (entry,) = json.loads(out)["targets"]
+        assert (entry["p_minus"], entry["p_plus"], entry["value"]) == (1.5e308, 1.6e308, 1.55e308)
 
     def test_given_outside_interval_fails(self, files):
         proc = run_cli(
@@ -538,13 +617,13 @@ class TestCompact:
     )
     def test_tol_reaches_subsequence_limit(self, files, monkeypatch, capsys, argv, expected):
         seen = []
-        real = cli.subsequence_limit
+        real = dual.subsequence_limit
 
         def spy(*args, conv_tol, **kwargs):
             seen.append(conv_tol)
             return real(*args, conv_tol=conv_tol, **kwargs)
 
-        monkeypatch.setattr(cli, "subsequence_limit", spy)
+        monkeypatch.setattr(dual, "subsequence_limit", spy)
         assert cli.main(["compact", "--capacities", files["osc"], "--format", "json", *argv]) == 0
         assert seen == [expected]
 

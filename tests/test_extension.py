@@ -767,6 +767,23 @@ class TestExtendOne:
         assert pinned.p_minus == pytest.approx(0.5, abs=1e-12)
         assert pinned.p_plus == pytest.approx(0.5, abs=1e-12)
 
+    def test_midpoint_of_endpoints_whose_sum_overflows(self, orth2):
+        # both endpoints are finite but their sum is not, so each is halved first
+        pf = ou.partial_functional(orth2, [[1.0, 0.0]], [1.5e308], 1.6e308)
+        interval = ou.extension_interval(pf, [1.0, 0.5])
+        assert (interval.p_minus, interval.p_plus, interval.midpoint) == (1.5e308, 1.6e308, 1.55e308)
+        assert ou.canonical_extension(pf, mode="midpoint")([1.0, 0.5]) == 1.55e308
+        pinned = ou.extension_interval(ou.extend_one(pf, [1.0, 0.5], rule="midpoint"), [1.0, 0.5])
+        assert pinned.p_minus == pinned.p_plus == 1.55e308
+
+    @pytest.mark.parametrize(
+        "p_minus, p_plus, midpoint",
+        # the halved sum where it is finite: halving each endpoint first gives 0 here
+        [(5e-324, 5e-324, 5e-324), (1.5e308, np.inf, np.inf), (-np.inf, np.inf, np.nan)],
+    )
+    def test_midpoint_keeps_the_halved_sum_where_it_is_finite(self, p_minus, p_plus, midpoint):
+        assert ou.ExtensionInterval(p_minus, p_plus).midpoint == pytest.approx(midpoint, nan_ok=True, rel=0, abs=0)
+
     def test_endpoints_keep_consistency(self, rng):
         for k in range(30):
             space = _spaces()[k % len(_spaces())]

@@ -1,0 +1,75 @@
+"""The package's import surface: every exported name resolves on first access,
+to the object its layer defines, and ``import orderunit`` loads no layer."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import orderunit as ou
+
+PYTHON = sys.executable
+
+# the names the package exported when its init imported every layer eagerly
+EXPORTS = {
+    "spaces": """TOL ConeSpec OrderedSpace SpaceValidation as_vec cone_contains halfspace_space
+        interior_contains leq nbhd_contains order_norm orthant product ray_thresholds space_from_json
+        space_to_json validate_space""".split(),
+    "functionals": """Capacity Functional PropertyReport bound capacity_from_dict capacity_from_json
+        capacity_to_json check_normed check_order_preserving check_positive check_weak_additivity choquet
+        choquet_functional custom_functional evaluate functional_from_json functional_to_json
+        linear_functional lipschitz_defect maxplus maxplus_functional sqrt_gap sqrt_gap_functional""".split(),
+    "extension": """ExtensionInterval NonFiniteError PartialFunctional UnitSpan canonical_extension
+        canonicalize check_partial_consistency extend_all extend_one extension_interval partial_from_json
+        partial_functional partial_to_json span_contains""".split(),
+    "operators": """EquicontinuityModulus Operator OperatorFamily OpennessVerdict apply
+        certify_equicontinuity check_order_preserving_op check_weakly_additive_op clamp_operator
+        custom_operator equicontinuity_modulus graph_check identity_operator linear_positive
+        open_ball_image_check openness_check operator_from_json operator_modulus operator_to_json
+        pointwise_limit stack_operator unit_image_interior""".split(),
+    "dual": """SubsequenceResult WeakNeighborhood absorbing_factor check_state dense_sequence
+        subsequence_limit weak_metric weak_nbhd_contains""".split(),
+}
+NAMES = [name for names in EXPORTS.values() for name in names]
+LAYERS = [*EXPORTS, "sampling"]
+
+
+def test_every_name_is_its_layers_object():
+    for layer, names in EXPORTS.items():
+        module = importlib.import_module(f"orderunit.{layer}")
+        for name in names:
+            assert getattr(ou, name) is getattr(module, name), name
+
+
+def test_all_and_dir_list_every_name():
+    assert sorted(ou.__all__) == sorted(NAMES) and len(ou.__all__) == len(NAMES)
+    assert set(NAMES) | set(LAYERS) <= set(dir(ou))
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from orderunit import *", namespace)
+    assert all(namespace[name] is getattr(ou, name) for name in NAMES)
+
+
+def test_layers_are_attributes():
+    for layer in LAYERS:
+        assert getattr(ou, layer) is importlib.import_module(f"orderunit.{layer}")
+    assert ou.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_step"])
+def test_other_names_raise_attribute_error(name):
+    with pytest.raises(AttributeError, match=f"module 'orderunit' has no attribute '{name}'"):
+        getattr(ou, name)
+
+
+def test_import_loads_no_layer():
+    code = (
+        "import sys, orderunit; "
+        "print(sorted(m for m in sys.modules if m.startswith('orderunit')), 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run([PYTHON, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == "['orderunit'] False\n"
