@@ -33,14 +33,17 @@ each of the space's unit-scaled rows ``R`` (``OrderedSpace.unit_rows``),
 one column per line.  By linearity the thresholds ``R @ (y - x_i)`` are
 then ``R @ y - R @ x_i`` (equal in exact arithmetic, rounding differently),
 so a query costs one ``R @ y`` and a subtraction against the stored
-columns, and an extension step appends one column and its order norm
-``max|R @ x|`` (kept in ``norms``).  Construction is one chunked block of
-pairwise column differences, with no matvec per pair: the merge of points
-onto lines (the axis line first, as the origin) reads the gaps
-``max|a_i - a_k|`` from it and the consistency scan the thresholds
-``max(a_i - a_k)``, chunked over ``i`` so that no temporary passes
-:data:`_BLOCK` items.  A line whose value or
-pairings overflow would bound nothing, so it raises :class:`NonFiniteError`.
+columns.  Both endpoints then come from one signed block ``[t, -t]`` of
+those thresholds ``t``: one ``max`` over the rows, the values ``G`` added
+and subtracted, and one ``min`` over the lines, bit for bit the two
+one-sided folds (:func:`_endpoints`).  An extension step appends one
+column and its order norm ``max|R @ x|`` (kept in ``norms``).
+Construction is one chunked block of pairwise column differences, with no
+matvec per pair: the merge of points onto lines (the axis line first, as
+the origin) reads the gaps ``max|a_i - a_k|`` from it and the consistency
+scan the thresholds ``max(a_i - a_k)``, chunked over ``i`` so that no
+temporary passes :data:`_BLOCK` items.  A line whose value or pairings
+overflow would bound nothing, so it raises :class:`NonFiniteError`.
 Results on a unit that is not interior are unspecified; where a row pairs
 to zero with it, its unit-scaled row is not finite and every line is refused.
 
@@ -294,6 +297,16 @@ def check_partial_consistency(pf: PartialFunctional) -> PropertyReport:
     )
 
 
+def _midpoint(p_minus: float, p_plus: float) -> float:
+    """``0.5 * (p_minus + p_plus)``, or ``0.5 * p_minus + 0.5 * p_plus`` when
+    only the sum of two finite endpoints overflows: the one midpoint rule of
+    :class:`ExtensionInterval` and the ``midpoint`` canonical extension."""
+    mid = 0.5 * (p_minus + p_plus)
+    if math.isinf(mid) and math.isfinite(p_minus) and math.isfinite(p_plus):
+        return 0.5 * p_minus + 0.5 * p_plus
+    return mid
+
+
 @dataclass(frozen=True)
 class ExtensionInterval:
     """Admissible value interval ``[p_minus, p_plus]`` at one target point."""
@@ -303,12 +316,8 @@ class ExtensionInterval:
 
     @property
     def midpoint(self) -> float:
-        """``0.5 * (p_minus + p_plus)``, or ``0.5 * p_minus + 0.5 * p_plus`` when
-        only the sum of two finite endpoints overflows."""
-        mid = 0.5 * (self.p_minus + self.p_plus)
-        if math.isinf(mid) and math.isfinite(self.p_minus) and math.isfinite(self.p_plus):
-            return 0.5 * self.p_minus + 0.5 * self.p_plus
-        return mid
+        """The interval's midpoint by :func:`_midpoint`'s rule."""
+        return _midpoint(self.p_minus, self.p_plus)
 
     @property
     def width(self) -> float:
@@ -330,31 +339,67 @@ def _thresholds(pf: PartialFunctional, r: np.ndarray) -> tuple[np.ndarray, np.nd
     return t.min(axis=0), t.max(axis=0)
 
 
+_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
+"""The two sides of the threshold block: ``max(S * t)`` over the rows is the
+greatest threshold of each line, and minus the least."""
+
+
+def _one_sided(pf: PartialFunctional, ry: np.ndarray) -> tuple[float, float]:
+    """``(p_minus, p_plus)`` folded one side at a time with :func:`_fold_min`, the
+    emptiness test on crossed endpoints included; call under ``np.errstate``."""
+    G, c = pf.G, pf.unit_value
+    lo_t, hi_t = _thresholds(pf, ry)
+    above, below = G + c * hi_t, G + c * lo_t
+    p_plus, p_minus = _fold_min(above), -_fold_min(-below)
+    if p_minus > p_plus:
+        a, b = np.flatnonzero(above == p_plus)[0], np.flatnonzero(below == p_minus)[0]
+        size = abs(G[a]) + abs(G[b]) + c * (np.abs(pf.AT[:, [a, b]]).max() + np.abs(ry).max())
+        if p_minus > p_plus + _slack(size):
+            raise ValueError(f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent")
+    return float(p_minus), float(p_plus)
+
+
+def _endpoints(pf: PartialFunctional, y: np.ndarray) -> tuple[float, float]:
+    """``(p_minus, p_plus)`` at the vector ``y``, bit for bit :func:`_one_sided`.
+
+    One signed block ``S * t`` of the thresholds ``t = unit_rows @ y - AT``
+    gives, by one ``max`` over the rows, ``[hi, -lo]`` per line; scaled by
+    ``c``, with ``G`` added to row 0 and subtracted from row 1, one ``min``
+    over the lines gives ``[p_plus, -p_minus]``.  Negation is exact and so
+    are ``max`` and ``min``, so a winner that is neither zero nor NaN has
+    the bits of the one-sided fold.  A zero winner (where only the sign of
+    a zero can differ), a NaN and crossed endpoints take the one-sided fold.
+    """
+    G = pf.G
+    with np.errstate(over="ignore", invalid="ignore"):
+        ry = pf.space.unit_rows @ y
+        w = (_SIGNS * (ry[:, None] - pf.AT)).max(axis=1)
+        w *= pf.unit_value
+        w[0] += G
+        w[1] -= G
+        p_plus, neg_minus = w.min(axis=1).tolist()
+        if p_plus and neg_minus and -neg_minus <= p_plus:  # no zero, no NaN, not crossed
+            return -neg_minus, p_plus
+        return _one_sided(pf, ry)
+
+
 def extension_interval(pf: PartialFunctional, y) -> ExtensionInterval:
     """Exact admissible interval for ``f(y)``.
 
     Per line ``i``, the part of the line above ``y`` starts at the ray
-    threshold ``lambda_plus(x_i, y)`` and the part below ends at
-    ``lambda_minus(x_i, y)``; the interval endpoints are the min/max of the
-    corresponding line values.  Consistency of ``pf`` makes the interval
-    nonempty; endpoints crossed within the slack of the two lines that set them,
-    plus ``c * max|unit_rows @ y|`` for the query, are rounding and are returned.
+    threshold ``lambda_plus(x_i, y)``, the greatest entry of
+    ``unit_rows @ y - AT[:, i]``, and the part below ends at
+    ``lambda_minus(x_i, y)``, the least; the endpoints are the least of
+    ``g_i + c * lambda_plus`` and the greatest of ``g_i + c * lambda_minus``,
+    both read from one signed block (:func:`_endpoints`).  Consistency of
+    ``pf`` makes the interval nonempty; endpoints crossed within the slack
+    of the two lines that set them, plus ``c * max|unit_rows @ y|`` for the
+    query, are rounding and are returned.
     """
     if not pf.consistent:
         raise ValueError("extension requires a consistent partial functional")
-    y = as_vec(y, pf.space.dim)
-    G, c = pf.G, pf.unit_value
-    with np.errstate(over="ignore", invalid="ignore"):
-        ry = pf.space.unit_rows @ y
-        lo_t, hi_t = _thresholds(pf, ry)
-        above, below = G + c * hi_t, G + c * lo_t
-        p_plus, p_minus = _fold_min(above), -_fold_min(-below)
-        if p_minus > p_plus:
-            a, b = np.flatnonzero(above == p_plus)[0], np.flatnonzero(below == p_minus)[0]
-            size = abs(G[a]) + abs(G[b]) + c * (np.abs(pf.AT[:, [a, b]]).max() + np.abs(ry).max())
-            if p_minus > p_plus + _slack(size):
-                raise ValueError(f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent")
-    return ExtensionInterval(p_minus=float(p_minus), p_plus=float(p_plus))
+    p_minus, p_plus = _endpoints(pf, as_vec(y, pf.space.dim))
+    return ExtensionInterval(p_minus=p_minus, p_plus=p_plus)
 
 
 _RULES = ("lower", "upper", "midpoint", "given")
@@ -448,17 +493,21 @@ def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functi
     ``mode='lower'`` evaluates the lower endpoint map ``p_minus``;
     ``mode='midpoint'`` averages both endpoints.  Both shift exactly along
     the unit and are monotone in the cone order, and both return the stored
-    value on every base line.
+    value on every base line.  Consistency is checked here, once; each
+    evaluation reads the endpoints from :func:`_endpoints` with the bits of
+    :func:`extension_interval`.
     """
     if mode not in ("lower", "midpoint"):
         raise ValueError("mode must be 'lower' or 'midpoint'")
     if not pf.consistent:
         raise ValueError("extension requires a consistent partial functional")
 
-    endpoint = "p_minus" if mode == "lower" else "midpoint"
-
-    def _eval(x):
-        return getattr(extension_interval(pf, x), endpoint)
+    if mode == "lower":
+        def _eval(x):
+            return _endpoints(pf, x)[0]
+    else:
+        def _eval(x):
+            return _midpoint(*_endpoints(pf, x))
 
     return Functional(space=pf.space, kind="extended", fn=_eval)
 

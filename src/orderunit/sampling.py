@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import OrderedSpace, _unit_interior_entry, as_rows, cone_contains_rows, leq, order_norm, order_norms
+from .spaces import OrderedSpace, as_rows, cone_contains_rows, leq, order_norm, order_norms
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -28,7 +28,7 @@ def _require_interior_unit(space: OrderedSpace) -> None:
     """Raise unless the unit is interior (``validate_space``'s ``unit_interior``
     check); otherwise the ball draws could leave the ball or never be accepted.
     Every sampler that draws from the ball calls this before its first draw."""
-    if not _unit_interior_entry(space)["passed"]:
+    if not space.unit_is_interior:
         raise ValueError("ball sampling needs an interior order unit: a scaled cone row pairs to <= TOL with it, or overflows")
 
 
@@ -59,8 +59,23 @@ def _ball_draws(space: OrderedSpace, n: int, rng, radius=None, scale: float = 1.
 
 
 def ball_point(space: OrderedSpace, center, radius: float, rng) -> np.ndarray:
-    """One point with ``order_norm(p - center) < radius`` (strictly inside)."""
-    return ball_points(space, center, radius, 1, rng)[0]
+    """One point with ``order_norm(p - center) < radius`` (strictly inside).
+
+    Bit for bit ``ball_points(space, center, radius, 1, rng)[0]``, drawn in the
+    single-draw order: a direction, its redraws until its order norm is
+    finite and positive, then a signed length.
+    """
+    _require_interior_unit(space)
+    rng = rng_from(rng)
+    R = space.unit_rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            d = rng.normal(size=space.dim)
+            norm = float(np.abs(R @ d).max())
+            if 0.0 < norm < np.inf:
+                break
+    t = (-1.0 + 2.0 * rng.random()) * radius * (1.0 - 1e-12)
+    return np.asarray(center, dtype=float) + d * (t / norm)
 
 
 def ball_points(space: OrderedSpace, center, radius: float, n: int, rng) -> np.ndarray:

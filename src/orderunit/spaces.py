@@ -189,6 +189,11 @@ class OrderedSpace:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return self.cone.rows / self.unit_pairings[:, None]
 
+    @cached_property
+    def unit_is_interior(self) -> bool:
+        """The verdict of :func:`validate_space`'s ``unit_interior`` check."""
+        return _unit_interior_entry(self)["passed"]
+
 
 def orthant(dim: int, unit=None) -> OrderedSpace:
     """The nonnegative orthant in ``dim`` dimensions, default unit all-ones."""

@@ -294,6 +294,28 @@ def interval_by_pairings(pf, y, tol=1e-9):
     return _nonempty(bounds, gs, c, pairings, ay, tol)
 
 
+def interval_by_one_sided_fold(pf, y):
+    """``(p_minus, p_plus)`` as the extension engine folded them one side at a
+    time before its signed block: the thresholds ``unit_rows @ y - AT``, their
+    least and greatest entry per line, then Python's ``min`` over
+    ``g_i + c * greatest`` and ``max`` over ``g_i + c * least`` (NaN never wins,
+    ties keep the first, the sign of a zero is kept).  Endpoints crossed beyond
+    the slack of the two lines that set them, plus ``c * max|unit_rows @ y|``,
+    raise; the signed fold must reproduce this bit for bit."""
+    G, c = pf.G, pf.unit_value
+    with np.errstate(over="ignore", invalid="ignore"):
+        ry = pf.space.unit_rows @ np.asarray(y, dtype=float)
+        t = ry[:, None] - pf.AT
+        above, below = (G + c * t.max(axis=0)).tolist(), (G + c * t.min(axis=0)).tolist()
+        p_plus, p_minus = min(np.inf, *above), max(-np.inf, *below)
+        if p_minus > p_plus:
+            a, b = above.index(p_plus), below.index(p_minus)
+            size = abs(G[a]) + abs(G[b]) + c * (np.abs(pf.AT[:, [a, b]]).max() + np.abs(ry).max())
+            if p_minus > p_plus + slack(size):
+                raise ValueError(f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent")
+    return float(p_minus), float(p_plus)
+
+
 def line_slacks(pf, x, g, tol=TOL):
     """The :func:`slack` of each pair that a new line through ``x`` with value
     ``g`` forms with a line of ``pf``, the axis line first."""

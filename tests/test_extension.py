@@ -14,6 +14,7 @@ from oracles import (
     consistency_witness_by_pairings,
     consistency_witness_by_pairs,
     interval_by_line_search,
+    interval_by_one_sided_fold,
     interval_by_pairings,
     interval_by_ray_thresholds,
     line_slacks,
@@ -403,6 +404,54 @@ class TestFoldMin:
         assert _bits(-ou.extension._fold_min(-a)) == _bits(max(-np.inf, *v))
 
 
+@st.composite
+def fold_queries(draw):
+    """A partial functional on a generated space, at the slope ``c = 0`` (all
+    values 0) or read off a positive linear functional of slope 1 or 2.5, and
+    targets for it: entries NaN, ±0, ±inf, ±1e308 or subnormal among plain
+    coordinates, the stored ``X`` and ``X`` shifted along the unit."""
+    space = draw(interior_unit_spaces())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.sampled_from((0.0, 1.0, 2.5)))
+    w = rng.uniform(0.0, 1.0, size=space.cone.rows.shape[0]) @ space.unit_rows
+    w *= c / float(w @ space.unit)
+    pts = rng.uniform(-3.0, 3.0, size=(draw(st.integers(0, 6)), space.dim))
+    pf = ou.partial_functional(space, pts, pts @ w, c)
+    special = st.sampled_from((np.nan, 0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324))
+    entry = st.one_of(special, st.floats(-3.0, 3.0))
+    shift = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+    stored = st.builds(lambda i, lam: pf.X[i % len(pf.X)] + lam * space.unit, st.integers(0, 99), shift)
+    ys = draw(st.lists(st.one_of(st.lists(entry, min_size=space.dim, max_size=space.dim), stored), min_size=1, max_size=20))
+    return pf, ys
+
+
+class TestSignedFold:
+    @settings(max_examples=200, deadline=None)
+    @given(query=fold_queries())
+    def test_the_one_sided_fold_bit_for_bit(self, query):
+        """``extension_interval`` and both canonical evaluators give the
+        one-sided fold's endpoints bit for bit, or raise its message."""
+        pf, ys = query
+        evaluators = (
+            lambda y: ou.extension_interval(pf, y),
+            ou.canonical_extension(pf, mode="lower"),
+            ou.canonical_extension(pf, mode="midpoint"),
+        )
+        for y in ys:
+            try:
+                want = interval_by_one_sided_fold(pf, y)
+            except ValueError as exc:
+                for f in evaluators:
+                    with pytest.raises(ValueError) as got:
+                        f(y)
+                    assert str(got.value) == str(exc)
+                continue
+            interval, lower, mid = (f(y) for f in evaluators)
+            assert _bits([interval.p_minus, interval.p_plus]) == _bits(want)
+            assert _bits(lower) == _bits(want[0])
+            assert _bits(mid) == _bits(ou.ExtensionInterval(*want).midpoint)
+
+
 class TestOverflowWarnings:
     """Complements the CLI-level ``TestOverflow``: at 1e308 scale the
     thresholds and the differences of the stored unit-scaled pairings
@@ -423,9 +472,11 @@ class TestOverflowWarnings:
                 ou.partial_functional(space, [[s, -s], [-s, s]], [-big, big], 1.0, strict=False)
                 w = space.cone.rows[0]  # (1, 0) on both spaces: a positive linear functional
                 pf = ou.partial_functional(space, [[1.0, 0.0], [s, -s]], [1.0, s], float(w @ space.unit))
-                ou.extension_interval(pf, [big, big])
+                # the canonical evaluators read the endpoints without extension_interval
+                lower, mid = (ou.canonical_extension(pf, mode=mode) for mode in ("lower", "midpoint"))
+                for y in ([big, big], *targets):
+                    ou.extension_interval(pf, y), lower(y), mid(y)
                 for y in targets:
-                    ou.extension_interval(pf, y)
                     for rule in ("lower", "upper", "midpoint"):
                         try:
                             ou.extend_one(pf, y, rule=rule)
