@@ -68,7 +68,6 @@ _EXPORTS = {
         "PartialFunctional",
         "UnitSpan",
         "canonical_extension",
-        "canonicalize",
         "check_partial_consistency",
         "extend_all",
         "extend_one",

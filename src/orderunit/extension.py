@@ -20,32 +20,38 @@ that make the partial functional order-preserving on its span) is precisely
 what guarantees ``p_minus <= p_plus``.  Every comparison of two values allows
 one slack, ``TOL * (1 + size)`` for their size with the slope's share (``1e3``
 at ``1e12``), so rounding refuses neither consistent data nor the engine's own
-endpoints.  The one line test, for span membership and merging alike, reads
-the same slack: a point is on a line when the order-norm gap between their
-unit-scaled columns is within the slack of the point's ``|mu|`` along the unit
-and order norm plus the line's order norm, so points far along the unit find
-their lines; values merged onto one line may also differ by ``c * gap``.
+endpoints.
 
-A partial functional stores its lines once, stacked: ``X`` holds the origin
-(the axis line) and then the base points, ``G`` their values and ``AT`` the
-unit-scaled pairings ``R @ x_i``: every line in multiples of the unit along
-each of the space's unit-scaled rows ``R`` (``OrderedSpace.unit_rows``),
-one column per line.  By linearity the thresholds ``R @ (y - x_i)`` are
-then ``R @ y - R @ x_i`` (equal in exact arithmetic, rounding differently),
-so a query costs one ``R @ y`` and a subtraction against the stored
-columns.  Both endpoints then come from one signed block ``[t, -t]`` of
-those thresholds ``t``: one ``max`` over the rows, the values ``G`` added
-and subtracted, and one ``min`` over the lines, bit for bit the two
-one-sided folds (:func:`_endpoints`).  An extension step appends one
-column and its order norm ``max|R @ x|`` (kept in ``norms``).
-Construction is one chunked block of pairwise column differences, with no
-matvec per pair: the merge of points onto lines (the axis line first, as
-the origin) reads the gaps ``max|a_i - a_k|`` from it and the consistency
-scan the thresholds ``max(a_i - a_k)``, chunked over ``i`` so that no
-temporary passes :data:`_BLOCK` items.  A line whose value or pairings
-overflow would bound nothing, so it raises :class:`NonFiniteError`.
-Results on a unit that is not interior are unspecified; where a row pairs
-to zero with it, its unit-scaled row is not finite and every line is refused.
+A line is stored by the point that introduced it, exactly as given (a data
+point or an extension target), with its given value: ``f`` is fixed on the
+line by any one of its points and the slope, so no representative is needed.
+A partial functional stacks its lines: ``X`` holds the origin (the axis line)
+and then the base points, ``G`` their values and ``AT`` the unit-scaled
+pairings ``R @ x_i``: every point in multiples of the unit along each of the
+space's unit-scaled rows ``R`` (``OrderedSpace.unit_rows``), one column per
+line, with the order norms ``max|R @ x_i|`` in ``norms``.  By linearity the
+thresholds ``R @ (y - x_i)`` are then ``R @ y - R @ x_i`` (equal in exact
+arithmetic, rounding differently), so a query costs one ``R @ y`` and a
+subtraction against the stored columns.  Since ``R @ unit`` is all ones, the
+order-norm distance from ``y`` to the line of ``x_i`` is half the spread
+``max t - min t`` of those thresholds ``t``.  The one line test, for span
+membership and merging alike, holds a point on a line when that distance is
+finite and within the slack of the two points' order norms; a merged value
+conflicts when the pair fails the consistency scan's inequalities.
+
+Both endpoints come from one signed block ``[t, -t]`` of the thresholds: one
+``max`` over the rows, the values ``G`` added and subtracted, and one ``min``
+over the lines, bit for bit the two one-sided folds (:func:`_endpoints`).  An
+extension step forms the thresholds once for its span test, its interval and
+the check of its new pairs, and appends one column.  Construction is one
+chunked block of pairwise column differences, with no matvec per pair: the
+merge of points onto lines (the axis line first, as the origin) reads the
+least and greatest difference of each pair from it and the consistency scan
+the greatest, chunked over ``i`` so that no temporary passes :data:`_BLOCK`
+items.  A line whose pairings overflow would bound nothing, so it raises
+:class:`NonFiniteError`.  Results on a unit that is not interior are
+unspecified; where a row pairs to zero with it, its unit-scaled row is not
+finite and every line is refused.
 
 Beyond one-point and finite-list extension, :func:`canonical_extension`
 turns the endpoint maps themselves into a total functional: both
@@ -66,24 +72,7 @@ from .spaces import TOL, OrderedSpace, _finite, _max_abs_rows, as_rows, as_vec, 
 
 
 class NonFiniteError(ValueError):
-    """A line value or unit-scaled pairing derived from finite input is not finite, so it would bound nothing."""
-
-
-def _unit_component(space: OrderedSpace, v: np.ndarray) -> float:
-    """Coefficient of ``v`` along the unit direction (orthogonal projection)."""
-    u = space.unit
-    return float(v @ u) / float(u @ u)
-
-
-def canonicalize(space: OrderedSpace, v) -> tuple[np.ndarray, float]:
-    """Representative of ``v`` modulo the unit line, plus the removed multiple.
-
-    Two points lie on the same unit line iff their representatives agree;
-    the representative of the axis line itself is the zero vector.
-    """
-    w = as_vec(v, space.dim)
-    mu = _unit_component(space, w)
-    return w - mu * space.unit, mu
+    """A chosen value or unit-scaled pairing derived from finite input is not finite, so it would bound nothing."""
 
 
 _BLOCK = 1 << 17
@@ -99,7 +88,7 @@ def _chunks(n: int, per_row: int):
 
 @dataclass(frozen=True, eq=False)
 class UnitSpan:
-    """Finitely generated unit span: canonical base points, one per line.
+    """Finitely generated unit span: one base point per line, as it was given.
 
     ``base`` has shape ``(m, dim)``; the axis line is always implied and not
     listed.  Base points arriving on the axis line or on an already listed
@@ -114,59 +103,66 @@ class UnitSpan:
         return self.base.shape[0]
 
 
-def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
-    """Canonicalize points (adjusting values along), merge points on one line.
+def _held(lo, hi, size):
+    """Is a point on a line, given the least and greatest entry ``lo``, ``hi`` of
+    the thresholds ``R y - R x`` from the line's point ``x`` to it: is its order-norm
+    distance ``(hi - lo) / 2`` to the line finite and within the slack of ``size``,
+    the two points' order norms summed?  Elementwise; call under ``np.errstate``."""
+    d = 0.5 * (hi - lo)
+    return np.isfinite(d) & (d <= _slack(size))
 
-    Returns ``(base, vals)``.  Line 0 is the axis line, the origin put before
-    the points, so that point ``i`` is line ``i`` of the block.  Line ``k`` holds
-    it as :func:`_spanned` does: their gap ``max|a_i - a_k|`` of unit-scaled columns
-    is finite and within the slack of ``|mu_i| + max|a_i|`` plus ``max|a_k|``.
-    Every gap and slack comes from one chunked block of pairwise column
+
+def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
+    """The lines of the data, each stored by the first point on it as given.
+
+    Returns ``(X, G, AT, norms)`` of :class:`PartialFunctional`.  Line 0 is the
+    axis line, the origin put before the points, so that point ``i`` is line
+    ``i`` of the block.  Line ``k`` holds point ``i`` by :func:`_held`, read
+    from the least and greatest entry of ``a_i - a_k`` over the unit-scaled
+    columns ``a = R x``.  They come from one chunked block of pairwise column
     differences; only the points held by an earlier line then pass in order,
     each joining the first line still kept that holds it.  A non-finite input
-    raises, and so does a joining value that differs from the line's beyond
-    ``c * gap``, the most a functional of slope ``c`` moves over the gap, plus
-    the slack of the two values and ``c`` times the larger ``|mu|``.
+    or a negative slope raises, and so does a joining value that fails either
+    inequality of the consistency scan with the pair (:func:`_consistency_witness`).
     """
     _finite("unit_value", unit_value)
+    if unit_value < 0:
+        raise ValueError("unit_value must be nonnegative (order preservation on the axis line)")
     P = _finite("base_points", as_rows(points, space.dim))
     g = _finite("values", [float(v) for v in values])
     if len(g) != len(P):
         raise ValueError("one value per base point required")
-    P, g = np.vstack([np.zeros(space.dim), P]), np.concatenate([[0.0], g])  # line 0 is the axis line
-    u, c, n = space.unit, abs(unit_value), len(P)
-    kept, joins = np.ones(n, dtype=bool), []  # joins: (point, line held by, gap); point i is line i
-    with np.errstate(over="ignore", invalid="ignore"):  # a gap that is not finite holds no point
-        mus = matvecs(u[None], P)[:, 0] / float(u @ u)
-        reps = P - mus[:, None] * u
-        cols = matvecs(space.unit_rows, reps)
-        G, mu_abs, norms = g - mus * unit_value, np.abs(mus), _max_abs_rows(cols)
-        size = mu_abs + norms
-        CT = np.ascontiguousarray(cols.T)
-        for s, e in _chunks(n, CT.shape[0] * n):
-            gap = np.abs(CT[:, s:e, None] - CT[:, None, :e]).max(axis=0)  # to every earlier line, and some later
-            held = np.isfinite(gap) & (gap <= _slack(size[s:e, None] + norms[:e]))
-            held &= np.arange(e) < np.arange(s, e)[:, None]
+    X, G = np.vstack([np.zeros(space.dim), P]), np.concatenate([[0.0], g])  # line 0 is the axis line
+    c, n = float(unit_value), len(X)
+    kept, joins = np.ones(n, dtype=bool), []  # joins: (point i, line k, max and -min of a_i - a_k)
+    with np.errstate(over="ignore", invalid="ignore"):  # a distance that is not finite holds no point
+        cols = matvecs(space.unit_rows, X)
+        norms = _max_abs_rows(cols)
+        AT = np.ascontiguousarray(cols.T)
+        for s, e in _chunks(n, AT.shape[0] * n):
+            D = AT[:, s:e, None] - AT[:, None, :e]  # to every earlier line, and some later
+            hi, lo = D.max(axis=0), D.min(axis=0)
+            held = _held(lo, hi, norms[s:e, None] + norms[:e]) & (np.arange(e) < np.arange(s, e)[:, None])
             for r in np.flatnonzero(held.any(axis=1)):
                 i = s + r
                 ks = np.flatnonzero(held[r, :i] & kept[:i])
                 if ks.size:
                     kept[i] = False
-                    joins.append((i, ks[0], gap[r, ks[0]]))
+                    joins.append((i, ks[0], hi[r, ks[0]], -lo[r, ks[0]]))
         if joins:
-            i, k, gap = map(np.array, zip(*joins))
-            g_abs = np.abs(g)
-            pair = g_abs[k] + g_abs[i] + c * np.maximum(mu_abs[k], mu_abs[i])
-            conflict = np.abs(G[k] - G[i]) > c * gap + _slack(pair)
+            i, k, t_ik, t_ki = map(np.array, zip(*joins))
+            pair = _slack(np.abs(G[i]) + np.abs(G[k]) + c * np.maximum(norms[i], norms[k]))
+            conflict = (G[k] + t_ik * c < G[i] - pair) | (G[i] + t_ki * c < G[k] - pair)
             if conflict.any():
-                i, k = int(i[conflict][0]), int(k[conflict][0])
+                j = np.flatnonzero(conflict)[0]
+                i, k = int(i[j]), int(k[j])
                 if k == 0:
                     raise ValueError(
-                        f"value conflict on the axis line: point {P[i].tolist()} carries {float(g[i])}, "
-                        f"but the unit slope forces {float(mus[i]) * unit_value}"
+                        f"value conflict on the axis line: point {X[i].tolist()} carries {float(G[i])}, "
+                        f"but the unit slope forces {c * (0.5 * (t_ik[j] - t_ki[j]))}"
                     )
                 raise ValueError(f"value conflict on a duplicate line: {G[k]} vs {float(G[i])}")
-    return reps[kept][1:], G[kept][1:]
+    return X[kept], G[kept], np.ascontiguousarray(AT[:, kept]), norms[kept]
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,8 +170,9 @@ class PartialFunctional:
     """Line values ``g_i = f(x_i)`` on a unit span, plus the slope ``c = f(unit)``.
 
     The lines are stacked: row 0 of ``X`` is the origin, standing for the
-    axis line, and the rows after it are the canonical base points; ``G``
-    holds their values, ``0`` first.  ``AT`` holds the unit-scaled pairings
+    axis line, and the rows after it are the base points, each the data point
+    or extension target that introduced its line, as given; ``G`` holds their
+    given values, ``0`` first.  ``AT`` holds the unit-scaled pairings
     ``unit_rows @ x_i``, one column per line, ``norms`` each column's largest
     absolute entry (the order norm of ``x_i``), and ``_witness`` the first
     violated consistency inequality, or None.  Build instances with
@@ -208,47 +205,41 @@ class PartialFunctional:
         return UnitSpan(space=self.space, base=self.X[1:])
 
 
-def _from_lines(space: OrderedSpace, X: np.ndarray, G: np.ndarray, unit_value: float) -> PartialFunctional:
-    """Partial functional over stacked lines: the unit-scaled pairings of
-    every line, their norms and the full consistency scan.  A value or a
-    pairing that is not finite raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        AT = np.ascontiguousarray(matvecs(space.unit_rows, X).T)
-    if not (np.isfinite(AT).all() and np.isfinite(G).all()):
-        raise NonFiniteError("a base line's value or unit-scaled pairing is not finite")
-    norms = np.abs(AT).max(axis=0)
-    return PartialFunctional(space, X, G, AT, norms, unit_value, _consistency_witness(AT, G, norms, unit_value))
+def _thresholds(pf: PartialFunctional, y: np.ndarray):
+    """``(ry, norm, lo, hi)``: the pairings ``ry = unit_rows @ y``, their order norm
+    and, per stored line, the least and greatest entry of the thresholds
+    ``ry - AT``; call under ``np.errstate``."""
+    ry = pf.space.unit_rows @ y
+    t = ry[:, None] - pf.AT
+    return ry, np.abs(ry).max(), t.min(axis=0), t.max(axis=0)
 
 
-def _spanned(pf: PartialFunctional, col: np.ndarray, size) -> bool:
-    """Is the point of unit-scaled column ``col`` on a stored line of ``pf``: at a
-    finite order-norm gap ``max|col - AT[:, k]|`` within the slack of ``size``
-    (its ``|mu| + max|col|``) plus the line's ``max|AT[:, k]|``?  Call under ``np.errstate``."""
-    gap = np.abs(col[:, None] - pf.AT).max(axis=0)
-    return bool((np.isfinite(gap) & (gap <= _slack(size + pf.norms))).any())
+def _spanned(pf: PartialFunctional, norm, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Does a stored line of ``pf`` hold the point of order norm ``norm`` whose
+    thresholds to the lines are ``lo``, ``hi`` (:func:`_held`)?"""
+    return bool(_held(lo, hi, norm + pf.norms).any())
 
 
 def span_contains(pf: PartialFunctional, v) -> bool:
-    """Is ``v`` on one of the stored lines of ``pf``, the axis line first (:func:`_spanned`)?"""
-    rep, mu = canonicalize(pf.space, v)
+    """Is ``v`` on one of the stored lines of ``pf``, the axis line included (:func:`_spanned`)?"""
     with np.errstate(over="ignore", invalid="ignore"):
-        col = pf.space.unit_rows @ rep
-        return _spanned(pf, col, abs(mu) + np.abs(col).max())
+        return _spanned(pf, *_thresholds(pf, as_vec(v, pf.space.dim))[1:])
 
 
 def partial_functional(
     space: OrderedSpace, points, values, unit_value: float, strict: bool = True
 ) -> PartialFunctional:
-    """Build a partial functional, canonicalizing points and values together.
+    """Build a partial functional over the lines of the data (:func:`_canonical_lines`).
 
     With ``strict`` (default) the pairwise order-consistency of the data is
     required; pass ``strict=False`` to hold inconsistent data for diagnosis.
+    A line whose unit-scaled pairings are not finite raises :class:`NonFiniteError`.
     """
-    base, vals = _canonical_lines(space, points, values, unit_value)
-    if unit_value < 0:
-        raise ValueError("unit_value must be nonnegative (order preservation on the axis line)")
-    X = np.vstack([np.zeros(space.dim), base])
-    pf = _from_lines(space, X, np.concatenate([[0.0], vals]), float(unit_value))
+    X, G, AT, norms = _canonical_lines(space, points, values, unit_value)
+    if not np.isfinite(AT).all():
+        raise NonFiniteError("a base line's unit-scaled pairing is not finite")
+    c = float(unit_value)
+    pf = PartialFunctional(space, X, G, AT, norms, c, _consistency_witness(AT, G, norms, c))
     if strict and not pf.consistent:
         raise ValueError(f"inconsistent partial functional: {pf._witness}")
     return pf
@@ -333,27 +324,22 @@ def _fold_min(v: np.ndarray) -> float:
     return float(v[np.argmin(v)])
 
 
-def _thresholds(pf: PartialFunctional, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per stored line, the least and greatest entry of ``r - unit_rows @ x_i``; call under ``np.errstate``."""
-    t = r[:, None] - pf.AT
-    return t.min(axis=0), t.max(axis=0)
-
-
 _SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
 """The two sides of the threshold block: ``max(S * t)`` over the rows is the
 greatest threshold of each line, and minus the least."""
 
 
-def _one_sided(pf: PartialFunctional, ry: np.ndarray) -> tuple[float, float]:
-    """``(p_minus, p_plus)`` folded one side at a time with :func:`_fold_min`, the
-    emptiness test on crossed endpoints included; call under ``np.errstate``."""
+def _one_sided(pf: PartialFunctional, norm, lo_t: np.ndarray, hi_t: np.ndarray) -> tuple[float, float]:
+    """``(p_minus, p_plus)`` folded one side at a time with :func:`_fold_min` from the
+    least and greatest threshold of each line (:func:`_thresholds`), the emptiness
+    test on crossed endpoints included, which reads the query's order norm ``norm``;
+    call under ``np.errstate``."""
     G, c = pf.G, pf.unit_value
-    lo_t, hi_t = _thresholds(pf, ry)
     above, below = G + c * hi_t, G + c * lo_t
     p_plus, p_minus = _fold_min(above), -_fold_min(-below)
     if p_minus > p_plus:
         a, b = np.flatnonzero(above == p_plus)[0], np.flatnonzero(below == p_minus)[0]
-        size = abs(G[a]) + abs(G[b]) + c * (np.abs(pf.AT[:, [a, b]]).max() + np.abs(ry).max())
+        size = abs(G[a]) + abs(G[b]) + c * (np.abs(pf.AT[:, [a, b]]).max() + norm)
         if p_minus > p_plus + _slack(size):
             raise ValueError(f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent")
     return float(p_minus), float(p_plus)
@@ -380,7 +366,7 @@ def _endpoints(pf: PartialFunctional, y: np.ndarray) -> tuple[float, float]:
         p_plus, neg_minus = w.min(axis=1).tolist()
         if p_plus and neg_minus and -neg_minus <= p_plus:  # no zero, no NaN, not crossed
             return -neg_minus, p_plus
-        return _one_sided(pf, ry)
+        return _one_sided(pf, *_thresholds(pf, y)[1:])
 
 
 def extension_interval(pf: PartialFunctional, y) -> ExtensionInterval:
@@ -427,42 +413,39 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     """One extension step: None for a target already in the span of ``pf``,
     else ``(extended, interval, chosen value)``.
 
-    ``y`` is canonicalized once: its representative ``rep``, multiple ``mu`` of the
-    unit and column ``unit_rows @ rep`` serve the span test, the stored value and
-    the new column.  The rule picks ``p`` in the interval at ``y``, stored as
-    ``g = p - mu * c`` on the line of ``rep`` and checked there with each pair's
-    slack, as the scan checks the new pairs.  A ``given`` value that fails raises; another
-    rule's value fails only by the rounding of ``mu * c`` far along the unit, and is
-    moved into the bounds at ``rep``.  Non-finite lines and empty intervals raise.
+    One threshold block ``unit_rows @ y - AT`` serves the span test
+    (:func:`_spanned`), the interval (:func:`_one_sided`, the bits of
+    :func:`extension_interval`) and the check of the new pairs.  The rule picks
+    ``p`` in the interval, and the step stores ``(y, p)`` as given once ``p``
+    passes both inequalities of the consistency scan, with each pair's slack,
+    for every pair the new line forms.  A ``given`` value that fails raises.
+    Another rule's value fails only where rounding crossed the endpoints by
+    more than a new pair's slack; it is then the middle of what the pairs
+    admit.  Non-finite lines and empty intervals raise.
     """
     y = as_vec(y, pf.space.dim)
-    rep, mu = canonicalize(pf.space, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        col = pf.space.unit_rows @ rep
-        norm = np.abs(col).max()
-        if _spanned(pf, col, abs(mu) + norm):
-            return None
-    interval = extension_interval(pf, y)
-    p = _pick_value(interval, rule, value)
     G, c = pf.G, pf.unit_value
-    g = p - mu * c
     with np.errstate(over="ignore", invalid="ignore"):
-        if not (math.isfinite(g) and np.isfinite(col).all()):
-            raise NonFiniteError(f"target {y.tolist()}: its line value or a unit-scaled pairing is not finite")
-        lo_t, hi_t = _thresholds(pf, col)
-        above, below = G + hi_t * c, g - lo_t * c  # the scan's sides of the pairs (new, j) and (j, new)
-        s = _slack(abs(g))  # below the slack of every pair with the new line
-        if ((above < g - s) | (below < G - s)).any():
-            s = _slack(abs(g) + np.abs(G) + c * np.maximum(norm, pf.norms))
-            if ((above < g - s) | (below < G - s)).any():
-                if rule == "given":
+        ry, norm, lo_t, hi_t = _thresholds(pf, y)
+        if _spanned(pf, norm, lo_t, hi_t):
+            return None
+        if not pf.consistent:
+            raise ValueError("extension requires a consistent partial functional")
+        interval = ExtensionInterval(*_one_sided(pf, norm, lo_t, hi_t))
+        p = _pick_value(interval, rule, value)
+        if not (math.isfinite(p) and np.isfinite(ry).all()):
+            raise NonFiniteError(f"target {y.tolist()}: its value or a unit-scaled pairing is not finite")
+        above, below = G + hi_t * c, p - lo_t * c  # the scan's sides of the pairs (new, j) and (j, new)
+        s = _slack(abs(p))  # below the slack of every pair with the new line
+        if ((above < p - s) | (below < G - s)).any():
+            s = _slack(abs(p) + np.abs(G) + c * np.maximum(norm, pf.norms))
+            if ((above < p - s) | (below < G - s)).any():
+                if rule == "given" or interval.p_minus <= interval.p_plus:
                     raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
-                lo, hi = -_fold_min(-(G + c * lo_t)), _fold_min(G + c * hi_t)
-                if lo > hi:  # crossed within the slacks: take the middle of what they admit
-                    lo = hi = 0.5 * (_fold_min(above + s) - _fold_min(s - (G + c * lo_t)))
-                g = min(max(g, lo), hi)
-    X, AT = np.vstack([pf.X, rep]), np.column_stack([pf.AT, col])
-    return PartialFunctional(pf.space, X, np.append(G, g), AT, np.append(pf.norms, norm), c, None), interval, p
+                # endpoints crossed by the rounding of a line far along the unit: the middle of what the pairs admit
+                p = 0.5 * (_fold_min(above + s) - _fold_min(s - (G + c * lo_t)))
+    X, AT = np.vstack([pf.X, y]), np.column_stack([pf.AT, ry])
+    return PartialFunctional(pf.space, X, np.append(G, p), AT, np.append(pf.norms, norm), c, None), interval, p
 
 
 def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> PartialFunctional:

@@ -408,56 +408,47 @@ def unit_ratio_scale(space, magnitudes, ratios):
     return max(scales)
 
 
-def _unit_rep(space, p):
-    """Projection of ``p`` off the unit direction, plus the removed multiple."""
-    u = space.unit
-    mu = float(p @ u) / float(u @ u)
-    return p - mu * u, mu
+def _holds(a, b):
+    """Whether the line through the point of unit-scaled column ``b`` holds the
+    point of column ``a``: every entry of ``a - b`` finite and their order-norm
+    distance ``(max - min) / 2`` within the :func:`slack` of ``max|a| + max|b|``."""
+    diffs = [x - y for x, y in zip(a, b)]
+    if not all(map(math.isfinite, diffs)):
+        return False
+    return 0.5 * (max(diffs) - min(diffs)) <= slack(_magnitude(a) + _magnitude(b))
 
 
-def _line_gap(a, b, size):
-    """The order-norm gap ``max|a - b|`` between two unit-scaled columns, and
-    whether the line of ``b`` holds the point of ``a``: every entry of the gap
-    finite and the gap within the :func:`slack` of ``size`` plus ``max|b|``."""
-    diffs = [abs(x - y) for x, y in zip(a, b)]
-    gap = max(diffs)
-    return gap, all(map(math.isfinite, diffs)) and gap <= slack(size + _magnitude(b))
+def lines_by_pairs(space, points, values, unit_value):
+    """The lines of the data, each kept by the first point on it as given, by
+    one line test per pair.
 
-
-def canonical_lines_by_pairs(space, points, values, unit_value):
-    """Base points modulo the unit line, merged by one line test per pair.
-
-    Projects each point off the unit and pairs its representative with the
-    unit-scaled rows, one row at a time.  A point joins the first line, the
-    axis line first, that holds it at the slack of its ``|mu| + max|R rep|``
-    (:func:`_line_gap`), the size that span membership reads, so the kept
-    point's ``|mu|`` does not count there; its value conflicts, raising as the
-    extension engine does, beyond ``c * gap`` plus the :func:`slack` of the two
-    values and their multiples ``c * mu`` of the unit, the kept point's
-    included.  Returns ``(base, vals)``.
+    Pairs each point with the unit-scaled rows, one row at a time.  A point
+    joins the first line, the axis line first, that holds it (:func:`_holds`).
+    Its value conflicts, raising as the extension engine does, when the pair
+    fails either consistency inequality, ``g_k + max(a - b) * c >= g - s`` or
+    ``g + max(b - a) * c >= g_k - s``, at the :func:`slack` ``s`` of the
+    pair's :func:`pair_size`.  Returns ``(base, vals)``.
     """
     R = unit_rows_by_rows(space)
-    c = abs(unit_value)
-    lines = [(np.zeros(space.dim), np.zeros(len(R)), 0.0, 0.0, 0.0)]  # rep, R @ rep, value, |value| and |mu| read
+    c = float(unit_value)
+    lines = [(np.zeros(space.dim), np.zeros(len(R)), 0.0)]  # point, R @ point, value
     for p, g in zip(points, values):
         p, g = np.asarray(p, dtype=float), float(g)
-        rep, mu = _unit_rep(space, p)
-        a = R @ rep
-        g_rep = g - mu * unit_value
-        for k, (_, b, g_k, g_read, mu_read) in enumerate(lines):
-            gap, holds = _line_gap(a, b, abs(mu) + _magnitude(a))
-            if not holds:
+        a = R @ p
+        for k, (_, b, g_k) in enumerate(lines):
+            if not _holds(a, b):
                 continue
-            if abs(g_k - g_rep) > c * gap + slack(g_read + abs(g) + c * max(mu_read, abs(mu))):
+            s = slack(pair_size(g, g_k, c, a, b))
+            if g_k + max(a - b) * c < g - s or g + max(b - a) * c < g_k - s:
                 if k == 0:
                     raise ValueError(
                         f"value conflict on the axis line: point {p.tolist()} carries {g}, "
-                        f"but the unit slope forces {mu * unit_value}"
+                        f"but the unit slope forces {c * (0.5 * (max(a) + min(a)))}"
                     )
-                raise ValueError(f"value conflict on a duplicate line: {g_k} vs {g_rep}")
+                raise ValueError(f"value conflict on a duplicate line: {g_k} vs {g}")
             break
         else:
-            lines.append((rep, a, g_rep, abs(g), abs(mu)))
+            lines.append((p, a, g))
     base = np.array([line[0] for line in lines[1:]]).reshape(-1, space.dim)
     return base, np.array([line[2] for line in lines[1:]])
 
@@ -465,9 +456,8 @@ def canonical_lines_by_pairs(space, points, values, unit_value):
 def span_contains_by_lines(pf, v):
     """Span membership by one line test per stored line, the axis line first."""
     R, pairings = _line_pairings(pf)
-    rep, mu = _unit_rep(pf.space, np.asarray(v, dtype=float))
-    a = R @ rep
-    return any(_line_gap(a, b, abs(mu) + _magnitude(a))[1] for b in pairings)
+    a = R @ np.asarray(v, dtype=float)
+    return any(_holds(a, b) for b in pairings)
 
 
 def mc_sup_abs(f, n=4096, seed=0):

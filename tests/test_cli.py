@@ -7,17 +7,23 @@ gallery output is intended) with
     PYTHONPATH=src python -m orderunit gallery --seed 7 --format json > tests/data/gallery_seed7.json
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orderunit as ou
 from orderunit import cli, dual, extension
+from strategies import interior_unit_spaces, point_arrays
 
 PYTHON = sys.executable
 GALLERY_SEED7 = Path(__file__).parent / "data" / "gallery_seed7.json"
@@ -499,7 +505,8 @@ class TestExtend:
         assert len(calls) == 1
 
     def test_one_span_test_and_one_interval_per_target(self, files, monkeypatch, capsys):
-        counts = {"_spanned": 0, "extension_interval": 0}
+        # one threshold block per target serves its span test and its interval
+        counts = {"_thresholds": 0, "_spanned": 0, "_one_sided": 0, "extension_interval": 0}
         for name in counts:
             real = getattr(extension, name)
 
@@ -516,8 +523,20 @@ class TestExtend:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert [("skipped" in e) for e in payload["targets"]] == [False, False, True, False]
-        assert counts == {"_spanned": 4, "extension_interval": 3}
+        assert counts == {"_thresholds": 4, "_spanned": 4, "_one_sided": 3, "extension_interval": 0}
         assert len(payload["result"]["base_points"]) == 3
+
+    def test_a_target_whose_unit_multiple_is_near_the_float_limit_is_skipped(self, tmp_path):
+        # (1e308, 1e308) is 1e308 times the unit, on the axis line; its
+        # unit-scaled pairings (1e308, 1e308) are finite
+        space, partial = tmp_path / "hs2.json", tmp_path / "axis.json"
+        space.write_text(json.dumps({"dim": 2, "cone": {"halfspaces": [[1, 0], [1, 1]]}, "unit": [1, 1]}))
+        partial.write_text(json.dumps({"base_points": [], "values": [], "unit_value": 1.0}))
+        proc = run_cli(
+            "extend", "--space", str(space), "--partial", str(partial), "--target=1e308,1e308", "--format", "json"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["targets"] == [{"skipped": "already in span", "target": [1e308, 1e308]}]
 
     def test_boundary_unit_fails(self, files):
         proc = run_cli(
@@ -534,6 +553,54 @@ class TestExtend:
         )
         assert proc.returncode == 1
         assert "outside the admissible interval" in json.loads(proc.stdout)["targets"][0]["error"]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@st.composite
+def extend_runs(draw):
+    """``extend`` arguments on a generated space whose unit is scaled by
+    ``10**e``, ``|e| <= 308``, with base points, values, targets and a given
+    value at the same magnitude, read off a positive linear functional."""
+    space = draw(interior_unit_spaces())
+    scale = 10.0 ** draw(st.sampled_from(range(-308, 309)))  # every scale alike
+    with np.errstate(all="ignore"):
+        unit = space.unit * scale
+        w = draw(point_arrays(space.cone.rows.shape[0], 1, bound=1.0))[0] ** 2 @ space.cone.rows
+        points = draw(point_arrays(space.dim, draw(st.integers(0, 3)))) * scale
+        targets = np.vstack([draw(point_arrays(space.dim, draw(st.integers(1, 3)))) * scale, 2.0 * unit])
+        partial = {"base_points": points.tolist(), "values": (points @ w).tolist(), "unit_value": float(w @ unit)}
+        rule = draw(st.sampled_from(("lower", "upper", "midpoint", "given")))
+        extra = [f"--value={float(targets[0] @ w)!r}"] if rule == "given" else []
+    space_obj = {"dim": space.dim, "cone": {"halfspaces": space.cone.rows.tolist()}, "unit": unit.tolist()}
+    args = [f"--target={','.join(map(repr, t.tolist()))}" for t in targets]
+    return space_obj, partial, [*args, "--rule", rule, *extra]
+
+
+class TestExtendContract:
+    @settings(max_examples=100, deadline=None)
+    @given(run=extend_runs())
+    def test_exit_code_strict_json_and_a_quiet_stderr(self, run):
+        """At every scale of the unit ``extend`` exits 0, 1 or 2, prints strict
+        JSON, and sends no warning or traceback to stderr."""
+        space, partial, args = run
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: Path(tmp) / f"{name}.json" for name in ("space", "partial")}
+            for name, obj in (("space", space), ("partial", partial)):
+                paths[name].write_text(json.dumps(obj))
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["extend", "--space", str(paths["space"]), "--partial", str(paths["partial"]), *args]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([*argv, "--format", "json"])
+        assert code in (0, 1, 2)
+        assert caught == [] and "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+        assert bool(out.getvalue()) != bool(err.getvalue())
 
 
 class TestOpenness:

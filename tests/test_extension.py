@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import orderunit as ou
 from oracles import (
-    canonical_lines_by_pairs,
     consistency_pairs_exact,
     consistency_witness_by_pairings,
     consistency_witness_by_pairs,
@@ -18,12 +17,13 @@ from oracles import (
     interval_by_pairings,
     interval_by_ray_thresholds,
     line_slacks,
+    lines_by_pairs,
     pair_size,
     slack,
     span_contains_by_lines,
     unit_rows_by_rows,
 )
-from strategies import interior_unit_spaces, point_arrays
+from strategies import interior_unit_spaces, point_arrays, positive_functionals
 
 FIXED_SPACES = None
 
@@ -104,7 +104,7 @@ def _bits(a) -> bytes:
 def _build(space, points, values, c):
     """The partial functional, or the construction error of the reference."""
     try:
-        canonical_lines_by_pairs(space, points, values, c)
+        lines_by_pairs(space, points, values, c)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             ou.partial_functional(space, points, values, c, strict=False)
@@ -152,13 +152,13 @@ class TestScalarReferences:
         space, points, values, c = data
         pf = _build(space, points, values, c)
         if pf is not None:
-            base, vals = canonical_lines_by_pairs(space, points, values, c)
+            base, vals = lines_by_pairs(space, points, values, c)
             assert pf.subspace.base.shape == base.shape
             assert _bits(pf.subspace.base) == _bits(base)
             assert _bits(pf.values) == _bits(vals)
         # the lines alone: zero values at slope zero never conflict
         zeros = np.zeros(len(points))
-        span_base, _ = canonical_lines_by_pairs(space, points, zeros, 0.0)
+        span_base, _ = lines_by_pairs(space, points, zeros, 0.0)
         span = ou.partial_functional(space, points, zeros, 0.0, strict=False).subspace
         assert span.base.shape == span_base.shape and _bits(span.base) == _bits(span_base)
 
@@ -217,15 +217,15 @@ class TestScalarReferences:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ou.extension, "_BLOCK", block)
             try:
-                base, vals = canonical_lines_by_pairs(space, points, values, c)
+                base, vals = lines_by_pairs(space, points, values, c)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
                     ou.extension._canonical_lines(space, points, values, c)
                 assert str(got.value) == str(exc)
                 return
-            got_base, got_vals = ou.extension._canonical_lines(space, points, values, c)
-            assert got_base.shape == base.shape and _bits(got_base) == _bits(base)
-            assert _bits(got_vals) == _bits(vals)
+            X, G, _, _ = ou.extension._canonical_lines(space, points, values, c)
+            assert X[1:].shape == base.shape and _bits(X[1:]) == _bits(base)
+            assert _bits(G[1:]) == _bits(vals)
             try:
                 pf = ou.partial_functional(space, points, values, c, strict=False)
             except ou.NonFiniteError:
@@ -269,9 +269,10 @@ def step_data(draw):
 
 
 class TestExtensionStep:
-    """One extension step appends a line.  Its value is checked against the
-    thresholds at the new line's stored pairings with the slack of each pair,
-    so a ``given`` value is accepted exactly when the full scan passes."""
+    """One extension step appends the target and its value as given.  The value
+    is checked against the thresholds at the target's pairings with the slack of
+    each pair, so a ``given`` value is accepted exactly when the full scan passes,
+    and an endpoint rule's value always is."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -286,15 +287,14 @@ class TestExtensionStep:
         if ou.span_contains(pf, y):
             return
         interval = ou.extension_interval(pf, y)
-        rep, mu = ou.canonicalize(space, y)
         # the largest slack of a pair that the new line forms at the interval's end
         edge = getattr(interval, end)
-        s = max(line_slacks(pf, rep, edge - mu * c))
+        s = max(line_slacks(pf, y, edge))
         value = edge + offset * s if rule == "given" else None
         p = {"lower": interval.p_minus, "upper": interval.p_plus, "midpoint": interval.midpoint, "given": value}[rule]
-        g = p - mu * c
         # the result the step must describe, checked by the full scan at construction
-        full = ou.extension._from_lines(space, np.vstack([pf.X, rep]), np.append(pf.G, g), c)
+        full = ou.partial_functional(space, np.vstack([pf.X[1:], y]), np.append(pf.values, p), c, strict=False)
+        assert full.subspace.m == m + 1
         assert repr(full._witness) == repr(consistency_witness_by_pairings(full))
         assert full.consistent or rule == "given"
         if not full.consistent:
@@ -307,8 +307,8 @@ class TestExtensionStep:
         assert out.subspace.m == m + 1 and out.consistent
         assert _bits(out.subspace.base[:m]) == _bits(pf.subspace.base)
         assert _bits(out.values[:m]) == _bits(pf.values)
-        assert _bits(out.subspace.base[m]) == _bits(rep)
-        assert _bits(out.values[m]) == _bits(g)
+        assert _bits(out.subspace.base[m]) == _bits(y)
+        assert _bits(out.values[m]) == _bits(p)
         assert _bits(out.X) == _bits(full.X) and _bits(out.G) == _bits(full.G)
         assert out.AT.shape == full.AT.shape and _bits(out.AT) == _bits(full.AT)
         assert _bits(out.norms) == _bits(full.norms) == _bits(np.abs(out.AT).max(axis=0))
@@ -331,7 +331,7 @@ class TestExtensionStep:
         assert out.subspace.m == pf.subspace.m + k + (not ou.span_contains(pf, y))
         assert out.consistent and consistency_witness_by_pairings(out) is None
         # the incremental steps leave what the full scan builds over the same lines
-        full = ou.extension._from_lines(out.space, out.X, out.G, out.unit_value)
+        full = ou.partial_functional(out.space, out.X[1:], out.values, out.unit_value, strict=False)
         assert full.AT.shape == out.AT.shape and _bits(full.AT) == _bits(out.AT)
         assert full._witness is None
 
@@ -460,9 +460,7 @@ class TestOverflowWarnings:
     def test_no_runtime_warning(self):
         big = 1e308
         spaces = (ou.halfspace_space([[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0]), ou.orthant(2, unit=[0.5, 0.5]))
-        # extend_one runs only on targets whose unit component is finite, so
-        # that each has a representative modulo the unit line
-        targets = ([big, -big], [-big, big], [1.7e308, -1.7e308], [0.5 * big, 0.0])
+        targets = ([big, big], [big, -big], [-big, big], [1.7e308, -1.7e308], [0.5 * big, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for space in spaces:
@@ -474,7 +472,7 @@ class TestOverflowWarnings:
                 pf = ou.partial_functional(space, [[1.0, 0.0], [s, -s]], [1.0, s], float(w @ space.unit))
                 # the canonical evaluators read the endpoints without extension_interval
                 lower, mid = (ou.canonical_extension(pf, mode=mode) for mode in ("lower", "midpoint"))
-                for y in ([big, big], *targets):
+                for y in targets:
                     ou.extension_interval(pf, y), lower(y), mid(y)
                 for y in targets:
                     for rule in ("lower", "upper", "midpoint"):
@@ -510,14 +508,6 @@ class TestNonFiniteLines:
         pf = ou.partial_functional(space, [], [], 1.0)
         with pytest.raises(ou.NonFiniteError, match="not finite"):
             ou.extend_one(pf, [1e308, -1e308], rule="given", value=0.0)
-
-    def test_given_value_whose_line_value_overflows(self):
-        # the value 0 lies in the interval [0, inf] at the target, but stored as
-        # 0 - mu * c on the line of the target's representative it is -inf;
-        # that raises before the value is checked against the stored lines
-        pf = ou.partial_functional(ou.orthant(2, unit=[0.5, 0.5]), [], [], 1e10)
-        with pytest.raises(ou.NonFiniteError, match="not finite"):
-            ou.extend_one(pf, [1e300, 0.0], rule="given", value=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_given_value_that_is_not_finite_is_outside(self, value):
@@ -619,27 +609,27 @@ class TestBlockMerge:
     first violated pair is the row-major first at any chunk size."""
 
     @staticmethod
-    def point(mu, r):
-        """``mu * unit + (r, -r)`` on ``orthant(2)``: its representative and its
-        unit-scaled column are ``(r, -r)``, its order norm ``|r|``."""
-        return mu * np.ones(2) + np.array([r, -r])
+    def point(lam, r):
+        """``lam * unit + (r, -r)`` on ``orthant(2)``: at order-norm distance ``|r|``
+        from the axis line, and of order norm ``|lam| + |r|``."""
+        return lam * np.ones(2) + np.array([r, -r])
 
     def test_a_point_held_only_by_a_merged_point_starts_a_line(self, orth2):
-        # the line slack is 1e-9 * (1 + the later point's |mu| + both order norms):
-        # about 0.1 for each pair, at gaps 0.07 for (p0, p1) and (p1, p2), 0.14 for (p0, p2)
+        # the line slack is 1e-9 * (1 + both order norms): about 0.1 for (p0, p1)
+        # and (p0, p2) and 0.2 for (p1, p2), at distances 0.07, 0.14 and 0.07
         p0, p1, p2 = self.point(0.0, 1.0), self.point(1e8, 1.07), self.point(-1e8, 1.14)
         zeros = [0.0, 0.0, 0.0]
         assert ou.partial_functional(orth2, [p0, p1], zeros[:2], 0.0).subspace.m == 1
         assert ou.partial_functional(orth2, [p1, p2], zeros[:2], 0.0).subspace.m == 1
         assert ou.partial_functional(orth2, [p0, p2], zeros[:2], 0.0).subspace.m == 2
         pf = ou.partial_functional(orth2, [p0, p1, p2], zeros, 0.0)
-        base, _ = canonical_lines_by_pairs(orth2, [p0, p1, p2], zeros, 0.0)
+        base, _ = lines_by_pairs(orth2, [p0, p1, p2], zeros, 0.0)
         assert pf.subspace.m == 2 and _bits(pf.subspace.base) == _bits(base)
-        assert _bits(pf.subspace.base[1]) == _bits(ou.canonicalize(orth2, p2)[0])
+        assert _bits(pf.subspace.base) == _bits([p0, p2])
 
     def test_a_point_held_by_the_axis_line_and_a_line_joins_the_axis_line(self, orth2):
         # p1 is within the slack (about 0.1) of the axis line and of p0's line; the axis
-        # line gives it the value c * mu, p0's line the value 0.5 of their representative
+        # line admits values within 0.06 of c * 1e8 for it, p0's line values near 0.5 + 1e8
         p0, p1 = self.point(0.0, 0.05), self.point(1e8, 0.06)
         pf = ou.partial_functional(orth2, [p0, p1], [0.5, 1e8], 1.0, strict=False)
         assert pf.subspace.m == 1 and _bits(pf.values) == _bits([0.5])
@@ -647,7 +637,7 @@ class TestBlockMerge:
             "value conflict on the axis line: point [100000000.06, 99999999.94] carries 100000000.5, "
             "but the unit slope forces 100000000.0"
         )
-        for build in (ou.extension._canonical_lines, canonical_lines_by_pairs):
+        for build in (ou.extension._canonical_lines, lines_by_pairs):
             with pytest.raises(ValueError) as got:
                 build(orth2, [p0, p1], [0.5, 1e8 + 0.5], 1.0)
             assert str(got.value) == message
@@ -655,7 +645,7 @@ class TestBlockMerge:
     def test_the_first_violated_pair_in_row_major_order(self, orth2, monkeypatch):
         points = [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 2.0], [3.0, -1.0]]
         values = [0.5, 0.5, 0.5, 4.0, 4.0]  # lines 4 and 5 lifted above lines 0 to 3
-        want = {"line_i": 4, "line_j": 0, "threshold": 1.0, "g_i": 3.0, "g_j": 0.0, "slope": 1.0}
+        want = {"line_i": 4, "line_j": 0, "threshold": 2.0, "g_i": 4.0, "g_j": 0.0, "slope": 1.0}
         # 6 lines of 2 unit-scaled rows: one block, rows one by one, rows in pairs
         for block in (ou.extension._BLOCK, 12, 24):
             monkeypatch.setattr(ou.extension, "_BLOCK", block)
@@ -666,16 +656,16 @@ class TestBlockMerge:
         assert violated == [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0), (5, 1), (5, 2), (5, 3)]
 
     def test_the_first_conflict_in_the_order_of_the_data_keeps_its_message(self, orth2):
-        # (2, 1) = (1, 0) + unit, with line values -0.5 and 3.5 at slope 1; (1, 1)
-        # lies on the axis line, where the slope forces 1.0
+        # (2, 1) = (1, 0) + unit, where slope 1 forces 1.0 from the value 0 at (1, 0);
+        # (1, 1) lies on the axis line, where the slope forces 1.0
         points, values = [[1.0, 0.0], [2.0, 1.0], [1.0, 1.0]], [0.0, 5.0, 7.0]
         expected = (
-            "value conflict on a duplicate line: -0.5 vs 3.5",
+            "value conflict on a duplicate line: 0.0 vs 5.0",
             "value conflict on the axis line: point [1.0, 1.0] carries 7.0, but the unit slope forces 1.0",
         )
         for order, message in zip(([0, 1, 2], [2, 1, 0]), expected):
             ps, vs = [points[k] for k in order], [values[k] for k in order]
-            for build in (ou.partial_functional, canonical_lines_by_pairs):
+            for build in (ou.partial_functional, lines_by_pairs):
                 with pytest.raises(ValueError) as got:
                     build(orth2, ps, vs, 1.0)
                 assert str(got.value) == message
@@ -690,14 +680,15 @@ class TestOneLineTest:
     def round_trip(pf):
         return ou.partial_from_json(pf.space, json.loads(json.dumps(ou.partial_to_json(pf))))
 
-    @pytest.mark.parametrize("order, lines", [((0, 1), 2), ((1, 0), 1)])
-    def test_a_point_near_a_line_far_along_the_unit(self, orth2, order, lines):
-        # unit-scaled columns (0.5, -0.5) and (0.55, -0.55) at gap 0.05: the slack is
-        # about 0.1 for the far point joining the near one, 2e-9 the other way round
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_a_point_near_a_line_far_along_the_unit(self, orth2, order):
+        # the lines of (1, 0) and (1.1, 0) are 0.05 apart in the order norm, and
+        # the slack of the pair is about 0.1 from the far point's order norm 1e8 + 1,
+        # so each point holds the other and one line is kept in either order
         data = [np.array([1.0, 0.0]) + 1e8 * np.ones(2), np.array([1.1, 0.0])]
         points = [data[k] for k in order]
         pf = ou.partial_functional(orth2, points, [0.0, 0.0], 0.0)
-        assert len(pf.G) - 1 == lines
+        assert len(pf.G) - 1 == 1 and _bits(pf.X[1]) == _bits(points[0])
         for held in (pf, self.round_trip(pf)):
             assert all(ou.span_contains(held, p) for p in data)
         assert len(ou.extend_all(pf, [[1.1, 0.0]]).G) == len(pf.G)
@@ -975,3 +966,21 @@ class TestJson:
     def test_malformed(self, orth2):
         with pytest.raises(ValueError):
             ou.partial_from_json(orth2, {"base_points": []})
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=positive_functionals(), draws=st.data())
+    def test_round_trip_keeps_every_bit(self, data, draws):
+        """Lines are stored by points as given, so what ``partial_to_json`` writes
+        reads back, through JSON text, as the same ``X``, ``G``, ``AT`` and ``norms``
+        bit for bit: for data shifted along the unit by up to 1e6, and after steps."""
+        space, w = data
+        pts = draws.draw(point_arrays(space.dim, draws.draw(st.integers(0, 5))))
+        shifts = draws.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(pts), max_size=len(pts)))
+        pts = pts + np.outer(shifts, space.unit)
+        pf = ou.partial_functional(space, pts, pts @ w, float(w @ space.unit))
+        rule = draws.draw(st.sampled_from(("lower", "upper", "midpoint")))
+        pf = ou.extend_all(pf, draws.draw(point_arrays(space.dim, 3)), rule=rule)
+        again = ou.partial_from_json(space, json.loads(json.dumps(ou.partial_to_json(pf))))
+        for name in ("X", "G", "AT", "norms"):
+            got, want = getattr(again, name), getattr(pf, name)
+            assert got.shape == want.shape and _bits(got) == _bits(want), name

@@ -8,9 +8,9 @@ targets far along the unit; a ``given`` value is accepted within half the
 least slack of the pairs it forms past an endpoint and refused at twice the
 largest; data lifted beyond those slacks gives the oracle's witness.  The
 line test reads the same slack: targets on a stored line far along the unit
-are spanned, a point within the slack of a line merges into it, and merged
-values conflict only beyond ``c * gap`` plus the slack.  A guard keeps small
-numeric literals, which would be a second tolerance, out of the engine.
+are spanned, a point within the slack of a line merges into it, and a merged
+value conflicts only where the pair fails the consistency scan.  A guard keeps
+small numeric literals, which would be a second tolerance, out of the engine.
 """
 
 import ast
@@ -23,10 +23,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import orderunit as ou
-from oracles import canonical_lines_by_pairs, consistency_witness_by_pairings, line_slacks, slack
+from oracles import consistency_witness_by_pairings, line_slacks, lines_by_pairs, slack, unit_rows_by_rows
 from strategies import point_arrays, positive_functionals, positive_partial_data
 
-EPS = np.finfo(float).eps
 ENGINE = Path(__file__).resolve().parent.parent / "src" / "orderunit" / "extension.py"
 
 
@@ -61,10 +60,9 @@ class TestChains:
         draws=st.data(),
     )
     def test_targets_far_along_the_unit(self, data, rule, shifts, exponent, draws):
-        """Far along the unit the rounding of ``mu * c`` can pass the slack; the
-        step then moves the value into the bounds where it is stored, and the
-        result rebuilds consistent.  A target on a stored line, shifted along
-        the unit by up to ``1e8``, is skipped as spanned."""
+        """Targets far along the unit are stored as given with the value chosen
+        there, and the result rebuilds consistent.  A target on a stored line,
+        shifted along the unit by up to ``1e8``, is skipped as spanned."""
         space, pts, values, c = data
         pf = ou.partial_functional(space, pts, values, c)
         lams = draws.draw(st.lists(far_multiples, min_size=len(pf.X), max_size=len(pf.X)))
@@ -76,6 +74,26 @@ class TestChains:
         assert out.X[: len(pf.X)].tobytes() == pf.X.tobytes()
         again = rebuilt(out)
         assert again.consistent and consistency_witness_by_pairings(again) is None
+
+
+    def test_endpoints_crossed_by_a_line_far_along_the_unit(self):
+        """The second target, 3e8 along the unit, stores a line whose thresholds
+        round by about 6e-8; at the third target it sets ``p_minus`` 2.1e-8 above
+        the ``p_plus`` of a small line, past that pair's slack of 1e-8.  The
+        ``lower`` value is then the middle of what the pairs admit, and the
+        result rebuilds consistent."""
+        space = ou.halfspace_space([[-1.0, 0.46544150139737267], [-1.0, 0.6166823122961673]], [-0.99999, -0.99999])
+        points = [[1.5514858155389826, 0.25], [-0.30310926940601524, 3.5067870195599973],
+                  [0.7109746712364222, -1.723648967622235]]
+        values = [-2.6175487955572123, 3.5298499625788082, -2.7600094219529017]
+        pf = ou.partial_functional(space, points, values, 0.9749802509651996)
+        targets = [[3.216468339939624, 0.0], [303106238.31331116, 303106239.3133212], [-2.4777782790017713, 0.0]]
+        step = ou.extend_all(pf, targets[:2], rule="lower")
+        interval = ou.extension_interval(step, targets[2])
+        assert interval.p_minus > interval.p_plus
+        out = ou.extend_one(step, targets[2], rule="lower")
+        assert interval.p_plus < out.values[-1] < interval.p_minus
+        assert rebuilt(out).consistent
 
 
 class TestGiven:
@@ -95,20 +113,17 @@ class TestGiven:
         if ou.span_contains(pf, y):
             return
         interval = ou.extension_interval(pf, y)
-        rep, mu = ou.canonicalize(space, y)
         edge = getattr(interval, end)
-        slacks = line_slacks(pf, rep, edge - mu * c)
+        slacks = line_slacks(pf, y, edge)
         s = min(slacks) if offset < 1 else max(slacks)
         value = edge + (offset if end == "p_plus" else -offset) * s  # a positive offset points outward
-        # the value is stored as value - mu * c, whose rounding must stay well below the slack
-        assume(EPS * (abs(value) + abs(mu * c)) < 1e-3 * s)
         if offset == 2.0:
             message = f"value {value} outside the admissible interval [{interval.p_minus}, {interval.p_plus}]"
             with pytest.raises(ValueError, match=re.escape(message)):
                 ou.extend_one(pf, y, rule="given", value=value)
             return
         out = ou.extend_one(pf, y, rule="given", value=value)
-        assert out.values[-1] == value - mu * c
+        assert out.values[-1] == value and out.X[-1].tobytes() == y.tobytes()
         assert rebuilt(out).consistent
 
 
@@ -128,28 +143,30 @@ class TestDuplicates:
 
 
 class TestLineTest:
-    """A point is on a stored line when the order-norm gap between their
-    unit-scaled columns is within the slack of their order norms; a merged
-    value may differ by ``c * gap`` plus the slack of the two values."""
+    """A point is on a stored line when its order-norm distance to the line is
+    within the slack of both points' order norms; a merged value conflicts
+    where the pair fails the consistency scan."""
 
     def test_a_point_off_the_axis_line_beyond_the_slack_keeps_its_line(self):
-        # (0.001953125, 0) is 1.95e-9 units off the axis line, beyond its slack
-        # of 1.0e-9, and its value is consistent as a line of its own
+        # (0.00390625, 0) is 1.95e-9 units off the axis line, beyond its slack
+        # of 1.0e-9, and its value under the third unit-scaled row, a positive
+        # functional of slope 1, is consistent as a line of its own
         space = ou.halfspace_space([[1, 1e-6], [1, 1e-6], [0.999999, 1.000001]], [1, 1e-6])
-        pf = ou.partial_functional(space, [[0, 0], [0.001953125, 0]], [0, 0.0019531230468730469], 1.0)
+        x = np.array([0.00390625, 0.0])
+        pf = ou.partial_functional(space, [[0, 0], x], [0, unit_rows_by_rows(space)[2] @ x], 1.0)
         assert pf.consistent and pf.subspace.m == 1
 
     @staticmethod
     def near_pair(space, draws):
-        """A point ``x``, the origin or a drawn point, a point ``y`` and their
-        order-norm gap ``gap`` (rounding aside), up to 0.9 of the least slack
-        of the line test between them."""
+        """A point ``x``, the origin or a drawn point, a point ``y`` and the
+        order-norm distance ``gap`` of ``y`` to the line of ``x`` (rounding
+        aside), up to 0.9 of the least slack of the line test between them."""
         x, d = draws.draw(point_arrays(space.dim, 2))
         x = x * draws.draw(st.sampled_from((0.0, 1.0)))  # on the axis line or on a line of its own
-        rep_x, mu_x = ou.canonicalize(space, x)
-        step = np.max(np.abs(space.unit_rows @ ou.canonicalize(space, d)[0]))
+        rd = space.unit_rows @ d
+        step = 0.5 * (np.max(rd) - np.min(rd))  # the distance of x + d to the line of x
         assume(step > 1e-3 * np.max(np.abs(d)))
-        gap = draws.draw(st.floats(0.0, 0.9)) * slack(abs(mu_x) + np.max(np.abs(space.unit_rows @ rep_x)))
+        gap = draws.draw(st.floats(0.0, 0.9)) * slack(np.max(np.abs(space.unit_rows @ x)))
         y = x + gap / step * d
         return x, y, gap
 
@@ -162,7 +179,7 @@ class TestLineTest:
         alone = ou.partial_functional(space, [x], [x @ w], c)
         pf = ou.partial_functional(space, [x, y], [x @ w, y @ w], c)
         assert pf.subspace.m == alone.subspace.m
-        base, vals = canonical_lines_by_pairs(space, [x, y], [x @ w, y @ w], c)
+        base, vals = lines_by_pairs(space, [x, y], [x @ w, y @ w], c)
         assert pf.subspace.base.tobytes() == base.tobytes() and pf.values.tobytes() == vals.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -171,19 +188,25 @@ class TestLineTest:
         space, w = data
         c = float(w @ space.unit)
         x, y, gap = self.near_pair(space, draws)
-        mu_x, mu_y = ou.canonicalize(space, x)[1], ou.canonicalize(space, y)[1]
-        bound = c * gap + slack(abs(x @ w) + abs(y @ w) + c * max(abs(mu_x), abs(mu_y)))
+        # the pair admits values for y within 2 * c * gap of y @ w, plus its slack
+        R = unit_rows_by_rows(space)
+        norm = max(np.max(np.abs(R @ x)), np.max(np.abs(R @ y)))
+        bound = 2.0 * c * gap + slack(abs(x @ w) + abs(y @ w) + c * norm)
         value = y @ w + sign * 3.0 * bound
         alone = ou.partial_functional(space, [x], [x @ w], c)
         if alone.subspace.m:
-            message = f"value conflict on a duplicate line: {alone.values[0]} vs {value - mu_y * c}"
+            message = f"value conflict on a duplicate line: {alone.values[0]} vs {value}"
         else:
-            message = f"value conflict on the axis line: point {y.tolist()} carries {value}, but the unit slope forces {mu_y * c}"
+            a = R @ y
+            message = (
+                f"value conflict on the axis line: point {y.tolist()} carries {value}, "
+                f"but the unit slope forces {c * (0.5 * (max(a) + min(a)))}"
+            )
         with pytest.raises(ValueError) as got:
             ou.partial_functional(space, [x, y], [x @ w, value], c)
         assert str(got.value) == message
         with pytest.raises(ValueError, match=re.escape(message)):
-            canonical_lines_by_pairs(space, [x, y], [x @ w, value], c)
+            lines_by_pairs(space, [x, y], [x @ w, value], c)
 
 
 class TestLifted:

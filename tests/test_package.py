@@ -21,7 +21,7 @@ EXPORTS = {
         choquet_functional custom_functional evaluate functional_from_json functional_to_json
         linear_functional lipschitz_defect maxplus maxplus_functional sqrt_gap sqrt_gap_functional""".split(),
     "extension": """ExtensionInterval NonFiniteError PartialFunctional UnitSpan canonical_extension
-        canonicalize check_partial_consistency extend_all extend_one extension_interval partial_from_json
+        check_partial_consistency extend_all extend_one extension_interval partial_from_json
         partial_functional partial_to_json span_contains""".split(),
     "operators": """EquicontinuityModulus Operator OperatorFamily OpennessVerdict apply
         certify_equicontinuity check_order_preserving_op check_weakly_additive_op clamp_operator
