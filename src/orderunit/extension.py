@@ -36,19 +36,19 @@ subtraction against the stored columns.  Since ``R @ unit`` is all ones, the
 order-norm distance from ``y`` to the line of ``x_i`` is half the spread
 ``max t - min t`` of those thresholds ``t``.  The one line test, for span
 membership and merging alike, holds a point on a line when that distance is
-finite and within the slack of the two points' order norms; a merged value
-conflicts when the pair fails the consistency scan's inequalities.
+finite and within the slack of the two points' order norms.  One pair rule,
+:func:`_pair_fails`, decides merge conflicts, consistency and new pairs alike.
 
 Both endpoints come from one signed block ``[t, -t]`` of the thresholds: one
 ``max`` over the rows, the values ``G`` added and subtracted, and one ``min``
 over the lines, bit for bit the two one-sided folds (:func:`_endpoints`).  An
 extension step forms the thresholds once for its span test, its interval and
 the check of its new pairs, and appends one column.  Construction is one
-chunked block of pairwise column differences, with no matvec per pair: the
-merge of points onto lines (the axis line first, as the origin) reads the
-least and greatest difference of each pair from it and the consistency scan
-the greatest, chunked over ``i`` so that no temporary passes :data:`_BLOCK`
-items.  A line whose pairings overflow would bound nothing, so it raises
+chunked pass over one block of pairwise column differences, with no matvec
+per pair and no temporary past :data:`_BLOCK` items: the greatest and least
+difference of each pair serve the merge of points onto lines (the axis line
+first, as the origin) and the consistency scan alike (:func:`_canonical_lines`).
+A line whose pairings overflow would bound nothing, so it raises
 :class:`NonFiniteError`.  Results on a unit that is not interior are
 unspecified; where a row pairs to zero with it, its unit-scaled row is not
 finite and every line is refused.
@@ -113,17 +113,18 @@ def _held(lo, hi, size):
 
 
 def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
-    """The lines of the data, each stored by the first point on it as given.
+    """The lines of the data, each stored by the first point on it as given, and
+    the first violated consistency inequality in row-major order over them.
 
-    Returns ``(X, G, AT, norms)`` of :class:`PartialFunctional`.  Line 0 is the
-    axis line, the origin put before the points, so that point ``i`` is line
-    ``i`` of the block.  Line ``k`` holds point ``i`` by :func:`_held`, read
-    from the least and greatest entry of ``a_i - a_k`` over the unit-scaled
-    columns ``a = R x``.  They come from one chunked block of pairwise column
-    differences; only the points held by an earlier line then pass in order,
-    each joining the first line still kept that holds it.  A non-finite input
-    or a negative slope raises, and so does a joining value that fails either
-    inequality of the consistency scan with the pair (:func:`_consistency_witness`).
+    Returns ``(X, G, AT, norms, witness)`` of :class:`PartialFunctional`; line 0
+    is the axis line, the origin put before the points.  One chunked block of the
+    differences ``a_i - a_k`` of the columns ``a = R x`` gives each pair its
+    greatest entry ``t_ik`` and least, ``-t_ki``.  Line ``k`` holds point ``i`` by
+    :func:`_held`; the held points pass in order, each joining the first line
+    still kept that holds it, and a joining value raises if its pair fails
+    :func:`_pair_fails`.  Then the pairs ``(i, k)`` of kept lines, and ``(k, i)``
+    for ``k`` before the chunk, pass the least slack of any pair with their first
+    line; only those that fail it are held to their own.
     """
     _finite("unit_value", unit_value)
     if unit_value < 0:
@@ -134,11 +135,20 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
         raise ValueError("one value per base point required")
     X, G = np.vstack([np.zeros(space.dim), P]), np.concatenate([[0.0], g])  # line 0 is the axis line
     c, n = float(unit_value), len(X)
-    kept, joins = np.ones(n, dtype=bool), []  # joins: (point i, line k, max and -min of a_i - a_k)
+    kept, joins = np.ones(n, dtype=bool), []  # joins: (point i, line k, max and min of a_i - a_k)
+    top, floor = G.copy(), G - _slack(np.abs(G))  # a screen below any pair's slack; a merged line gets inf, -inf
+    first = n * n  # row-major position i * n + j of the first violated pair (i, j) found
     with np.errstate(over="ignore", invalid="ignore"):  # a distance that is not finite holds no point
         cols = matvecs(space.unit_rows, X)
         norms = _max_abs_rows(cols)
         AT = np.ascontiguousarray(cols.T)
+
+        def fails(i, j, t):  # the pairs (i, j) of lines with thresholds t, at their own slack
+            return _pair_fails(G[i], G[j], t, c, _pair_slack(G[i], G[j], c, norms[i], norms[j]))
+
+        def first_fail(i, j, t):  # row-major position of the first of them that fails, or n * n
+            return min((i * n + j)[fails(i, j, t)].tolist(), default=n * n) if i.size else n * n
+
         for s, e in _chunks(n, AT.shape[0] * n):
             D = AT[:, s:e, None] - AT[:, None, :e]  # to every earlier line, and some later
             hi, lo = D.max(axis=0), D.min(axis=0)
@@ -147,39 +157,44 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
                 i = s + r
                 ks = np.flatnonzero(held[r, :i] & kept[:i])
                 if ks.size:
-                    kept[i] = False
-                    joins.append((i, ks[0], hi[r, ks[0]], -lo[r, ks[0]]))
+                    kept[i], top[i], floor[i] = False, np.inf, -np.inf
+                    joins.append((i, ks[0], hi[r, ks[0]], lo[r, ks[0]]))
+            r, k = np.nonzero(top[:e] + hi * c < floor[s:e, None])  # pairs (i, k); a later k reads (k, i)
+            first = min(first, first_fail(r + s, k, hi[r, k]))
+            if s:  # pairs (k, i) of the earlier chunks
+                r, k = np.nonzero(top[s:e, None] - lo[:, :s] * c < floor[:s])
+                first = min(first, first_fail(k, r + s, -lo[r, k]))
         if joins:
-            i, k, t_ik, t_ki = map(np.array, zip(*joins))
-            pair = _slack(np.abs(G[i]) + np.abs(G[k]) + c * np.maximum(norms[i], norms[k]))
-            conflict = (G[k] + t_ik * c < G[i] - pair) | (G[i] + t_ki * c < G[k] - pair)
+            i, k, hi, lo = map(np.array, zip(*joins))
+            conflict = fails(i, k, hi) | fails(k, i, -lo)
             if conflict.any():
                 j = np.flatnonzero(conflict)[0]
                 i, k = int(i[j]), int(k[j])
-                if k == 0:
-                    raise ValueError(
-                        f"value conflict on the axis line: point {X[i].tolist()} carries {float(G[i])}, "
-                        f"but the unit slope forces {c * (0.5 * (t_ik[j] - t_ki[j]))}"
-                    )
-                raise ValueError(f"value conflict on a duplicate line: {G[k]} vs {float(G[i])}")
-    return X[kept], G[kept], np.ascontiguousarray(AT[:, kept]), norms[kept]
+                if k:
+                    raise ValueError(f"value conflict on a duplicate line: {G[k]} vs {float(G[i])}")
+                raise ValueError(f"value conflict on the axis line: point {X[i].tolist()} carries {float(G[i])}, "
+                                 f"but the unit slope forces {c * (0.5 * (hi[j] + lo[j]))}")
+        witness = None
+        if first < n * n:
+            i, j = divmod(first, n)
+            line_i, line_j = (int(np.count_nonzero(kept[:x])) for x in (i, j))  # numbered among the kept lines
+            witness = {"line_i": line_i, "line_j": line_j, "threshold": float((AT[:, i] - AT[:, j]).max()),
+                       "g_i": float(G[i]), "g_j": float(G[j]), "slope": c}
+    return X[kept], G[kept], np.ascontiguousarray(AT[:, kept]), norms[kept], witness
 
 
 @dataclass(frozen=True, eq=False)
 class PartialFunctional:
     """Line values ``g_i = f(x_i)`` on a unit span, plus the slope ``c = f(unit)``.
 
-    The lines are stacked: row 0 of ``X`` is the origin, standing for the
-    axis line, and the rows after it are the base points, each the data point
-    or extension target that introduced its line, as given; ``G`` holds their
-    given values, ``0`` first.  ``AT`` holds the unit-scaled pairings
-    ``unit_rows @ x_i``, one column per line, ``norms`` each column's largest
-    absolute entry (the order norm of ``x_i``), and ``_witness`` the first
-    violated consistency inequality, or None.  Build instances with
-    :func:`partial_functional`.  Strict construction (its default) rejects
-    inconsistent data; diagnostic code can hold an inconsistent instance and
-    inspect :func:`check_partial_consistency`, but the extension operations
-    refuse to run on it.
+    The lines are stacked: row 0 of ``X`` is the origin, standing for the axis
+    line, and the rows after it are the base points, each the data point or
+    extension target that introduced its line, as given; ``G`` holds their
+    values, ``0`` first.  ``AT`` holds the unit-scaled pairings ``unit_rows @ x_i``,
+    one column per line, ``norms`` the order norms ``max|unit_rows @ x_i|``, and
+    ``_witness`` the first violated consistency inequality in row-major order
+    over the lines, or None.  Build instances with :func:`partial_functional`;
+    the extension operations refuse an inconsistent one.
     """
 
     space: OrderedSpace
@@ -229,20 +244,20 @@ def span_contains(pf: PartialFunctional, v) -> bool:
 def partial_functional(
     space: OrderedSpace, points, values, unit_value: float, strict: bool = True
 ) -> PartialFunctional:
-    """Build a partial functional over the lines of the data (:func:`_canonical_lines`).
+    """Build a partial functional over the lines of the data, with the witness of
+    their consistency from the same pass (:func:`_canonical_lines`).
 
     With ``strict`` (default) the pairwise order-consistency of the data is
     required; pass ``strict=False`` to hold inconsistent data for diagnosis.
-    A line whose unit-scaled pairings are not finite raises :class:`NonFiniteError`.
+    A line whose unit-scaled pairings are not finite raises :class:`NonFiniteError`
+    before any witness is used.
     """
-    X, G, AT, norms = _canonical_lines(space, points, values, unit_value)
+    X, G, AT, norms, witness = _canonical_lines(space, points, values, unit_value)
     if not np.isfinite(AT).all():
         raise NonFiniteError("a base line's unit-scaled pairing is not finite")
-    c = float(unit_value)
-    pf = PartialFunctional(space, X, G, AT, norms, c, _consistency_witness(AT, G, norms, c))
-    if strict and not pf.consistent:
-        raise ValueError(f"inconsistent partial functional: {pf._witness}")
-    return pf
+    if strict and witness:
+        raise ValueError(f"inconsistent partial functional: {witness}")
+    return PartialFunctional(space, X, G, AT, norms, float(unit_value), witness)
 
 
 def _slack(size):
@@ -250,33 +265,17 @@ def _slack(size):
     return TOL * (1.0 + size)
 
 
-def _consistency_witness(AT: np.ndarray, G: np.ndarray, norms: np.ndarray, c: float):
-    """First violated pairwise inequality in row-major order, or None.
+def _pair_slack(g_i, g_j, c, a_i, a_j):
+    """The slack of a pair of lines: :func:`_slack` of ``|g_i| + |g_j| + c * max(a_i, a_j)``, ``a`` their ``norms``."""
+    return _slack(np.abs(g_i) + np.abs(g_j) + c * np.maximum(a_i, a_j))
 
-    Line ``j`` dominates line ``i`` once shifted up by the threshold
-    ``t_ij = inf { t : x_j + t*unit >= x_i }``, the greatest entry of
-    ``unit_rows @ (x_i - x_j)``, so the values must satisfy
-    ``g_j + t_ij * c >= g_i`` up to the pair's slack, of the size
-    ``|g_i| + |g_j| + c * max(a_i, a_j)`` with ``a_k = max|unit_rows @ x_k|``
-    (``norms``).  The thresholds come from one chunked block of pairwise column
-    differences, ``T[i, j] = max_r(AT[r, i] - AT[r, j])``; a chunk's pairs pass
-    the least slack of any pair with their line ``i`` first, and only the pairs
-    that fail it are held to their own slack.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(G)
-        floor = G - _slack(size)  # below the least slack of any pair with line i
-        for s, e in _chunks(len(G), AT.shape[0] * len(G)):
-            T = (AT[:, s:e, None] - AT[:, None, :]).max(axis=0)
-            h = G + T * c
-            r, j = np.nonzero(h < floor[s:e, None])
-            i = r + s
-            fails = np.flatnonzero(h[r, j] < G[i] - _slack(size[i] + size[j] + c * np.maximum(norms[i], norms[j])))
-            if fails.size:
-                r, i, j = r[fails[0]], int(i[fails[0]]), int(j[fails[0]])
-                return {"line_i": i, "line_j": j, "threshold": float(T[r, j]),
-                        "g_i": float(G[i]), "g_j": float(G[j]), "slope": float(c)}
-    return None
+
+def _pair_fails(g_i, g_j, t_ij, c, s):
+    """The pair rule, elementwise: does ``g_j + t_ij * c >= g_i`` fail by more than ``s``?
+    Line ``j`` shifted up by ``t_ij = inf { t : x_j + t*unit >= x_i }``, the greatest
+    entry of ``unit_rows @ (x_i - x_j)``, dominates line ``i``; ``t_ji`` is minus its
+    least entry, exactly.  A pair fails at its :func:`_pair_slack`; a smaller ``s`` screens."""
+    return g_j + t_ij * c < g_i - s
 
 
 def check_partial_consistency(pf: PartialFunctional) -> PropertyReport:
@@ -416,12 +415,11 @@ def _step(pf: PartialFunctional, y, rule: str, value):
     One threshold block ``unit_rows @ y - AT`` serves the span test
     (:func:`_spanned`), the interval (:func:`_one_sided`, the bits of
     :func:`extension_interval`) and the check of the new pairs.  The rule picks
-    ``p`` in the interval, and the step stores ``(y, p)`` as given once ``p``
-    passes both inequalities of the consistency scan, with each pair's slack,
-    for every pair the new line forms.  A ``given`` value that fails raises.
-    Another rule's value fails only where rounding crossed the endpoints by
-    more than a new pair's slack; it is then the middle of what the pairs
-    admit.  Non-finite lines and empty intervals raise.
+    ``p`` in the interval, and the step stores ``(y, p)`` as given once every
+    pair the new line forms, in both orders, passes :func:`_pair_fails`.  A
+    ``given`` value that fails raises.  Another rule's value fails only where
+    rounding crossed the endpoints by more than a new pair's slack; it is then
+    the middle of what the pairs admit.  Non-finite lines and empty intervals raise.
     """
     y = as_vec(y, pf.space.dim)
     G, c = pf.G, pf.unit_value
@@ -435,15 +433,14 @@ def _step(pf: PartialFunctional, y, rule: str, value):
         p = _pick_value(interval, rule, value)
         if not (math.isfinite(p) and np.isfinite(ry).all()):
             raise NonFiniteError(f"target {y.tolist()}: its value or a unit-scaled pairing is not finite")
-        above, below = G + hi_t * c, p - lo_t * c  # the scan's sides of the pairs (new, j) and (j, new)
-        s = _slack(abs(p))  # below the slack of every pair with the new line
-        if ((above < p - s) | (below < G - s)).any():
-            s = _slack(abs(p) + np.abs(G) + c * np.maximum(norm, pf.norms))
-            if ((above < p - s) | (below < G - s)).any():
+        s = _slack(abs(p))  # below the slack of every pair (new, j) and (j, new)
+        if (_pair_fails(p, G, hi_t, c, s) | _pair_fails(G, p, -lo_t, c, s)).any():
+            s = _pair_slack(p, G, c, norm, pf.norms)
+            if (_pair_fails(p, G, hi_t, c, s) | _pair_fails(G, p, -lo_t, c, s)).any():
                 if rule == "given" or interval.p_minus <= interval.p_plus:
                     raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
                 # endpoints crossed by the rounding of a line far along the unit: the middle of what the pairs admit
-                p = 0.5 * (_fold_min(above + s) - _fold_min(s - (G + c * lo_t)))
+                p = 0.5 * (_fold_min(G + hi_t * c + s) - _fold_min(s - (G + c * lo_t)))
     X, AT = np.vstack([pf.X, y]), np.column_stack([pf.AT, ry])
     return PartialFunctional(pf.space, X, np.append(G, p), AT, np.append(pf.norms, norm), c, None), interval, p
 
@@ -497,6 +494,8 @@ def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functi
 
 def partial_from_json(space: OrderedSpace, obj: dict, strict: bool = True) -> PartialFunctional:
     """Build from ``{"base_points": [[...]], "values": [...], "unit_value": c}``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"bad partial-functional descriptor: expected an object, got {type(obj).__name__}")
     try:
         points = obj.get("base_points", [])
         values = obj.get("values", [])

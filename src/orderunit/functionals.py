@@ -92,12 +92,16 @@ _MAX_GROUND_SIZE = 16
 
 
 def capacity_from_dict(n: int, subset_values: dict) -> Capacity:
-    """Capacity from ``{bitmask: value}`` (missing masks default to 0) on at
-    most ``_MAX_GROUND_SIZE`` points."""
+    """Capacity from ``{bitmask: value}`` (missing masks default to 0, masks
+    outside ``[0, 2**n)`` are refused) on at most ``_MAX_GROUND_SIZE`` points."""
     if not 0 <= n <= _MAX_GROUND_SIZE:
         raise ValueError(f"capacity ground size must lie in [0, {_MAX_GROUND_SIZE}], got {n}")
+    if not isinstance(subset_values, dict):
+        raise ValueError(f"capacity values must be an object of masks, got {type(subset_values).__name__}")
     vals = np.zeros(2**n)
     for mask, v in subset_values.items():
+        if not 0 <= int(mask) < 2**n:
+            raise ValueError(f"capacity mask {mask} outside [0, {2**n})")
         vals[int(mask)] = float(v)
     return Capacity(n=n, values=vals)
 
@@ -105,7 +109,7 @@ def capacity_from_dict(n: int, subset_values: dict) -> Capacity:
 def capacity_from_json(obj: dict) -> Capacity:
     try:
         return capacity_from_dict(int(obj["n"]), obj["values"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"bad capacity descriptor: {exc}") from exc
 
 

@@ -329,6 +329,36 @@ class TestNonFiniteDescriptors:
         assert proc.stderr == f"error: {field} must be finite\n"
 
 
+class TestDescriptorShapes:
+    """A descriptor of the wrong JSON shape exits 2 with one error line, not a traceback."""
+
+    @pytest.mark.parametrize("partial", [[], "x"], ids=["list", "string"])
+    def test_extend_partial_that_is_not_an_object(self, files, tmp_path, capsys, partial):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(partial))
+        code = cli.main(["extend", "--space", files["space2"], "--partial", str(path), "--target", "0,1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: bad partial-functional descriptor: expected an object, got {type(partial).__name__}\n"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (5, "capacity values must be an object of masks, got int"),
+            ({"values": {"-1": 1.0}}, "capacity mask -1 outside [0, 4)"),
+            ({"values": {"4": 1.0}}, "capacity mask 4 outside [0, 4)"),
+        ],
+        ids=["number", "negative_mask", "mask_past_the_full_set"],
+    )
+    def test_compact_entry_refused(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "sequence.json"
+        path.write_text(json.dumps({"n": 2, "sequence": [entry] * 10}))
+        code = cli.main(["compact", "--capacities", str(path), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
 class TestMatrixDescriptor:
     @pytest.mark.parametrize(
         "matrix, shape", [(5, "()"), ([], "(0,)"), ([[]], "(1, 0)")], ids=["scalar", "empty", "empty_row"]
@@ -489,14 +519,15 @@ class TestExtend:
         assert not payload["checks"][0]["passed"]
 
     def test_inconsistent_partial_computes_witness_once(self, files, monkeypatch, capsys):
+        # the witness comes from the one construction pass over the pairs
         calls = []
-        real = extension._consistency_witness
+        real = extension._canonical_lines
 
-        def spy(pf, *args, **kwargs):
-            calls.append(pf)
-            return real(pf, *args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(extension, "_consistency_witness", spy)
+        monkeypatch.setattr(extension, "_canonical_lines", spy)
         code = cli.main(
             ["extend", "--space", files["space2"], "--partial", files["bad_partial"], "--target", "0,1", "--format", "json"]
         )

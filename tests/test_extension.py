@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -223,7 +224,7 @@ class TestScalarReferences:
                     ou.extension._canonical_lines(space, points, values, c)
                 assert str(got.value) == str(exc)
                 return
-            X, G, _, _ = ou.extension._canonical_lines(space, points, values, c)
+            X, G, _, _, _ = ou.extension._canonical_lines(space, points, values, c)
             assert X[1:].shape == base.shape and _bits(X[1:]) == _bits(base)
             assert _bits(G[1:]) == _bits(vals)
             try:
@@ -312,7 +313,6 @@ class TestExtensionStep:
         assert _bits(out.X) == _bits(full.X) and _bits(out.G) == _bits(full.G)
         assert out.AT.shape == full.AT.shape and _bits(out.AT) == _bits(full.AT)
         assert _bits(out.norms) == _bits(full.norms) == _bits(np.abs(out.AT).max(axis=0))
-        assert ou.extension._consistency_witness(out.AT, out.G, out.norms, out.unit_value) is None
         assert consistency_witness_by_pairings(out) is None
 
     @settings(max_examples=100, deadline=None)
@@ -556,14 +556,15 @@ class TestPartialFunctional:
         assert not report.passed and report.witness is not None
 
     def test_strict_rejection_computes_witness_once(self, orth2, monkeypatch):
+        # the witness comes from the one construction pass over the pairs
         calls = []
-        real = ou.extension._consistency_witness
+        real = ou.extension._canonical_lines
 
-        def spy(pf, *args, **kwargs):
-            calls.append(pf)
-            return real(pf, *args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(ou.extension, "_consistency_witness", spy)
+        monkeypatch.setattr(ou.extension, "_canonical_lines", spy)
         with pytest.raises(ValueError, match="inconsistent partial functional: {'line_i'"):
             ou.partial_functional(orth2, [[1.0, 0.0]], [2.0], 1.0)
         assert len(calls) == 1
@@ -654,6 +655,27 @@ class TestBlockMerge:
             assert repr(pf._witness) == repr(consistency_witness_by_pairings(pf))
         violated = [(i, j) for i, j, _, excess in consistency_pairs_exact(pf) if excess > 0]
         assert violated == [(4, 0), (4, 1), (4, 2), (4, 3), (5, 0), (5, 1), (5, 2), (5, 3)]
+
+    def test_a_zero_threshold_read_from_the_later_line_keeps_its_sign(self, orth2, monkeypatch):
+        # with one line a chunk, the pair (1, 2) is read at row 2 as minus the least
+        # entry of a_2 - a_1 = (1, 0), which is -0.0; the witness reports +0.0
+        want = "{'line_i': 1, 'line_j': 2, 'threshold': 0.0, 'g_i': 1.8, 'g_j': 1.2, 'slope': 1.0}"
+        for block in (ou.extension._BLOCK, 6, 12):  # 3 lines of 2 unit-scaled rows
+            monkeypatch.setattr(ou.extension, "_BLOCK", block)
+            pf = ou.partial_functional(orth2, [[0.0, 2.0], [1.0, 2.0]], [1.8, 1.2], 1.0, strict=False)
+            assert repr(pf._witness) == want == repr(consistency_witness_by_pairings(pf))
+            assert math.copysign(1.0, pf._witness["threshold"]) == 1.0
+        assert math.copysign(1.0, -(pf.AT[:, 2] - pf.AT[:, 1]).min()) == -1.0
+
+    def test_the_witness_numbers_the_kept_lines(self, orth2, monkeypatch):
+        # (1, 1) and (3, 3) join the axis line, so points 2 and 4 are lines 1 and 2
+        points, values = [[1.0, 1.0], [0.0, 2.0], [3.0, 3.0], [1.0, 2.0]], [1.0, 1.8, 3.0, 1.2]
+        want = "{'line_i': 1, 'line_j': 2, 'threshold': 0.0, 'g_i': 1.8, 'g_j': 1.2, 'slope': 1.0}"
+        for block in (ou.extension._BLOCK, 10, 20):  # 5 points of 2 unit-scaled rows
+            monkeypatch.setattr(ou.extension, "_BLOCK", block)
+            pf = ou.partial_functional(orth2, points, values, 1.0, strict=False)
+            assert pf.subspace.m == 2
+            assert repr(pf._witness) == want == repr(consistency_witness_by_pairings(pf))
 
     def test_the_first_conflict_in_the_order_of_the_data_keeps_its_message(self, orth2):
         # (2, 1) = (1, 0) + unit, where slope 1 forces 1.0 from the value 0 at (1, 0);

@@ -105,6 +105,17 @@ class TestChoquet:
         with pytest.raises(ValueError, match="ground size"):
             ou.capacity_from_dict(n, {})
 
+    @pytest.mark.parametrize("mask", [-1, "-4", 4, "1000"])
+    def test_mask_outside_the_ground_set_refused(self, mask):
+        # NumPy would read -1 as the full set and refuse 4 only with an IndexError
+        with pytest.raises(ValueError, match=f"capacity mask {mask} outside \\[0, 4\\)"):
+            ou.capacity_from_dict(2, {mask: 1.0})
+
+    @pytest.mark.parametrize("values", [5, [0.3, 0.6], "x"])
+    def test_values_that_are_not_an_object_refused(self, values):
+        with pytest.raises(ValueError, match="capacity values must be an object of masks"):
+            ou.capacity_from_dict(2, values)
+
     def test_monotonicity_witness(self):
         cap = ou.capacity_from_dict(2, {1: 0.9, 2: 0.6, 3: 0.7})
         assert not cap.is_monotone()
