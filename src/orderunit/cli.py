@@ -228,16 +228,14 @@ def run_openness(args) -> tuple[dict, int]:
 def run_compact(args) -> tuple[dict, int]:
     obj = _load_json(args.capacities)
     try:
-        n = int(obj["n"])
         seq = obj["sequence"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad capacity-sequence descriptor: {exc}") from exc
     from .dual import subsequence_limit
-    from .functionals import _MAX_GROUND_SIZE, capacity_from_json, capacity_to_json
+    from .functionals import _ground_size, capacity_from_json, capacity_to_json
     from .spaces import orthant
 
-    if not 0 <= n <= _MAX_GROUND_SIZE:  # checked here too, since an empty sequence builds no capacity
-        raise ValueError(f"capacity ground size must lie in [0, {_MAX_GROUND_SIZE}], got {n}")
+    n = _ground_size(obj)  # read here too, since an empty sequence builds no capacity
     caps = []
     for entry in seq:
         values = entry["values"] if isinstance(entry, dict) and "values" in entry else entry

@@ -26,24 +26,29 @@ A line is stored by the point that introduced it, exactly as given (a data
 point or an extension target), with its given value: ``f`` is fixed on the
 line by any one of its points and the slope, so no representative is needed.
 A partial functional stacks its lines: ``X`` holds the origin (the axis line)
-and then the base points, ``G`` their values and ``AT`` the unit-scaled
-pairings ``R @ x_i``: every point in multiples of the unit along each of the
-space's unit-scaled rows ``R`` (``OrderedSpace.unit_rows``), one column per
-line, with the order norms ``max|R @ x_i|`` in ``norms``.  By linearity the
-thresholds ``R @ (y - x_i)`` are then ``R @ y - R @ x_i`` (equal in exact
-arithmetic, rounding differently), so a query costs one ``R @ y`` and a
-subtraction against the stored columns.  Since ``R @ unit`` is all ones, the
+and then the base points, ``GS`` their values once as the signed pair
+``[G; -G]`` and ``AT`` the unit-scaled pairings ``R @ x_i``: every point in
+multiples of the unit along each of the space's unit-scaled rows ``R``
+(``OrderedSpace.unit_rows``), one column per line, with the order norms
+``max|R @ x_i|`` in ``norms``.  By linearity the thresholds ``R @ (y - x_i)``
+are then ``R @ y - R @ x_i`` (equal in exact arithmetic, rounding
+differently), so a query costs one ``R @ y`` and a subtraction against the
+stored columns.  Since ``R @ unit`` is all ones, the
 order-norm distance from ``y`` to the line of ``x_i`` is half the spread
 ``max t - min t`` of those thresholds ``t``.  The one line test, for span
 membership and merging alike, holds a point on a line when that distance is
 finite and within the slack of the two points' order norms.  One pair rule,
-:func:`_pair_fails`, decides merge conflicts, consistency and new pairs alike.
+:func:`_pair_fails`, decides merge conflicts and consistency, and an extension
+step reads the same two inequalities off its signed block for its new pairs.
 
 Both endpoints come from one signed block ``[t, -t]`` of the thresholds: one
-``max`` over the rows, the values ``G`` added and subtracted, and one ``min``
-over the lines, bit for bit the two one-sided folds (:func:`_endpoints`).  An
-extension step forms the thresholds once for its span test, its interval and
-the check of its new pairs, and appends one column.  Construction is one
+``max`` over the rows gives ``w = [hi, -lo]`` per line, ``w *= c`` and
+``w += GS`` add both sides of the values at once (``a - b`` is ``a + (-b)``),
+and one ``min`` over the lines gives ``[p_plus, -p_minus]``, bit for bit the
+two one-sided folds (:func:`_endpoints`).  An extension step reads the same
+block for its span test, its interval and the check of its new pairs, and
+writes its line in place into blocks that :func:`extend_all` allocates once
+for all its targets (:func:`_place`).  Construction is one
 chunked pass over one block of pairwise column differences, with no matvec
 per pair and no temporary past :data:`_BLOCK` items: the greatest and least
 difference of each pair serve the merge of points onto lines (the axis line
@@ -68,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import Functional, PropertyReport
-from .spaces import TOL, OrderedSpace, _finite, _max_abs_rows, as_rows, as_vec, matvecs
+from .spaces import TOL, OrderedSpace, _finite, _json_number, _max_abs_rows, as_rows, as_vec, matvecs
 
 
 class NonFiniteError(ValueError):
@@ -103,12 +108,13 @@ class UnitSpan:
         return self.base.shape[0]
 
 
-def _held(lo, hi, size):
-    """Is a point on a line, given the least and greatest entry ``lo``, ``hi`` of
-    the thresholds ``R y - R x`` from the line's point ``x`` to it: is its order-norm
-    distance ``(hi - lo) / 2`` to the line finite and within the slack of ``size``,
-    the two points' order norms summed?  Elementwise; call under ``np.errstate``."""
-    d = 0.5 * (hi - lo)
+def _held(spread, size):
+    """Is a point on a line, given the ``spread = hi - lo`` of the greatest and
+    least entry of the thresholds ``R y - R x`` from the line's point ``x`` to it:
+    is its order-norm distance ``spread / 2`` to the line finite and within the
+    slack of ``size``, the two points' order norms summed?  Elementwise; call
+    under ``np.errstate``."""
+    d = 0.5 * spread
     return np.isfinite(d) & (d <= _slack(size))
 
 
@@ -152,7 +158,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
         for s, e in _chunks(n, AT.shape[0] * n):
             D = AT[:, s:e, None] - AT[:, None, :e]  # to every earlier line, and some later
             hi, lo = D.max(axis=0), D.min(axis=0)
-            held = _held(lo, hi, norms[s:e, None] + norms[:e]) & (np.arange(e) < np.arange(s, e)[:, None])
+            held = _held(hi - lo, norms[s:e, None] + norms[:e]) & (np.arange(e) < np.arange(s, e)[:, None])
             for r in np.flatnonzero(held.any(axis=1)):
                 i = s + r
                 ks = np.flatnonzero(held[r, :i] & kept[:i])
@@ -189,17 +195,19 @@ class PartialFunctional:
 
     The lines are stacked: row 0 of ``X`` is the origin, standing for the axis
     line, and the rows after it are the base points, each the data point or
-    extension target that introduced its line, as given; ``G`` holds their
-    values, ``0`` first.  ``AT`` holds the unit-scaled pairings ``unit_rows @ x_i``,
-    one column per line, ``norms`` the order norms ``max|unit_rows @ x_i|``, and
-    ``_witness`` the first violated consistency inequality in row-major order
-    over the lines, or None.  Build instances with :func:`partial_functional`;
-    the extension operations refuse an inconsistent one.
+    extension target that introduced its line, as given.  ``GS`` holds their
+    values once, signed: row 0 is ``G``, ``0`` first, and row 1 is ``-G``, the
+    two sides a query adds in one step (:func:`_endpoints`).  ``AT`` holds the
+    unit-scaled pairings ``unit_rows @ x_i``, one column per line, ``norms`` the
+    order norms ``max|unit_rows @ x_i|``, and ``_witness`` the first violated
+    consistency inequality in row-major order over the lines, or None.  Build
+    instances with :func:`partial_functional`; the extension operations refuse
+    an inconsistent one.
     """
 
     space: OrderedSpace
     X: np.ndarray
-    G: np.ndarray
+    GS: np.ndarray
     AT: np.ndarray
     norms: np.ndarray
     unit_value: float
@@ -210,9 +218,14 @@ class PartialFunctional:
         return self._witness is None
 
     @property
+    def G(self) -> np.ndarray:
+        """The line values, a view of row 0 of ``GS``."""
+        return self.GS[0]
+
+    @property
     def values(self) -> np.ndarray:
-        """The base-line values, a view of ``G``."""
-        return self.G[1:]
+        """The base-line values, a view of ``GS``."""
+        return self.GS[0, 1:]
 
     @property
     def subspace(self) -> UnitSpan:
@@ -220,25 +233,30 @@ class PartialFunctional:
         return UnitSpan(space=self.space, base=self.X[1:])
 
 
-def _thresholds(pf: PartialFunctional, y: np.ndarray):
-    """``(ry, norm, lo, hi)``: the pairings ``ry = unit_rows @ y``, their order norm
-    and, per stored line, the least and greatest entry of the thresholds
-    ``ry - AT``; call under ``np.errstate``."""
-    ry = pf.space.unit_rows @ y
-    t = ry[:, None] - pf.AT
-    return ry, np.abs(ry).max(), t.min(axis=0), t.max(axis=0)
+_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
+"""The two sides of the threshold block: ``max(S * t)`` over the rows is the
+greatest threshold of each line, and minus the least."""
 
 
-def _spanned(pf: PartialFunctional, norm, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Does a stored line of ``pf`` hold the point of order norm ``norm`` whose
-    thresholds to the lines are ``lo``, ``hi`` (:func:`_held`)?"""
-    return bool(_held(lo, hi, norm + pf.norms).any())
+def _signed(ry: np.ndarray, AT: np.ndarray) -> np.ndarray:
+    """``[hi, -lo]``, shape ``(2, lines)``: per stored line, the greatest entry of
+    the thresholds ``ry - AT`` and minus the least, by one ``max`` over the rows
+    of the signed block ``S * (ry - AT)``; the one block of a query or a step.
+    Call under ``np.errstate``."""
+    return np.maximum.reduce(_SIGNS * (ry[:, None] - AT), axis=1)
 
 
+def _spanned(hl: np.ndarray, norm, norms: np.ndarray) -> bool:
+    """Does a stored line hold the point of order norm ``norm`` whose signed
+    thresholds to the lines (of order norms ``norms``) are ``hl`` (:func:`_held`)?"""
+    return bool(_held(hl[0] + hl[1], norm + norms).any())
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def span_contains(pf: PartialFunctional, v) -> bool:
     """Is ``v`` on one of the stored lines of ``pf``, the axis line included (:func:`_spanned`)?"""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _spanned(pf, *_thresholds(pf, as_vec(v, pf.space.dim))[1:])
+    ry = pf.space.unit_rows @ as_vec(v, pf.space.dim)
+    return _spanned(_signed(ry, pf.AT), np.abs(ry).max(), pf.norms)
 
 
 def partial_functional(
@@ -257,7 +275,7 @@ def partial_functional(
         raise NonFiniteError("a base line's unit-scaled pairing is not finite")
     if strict and witness:
         raise ValueError(f"inconsistent partial functional: {witness}")
-    return PartialFunctional(space, X, G, AT, norms, float(unit_value), witness)
+    return PartialFunctional(space, X, np.array([G, -G]), AT, norms, float(unit_value), witness)
 
 
 def _slack(size):
@@ -323,49 +341,46 @@ def _fold_min(v: np.ndarray) -> float:
     return float(v[np.argmin(v)])
 
 
-_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)
-"""The two sides of the threshold block: ``max(S * t)`` over the rows is the
-greatest threshold of each line, and minus the least."""
-
-
-def _one_sided(pf: PartialFunctional, norm, lo_t: np.ndarray, hi_t: np.ndarray) -> tuple[float, float]:
+def _one_sided(G: np.ndarray, AT: np.ndarray, c: float, ry: np.ndarray) -> tuple[float, float]:
     """``(p_minus, p_plus)`` folded one side at a time with :func:`_fold_min` from the
-    least and greatest threshold of each line (:func:`_thresholds`), the emptiness
-    test on crossed endpoints included, which reads the query's order norm ``norm``;
-    call under ``np.errstate``."""
-    G, c = pf.G, pf.unit_value
-    above, below = G + c * hi_t, G + c * lo_t
+    least and greatest entry per line of the thresholds ``ry - AT``, the emptiness
+    test on crossed endpoints included, which reads the query's order norm
+    ``max|ry|``; call under ``np.errstate``."""
+    t = ry[:, None] - AT
+    above, below = G + c * t.max(axis=0), G + c * t.min(axis=0)
     p_plus, p_minus = _fold_min(above), -_fold_min(-below)
     if p_minus > p_plus:
         a, b = np.flatnonzero(above == p_plus)[0], np.flatnonzero(below == p_minus)[0]
-        size = abs(G[a]) + abs(G[b]) + c * (np.abs(pf.AT[:, [a, b]]).max() + norm)
+        size = abs(G[a]) + abs(G[b]) + c * (np.abs(AT[:, [a, b]]).max() + np.abs(ry).max())
         if p_minus > p_plus + _slack(size):
             raise ValueError(f"empty extension interval [{p_minus}, {p_plus}]; partial data inconsistent")
     return float(p_minus), float(p_plus)
 
 
-def _endpoints(pf: PartialFunctional, y: np.ndarray) -> tuple[float, float]:
-    """``(p_minus, p_plus)`` at the vector ``y``, bit for bit :func:`_one_sided`.
+def _fold(w: np.ndarray, GS: np.ndarray, AT: np.ndarray, c: float, ry: np.ndarray) -> tuple[float, float]:
+    """``(p_minus, p_plus)`` from ``w = c * [hi, -lo] + GS`` (:func:`_signed`), bit for
+    bit :func:`_one_sided`: one ``min`` over the lines gives ``[p_plus, -p_minus]``.
 
-    One signed block ``S * t`` of the thresholds ``t = unit_rows @ y - AT``
-    gives, by one ``max`` over the rows, ``[hi, -lo]`` per line; scaled by
-    ``c``, with ``G`` added to row 0 and subtracted from row 1, one ``min``
-    over the lines gives ``[p_plus, -p_minus]``.  Negation is exact and so
-    are ``max`` and ``min``, so a winner that is neither zero nor NaN has
-    the bits of the one-sided fold.  A zero winner (where only the sign of
-    a zero can differ), a NaN and crossed endpoints take the one-sided fold.
+    ``a - b`` is ``a + (-b)`` and negation is exact, and so are ``max`` and
+    ``min``, so a winner that is neither zero nor NaN has the bits of the
+    one-sided fold.  A zero winner (where only the sign of a zero can differ),
+    a NaN and crossed endpoints take the one-sided fold.  Call under ``np.errstate``.
     """
-    G = pf.G
-    with np.errstate(over="ignore", invalid="ignore"):
-        ry = pf.space.unit_rows @ y
-        w = (_SIGNS * (ry[:, None] - pf.AT)).max(axis=1)
-        w *= pf.unit_value
-        w[0] += G
-        w[1] -= G
-        p_plus, neg_minus = w.min(axis=1).tolist()
-        if p_plus and neg_minus and -neg_minus <= p_plus:  # no zero, no NaN, not crossed
-            return -neg_minus, p_plus
-        return _one_sided(pf, *_thresholds(pf, y)[1:])
+    p_plus, neg_minus = np.minimum.reduce(w, axis=1).tolist()
+    if p_plus and neg_minus and -neg_minus <= p_plus:  # no zero, no NaN, not crossed
+        return -neg_minus, p_plus
+    return _one_sided(GS[0], AT, c, ry)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _endpoints(pf: PartialFunctional, y: np.ndarray) -> tuple[float, float]:
+    """``(p_minus, p_plus)`` at the vector ``y``: the signed block of
+    ``unit_rows @ y``, scaled by ``c`` and added to ``GS`` in one step, then folded (:func:`_fold`)."""
+    ry = pf.space.unit_rows @ y
+    w = _signed(ry, pf.AT)
+    w *= pf.unit_value
+    w += pf.GS
+    return _fold(w, pf.GS, pf.AT, pf.unit_value, ry)
 
 
 def extension_interval(pf: PartialFunctional, y) -> ExtensionInterval:
@@ -408,41 +423,77 @@ def _pick_value(interval: ExtensionInterval, rule: str, value) -> float:
     raise ValueError(f"unknown extension rule {rule!r}; expected one of {_RULES}")
 
 
-def _step(pf: PartialFunctional, y, rule: str, value):
-    """One extension step: None for a target already in the span of ``pf``,
-    else ``(extended, interval, chosen value)``.
+def _blocks(pf: PartialFunctional, k: int) -> tuple:
+    """``(X, GS, AT, norms)`` of ``pf`` copied into blocks with room for ``k`` more lines."""
+    n = len(pf.norms)
+    X, GS = np.empty((n + k, pf.space.dim)), np.empty((2, n + k))
+    AT, norms = np.empty((pf.AT.shape[0], n + k)), np.empty(n + k)
+    X[:n], GS[:, :n], AT[:, :n], norms[:n] = pf.X, pf.GS, pf.AT, pf.norms
+    return X, GS, AT, norms
 
-    One threshold block ``unit_rows @ y - AT`` serves the span test
-    (:func:`_spanned`), the interval (:func:`_one_sided`, the bits of
-    :func:`extension_interval`) and the check of the new pairs.  The rule picks
-    ``p`` in the interval, and the step stores ``(y, p)`` as given once every
-    pair the new line forms, in both orders, passes :func:`_pair_fails`.  A
+
+def _grown(pf: PartialFunctional, blocks: tuple, n: int) -> PartialFunctional:
+    """The partial functional on the first ``n`` lines of ``blocks`` (:func:`_blocks` of ``pf``)."""
+    X, GS, AT, norms = blocks
+    GS, AT = np.ascontiguousarray(GS[:, :n]), np.ascontiguousarray(AT[:, :n])
+    return PartialFunctional(pf.space, X[:n], GS, AT, norms[:n], pf.unit_value, None)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _place(pf: PartialFunctional, blocks: tuple, n: int, y, rule: str, value):
+    """One extension step on the first ``n`` lines of ``blocks`` (:func:`_blocks` of
+    ``pf``): None for a target already in their span, else ``(interval, chosen
+    value)``, with the new line written in place as line ``n``.
+
+    One signed block ``[hi, -lo]`` of the thresholds ``unit_rows @ y - AT``
+    (:func:`_signed`) serves the span test, the interval (:func:`_fold`, the
+    bits of :func:`extension_interval`) and the check of the new pairs.  The
+    rule picks ``p`` in the interval, and the step stores ``(y, p)`` as given
+    once every pair the new line forms, in both orders, passes the pair rule:
+    ``V[0] < p - s`` and ``p + c * (-lo) < G - s`` are :func:`_pair_fails` of
+    ``(new, j)`` and ``(j, new)``, read off ``V = c * [hi, -lo] + GS``.  A
     ``given`` value that fails raises.  Another rule's value fails only where
     rounding crossed the endpoints by more than a new pair's slack; it is then
     the middle of what the pairs admit.  Non-finite lines and empty intervals raise.
     """
+    X, GS, AT, norms = blocks
     y = as_vec(y, pf.space.dim)
-    G, c = pf.G, pf.unit_value
-    with np.errstate(over="ignore", invalid="ignore"):
-        ry, norm, lo_t, hi_t = _thresholds(pf, y)
-        if _spanned(pf, norm, lo_t, hi_t):
-            return None
-        if not pf.consistent:
-            raise ValueError("extension requires a consistent partial functional")
-        interval = ExtensionInterval(*_one_sided(pf, norm, lo_t, hi_t))
-        p = _pick_value(interval, rule, value)
-        if not (math.isfinite(p) and np.isfinite(ry).all()):
-            raise NonFiniteError(f"target {y.tolist()}: its value or a unit-scaled pairing is not finite")
-        s = _slack(abs(p))  # below the slack of every pair (new, j) and (j, new)
-        if (_pair_fails(p, G, hi_t, c, s) | _pair_fails(G, p, -lo_t, c, s)).any():
-            s = _pair_slack(p, G, c, norm, pf.norms)
-            if (_pair_fails(p, G, hi_t, c, s) | _pair_fails(G, p, -lo_t, c, s)).any():
-                if rule == "given" or interval.p_minus <= interval.p_plus:
-                    raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
-                # endpoints crossed by the rounding of a line far along the unit: the middle of what the pairs admit
-                p = 0.5 * (_fold_min(G + hi_t * c + s) - _fold_min(s - (G + c * lo_t)))
-    X, AT = np.vstack([pf.X, y]), np.column_stack([pf.AT, ry])
-    return PartialFunctional(pf.space, X, np.append(G, p), AT, np.append(pf.norms, norm), c, None), interval, p
+    c, gs, at = pf.unit_value, GS[:, :n], AT[:, :n]
+    ry = pf.space.unit_rows @ y
+    w, norm = _signed(ry, at), np.abs(ry).max()
+    if _spanned(w, norm, norms[:n]):
+        return None
+    if not pf.consistent:
+        raise ValueError("extension requires a consistent partial functional")
+    w *= c  # [c * hi, c * (-lo)]
+    V = w + gs
+    interval = ExtensionInterval(*_fold(V, gs, at, c, ry))
+    p = _pick_value(interval, rule, value)
+    if not (math.isfinite(p) and np.isfinite(ry).all()):
+        raise NonFiniteError(f"target {y.tolist()}: its value or a unit-scaled pairing is not finite")
+
+    def fails(s):
+        return ((V[0] < p - s) | (p + w[1] < gs[0] - s)).any()
+
+    s = _slack(abs(p))  # below the slack of every pair (new, j) and (j, new)
+    if fails(s):
+        s = _pair_slack(p, gs[0], c, norm, norms[:n])
+        if fails(s):
+            if rule == "given" or interval.p_minus <= interval.p_plus:
+                raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
+            # endpoints crossed by the rounding of a line far along the unit: the middle of what the pairs admit
+            p = 0.5 * (_fold_min(V[0] + s) - _fold_min(V[1] + s))
+    X[n], GS[:, n], AT[:, n], norms[n] = y, (p, -p), ry, norm
+    return interval, p
+
+
+def _step(pf: PartialFunctional, y, rule: str, value):
+    """One extension step (:func:`_place` with room for one line): None for a
+    target already in the span of ``pf``, else ``(extended, interval, chosen value)``."""
+    n = len(pf.norms)
+    blocks = _blocks(pf, 1)
+    step = _place(pf, blocks, n, y, rule, value)
+    return None if step is None else (_grown(pf, blocks, n + 1), *step)
 
 
 def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> PartialFunctional:
@@ -455,16 +506,20 @@ def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> 
 
 
 def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None) -> PartialFunctional:
-    """Fold :func:`extend_one` over the targets, skipping points already spanned.
+    """Fold the extension step over the targets, skipping points already spanned.
 
-    The fold order matters with the midpoint rule: earlier choices narrow
-    later intervals.  Any order yields a consistent result.
+    The lines grow in one block allocated for every target (:func:`_place`);
+    one instance is built at the end.  The fold order matters with the
+    midpoint rule: earlier choices narrow later intervals.  Any order yields a
+    consistent result.
     """
+    ys = list(ys)
+    n0 = n = len(pf.norms)
+    blocks = _blocks(pf, len(ys))
     for y in ys:
-        step = _step(pf, y, rule, value)
-        if step is not None:
-            pf = step[0]
-    return pf
+        if _place(pf, blocks, n, y, rule, value) is not None:
+            n += 1
+    return pf if n == n0 else _grown(pf, blocks, n)
 
 
 def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functional:
@@ -497,11 +552,11 @@ def partial_from_json(space: OrderedSpace, obj: dict, strict: bool = True) -> Pa
     if not isinstance(obj, dict):
         raise ValueError(f"bad partial-functional descriptor: expected an object, got {type(obj).__name__}")
     try:
-        points = obj.get("base_points", [])
-        values = obj.get("values", [])
-        c = float(obj["unit_value"])
-    except (KeyError, TypeError) as exc:
+        c = _json_number("unit_value", obj["unit_value"])
+    except KeyError as exc:
         raise ValueError(f"bad partial-functional descriptor: {exc}") from exc
+    points = obj.get("base_points", [])
+    values = obj.get("values", [])
     return partial_functional(space, points, values, c, strict=strict)
 
 

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .spaces import TOL, OrderedSpace, _finite, as_rows, as_vec, matvecs, order_norms
+from .spaces import TOL, OrderedSpace, _finite, _json_int, as_rows, as_vec, matvecs, order_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,9 +106,23 @@ def capacity_from_dict(n: int, subset_values: dict) -> Capacity:
     return Capacity(n=n, values=vals)
 
 
-def capacity_from_json(obj: dict) -> Capacity:
+def _ground_size(obj: dict) -> int:
+    """The ground size ``n`` of a capacity descriptor, or of the CLI's capacity
+    sequence: a JSON integer (not a bool, not a float) in ``[0, _MAX_GROUND_SIZE]``,
+    checked before anything is allocated."""
     try:
-        return capacity_from_dict(int(obj["n"]), obj["values"])
+        n = _json_int("capacity ground size n", obj["n"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad capacity descriptor: {exc}") from exc
+    if not 0 <= n <= _MAX_GROUND_SIZE:
+        raise ValueError(f"capacity ground size must lie in [0, {_MAX_GROUND_SIZE}], got {n}")
+    return n
+
+
+def capacity_from_json(obj: dict) -> Capacity:
+    n = _ground_size(obj)
+    try:
+        return capacity_from_dict(n, obj["values"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad capacity descriptor: {exc}") from exc
 

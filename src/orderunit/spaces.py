@@ -114,6 +114,24 @@ def _finite(name: str, a) -> np.ndarray:
     return a
 
 
+def _json_int(name: str, v) -> int:
+    """``v`` when it is a JSON integer (not a bool, not a float), else a ValueError naming ``name``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{name} must be an integer, got {type(v).__name__}")
+    return v
+
+
+def _json_number(name: str, v) -> float:
+    """``v`` as a float when it is a finite JSON number (not a bool, not a
+    string), else a ValueError naming ``name``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{name} must be a number, got {type(v).__name__}")
+    try:
+        return float(_finite(name, v))
+    except OverflowError:  # an integer past the largest float
+        raise ValueError(f"{name} must be finite") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ConeSpec:
     """Polyhedral cone ``{x : rows @ x >= 0}``.

@@ -9,12 +9,14 @@ with the closed forms it cross-checks.
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from orderunit import (
     TOL,
     Capacity,
+    ExtensionInterval,
     PropertyReport,
     apply,
     cone_contains,
@@ -316,6 +318,52 @@ def interval_by_one_sided_fold(pf, y):
     return float(p_minus), float(p_plus)
 
 
+def extend_all_by_one_sided_fold(pf, ys, rule):
+    """What ``extend_all`` (and the CLI's ``extend``) must do with ``ys`` under an
+    endpoint rule, one target at a time over the lines stored so far.
+
+    A target on a stored line (:func:`span_contains_by_lines`) is skipped.
+    Otherwise its interval is :func:`interval_by_one_sided_fold` over the lines
+    so far, each stored by its point, its value and its pairings ``unit_rows @ x``,
+    and its value the rule's endpoint or their midpoint by the rule of
+    :class:`orderunit.ExtensionInterval`; the target and that value become a
+    line.  Returns ``(steps, X, G)``: per target ``None`` (skipped) or
+    ``(p_minus, p_plus, value)``, ending at the first target whose interval
+    raises or whose value or pairings are not finite (its error message), or
+    whose endpoints crossed within the slack (``"crossed"``), where the
+    engine's value is no endpoint rule."""
+    space, c, R = pf.space, pf.unit_value, pf.space.unit_rows
+    xs, gs, cols = list(pf.X), list(pf.G), list(pf.AT.T)
+    steps = []
+    for y in ys:
+        y = np.asarray(y, dtype=float)
+        X = np.array(xs)
+        lines = SimpleNamespace(space=space, unit_value=c, G=np.array(gs), AT=np.column_stack(cols),
+                                subspace=SimpleNamespace(base=X[1:]), values=np.array(gs[1:]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if span_contains_by_lines(lines, y):
+                steps.append(None)
+                continue
+            ry = R @ y
+        try:
+            p_minus, p_plus = interval_by_one_sided_fold(lines, y)
+        except ValueError as exc:
+            steps.append(str(exc))
+            break
+        if p_minus > p_plus:
+            steps.append("crossed")
+            break
+        value = {"lower": p_minus, "upper": p_plus, "midpoint": ExtensionInterval(p_minus, p_plus).midpoint}[rule]
+        if not (math.isfinite(value) and np.isfinite(ry).all()):
+            steps.append(f"target {y.tolist()}: its value or a unit-scaled pairing is not finite")
+            break
+        steps.append((p_minus, p_plus, value))
+        xs.append(y)
+        gs.append(value)
+        cols.append(ry)
+    return steps, np.array(xs), np.array(gs)
+
+
 def line_slacks(pf, x, g, tol=TOL):
     """The :func:`slack` of each pair that a new line through ``x`` with value
     ``g`` forms with a line of ``pf``, the axis line first."""
@@ -411,11 +459,14 @@ def unit_ratio_scale(space, magnitudes, ratios):
 def _holds(a, b):
     """Whether the line through the point of unit-scaled column ``b`` holds the
     point of column ``a``: every entry of ``a - b`` finite and their order-norm
-    distance ``(max - min) / 2`` within the :func:`slack` of ``max|a| + max|b|``."""
+    distance ``(max - min) / 2`` finite (a spread past the largest float holds
+    no point, even where the slack overflows too) and within the :func:`slack`
+    of ``max|a| + max|b|``."""
     diffs = [x - y for x, y in zip(a, b)]
     if not all(map(math.isfinite, diffs)):
         return False
-    return 0.5 * (max(diffs) - min(diffs)) <= slack(_magnitude(a) + _magnitude(b))
+    d = 0.5 * (max(diffs) - min(diffs))
+    return math.isfinite(d) and d <= slack(_magnitude(a) + _magnitude(b))
 
 
 def lines_by_pairs(space, points, values, unit_value):

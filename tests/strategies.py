@@ -66,3 +66,24 @@ def positive_partial_data(draw, max_points=4, slopes=(0, 12)):
     space, w = draw(positive_functionals(slopes))
     pts = draw(point_arrays(space.dim, draw(st.integers(0, max_points))))
     return space, pts, pts @ w, float(w @ space.unit)
+
+
+@st.composite
+def fold_queries(draw):
+    """A partial functional on a generated space, at the slope ``c = 0`` (all
+    values 0) or read off a positive linear functional of slope 1 or 2.5, and
+    targets for it: entries NaN, ±0, ±inf, ±1e308 or subnormal among plain
+    coordinates, the stored ``X`` and ``X`` shifted along the unit."""
+    space = draw(interior_unit_spaces())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = draw(st.sampled_from((0.0, 1.0, 2.5)))
+    w = rng.uniform(0.0, 1.0, size=space.cone.rows.shape[0]) @ space.unit_rows
+    w *= c / float(w @ space.unit)
+    pts = rng.uniform(-3.0, 3.0, size=(draw(st.integers(0, 6)), space.dim))
+    pf = ou.partial_functional(space, pts, pts @ w, c)
+    special = st.sampled_from((np.nan, 0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324))
+    entry = st.one_of(special, st.floats(-3.0, 3.0))
+    shift = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+    stored = st.builds(lambda i, lam: pf.X[i % len(pf.X)] + lam * space.unit, st.integers(0, 99), shift)
+    ys = draw(st.lists(st.one_of(st.lists(entry, min_size=space.dim, max_size=space.dim), stored), min_size=1, max_size=20))
+    return pf, ys

@@ -10,6 +10,7 @@ gallery output is intended) with
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 import orderunit as ou
 from orderunit import cli, dual, extension
-from strategies import interior_unit_spaces, point_arrays
+from oracles import extend_all_by_one_sided_fold
+from strategies import fold_queries, interior_unit_spaces, point_arrays
 
 PYTHON = sys.executable
 GALLERY_SEED7 = Path(__file__).parent / "data" / "gallery_seed7.json"
@@ -536,8 +538,9 @@ class TestExtend:
         assert len(calls) == 1
 
     def test_one_span_test_and_one_interval_per_target(self, files, monkeypatch, capsys):
-        # one threshold block per target serves its span test and its interval
-        counts = {"_thresholds": 0, "_spanned": 0, "_one_sided": 0, "extension_interval": 0}
+        # one signed threshold block per target serves its span test and its
+        # interval; the one-sided fold runs only where a zero endpoint wins
+        counts = {"_signed": 0, "_one_sided": 0, "extension_interval": 0}
         for name in counts:
             real = getattr(extension, name)
 
@@ -554,7 +557,9 @@ class TestExtend:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert [("skipped" in e) for e in payload["targets"]] == [False, False, True, False]
-        assert counts == {"_thresholds": 4, "_spanned": 4, "_one_sided": 3, "extension_interval": 0}
+        zero_ends = [0.0 in (e["p_minus"], e["p_plus"]) for e in payload["targets"] if "skipped" not in e]
+        assert zero_ends == [True, True, False]
+        assert counts == {"_signed": 4, "_one_sided": 2, "extension_interval": 0}
         assert len(payload["result"]["base_points"]) == 3
 
     def test_a_target_whose_unit_multiple_is_near_the_float_limit_is_skipped(self, tmp_path):
@@ -632,6 +637,112 @@ class TestExtendContract:
         if out.getvalue():
             json.loads(out.getvalue(), parse_constant=_no_constant)
         assert bool(out.getvalue()) != bool(err.getvalue())
+
+
+class TestExtendSteps:
+    @settings(max_examples=100, deadline=None)
+    @given(query=fold_queries(), rule=st.sampled_from(("lower", "upper", "midpoint")))
+    def test_each_entry_against_the_one_sided_fold(self, query, rule):
+        """Each ``extend`` entry reports the one-sided fold's endpoints over the
+        lines before it and the rule's value, bit for bit, or the skip; the
+        first target the fold refuses ends the run with its message, and the
+        result holds the fold's lines.  Targets run up to endpoints crossed
+        within the slack, where the value is no endpoint."""
+        pf, ys = query
+        targets = [[float(v) for v in y] for y in ys if np.isfinite(y).all()]  # the CLI reads finite coordinates
+        space = ou.space_from_json(ou.space_to_json(pf.space))
+        partial = ou.partial_to_json(pf)
+        steps, X, G = extend_all_by_one_sided_fold(ou.partial_from_json(space, partial), targets, rule)
+        if steps and steps[-1] == "crossed":
+            steps.pop()
+        targets = targets[: len(steps)]
+        if not targets:  # extend requires one
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: Path(tmp) / f"{name}.json" for name in ("space", "partial")}
+            paths["space"].write_text(json.dumps(ou.space_to_json(space)))
+            paths["partial"].write_text(json.dumps(partial))
+            argv = ["extend", "--space", str(paths["space"]), "--partial", str(paths["partial"]), "--rule", rule]
+            argv += [f"--target={','.join(map(repr, t))}" for t in targets]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--format", "json"])
+        if steps and isinstance(steps[-1], str):  # a refused target: its message, exit 1 if not finite, else 2
+            assert (code, out.getvalue()) == (1 if steps[-1].startswith("target ") else 2, "")
+            assert err.getvalue() == f"error: {steps[-1]}\n"
+            return
+        if not all(map(math.isfinite, (v for step in steps if step for v in step))):
+            assert code == 1 and err.getvalue().startswith("error: result is not finite, so not strict JSON")
+            return
+        assert (code, err.getvalue()) == (0, "")
+        payload = json.loads(out.getvalue())
+        want = [
+            {"target": t, "skipped": "already in span"} if step is None
+            else {"target": t, "p_minus": step[0], "p_plus": step[1], "value": step[2]}
+            for t, step in zip(targets, steps)
+        ]
+        assert _bits(payload["targets"]) == _bits(want)
+        assert _bits(payload["result"]) == _bits({"base_points": X[1:].tolist(), "unit_value": pf.unit_value,
+                                                   "values": G[1:].tolist()})
+
+
+def _bits(obj):
+    """``obj`` with every float replaced by its bytes, so that ``-0.0`` and ``0.0`` differ."""
+    if isinstance(obj, float):
+        return np.float64(obj).tobytes()
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    return obj
+
+
+class TestFieldTypes:
+    """A capacity's ``n`` is a JSON integer and a partial functional's
+    ``unit_value`` a finite JSON number: any other JSON type exits 2 with one
+    error line naming the field, and is not coerced."""
+
+    @pytest.mark.parametrize("n", [True, 2.9, 2.0, "2", None, [2]], ids=["bool", "float", "integral_float", "string", "null", "list"])
+    def test_capacity_n(self, files, tmp_path, capsys, n):
+        message = f"capacity ground size n must be an integer, got {type(n).__name__}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ou.capacity_from_json({"n": n, "values": {"3": 1.0}})
+        for obj, argv in (
+            ({"n": n, "sequence": [{"values": {"3": 1.0}}] * 10}, ["compact", "--capacities"]),
+            ({"n": n, "sequence": []}, ["compact", "--capacities"]),
+            ({"kind": "choquet", "capacity": {"n": n, "values": {"3": 1.0}}}, ["check", "--space", files["space2"], "--functional"]),
+        ):
+            path = tmp_path / "descriptor.json"
+            path.write_text(json.dumps(obj))
+            assert cli.main([*argv, str(path), "--format", "json"]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            (True, "unit_value must be a number, got bool"),
+            ("1.5", "unit_value must be a number, got str"),
+            (None, "unit_value must be a number, got NoneType"),
+            ([1.5], "unit_value must be a number, got list"),
+            ({"value": 1.5}, "unit_value must be a number, got dict"),
+            (10**400, "unit_value must be finite"),
+        ],
+        ids=["bool", "string", "null", "list", "object", "past_the_largest_float"],
+    )
+    def test_unit_value(self, files, tmp_path, capsys, c, message):
+        obj = {"base_points": [[1.0, 0.0]], "values": [0.5], "unit_value": c}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ou.partial_from_json(ou.orthant(2), obj)
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(obj))
+        assert cli.main(["extend", "--space", files["space2"], "--partial", str(path), "--target", "0,1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("c", [1.5, 1, 0], ids=["float", "integer", "zero"])
+    def test_a_number_is_read(self, c):
+        pf = ou.partial_from_json(ou.orthant(2), {"base_points": [[1.0, 0.0]], "values": [0.5 * c], "unit_value": c})
+        assert type(pf.unit_value) is float and pf.unit_value == c
+        assert ou.capacity_from_json({"n": 2, "values": {"3": 1.0}}).n == 2
 
 
 class TestOpenness:

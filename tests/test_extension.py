@@ -13,6 +13,7 @@ from oracles import (
     consistency_pairs_exact,
     consistency_witness_by_pairings,
     consistency_witness_by_pairs,
+    extend_all_by_one_sided_fold,
     interval_by_line_search,
     interval_by_one_sided_fold,
     interval_by_pairings,
@@ -24,7 +25,7 @@ from oracles import (
     span_contains_by_lines,
     unit_rows_by_rows,
 )
-from strategies import interior_unit_spaces, point_arrays, positive_functionals
+from strategies import fold_queries, interior_unit_spaces, point_arrays, positive_functionals
 
 FIXED_SPACES = None
 
@@ -404,27 +405,6 @@ class TestFoldMin:
         assert _bits(-ou.extension._fold_min(-a)) == _bits(max(-np.inf, *v))
 
 
-@st.composite
-def fold_queries(draw):
-    """A partial functional on a generated space, at the slope ``c = 0`` (all
-    values 0) or read off a positive linear functional of slope 1 or 2.5, and
-    targets for it: entries NaN, ±0, ±inf, ±1e308 or subnormal among plain
-    coordinates, the stored ``X`` and ``X`` shifted along the unit."""
-    space = draw(interior_unit_spaces())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    c = draw(st.sampled_from((0.0, 1.0, 2.5)))
-    w = rng.uniform(0.0, 1.0, size=space.cone.rows.shape[0]) @ space.unit_rows
-    w *= c / float(w @ space.unit)
-    pts = rng.uniform(-3.0, 3.0, size=(draw(st.integers(0, 6)), space.dim))
-    pf = ou.partial_functional(space, pts, pts @ w, c)
-    special = st.sampled_from((np.nan, 0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324))
-    entry = st.one_of(special, st.floats(-3.0, 3.0))
-    shift = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
-    stored = st.builds(lambda i, lam: pf.X[i % len(pf.X)] + lam * space.unit, st.integers(0, 99), shift)
-    ys = draw(st.lists(st.one_of(st.lists(entry, min_size=space.dim, max_size=space.dim), stored), min_size=1, max_size=20))
-    return pf, ys
-
-
 class TestSignedFold:
     @settings(max_examples=200, deadline=None)
     @given(query=fold_queries())
@@ -450,6 +430,31 @@ class TestSignedFold:
             assert _bits([interval.p_minus, interval.p_plus]) == _bits(want)
             assert _bits(lower) == _bits(want[0])
             assert _bits(mid) == _bits(ou.ExtensionInterval(*want).midpoint)
+
+    @settings(max_examples=200, deadline=None)
+    @given(query=fold_queries(), rule=st.sampled_from(("lower", "upper", "midpoint")))
+    def test_each_extend_all_step(self, query, rule):
+        """Every step of ``extend_all`` stores its target and the rule's value
+        at the one-sided fold's endpoints over the lines before it, bit for
+        bit, with the target's pairings; the first target the fold refuses
+        raises its message.  The fold stops before endpoints crossed within
+        the slack, where the value is no endpoint.  The targets run as drawn,
+        and again with those that are not finite left out, so the fold goes on."""
+        pf, ys = query
+        for targets in (ys, [y for y in ys if np.isfinite(y).all()]):
+            steps, X, G = extend_all_by_one_sided_fold(pf, targets, rule)
+            k = len(steps)
+            if steps and isinstance(steps[-1], str):
+                k -= 1
+                if steps[-1] != "crossed":
+                    with pytest.raises(ValueError) as got:
+                        ou.extend_all(pf, targets[: k + 1], rule=rule)
+                    assert str(got.value) == steps[-1]
+            out = ou.extend_all(pf, targets[:k], rule=rule)
+            assert _bits(out.X) == _bits(X) and _bits(out.G) == _bits(G) and _bits(out.GS[1]) == _bits(-G)
+            pairings = np.column_stack([pf.AT, *(pf.space.unit_rows @ x for x in X[len(pf.G):])])
+            assert _bits(out.AT) == _bits(pairings) and out.AT.flags.c_contiguous
+            assert _bits(out.norms) == _bits(np.abs(pairings).max(axis=0))
 
 
 class TestOverflowWarnings:
