@@ -227,15 +227,12 @@ def run_openness(args) -> tuple[dict, int]:
 
 def run_compact(args) -> tuple[dict, int]:
     obj = _load_json(args.capacities)
-    try:
-        seq = obj["sequence"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad capacity-sequence descriptor: {exc}") from exc
     from .dual import subsequence_limit
     from .functionals import _ground_size, capacity_from_json, capacity_to_json
-    from .spaces import orthant
+    from .spaces import _json_field, _json_list, orthant
 
-    n = _ground_size(obj)  # read here too, since an empty sequence builds no capacity
+    seq = _json_list("capacity sequence", _json_field(obj, "sequence", "capacity-sequence"))
+    n = _ground_size(_json_field(obj, "n", "capacity-sequence"))  # read here too, since an empty sequence builds no capacity
     caps = []
     for entry in seq:
         values = entry["values"] if isinstance(entry, dict) and "values" in entry else entry

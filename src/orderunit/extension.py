@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import Functional, PropertyReport
-from .spaces import TOL, OrderedSpace, _finite, _json_number, _max_abs_rows, as_rows, as_vec, matvecs
+from .spaces import TOL, OrderedSpace, _finite, _json_field, _json_number, _json_numbers, _max_abs_rows, as_rows, as_vec, matvecs
 
 
 class NonFiniteError(ValueError):
@@ -549,14 +549,9 @@ def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functi
 
 def partial_from_json(space: OrderedSpace, obj: dict, strict: bool = True) -> PartialFunctional:
     """Build from ``{"base_points": [[...]], "values": [...], "unit_value": c}``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"bad partial-functional descriptor: expected an object, got {type(obj).__name__}")
-    try:
-        c = _json_number("unit_value", obj["unit_value"])
-    except KeyError as exc:
-        raise ValueError(f"bad partial-functional descriptor: {exc}") from exc
-    points = obj.get("base_points", [])
-    values = obj.get("values", [])
+    c = _json_number("unit_value", _json_field(obj, "unit_value", "partial-functional"))
+    points = _json_numbers("base_points", obj.get("base_points", []), 2)
+    values = _json_numbers("values", obj.get("values", []), 1)
     return partial_functional(space, points, values, c, strict=strict)
 
 

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .spaces import TOL, OrderedSpace, _finite, _json_int, as_rows, as_vec, matvecs, order_norms
+from .spaces import TOL, OrderedSpace, _finite, _json_field, _json_int, _json_number, _json_numbers, as_rows, as_vec, matvecs, order_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,25 +106,27 @@ def capacity_from_dict(n: int, subset_values: dict) -> Capacity:
     return Capacity(n=n, values=vals)
 
 
-def _ground_size(obj: dict) -> int:
-    """The ground size ``n`` of a capacity descriptor, or of the CLI's capacity
-    sequence: a JSON integer (not a bool, not a float) in ``[0, _MAX_GROUND_SIZE]``,
-    checked before anything is allocated."""
-    try:
-        n = _json_int("capacity ground size n", obj["n"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad capacity descriptor: {exc}") from exc
+def _ground_size(n) -> int:
+    """A capacity's ground size ``n``: a JSON integer in ``[0, _MAX_GROUND_SIZE]``, checked before anything is allocated."""
+    n = _json_int("capacity ground size n", n)
     if not 0 <= n <= _MAX_GROUND_SIZE:
         raise ValueError(f"capacity ground size must lie in [0, {_MAX_GROUND_SIZE}], got {n}")
     return n
 
 
+def _mask(key: str) -> int:
+    """A capacity mask key: a decimal integer in ASCII digits, so ``"1_0"``, ``" 3 "`` and ``"٣"`` are refused."""
+    if not (key.isascii() and key.removeprefix("-").isdigit()):
+        raise ValueError(f"capacity mask {key!r} must be a decimal integer")
+    return int(key)
+
+
 def capacity_from_json(obj: dict) -> Capacity:
-    n = _ground_size(obj)
-    try:
-        return capacity_from_dict(n, obj["values"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad capacity descriptor: {exc}") from exc
+    n = _ground_size(_json_field(obj, "n", "capacity"))
+    values = _json_field(obj, "values", "capacity")
+    if isinstance(values, dict):  # else capacity_from_dict names the type
+        values = {_mask(k): _json_number("capacity values", v) for k, v in values.items()}
+    return capacity_from_dict(n, values)
 
 
 def capacity_to_json(cap: Capacity) -> dict:
@@ -307,6 +309,7 @@ def _first(failing: np.ndarray):
     return int(hits[0]) if hits.size else None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow in a sample is a value, not a warning
 def _shift_report(name: str, batch, space, unit_image, samples, seed: int, n: int, size, shown, tol: float) -> PropertyReport:
     """Fails on the first sample ``(x, lam)``, given or else ``n`` drawn at ``seed``,
     whose shift defect ``batch(x + lam*unit) - batch(x) - lam*unit_image`` has
@@ -324,6 +327,7 @@ def _shift_report(name: str, batch, space, unit_image, samples, seed: int, n: in
     return PropertyReport(name=name, passed=False, samples=len(xs), witness=witness)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _order_report(name: str, batch, space, pairs, seed: int, n: int, broken, image: str, shown) -> PropertyReport:
     """Fails on the first comparable pair ``(x, y)``, given or else ``n`` drawn at
     ``seed``, with ``broken(batch(x), batch(y))`` (``broken`` compares stacked
@@ -371,6 +375,7 @@ def check_normed(f: Functional, tol: float = TOL) -> PropertyReport:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_positive(
     f: Functional, samples=None, *, seed: int = 0, n: int = 2**12, tol: float = TOL
 ) -> PropertyReport:
@@ -415,29 +420,31 @@ def lipschitz_defect(f: Functional, pairs=None, *, seed: int = 0, n: int = 2**12
     return float(defects[np.argmax(defects)]) if defects.size else -np.inf
 
 
+def _weights(obj: dict, kind: str):
+    return _json_numbers(f"{kind} weights", _json_field(obj, "weights", "functional"), 1)
+
+
 # kind -> (build from a descriptor, descriptor fields besides "kind");
 # ``custom`` and ``extended`` functionals have no descriptor form
 _DESCRIPTORS = {
-    "linear": (lambda space, obj: linear_functional(space, obj["weights"]), lambda f: {"weights": f.weights.tolist()}),
+    "linear": (lambda space, obj: linear_functional(space, _weights(obj, "linear")), lambda f: {"weights": f.weights.tolist()}),
     "sqrt_gap": (lambda space, obj: sqrt_gap_functional(space), lambda f: {}),
     "choquet": (
-        lambda space, obj: choquet_functional(space, capacity_from_json(obj["capacity"])),
+        lambda space, obj: choquet_functional(space, capacity_from_json(_json_field(obj, "capacity", "functional"))),
         lambda f: {"capacity": capacity_to_json(f.capacity)},
     ),
-    "maxplus": (lambda space, obj: maxplus_functional(space, obj["weights"]), lambda f: {"weights": f.weights.tolist()}),
+    "maxplus": (lambda space, obj: maxplus_functional(space, _weights(obj, "maxplus")), lambda f: {"weights": f.weights.tolist()}),
 }
 
 
 def _from_descriptor(descriptors: dict, noun: str, space: OrderedSpace, obj: dict):
     """Build through ``descriptors`` (``kind -> (build, fields)``) from ``{"kind": ..., <fields>}``;
     a subject whose value at the unit is not finite is refused."""
-    try:
-        kind = obj["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad {noun} descriptor: {exc}") from exc
+    kind = _json_field(obj, "kind", noun)
     if not isinstance(kind, str) or kind not in descriptors:
         raise ValueError(f"unknown {noun} kind {kind!r}")
-    with np.errstate(all="ignore"):  # an overflow at the unit is the error raised below, not a warning
+    with np.errstate(all="ignore"), warnings.catch_warnings():  # an overflow at the unit is the error raised below
+        warnings.simplefilter("ignore", UserWarning)  # unnormed maxplus weights are a failed check_normed, not a warning
         subject = descriptors[kind][0](space, obj)
     at_unit = subject.unit_value if noun == "functional" else subject.unit_image
     if not np.isfinite(at_unit).all():

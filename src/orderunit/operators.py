@@ -44,6 +44,9 @@ from .spaces import (
     TOL,
     OrderedSpace,
     _finite,
+    _json_field,
+    _json_list,
+    _json_numbers,
     _max_abs_rows,
     as_rows,
     as_vec,
@@ -631,11 +634,16 @@ def pointwise_limit(Ts: Sequence[Operator], probes, *, tol: float = 1e-6) -> tup
 
 
 def _matrix_from_json(domain: OrderedSpace, obj: dict) -> Operator:
-    matrix = np.asarray(obj["matrix"], dtype=float)
+    matrix = np.asarray(_json_numbers("linear_positive matrix", _json_field(obj, "matrix", "operator"), 2), dtype=float)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError(f"linear_positive matrix must be a nonempty 2-d array, got shape {matrix.shape}")
     codomain = domain if matrix.shape[0] == domain.dim else orthant(matrix.shape[0])
     return linear_positive(domain, codomain, matrix, strict=False)
+
+
+def _stack_from_json(domain: OrderedSpace, obj: dict) -> Operator:
+    fs = _json_list("stack functionals", _json_field(obj, "functionals", "operator"))
+    return stack_operator(domain, [functional_from_json(domain, f) for f in fs])
 
 
 # kind -> (build from a descriptor, descriptor fields besides "kind");
@@ -643,10 +651,7 @@ def _matrix_from_json(domain: OrderedSpace, obj: dict) -> Operator:
 _DESCRIPTORS = {
     "linear_positive": (_matrix_from_json, lambda T: {"matrix": T.matrix.tolist()}),
     "clamp": (lambda domain, obj: clamp_operator(domain), lambda T: {}),
-    "stack": (
-        lambda domain, obj: stack_operator(domain, [functional_from_json(domain, f) for f in obj["functionals"]]),
-        lambda T: {"functionals": [functional_to_json(f) for f in T.functionals]},
-    ),
+    "stack": (_stack_from_json, lambda T: {"functionals": [functional_to_json(f) for f in T.functionals]}),
 }
 
 

@@ -49,6 +49,8 @@ rows take 8 MiB there.  Descriptors size orthants (a space's ``dim``, a
 matrix's row count, a stack's length), so the bound is checked before
 allocating."""
 
+_PAST_FLOAT = 2**1024 - 2**970  # the least integer that float() rounds past the largest float
+
 
 def as_vec(x, dim: int) -> np.ndarray:
     """Coerce ``x`` to a float vector of length ``dim``, or raise ValueError."""
@@ -114,6 +116,22 @@ def _finite(name: str, a) -> np.ndarray:
     return a
 
 
+def _json_field(obj, key: str, noun: str):
+    """``obj[key]`` when ``obj`` is a JSON object holding ``key``, else a ValueError naming the ``noun`` descriptor."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"bad {noun} descriptor: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"bad {noun} descriptor: missing field '{key}'")
+    return obj[key]
+
+
+def _json_list(name: str, v) -> list:
+    """``v`` when it is a JSON list, else a ValueError naming ``name``."""
+    if not isinstance(v, list):
+        raise ValueError(f"{name} must be a list, got {type(v).__name__}")
+    return v
+
+
 def _json_int(name: str, v) -> int:
     """``v`` when it is a JSON integer (not a bool, not a float), else a ValueError naming ``name``."""
     if isinstance(v, bool) or not isinstance(v, int):
@@ -122,14 +140,18 @@ def _json_int(name: str, v) -> int:
 
 
 def _json_number(name: str, v) -> float:
-    """``v`` as a float when it is a finite JSON number (not a bool, not a
-    string), else a ValueError naming ``name``."""
+    """``v`` as a float when it is a finite JSON number (not a bool, not a string), else a ValueError naming ``name``."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{name} must be a number, got {type(v).__name__}")
-    try:
-        return float(_finite(name, v))
-    except OverflowError:  # an integer past the largest float
-        raise ValueError(f"{name} must be finite") from None
+    if not abs(v) < _PAST_FLOAT:
+        raise ValueError(f"{name} must be finite")
+    return float(v)
+
+
+def _json_numbers(name: str, v, depth: int):
+    """``v`` as floats when it is a finite JSON number (``depth`` 0), a list of them (1) or a list of such lists (2),
+    each entry read by :func:`_json_number`, since ``np.asarray(..., dtype=float)`` takes ``True`` and ``"2"``."""
+    return [_json_numbers(name, x, depth - 1) for x in _json_list(name, v)] if depth else _json_number(name, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,17 +467,12 @@ def space_to_json(space: OrderedSpace) -> dict:
 
 def space_from_json(obj: dict) -> OrderedSpace:
     """Build a space from ``{"dim": n, "cone": "orthant" | {"halfspaces": ...}, "unit": [...]}``."""
-    try:
-        dim = int(obj["dim"])
-        cone_obj = obj["cone"]
-        unit = obj["unit"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad space descriptor: {exc}") from exc
+    dim = _json_int("dim", _json_field(obj, "dim", "space"))
+    cone_obj = _json_field(obj, "cone", "space")
+    unit = _json_numbers("the order unit", _json_field(obj, "unit", "space"), 1)
     if cone_obj == "orthant":
         unit = as_vec(unit, dim)  # a wrong length fails here, before np.eye(dim) allocates
         cone = ConeSpec.nonneg_orthant(dim)
-    elif isinstance(cone_obj, dict) and "halfspaces" in cone_obj:
-        cone = ConeSpec(rows=cone_obj["halfspaces"])
-    else:
-        raise ValueError("bad space descriptor: cone must be 'orthant' or {'halfspaces': rows}")
+    else:  # {"halfspaces": rows}
+        cone = ConeSpec(rows=_json_numbers("cone rows", _json_field(cone_obj, "halfspaces", "cone"), 2))
     return OrderedSpace(dim=dim, cone=cone, unit=unit)

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -363,15 +364,21 @@ class TestDescriptorShapes:
 
 class TestMatrixDescriptor:
     @pytest.mark.parametrize(
-        "matrix, shape", [(5, "()"), ([], "(0,)"), ([[]], "(1, 0)")], ids=["scalar", "empty", "empty_row"]
+        "matrix, message",
+        [
+            (5, "must be a list, got int"),  # the field reader refuses a number where rows belong
+            ([], "must be a nonempty 2-d array, got shape (0,)"),
+            ([[]], "must be a nonempty 2-d array, got shape (1, 0)"),
+        ],
+        ids=["scalar", "empty", "empty_row"],
     )
-    def test_shape_checked_before_use(self, files, tmp_path, matrix, shape):
+    def test_shape_checked_before_use(self, files, tmp_path, matrix, message):
         path = tmp_path / "operator.json"
         path.write_text(json.dumps({"kind": "linear_positive", "matrix": matrix}))
         proc = run_cli("check", "--space", files["space2"], "--operator", str(path), "--format", "json")
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == f"error: linear_positive matrix must be a nonempty 2-d array, got shape {shape}\n"
+        assert proc.stderr == f"error: linear_positive matrix {message}\n"
 
 
 class TestNorm:
@@ -446,6 +453,33 @@ class TestOverflow:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "space, flag, obj",
+        [
+            ({"dim": 2, "cone": "orthant", "unit": [1, 1]}, "--functional",
+             {"kind": "choquet", "capacity": {"n": 2, "values": {"1": 5.4553663690341545e307, "2": 0.6, "3": 1.0}}}),
+            ({"dim": 2, "cone": "orthant", "unit": [1, 1]}, "--operator", {"kind": "linear_positive", "matrix": [[-1.7976931348623157e308, 0], [0, 1]]}),
+            ({"dim": 2, "cone": {"halfspaces": [[1, 0], [0, 1]]}, "unit": [1, 1.7976931348623157e308]}, "--functional", {"kind": "linear", "weights": [1, 1]}),
+            ({"dim": 2, "cone": "orthant", "unit": [1, 1]}, "--functional", {"kind": "maxplus", "weights": [0, 5]}),
+        ],
+        ids=["capacity_value", "matrix_entry", "unit", "unnormed_maxplus"],
+    )
+    def test_check_reports_without_a_warning(self, tmp_path, capsys, space, flag, obj):
+        """Finite descriptors whose samples overflow, and maxplus weights not normed at the unit, fail
+        ``check`` (exit 1) through the report or the one error line, with no warning."""
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        (tmp_path / "descriptor.json").write_text(json.dumps(obj))
+        argv = ["check", "--space", str(tmp_path / "space.json"), flag, str(tmp_path / "descriptor.json"), "--samples", "64"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([*argv, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        if out:
+            assert err == "" and json.loads(out, parse_constant=_no_constant)["exit_status"] == 1
+        else:
+            assert err.startswith("error: result is not finite") and err.count("\n") == 1
 
 
 class TestNonFiniteLines:
@@ -697,10 +731,222 @@ def _bits(obj):
     return obj
 
 
+HUGE = 10**400
+"""A JSON integer past the largest float."""
+
+WRONG_TYPES = {
+    "bool": True,
+    "float": 2.0,
+    "string": "2",
+    "null": None,
+    "list": [2],
+    "object": {"v": 2},
+    "past_the_largest_float": HUGE,
+}
+"""One value of each JSON type, put where a value of another type belongs."""
+
+CAPACITY = {"n": 2, "values": {"1": 0.3, "2": 0.6, "3": 1.0}}
+LINEAR = {"kind": "linear", "weights": [0.5, 0.5]}
+WELL_TYPED = {  # name -> (family, descriptor); a capacity runs in the CLI inside a choquet functional
+    "space": ("space", {"dim": 2, "cone": "orthant", "unit": [1, 1]}),
+    "halfspace_space": ("space", {"dim": 2, "cone": {"halfspaces": [[1, 0], [0, 1]]}, "unit": [1, 1]}),
+    "linear": ("functional", LINEAR),
+    "maxplus": ("functional", {"kind": "maxplus", "weights": [0, 0]}),
+    "choquet": ("functional", {"kind": "choquet", "capacity": CAPACITY}),
+    "sqrt_gap": ("functional", {"kind": "sqrt_gap"}),
+    "capacity": ("capacity", CAPACITY),
+    "linear_positive": ("operator", {"kind": "linear_positive", "matrix": [[1, 0], [0, 1]]}),
+    "clamp": ("operator", {"kind": "clamp"}),
+    "stack": ("operator", {"kind": "stack", "functionals": [LINEAR]}),
+    "partial": ("partial", {"base_points": [[1, 0]], "values": [0.5], "unit_value": 1.0}),
+    "sequence": ("sequence", {"n": 2, "sequence": [{"values": CAPACITY["values"]}] * 10}),
+}
+READERS = {
+    "space": ou.space_from_json,
+    "functional": lambda obj: ou.functional_from_json(ou.orthant(2), obj),
+    "capacity": ou.capacity_from_json,
+    "operator": lambda obj: ou.operator_from_json(ou.orthant(2), obj),
+    "partial": lambda obj: ou.partial_from_json(ou.orthant(2), obj),
+}
+
+
+def _argv(family, space, path):
+    """The command that reads a descriptor of ``family`` from ``path``."""
+    return {
+        "space": ["norm", "--space", path, "--point", "1,1"],
+        "functional": ["check", "--space", space, "--functional", path, "--samples", "16"],
+        "operator": ["check", "--space", space, "--operator", path, "--samples", "16"],
+        "partial": ["extend", "--space", space, "--partial", path, "--target", "0,1"],
+        "sequence": ["compact", "--capacities", path],
+    }[family] + ["--format", "json"]
+
+
+def _put(obj, path, value):
+    """A copy of ``obj`` with ``value`` at ``path`` (keys and list indices)."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    parent = obj
+    for key in head:
+        parent = parent[key]
+    parent[last] = value
+    return obj
+
+
+def _t(v):
+    return type(v).__name__
+
+
+# each rule maps a value put in the field to the refusal, or to None where it has the field's type
+def _whole(noun, first):  # a descriptor, or a field that holds one
+    return lambda v: f"bad {noun} descriptor: " + (f"missing field '{first}'" if isinstance(v, dict) else f"expected an object, got {_t(v)}")
+
+
+def _integer(name, past):  # a JSON integer; ``past`` is the range error of HUGE
+    return lambda v: past if v == HUGE else f"{name} must be an integer, got {_t(v)}"
+
+
+def _numbers(name, depth):  # finite JSON numbers in ``depth`` levels of lists
+    def rule(v):
+        if depth == 0:
+            return None if isinstance(v, float) else f"{name} must be finite" if v == HUGE else f"{name} must be a number, got {_t(v)}"
+        if isinstance(v, list):  # [2] is a number where a row belongs, or a vector of the wrong length
+            return f"{name} must be a list, got int" if depth == 2 else None
+        return f"{name} must be a list, got {_t(v)}"
+
+    return rule
+
+
+def _list(name, entry):  # a JSON list; ``entry`` is the refusal of its entry 2
+    return lambda v: entry if isinstance(v, list) else f"{name} must be a list, got {_t(v)}"
+
+
+def _masks(v):  # an object of capacity masks
+    return "capacity mask 'v' must be a decimal integer" if isinstance(v, dict) else f"capacity values must be an object of masks, got {_t(v)}"
+
+
+GROUND_SIZE = _integer("capacity ground size n", f"capacity ground size must lie in [0, 16], got {HUGE}")
+FIELDS = [
+    ("space", (), _whole("space", "dim")),
+    ("space", ("dim",), _integer("dim", f"dimension mismatch: expected a vector of length {HUGE}, got shape (2,)")),
+    ("space", ("cone",), _whole("cone", "halfspaces")),
+    ("space", ("unit",), _numbers("the order unit", 1)),
+    ("halfspace_space", ("cone", "halfspaces"), _numbers("cone rows", 2)),
+    *((kind, (), _whole("functional", "kind")) for kind in ("linear", "maxplus", "choquet", "sqrt_gap")),
+    *((kind, ("kind",), lambda v: f"unknown functional kind {v!r}") for kind in ("linear", "maxplus", "choquet", "sqrt_gap")),
+    ("linear", ("weights",), _numbers("linear weights", 1)),
+    ("maxplus", ("weights",), _numbers("maxplus weights", 1)),
+    ("choquet", ("capacity",), _whole("capacity", "n")),
+    ("capacity", ("n",), GROUND_SIZE),
+    ("capacity", ("values",), _masks),
+    ("capacity", ("values", "3"), _numbers("capacity values", 0)),
+    *((kind, (), _whole("operator", "kind")) for kind in ("linear_positive", "clamp", "stack")),
+    *((kind, ("kind",), lambda v: f"unknown operator kind {v!r}") for kind in ("linear_positive", "clamp", "stack")),
+    ("linear_positive", ("matrix",), _numbers("linear_positive matrix", 2)),
+    ("stack", ("functionals",), _list("stack functionals", "bad functional descriptor: expected an object, got int")),
+    ("stack", ("functionals", 0), _whole("functional", "kind")),
+    ("partial", (), _whole("partial-functional", "unit_value")),
+    ("partial", ("unit_value",), _numbers("unit_value", 0)),
+    ("partial", ("base_points",), _numbers("base_points", 2)),
+    ("partial", ("values",), _numbers("values", 1)),
+    ("sequence", (), _whole("capacity-sequence", "sequence")),
+    ("sequence", ("n",), GROUND_SIZE),
+    ("sequence", ("sequence",), _list("capacity sequence", "capacity values must be an object of masks, got int")),
+    ("sequence", ("sequence", 0), _masks),
+]
+"""Every field of every descriptor kind, with the rule of its refusals."""
+
+NESTED = [
+    ("halfspace_space", ("cone", "halfspaces", 1, 0), True, "cone rows must be a number, got bool"),
+    ("halfspace_space", ("cone", "halfspaces", 1), 1, "cone rows must be a list, got int"),
+    ("space", ("unit",), [True, 2], "the order unit must be a number, got bool"),
+    ("linear", ("weights",), [True, 2], "linear weights must be a number, got bool"),
+    ("maxplus", ("weights",), [0, "0"], "maxplus weights must be a number, got str"),
+    ("linear_positive", ("matrix", 1, 0), True, "linear_positive matrix must be a number, got bool"),
+    ("partial", ("base_points", 0, 0), "1", "base_points must be a number, got str"),
+    ("partial", ("values",), [True], "values must be a number, got bool"),
+    ("capacity", ("values", "3"), "1.0", "capacity values must be a number, got str"),
+    ("stack", ("functionals", 0, "weights", 0), True, "linear weights must be a number, got bool"),
+    ("choquet", ("capacity", "values", "3"), [1.0], "capacity values must be a number, got list"),
+    ("space", ("unit",), [HUGE, 1], "the order unit must be finite"),
+    ("halfspace_space", ("cone", "halfspaces", 0, 0), HUGE, "cone rows must be finite"),
+    ("linear", ("weights", 0), HUGE, "linear weights must be finite"),
+    ("maxplus", ("weights", 0), -HUGE, "maxplus weights must be finite"),
+    ("linear_positive", ("matrix", 0, 0), HUGE, "linear_positive matrix must be finite"),
+    ("partial", ("base_points", 0, 0), HUGE, "base_points must be finite"),
+    ("partial", ("values", 0), HUGE, "values must be finite"),
+]
+"""Wrong entries inside number lists, and an integer past the largest float in each."""
+
+
+def _wrong_type_cases():
+    for name, path, rule in FIELDS:
+        where = ".".join(map(str, path)) or "descriptor"
+        for type_id, value in WRONG_TYPES.items():
+            message = rule(value)
+            if message is not None:
+                yield pytest.param(name, path, value, message, id=f"{name}-{where}-{type_id}")
+    for name, path, value, message in NESTED:
+        yield pytest.param(name, path, value, message, id=f"{name}-{'.'.join(map(str, path))}-nested-{_t(value)}")
+
+
 class TestFieldTypes:
-    """A capacity's ``n`` is a JSON integer and a partial functional's
-    ``unit_value`` a finite JSON number: any other JSON type exits 2 with one
-    error line naming the field, and is not coerced."""
+    """An integer field is a JSON integer, a number a finite JSON number (never
+    a bool or a string) and a mask key a decimal string: any other JSON type
+    exits 2 with one error line naming the field, and is not coerced."""
+
+    @pytest.mark.parametrize("name, path, value, message", _wrong_type_cases())
+    def test_wrong_type_refused(self, files, tmp_path, capsys, name, path, value, message):
+        family, obj = WELL_TYPED[name]
+        obj = _put(obj, path, value)
+        if family in READERS:
+            with pytest.raises(ValueError) as info:
+                READERS[family](obj)
+            assert str(info.value) == message
+        if family == "capacity":
+            family, obj = "functional", {"kind": "choquet", "capacity": obj}
+        descriptor = tmp_path / "descriptor.json"
+        descriptor.write_text(json.dumps(obj))
+        assert cli.main(_argv(family, files["space2"], str(descriptor))) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name", sorted(WELL_TYPED))
+    def test_the_well_typed_descriptors_are_read(self, files, tmp_path, capsys, name):
+        family, obj = WELL_TYPED[name]
+        if family == "capacity":
+            family, obj = "functional", {"kind": "choquet", "capacity": obj}
+        descriptor = tmp_path / "descriptor.json"
+        descriptor.write_text(json.dumps(obj))
+        assert cli.main(_argv(family, files["space2"], str(descriptor))) in (0, 1)
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)
+
+    @pytest.mark.parametrize("key", ["1_0", " 3 ", "+3", "\u0663", "1.0", "", "0x3", "3\n", "--3"])
+    def test_mask_key_refused(self, files, tmp_path, capsys, key):
+        message = f"capacity mask {key!r} must be a decimal integer"
+        with pytest.raises(ValueError) as info:
+            ou.capacity_from_json({"n": 2, "values": {key: 0.5, "3": 1.0}})
+        assert str(info.value) == message
+        descriptor = tmp_path / "descriptor.json"
+        descriptor.write_text(json.dumps({"n": 2, "sequence": [{"values": {key: 0.5, "3": 1.0}}] * 10}))
+        assert cli.main(["compact", "--capacities", str(descriptor), "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("key, mask", [("3", 3), ("03", 3), ("0001", 1)])
+    def test_a_decimal_mask_key_is_read(self, key, mask):
+        assert ou.capacity_from_json({"n": 2, "values": {key: 1.0}}).values[mask] == 1.0
+
+    def test_an_integer_is_a_number_while_a_float_holds_it(self):
+        # 2**1024 - 2**970 is the least integer that float() rounds past the largest float
+        assert ou.capacity_from_json({"n": 1, "values": {"1": 2**1024 - 2**970 - 1}}).values[1] == sys.float_info.max
+        for v in (2**1024 - 2**970, -(2**1024)):
+            with pytest.raises(ValueError, match="^capacity values must be finite$"):
+                ou.capacity_from_json({"n": 1, "values": {"1": v}})
+
+    def test_a_negative_mask_key_keeps_its_range_message(self):
+        with pytest.raises(ValueError, match=r"^capacity mask -4 outside \[0, 4\)$"):
+            ou.capacity_from_json({"n": 2, "values": {"-4": 1.0}})
 
     @pytest.mark.parametrize("n", [True, 2.9, 2.0, "2", None, [2]], ids=["bool", "float", "integral_float", "string", "null", "list"])
     def test_capacity_n(self, files, tmp_path, capsys, n):
@@ -811,6 +1057,156 @@ class TestOpenness:
         )
         assert proc.returncode == 1
         assert [c["name"] for c in json.loads(proc.stdout)["checks"]] == ["unit_interior"]
+
+
+INT, NUMBER, TEXT = ("int",), ("number",), ("str",)
+MASKS = ("masks",)
+CAPACITY_SCHEMA = ("object", {"n": INT, "values": MASKS})
+LINEAR_SCHEMA = ("object", {"kind": TEXT, "weights": ("list", NUMBER)})
+ROWS = ("list", ("list", NUMBER))
+SCHEMAS = {  # the JSON type of each descriptor in WELL_TYPED, written apart from the readers
+    "space": ("object", {"dim": INT, "cone": ("cone", ("object", {"halfspaces": ROWS})), "unit": ("list", NUMBER)}),
+    "halfspace_space": ("object", {"dim": INT, "cone": ("cone", ("object", {"halfspaces": ROWS})), "unit": ("list", NUMBER)}),
+    "linear": LINEAR_SCHEMA,
+    "maxplus": LINEAR_SCHEMA,
+    "choquet": ("object", {"kind": TEXT, "capacity": CAPACITY_SCHEMA}),
+    "sqrt_gap": ("object", {"kind": TEXT}),
+    "capacity": CAPACITY_SCHEMA,
+    "linear_positive": ("object", {"kind": TEXT, "matrix": ROWS}),
+    "clamp": ("object", {"kind": TEXT}),
+    # a stacked functional of any kind is well typed as far as this test tells
+    "stack": ("object", {"kind": TEXT, "functionals": ("list", ("functional", LINEAR_SCHEMA))}),
+    "sequence": ("object", {"n": INT, "sequence": ("list", ("entry", MASKS))}),
+}
+
+
+def _is_number(v):
+    """A finite JSON number: not a bool, and an integer only below ``2**1024 - 2**970``, the least that rounds to inf."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2**1024 - 2**970
+
+
+def _well_typed(schema, v):
+    """Does ``v`` have the JSON type ``schema``?  A stacked functional is well typed when it has a kind."""
+    tag = schema[0]
+    if tag == "int":
+        return isinstance(v, int) and not isinstance(v, bool)
+    if tag == "number":
+        return _is_number(v)
+    if tag == "str":
+        return isinstance(v, str)
+    if tag == "list":
+        return isinstance(v, list) and all(_well_typed(schema[1], x) for x in v)
+    if tag == "object":
+        return isinstance(v, dict) and all(k in v and _well_typed(s, v[k]) for k, s in schema[1].items())
+    if tag == "masks":
+        decimal = re.compile("-?[0-9]+")
+        return isinstance(v, dict) and all(decimal.fullmatch(k) and _is_number(x) for k, x in v.items())
+    if tag == "cone":
+        return v == "orthant" or _well_typed(schema[1], v)
+    if tag == "functional":
+        return isinstance(v, dict) and "kind" in v
+    assert tag == "entry"  # of a capacity sequence: {"values": masks}, or the masks
+    return _well_typed(MASKS, v["values"] if isinstance(v, dict) and "values" in v else v)
+
+
+def _schema_at(schema, path):
+    """The JSON type at ``path`` inside one of type ``schema``."""
+    for key in path:
+        tag = schema[0]
+        if tag == "object":
+            schema = schema[1][key]
+        elif tag == "list":
+            schema = schema[1]
+        elif tag in ("cone", "functional"):  # their object form
+            schema = schema[1][1][key]
+        else:  # a mask's value, or an entry's masks
+            schema = NUMBER if tag == "masks" else MASKS
+    return schema
+
+
+def _paths(obj, path=()):
+    """Every position in ``obj``: the whole, each field and each nested entry."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def json_values():
+    """Any JSON value: null, bools, integers (and one past the largest float), finite floats, strings, lists and objects."""
+    scalars = st.none() | st.booleans() | st.integers() | st.just(HUGE) | st.floats(allow_nan=False, allow_infinity=False)
+    scalars |= st.text(max_size=4) | st.sampled_from(["orthant", "linear", "clamp", "3", "-1"])
+    return st.recursive(scalars, lambda c: st.lists(c, max_size=3) | st.dictionaries(st.text(max_size=3), c, max_size=3), max_leaves=6)
+
+
+def schema_values(schema):
+    """Values of the JSON type ``schema``, finite floats of every magnitude among them."""
+    tag = schema[0]
+    if tag == "int":
+        return st.integers(-2, 20) | st.integers()
+    if tag == "number":
+        return st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    if tag == "str":
+        return st.sampled_from(["linear", "maxplus", "choquet", "sqrt_gap", "linear_positive", "clamp", "stack", "x"])
+    if tag == "list":
+        return st.lists(schema_values(schema[1]), max_size=4)
+    if tag == "object":
+        return st.fixed_dictionaries({k: schema_values(s) for k, s in schema[1].items()})
+    if tag == "masks":
+        keys = st.integers(-1, 4).map(str) | st.from_regex("-?[0-9]+", fullmatch=True)
+        return st.dictionaries(keys, schema_values(NUMBER), max_size=4)
+    if tag == "cone":
+        return st.just("orthant") | schema_values(schema[1])
+    if tag == "functional":
+        return schema_values(schema[1])
+    return st.fixed_dictionaries({"values": schema_values(MASKS)}) | schema_values(MASKS)
+
+
+@st.composite
+def ill_typed_runs(draw):
+    """``(family, descriptor, well_typed)``: a descriptor of WELL_TYPED (no partial
+    functional: TestExtendContract covers ``extend``) with one field or one nested
+    entry replaced by a drawn JSON value, of any type or of the field's, and
+    whether the result has its JSON type."""
+    name = draw(st.sampled_from(sorted(set(WELL_TYPED) - {"partial"})))
+    family, obj = WELL_TYPED[name]
+    path = draw(st.sampled_from(list(_paths(obj))))
+    schema = _schema_at(SCHEMAS[name], path)
+    value = draw(json_values() | schema_values(schema))
+    return family, _put(obj, path, value), _well_typed(schema, value)
+
+
+class TestCheckCompactContract:
+    @settings(max_examples=100, deadline=None)
+    @given(run=ill_typed_runs())
+    def test_exit_code_strict_json_and_a_quiet_stderr(self, files, run):
+        """``check`` and ``compact`` on a descriptor with one drawn field exit 0, 1
+        or 2, print strict JSON, send no warning or traceback to stderr, and exit 2
+        whenever the field has the wrong JSON type."""
+        family, obj, well_typed = run
+        with tempfile.TemporaryDirectory() as tmp:
+            descriptor = Path(tmp) / "descriptor.json"
+            if family == "capacity":
+                family, obj = "functional", {"kind": "choquet", "capacity": obj}
+            descriptor.write_text(json.dumps(obj))
+            if family == "space":
+                argv = _argv("functional", str(descriptor), files["linear"])
+            else:
+                argv = _argv(family, files["space2"], str(descriptor))
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+        assert code in (0, 1, 2)
+        assert caught == [] and "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+        assert bool(out.getvalue()) != bool(err.getvalue())
+        if not well_typed:
+            assert code == 2 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestCompact:
