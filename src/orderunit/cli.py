@@ -156,7 +156,9 @@ def run_extend(args) -> tuple[dict, int]:
     partial = _load_json(args.partial)
     from .extension import (
         NonFiniteError,
-        _step,
+        _blocks,
+        _grown,
+        _place,
         check_partial_consistency,
         extension_interval,
         partial_from_json,
@@ -177,23 +179,26 @@ def run_extend(args) -> tuple[dict, int]:
         return payload, EXIT_VIOLATION
     entries = []
     payload = {"command": "extend", "rule": args.rule, "targets": entries}
+    n = len(pf.norms)
+    blocks = _blocks(pf, len(args.target))  # every target's line grows in place, as in extend_all
     for text in args.target:
         y = _parse_point(text)
         try:
-            step = _step(pf, y, args.rule, args.value)
+            step = _place(pf, blocks, n, y, args.rule, args.value)
         except NonFiniteError:
             raise  # exit 1 with one error line, as for any result that is not finite
         except ValueError as exc:
-            extension_interval(pf, y)  # input errors (a wrong length, an empty interval) raise again: exit 2
+            extension_interval(_grown(pf, blocks, n), y)  # input errors (a wrong length, an empty interval) raise again: exit 2
             entries.append({"target": y, "error": str(exc)})
             payload["exit_status"] = EXIT_VIOLATION
             return payload, EXIT_VIOLATION
         if step is None:
             entries.append({"target": y, "skipped": "already in span"})
             continue
-        pf, interval, value = step
+        n += 1
+        interval, value = step
         entries.append({"target": y, "p_minus": interval.p_minus, "p_plus": interval.p_plus, "value": value})
-    payload.update(result=partial_to_json(pf), exit_status=EXIT_OK)
+    payload.update(result=partial_to_json(_grown(pf, blocks, n)), exit_status=EXIT_OK)
     return payload, EXIT_OK
 
 

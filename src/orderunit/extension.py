@@ -487,22 +487,13 @@ def _place(pf: PartialFunctional, blocks: tuple, n: int, y, rule: str, value):
     return interval, p
 
 
-def _step(pf: PartialFunctional, y, rule: str, value):
-    """One extension step (:func:`_place` with room for one line): None for a
-    target already in the span of ``pf``, else ``(extended, interval, chosen value)``."""
-    n = len(pf.norms)
-    blocks = _blocks(pf, 1)
-    step = _place(pf, blocks, n, y, rule, value)
-    return None if step is None else (_grown(pf, blocks, n + 1), *step)
-
-
 def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> PartialFunctional:
-    """Extend ``pf`` by one point off its span; the restriction to the old
-    lines is untouched and the result stays consistent."""
-    step = _step(pf, y, rule, value)
-    if step is None:
+    """Extend ``pf`` by one point off its span (:func:`_place` with room for one
+    line); the restriction to the old lines is untouched and the result stays consistent."""
+    n, blocks = len(pf.norms), _blocks(pf, 1)
+    if _place(pf, blocks, n, y, rule, value) is None:
         raise ValueError("target point already lies in the span")
-    return step[0]
+    return _grown(pf, blocks, n + 1)
 
 
 def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None) -> PartialFunctional:

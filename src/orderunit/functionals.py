@@ -115,10 +115,16 @@ def _ground_size(n) -> int:
 
 
 def _mask(key: str) -> int:
-    """A capacity mask key: a decimal integer in ASCII digits, so ``"1_0"``, ``" 3 "`` and ``"٣"`` are refused."""
-    if not (key.isascii() and key.removeprefix("-").isdigit()):
+    """A capacity mask key: a decimal integer in ASCII digits, so ``"1_0"``, ``" 3 "`` and ``"٣"`` are refused.
+    Past leading zeros, a key with more digits than ``2**_MAX_GROUND_SIZE - 1`` is
+    refused before ``int()``, which reads at most 4,300 digits."""
+    digits = key.removeprefix("-")
+    if not (key.isascii() and digits.isdigit()):
         raise ValueError(f"capacity mask {key!r} must be a decimal integer")
-    return int(key)
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(2**_MAX_GROUND_SIZE - 1)):
+        raise ValueError(f"capacity mask of {len(digits)} digits outside [0, 2**{_MAX_GROUND_SIZE})")
+    return -int(digits) if key.startswith("-") else int(digits)
 
 
 def capacity_from_json(obj: dict) -> Capacity:
@@ -309,45 +315,49 @@ def _first(failing: np.ndarray):
     return int(hits[0]) if hits.size else None
 
 
+def _verdict(name: str, holds: np.ndarray, samples: int, witness) -> PropertyReport:
+    """The one pass rule of the sampled checkers: ``holds`` is the mask of the
+    samples where the checked inequality holds, and the report fails on the
+    first sample ``i`` where it does not, with ``witness(i)``.  Every comparison
+    with NaN is false, so a NaN defect fails and is the witness."""
+    i = _first(~holds)
+    if i is None:
+        return PropertyReport(name=name, passed=True, samples=samples)
+    return PropertyReport(name=name, passed=False, samples=samples, witness=witness(i))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow in a sample is a value, not a warning
 def _shift_report(name: str, batch, space, unit_image, samples, seed: int, n: int, size, shown, tol: float) -> PropertyReport:
-    """Fails on the first sample ``(x, lam)``, given or else ``n`` drawn at ``seed``,
+    """Passes the samples ``(x, lam)``, given or else ``n`` drawn at ``seed``,
     whose shift defect ``batch(x + lam*unit) - batch(x) - lam*unit_image`` has
-    ``size`` above ``tol`` (``size`` maps the stacked defects to one number
+    ``size`` at most ``tol`` (``size`` maps the stacked defects to one number
     each); the witness gives the defect as ``shown(defect)``."""
     if samples is None:
         xs, lams = sampling._shift_arrays(space, n, sampling.rng_from(seed))
     else:
         xs, lams = _unzip(samples, space.dim)
     defects = batch(xs + lams[:, None] * space.unit) - batch(xs) - np.multiply.outer(lams, unit_image)
-    i = _first(size(defects) > tol)
-    if i is None:
-        return PropertyReport(name=name, passed=True, samples=len(xs))
-    witness = {"x": list(map(float, xs[i])), "lam": float(lams[i]), "defect": shown(defects[i])}
-    return PropertyReport(name=name, passed=False, samples=len(xs), witness=witness)
+    return _verdict(
+        name, size(defects) <= tol, len(xs), lambda i: {"x": xs[i].tolist(), "lam": float(lams[i]), "defect": shown(defects[i])}
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _order_report(name: str, batch, space, pairs, seed: int, n: int, broken, image: str, shown) -> PropertyReport:
-    """Fails on the first comparable pair ``(x, y)``, given or else ``n`` drawn at
-    ``seed``, with ``broken(batch(x), batch(y))`` (``broken`` compares stacked
+def _order_report(name: str, batch, space, pairs, seed: int, n: int, holds, image: str) -> PropertyReport:
+    """Passes the comparable pairs ``(x, y)``, given or else ``n`` drawn at
+    ``seed``, with ``holds(batch(x), batch(y))`` (``holds`` compares stacked
     images row by row); the witness gives the images as ``<image>_x`` and
-    ``<image>_y`` through ``shown``."""
+    ``<image>_y``."""
     if pairs is None:
         xs, ys = sampling._comparable_arrays(space, n, sampling.rng_from(seed))
     else:
         xs, ys = _unzip(pairs, space.dim, space.dim)
     fxs, fys = batch(xs), batch(ys)
-    i = _first(broken(fxs, fys))
-    if i is None:
-        return PropertyReport(name=name, passed=True, samples=len(xs))
-    witness = {
-        "x": list(map(float, xs[i])),
-        "y": list(map(float, ys[i])),
-        f"{image}_x": shown(fxs[i]),
-        f"{image}_y": shown(fys[i]),
-    }
-    return PropertyReport(name=name, passed=False, samples=len(xs), witness=witness)
+
+    def witness(i):
+        return {"x": xs[i].tolist(), "y": ys[i].tolist(), f"{image}_x": fxs[i].tolist(), f"{image}_y": fys[i].tolist()}
+
+    return _verdict(name, holds(fxs, fys), len(xs), witness)
 
 
 def check_weak_additivity(
@@ -361,7 +371,7 @@ def check_order_preserving(
     f: Functional, pairs=None, *, seed: int = 0, n: int = 2**14, tol: float = TOL
 ) -> PropertyReport:
     """Does ``x <= y`` imply ``f(x) <= f(y)`` on the sampled comparable pairs?"""
-    return _order_report("order_preserving", f.batch, f.space, pairs, seed, n, lambda fx, fy: fx > fy + tol, "f", float)
+    return _order_report("order_preserving", f.batch, f.space, pairs, seed, n, lambda fx, fy: fx <= fy + tol, "f")
 
 
 def check_normed(f: Functional, tol: float = TOL) -> PropertyReport:
@@ -384,12 +394,7 @@ def check_positive(
         samples = sampling.cone_points(f.space, n, sampling.rng_from(seed))
     xs = as_rows(samples, f.space.dim)
     fxs = f.batch(xs)
-    i = _first(fxs < -tol)
-    if i is None:
-        return PropertyReport(name="positive", passed=True, samples=len(xs))
-    return PropertyReport(
-        name="positive", passed=False, samples=len(xs), witness={"x": list(map(float, xs[i])), "f_x": float(fxs[i])}
-    )
+    return _verdict("positive", fxs >= -tol, len(xs), lambda i: {"x": xs[i].tolist(), "f_x": float(fxs[i])})
 
 
 def bound(f: Functional) -> float:
@@ -402,6 +407,7 @@ def bound(f: Functional) -> float:
     return float(f.unit_value)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lipschitz_defect(f: Functional, pairs=None, *, seed: int = 0, n: int = 2**12) -> float:
     """Worst ``|f(z) - f(y)| - f(unit) * order_norm(z - y)`` over the pairs.
 

@@ -36,6 +36,7 @@ from .functionals import (
     _shift_report,
     _to_descriptor,
     _unzip,
+    _verdict,
     evaluate,
     functional_from_json,
     functional_to_json,
@@ -240,10 +241,10 @@ def check_order_preserving_op(
 ) -> PropertyReport:
     """``x <= y`` in the domain must give ``T(x) <= T(y)`` in the codomain."""
 
-    def broken(txs, tys):
-        return ~cone_contains_rows(T.codomain, tys - txs, tol=tol)
+    def holds(txs, tys):
+        return cone_contains_rows(T.codomain, tys - txs, tol=tol)
 
-    return _order_report("order_preserving", T.batch, T.domain, pairs, seed, n, broken, "T", lambda v: list(map(float, v)))
+    return _order_report("order_preserving", T.batch, T.domain, pairs, seed, n, holds, "T")
 
 
 def unit_image_interior(T: Operator) -> bool:
@@ -284,6 +285,7 @@ def equicontinuity_modulus(family: OperatorFamily, cap: float = 1e6) -> Equicont
     return EquicontinuityModulus(bound=bound, cap=float(cap), unbounded=not bound <= cap, size=len(family))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow in a sample is a value, not a warning
 def certify_equicontinuity(
     family: OperatorFamily,
     eps: float,
@@ -309,16 +311,16 @@ def certify_equicontinuity(
         xs, ys = sampling._pairs_within_arrays(family.domain, min(delta, 1e6), n, sampling.rng_from(seed))
     else:
         xs, ys = _unzip(pairs, family.domain.dim, family.domain.dim)
-    samples = len(xs) * len(family)
-    for k, T in enumerate(family):
-        gaps = order_norms(family.codomain, T.batch(xs) - T.batch(ys))
-        i = _first(gaps >= eps + tol)
-        if i is not None:
-            witness = {"member": k, "x": list(map(float, xs[i])), "y": list(map(float, ys[i])), "image_gap": float(gaps[i])}
-            return PropertyReport(name="equicontinuity", passed=False, samples=samples, witness=witness)
-    return PropertyReport(name="equicontinuity", passed=True, samples=samples)
+    gaps = np.concatenate([order_norms(family.codomain, T.batch(xs) - T.batch(ys)) for T in family])
+
+    def witness(i):  # member-major: member by member, each over the pairs
+        k, j = divmod(i, len(xs))
+        return {"member": k, "x": xs[j].tolist(), "y": ys[j].tolist(), "image_gap": float(gaps[i])}
+
+    return _verdict("equicontinuity", gaps < eps + tol, len(gaps), witness)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def graph_check(
     T: Operator, samples=None, lambdas=(-2.0, -1.0, 0.0, 1.0, 2.0), *, seed: int = 0, n: int = 512, tol: float = TOL
 ) -> PropertyReport:
@@ -337,11 +339,11 @@ def graph_check(
         shifted = xs + lam * unit
         images = txs if lam == 0.0 else T.batch(shifted)
         defects[:, j] = _max_abs_rows(gxs + lam * gu - np.concatenate([shifted, images], axis=1))
-    k = _first(defects.ravel() > tol)  # row-major: sample by sample, each over the lambdas
+    k = _first(~(defects.ravel() <= tol))  # the pass rule of _verdict, row-major: sample by sample, each over the lambdas
     if k is None:
         return PropertyReport(name="graph_shift_closure", passed=True, samples=defects.size)
     i, j = divmod(k, len(lambdas))
-    witness = {"x": list(map(float, xs[i])), "lam": float(lambdas[j]), "defect": float(defects[i, j])}
+    witness = {"x": xs[i].tolist(), "lam": float(lambdas[j]), "defect": float(defects[i, j])}
     return PropertyReport(name="graph_shift_closure", passed=False, samples=k + 1, witness=witness)
 
 
@@ -538,34 +540,20 @@ def open_ball_image_check(
         raise ValueError("epsilon must be positive")
     rng = sampling.rng_from(seed)
     if not unit_image_interior(T):
-        return PropertyReport(
-            name="open_ball_image",
-            passed=False,
-            samples=0,
-            witness={"reason": "unit image is not interior in the codomain cone"},
-        )
-    if order_norm(T.codomain, T.unit_image - T.codomain.unit) > 1e-9:
-        return PropertyReport(
-            name="open_ball_image",
-            passed=False,
-            samples=0,
-            witness={
-                "reason": "codomain unit differs from the unit image",
-                "unit_image": list(map(float, T.unit_image)),
-            },
-        )
+        witness = {"reason": "unit image is not interior in the codomain cone"}
+        return PropertyReport(name="open_ball_image", passed=False, samples=0, witness=witness)
+    if not order_norm(T.codomain, T.unit_image - T.codomain.unit) <= TOL:
+        witness = {"reason": "codomain unit differs from the unit image", "unit_image": T.unit_image.tolist()}
+        return PropertyReport(name="open_ball_image", passed=False, samples=0, witness=witness)
 
     zero_dom = np.zeros(T.domain.dim)
     xs = sampling.ball_points(T.domain, zero_dom, epsilon, n, rng)
     norms = order_norms(T.codomain, T.batch(xs))
-    i = _first(norms >= epsilon + PREIMAGE_TOL)
-    if i is not None:
-        return PropertyReport(
-            name="open_ball_image",
-            passed=False,
-            samples=n,
-            witness={"side": "forward", "x": list(map(float, xs[i])), "image_norm": float(norms[i])},
-        )
+    forward = _verdict(
+        "open_ball_image", norms < epsilon + PREIMAGE_TOL, n, lambda i: {"side": "forward", "x": xs[i].tolist(), "image_norm": float(norms[i])}
+    )
+    if not forward.passed:
+        return forward
     for y in sampling.ball_points(T.codomain, np.zeros(T.codomain.dim), epsilon, n, rng):
         found, best, _ = _preimage_search(T, y, zero_dom, epsilon, budget, rng)
         if found is None:
@@ -575,7 +563,7 @@ def open_ball_image_check(
                 samples=2 * n,
                 witness={
                     "side": "preimage",
-                    "y": list(map(float, y)),
+                    "y": y.tolist(),
                     "best_residual": float(best),
                     "reason": "declared onto, but no preimage found in the matching ball",
                 },

@@ -948,6 +948,21 @@ class TestFieldTypes:
         with pytest.raises(ValueError, match=r"^capacity mask -4 outside \[0, 4\)$"):
             ou.capacity_from_json({"n": 2, "values": {"-4": 1.0}})
 
+    @pytest.mark.parametrize("key", ["1" * 5000, "-" + "1" * 5000, "100000"], ids=["5000_digits", "negative", "6_digits"])
+    def test_a_mask_key_longer_than_every_mask_is_refused_by_its_length(self, files, tmp_path, capsys, key):
+        # decided before int(), which reads at most 4,300 digits; the message does not echo the key
+        message = f"capacity mask of {len(key.removeprefix('-'))} digits outside [0, 2**16)"
+        with pytest.raises(ValueError) as info:
+            ou.capacity_from_json({"n": 2, "values": {key: 1.0}})
+        assert str(info.value) == message
+        descriptor = tmp_path / "descriptor.json"
+        descriptor.write_text(json.dumps({"kind": "choquet", "capacity": {"n": 2, "values": {key: 1.0}}}))
+        assert cli.main(["check", "--space", files["space2"], "--functional", str(descriptor), "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        assert ou.capacity_from_json({"n": 2, "values": {"0" * 5000 + "3": 1.0}}).values[3] == 1.0
+
     @pytest.mark.parametrize("n", [True, 2.9, 2.0, "2", None, [2]], ids=["bool", "float", "integral_float", "string", "null", "list"])
     def test_capacity_n(self, files, tmp_path, capsys, n):
         message = f"capacity ground size n must be an integer, got {type(n).__name__}"
