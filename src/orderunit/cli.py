@@ -154,16 +154,7 @@ def run_norm(args) -> tuple[dict, int]:
 def run_extend(args) -> tuple[dict, int]:
     space = _read_space(args.space)
     partial = _load_json(args.partial)
-    from .extension import (
-        NonFiniteError,
-        _blocks,
-        _grown,
-        _place,
-        check_partial_consistency,
-        extension_interval,
-        partial_from_json,
-        partial_to_json,
-    )
+    from .extension import _blocks, _grown, _place, _Refused, check_partial_consistency, partial_from_json, partial_to_json
 
     # a boundary unit makes the unit-scaled pairings of the partial functional not finite, so check it first
     failure = _unit_not_interior("extend", space)
@@ -185,10 +176,7 @@ def run_extend(args) -> tuple[dict, int]:
         y = _parse_point(text)
         try:
             step = _place(pf, blocks, n, y, args.rule, args.value)
-        except NonFiniteError:
-            raise  # exit 1 with one error line, as for any result that is not finite
-        except ValueError as exc:
-            extension_interval(_grown(pf, blocks, n), y)  # input errors (a wrong length, an empty interval) raise again: exit 2
+        except _Refused as exc:  # a refused target ends the run with exit 1; other errors reach main
             entries.append({"target": y, "error": str(exc)})
             payload["exit_status"] = EXIT_VIOLATION
             return payload, EXIT_VIOLATION

@@ -25,6 +25,7 @@ from .functionals import (
     Capacity,
     Functional,
     PropertyReport,
+    _all_of,
     check_normed,
     check_order_preserving,
     check_weak_additivity,
@@ -111,13 +112,7 @@ def check_state(f: Functional, *, seed: int = 0, n: int = 2**12, tol: float = TO
         check_order_preserving(f, seed=seed, n=n, tol=tol),
         check_normed(f, tol=tol),
     ]
-    failed = next((p for p in parts if not p.passed), None)
-    return PropertyReport(
-        name="state_membership",
-        passed=failed is None,
-        samples=sum(p.samples for p in parts),
-        witness=None if failed is None else {"failed_check": failed.name, **(failed.witness or {})},
-    )
+    return _all_of("state_membership", parts)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,11 @@ class NonFiniteError(ValueError):
     """A chosen value or unit-scaled pairing derived from finite input is not finite, so it would bound nothing."""
 
 
+class _Refused(ValueError):
+    """An extension step refuses its target: rule ``given`` without a value, or
+    with a value outside the admissible interval."""
+
+
 _BLOCK = 1 << 17
 """Float64 items in one temporary block of the pairwise scans (1 MiB)."""
 
@@ -327,10 +332,6 @@ class ExtensionInterval:
         """The interval's midpoint by :func:`_midpoint`'s rule."""
         return _midpoint(self.p_minus, self.p_plus)
 
-    @property
-    def width(self) -> float:
-        return self.p_plus - self.p_minus
-
 
 def _fold_min(v: np.ndarray) -> float:
     """``min(inf, v_0, v_1, ...)`` as Python folds it: NaN never wins, ties keep the first."""
@@ -415,10 +416,10 @@ def _pick_value(interval: ExtensionInterval, rule: str, value) -> float:
         return interval.midpoint
     if rule == "given":
         if value is None:
-            raise ValueError("rule 'given' requires a value")
+            raise _Refused("rule 'given' requires a value")
         p = float(value)
         if not math.isfinite(p):  # no line value, so in no interval
-            raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
+            raise _Refused(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
         return p
     raise ValueError(f"unknown extension rule {rule!r}; expected one of {_RULES}")
 
@@ -452,7 +453,7 @@ def _place(pf: PartialFunctional, blocks: tuple, n: int, y, rule: str, value):
     once every pair the new line forms, in both orders, passes the pair rule:
     ``V[0] < p - s`` and ``p + c * (-lo) < G - s`` are :func:`_pair_fails` of
     ``(new, j)`` and ``(j, new)``, read off ``V = c * [hi, -lo] + GS``.  A
-    ``given`` value that fails raises.  Another rule's value fails only where
+    ``given`` value that fails raises :class:`_Refused`.  Another rule's value fails only where
     rounding crossed the endpoints by more than a new pair's slack; it is then
     the middle of what the pairs admit.  Non-finite lines and empty intervals raise.
     """
@@ -480,7 +481,7 @@ def _place(pf: PartialFunctional, blocks: tuple, n: int, y, rule: str, value):
         s = _pair_slack(p, gs[0], c, norm, norms[:n])
         if fails(s):
             if rule == "given" or interval.p_minus <= interval.p_plus:
-                raise ValueError(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
+                raise _Refused(_OUTSIDE.format(p, interval.p_minus, interval.p_plus))
             # endpoints crossed by the rounding of a line far along the unit: the middle of what the pairs admit
             p = 0.5 * (_fold_min(V[0] + s) - _fold_min(V[1] + s))
     X[n], GS[:, n], AT[:, n], norms[n] = y, (p, -p), ry, norm

@@ -326,6 +326,18 @@ def _verdict(name: str, holds: np.ndarray, samples: int, witness) -> PropertyRep
     return PropertyReport(name=name, passed=False, samples=samples, witness=witness(i))
 
 
+def _all_of(name: str, parts: list) -> PropertyReport:
+    """The report of several checks that must all pass: ``samples`` summed, and
+    on failure the first failing part's witness, its name under ``failed_check``."""
+    failed = next((p for p in parts if not p.passed), None)
+    return PropertyReport(
+        name=name,
+        passed=failed is None,
+        samples=sum(p.samples for p in parts),
+        witness=None if failed is None else {"failed_check": failed.name, **(failed.witness or {})},
+    )
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow in a sample is a value, not a warning
 def _shift_report(name: str, batch, space, unit_image, samples, seed: int, n: int, size, shown, tol: float) -> PropertyReport:
     """Passes the samples ``(x, lam)``, given or else ``n`` drawn at ``seed``,
@@ -412,7 +424,8 @@ def lipschitz_defect(f: Functional, pairs=None, *, seed: int = 0, n: int = 2**12
     """Worst ``|f(z) - f(y)| - f(unit) * order_norm(z - y)`` over the pairs.
 
     Weakly additive order-preserving functionals are Lipschitz with constant
-    ``f(unit)`` in the order norm, so the defect stays below tolerance.
+    ``f(unit)`` in the order norm, so the defect stays below tolerance.  A NaN
+    defect is the result, as the law checkers fail it; no pairs give ``-inf``.
     """
     if pairs is None:
         rng = sampling.rng_from(seed)
@@ -421,9 +434,7 @@ def lipschitz_defect(f: Functional, pairs=None, *, seed: int = 0, n: int = 2**12
     else:
         ys, zs = _unzip(pairs, f.space.dim, f.space.dim)
     defects = np.abs(f.batch(zs) - f.batch(ys)) - f.unit_value * order_norms(f.space, zs - ys)
-    # Python's running ``max`` from -inf: NaN defects never win, and ties keep the first value
-    defects = defects[~np.isnan(defects)]
-    return float(defects[np.argmax(defects)]) if defects.size else -np.inf
+    return float(np.max(defects, initial=-np.inf))
 
 
 def _weights(obj: dict, kind: str):

@@ -170,7 +170,7 @@ class ConeSpec:
 
     def __post_init__(self):
         rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
-        if rows.ndim != 2 or rows.shape[0] == 0:
+        if rows.ndim != 2 or rows.size == 0:
             raise ValueError("cone requires a nonempty 2-d array of half-space rows")
         top = np.abs(_finite("cone rows", rows)).max(axis=1, keepdims=True)
         object.__setattr__(self, "rows", rows / np.where(top > 0.0, top, 1.0))

@@ -645,11 +645,32 @@ def positive_by_loop(f, samples, tol=TOL):
 
 
 def lipschitz_defect_by_loop(f, pairs):
+    """The worst defect, pair by pair; the first NaN defect is the result."""
     worst = -np.inf
     for y, z in pairs:
         defect = abs(evaluate(f, z) - evaluate(f, y)) - f.unit_value * order_norm(f.space, z - y)
+        if math.isnan(defect):
+            return math.nan
         worst = max(worst, defect)
     return float(worst)
+
+
+def limit_by_loop(Ts, probes, x):
+    """The value of ``pointwise_limit(Ts, probes)`` at ``x``, one probe line at a
+    time: the first line (the zero probe last) at the least finite distance
+    ``(hi - lo) / 2`` by ``ray_thresholds``, shifted along the unit by
+    ``(hi + lo) / 2``; NaN where no line is at a finite distance."""
+    dom, last = Ts[0].domain, Ts[-1]
+    best, best_dist = None, np.inf
+    for p in [*probes, np.zeros(dom.dim)]:
+        lo, hi = ray_thresholds(dom, p, x)
+        dist = 0.5 * (hi - lo)
+        if dist < best_dist:
+            best, best_dist = (p, 0.5 * (hi + lo)), dist
+    if best is None:
+        return np.full(last.codomain.dim, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return apply(last, best[0]) + best[1] * apply(last, dom.unit)
 
 
 def graph_check_by_loop(T, samples, lambdas=(-2.0, -1.0, 0.0, 1.0, 2.0), tol=TOL):

@@ -561,11 +561,12 @@ class TestEmptyInputs:
     def test_lipschitz_defect_of_no_pairs(self, orth2):
         assert ou.lipschitz_defect(ou.linear_functional(orth2, [0.5, 0.5]), []) == -np.inf
 
-    def test_nan_defects_are_skipped_like_pythons_max(self, orth2):
+    def test_a_nan_defect_is_the_result(self, orth2):
         f = ou.custom_functional(orth2, lambda x: np.nan if x[0] > 1.5 else x[0])
-        pairs = [(np.array([1.0, 0.0]), np.array([2.0, 0.0])), (np.array([-1.0, 0.0]), np.array([-0.5, 0.0]))]
-        assert ou.lipschitz_defect(f, pairs) == lipschitz_defect_by_loop(f, pairs) == 0.0
-        assert ou.lipschitz_defect(f, pairs[:1]) == -np.inf
+        pairs = [(np.array([-1.0, 0.0]), np.array([-0.5, 0.0])), (np.array([1.0, 0.0]), np.array([2.0, 0.0]))]
+        for some in (pairs, pairs[::-1], pairs[1:]):
+            assert np.isnan(ou.lipschitz_defect(f, some)) and np.isnan(lipschitz_defect_by_loop(f, some))
+        assert ou.lipschitz_defect(f, pairs[:1]) == lipschitz_defect_by_loop(f, pairs[:1]) == 0.0
 
     @pytest.mark.parametrize("dim", [1, 2, 4])
     def test_zero_points_keep_the_dimension(self, dim):

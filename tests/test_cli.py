@@ -12,6 +12,7 @@ import io
 import json
 import math
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -360,6 +361,15 @@ class TestDescriptorShapes:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[], []]], ids=["no_row", "empty_row", "empty_rows"])
+    def test_cone_without_entries_refused(self, tmp_path, capsys, rows):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"dim": 2, "cone": {"halfspaces": rows}, "unit": [1, 1]}))
+        code = cli.main(["norm", "--space", str(path), "--point", "1,1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: cone requires a nonempty 2-d array of half-space rows\n"
 
 
 class TestMatrixDescriptor:
@@ -1180,12 +1190,13 @@ def schema_values(schema):
 
 
 @st.composite
-def ill_typed_runs(draw):
-    """``(family, descriptor, well_typed)``: a descriptor of WELL_TYPED (no partial
-    functional: TestExtendContract covers ``extend``) with one field or one nested
-    entry replaced by a drawn JSON value, of any type or of the field's, and
-    whether the result has its JSON type."""
-    name = draw(st.sampled_from(sorted(set(WELL_TYPED) - {"partial"})))
+def ill_typed_runs(draw, names=tuple(sorted(set(WELL_TYPED) - {"partial"}))):
+    """``(family, descriptor, well_typed)``: a descriptor of WELL_TYPED named in
+    ``names`` (by default all but the partial functional: TestExtendContract
+    covers ``extend``) with one field or one nested entry replaced by a drawn
+    JSON value, of any type or of the field's, and whether the result has its
+    JSON type."""
+    name = draw(st.sampled_from(names))
     family, obj = WELL_TYPED[name]
     path = draw(st.sampled_from(list(_paths(obj))))
     schema = _schema_at(SCHEMAS[name], path)
@@ -1222,6 +1233,117 @@ class TestCheckCompactContract:
         assert bool(out.getvalue()) != bool(err.getvalue())
         if not well_typed:
             assert code == 2 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+class _Hang(Exception):
+    """A command ran past its time limit (not an error ``cli.main`` reports)."""
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise :class:`_Hang` in the block once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise _Hang(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+"""Finite floats of every magnitude, subnormals and both zeros included."""
+
+
+def _coordinates(dim):
+    return st.lists(FINITE, min_size=dim, max_size=dim).map(lambda v: ",".join(map(repr, v)))
+
+
+@st.composite
+def scaled_spaces(draw):
+    """``(dim, descriptor)``: a space of :func:`interior_unit_spaces` with its unit
+    scaled by ``2**k``, ``k`` over every exponent of a float, past the largest
+    float included (an infinite unit entry, written as ``Infinity``)."""
+    space = draw(interior_unit_spaces())
+    with np.errstate(over="ignore"):
+        unit = space.unit * 2.0 ** draw(st.integers(-1074, 1023))
+    return space.dim, {"dim": space.dim, "cone": {"halfspaces": space.cone.rows.tolist()}, "unit": unit.tolist()}
+
+
+@st.composite
+def operators_for(draw, dim):
+    """A well-typed operator descriptor on ``dim``-vectors, entries finite of every
+    magnitude; the clamp and ``sqrt_gap`` only where ``dim`` is 2, the one they take."""
+    weights = st.lists(FINITE, min_size=dim, max_size=dim)
+    functionals = [
+        st.fixed_dictionaries({"kind": st.sampled_from(["linear", "maxplus"]), "weights": weights}),
+        st.just({"kind": "choquet", "capacity": {"n": dim, "values": {str(2**dim - 1): 1.0}}}),
+    ]
+    rows = st.integers(1, 3) | st.just(dim)
+    operators = [
+        rows.flatmap(lambda r: st.lists(st.lists(FINITE, min_size=dim, max_size=dim), min_size=r, max_size=r)).map(
+            lambda m: {"kind": "linear_positive", "matrix": m}),
+    ]
+    if dim == 2:
+        functionals.append(st.just({"kind": "sqrt_gap"}))
+        operators.append(st.just({"kind": "clamp"}))
+    operators.append(st.lists(st.one_of(functionals), min_size=1, max_size=3).map(lambda fs: {"kind": "stack", "functionals": fs}))
+    return draw(st.one_of(operators))
+
+
+@st.composite
+def light_runs(draw):
+    """``(argv, files)``: ``norm``, ``openness`` or ``gallery`` with drawn arguments;
+    ``files`` maps each file name in ``argv`` to the descriptor it holds.  The
+    space and operator are well typed, or one of them is from :func:`ill_typed_runs`."""
+    command = draw(st.sampled_from(["norm", "openness", "gallery"]))
+    if command == "gallery":
+        return ["gallery", "--seed", str(draw(st.integers(0, 2**64)))], {}
+    ill = draw(st.sampled_from([None, "space", "operator"]))
+    dim, space = draw(scaled_spaces())
+    if ill == "space":
+        dim, space = 2, draw(ill_typed_runs(("space", "halfspace_space")))[1]
+    if ill == "operator":  # the descriptors of ill_typed_runs are on the plane
+        dim, space = 2, {"dim": 2, "cone": "orthant", "unit": [1.0, 1.0]}
+    if command == "norm":
+        points = draw(st.lists(_coordinates(dim), min_size=1, max_size=3))
+        return ["norm", "--space", "space.json", *(f"--point={p}" for p in points)], {"space.json": space}
+    operator = draw(operators_for(dim))
+    if ill == "operator":
+        operator = draw(ill_typed_runs(("linear_positive", "clamp", "stack")))[1]
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    argv = ["openness", "--space", "space.json", "--operator", "operator.json", f"--at={draw(_coordinates(dim))}",
+            f"--epsilon={draw(positive)!r}", f"--delta={draw(positive)!r}", "--targets", str(draw(st.integers(1, 4))),
+            "--budget", str(draw(st.integers(1, 64))), "--seed", str(draw(st.integers(0, 2**32)))]
+    return argv, {"space.json": space, "operator.json": operator}
+
+
+class TestLightContract:
+    @settings(max_examples=100, deadline=None)
+    @given(run=light_runs())
+    def test_exit_code_strict_json_and_a_quiet_stderr(self, run):
+        """``norm``, ``openness`` and ``gallery`` on drawn spaces, points, radii and
+        descriptors, well typed or not, exit 0, 1 or 2 within 30 s, print strict
+        JSON, and raise no warning and send no traceback to stderr."""
+        argv, files = run
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, obj in files.items():
+                (Path(tmp) / name).write_text(json.dumps(obj))
+            argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), _time_limit(30):
+                warnings.simplefilter("error")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main([*argv, "--format", "json"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_no_constant)
+        assert bool(out.getvalue()) != bool(err.getvalue())
 
 
 class TestCompact:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import orderunit as ou
-from oracles import preimage_search_by_loop, random_monotone_capacity
+from oracles import limit_by_loop, preimage_search_by_loop, random_monotone_capacity
 from strategies import interior_unit_spaces
 from test_functionals import DESCRIPTORS as FUNCTIONAL_DESCRIPTORS
 
@@ -323,6 +323,34 @@ class TestPointwiseLimit:
         Ts = [ou.linear_positive(orth2, orth2, float(n) * np.eye(2)) for n in range(1, 20)]
         with pytest.raises(ValueError, match="diverges at probe"):
             ou.pointwise_limit(Ts, [np.array([1.0, 0.5])])
+
+    def test_a_member_nan_at_every_probe_diverges(self, orth2):
+        nan = ou.custom_operator(orth2, orth2, lambda x: np.full(2, np.nan))
+        Ts = [nan, ou.identity_operator(orth2), ou.identity_operator(orth2)]
+        with pytest.raises(ValueError, match=r"diverges at probe 0 \(\[1.0, 0.5\]\): tail spread nan"):
+            ou.pointwise_limit(Ts, [[1.0, 0.5], [2.0, 0.0], [0.0, 3.0]])
+
+    @pytest.mark.parametrize("space", ["orth2", "orth3", "hs2"])
+    def test_nearest_line_block_equals_the_probe_loop(self, space, orth2, hs2, rng):
+        space = {"orth2": orth2, "orth3": ou.orthant(3, unit=[1.0, 2.0, 1.5]), "hs2": hs2}[space]
+        d = space.dim
+        for _ in range(4):
+            M, E = rng.uniform(0.0, 1.0, size=(d, d)), rng.normal(size=(d, d))
+            Ts = [ou.linear_positive(space, space, M + 0.5**n * E, strict=False) for n in range(1, 40)]
+            probes = rng.integers(-3, 4, size=(5, d)) * 0.5
+            probes = np.vstack([probes, probes[0] + 1.5 * space.unit, probes[1]])  # a line twice, a probe twice
+            limit, _ = ou.pointwise_limit(Ts, probes)
+            xs = [*rng.uniform(-4.0, 4.0, size=(8, d)), *(probes - 0.25 * space.unit), *probes, 0.5 * (probes[2] + probes[3]),
+                  -0.0 * space.unit, np.full(d, 1e308), np.full(d, -1e308), np.r_[np.inf, np.zeros(d - 1)], np.full(d, np.nan)]
+            for x in xs:
+                assert limit(x).tobytes() == limit_by_loop(Ts, probes, x).tobytes(), x
+        assert np.isnan(limit(np.full(d, np.nan))).all()
+
+    def test_a_failing_limit_names_its_law(self, orth2):
+        Ts = [ou.stack_operator(orth2, [ou.sqrt_gap_functional(orth2)])] * 2
+        _, report = ou.pointwise_limit(Ts, [[0.25, 0.5], [0.5, 0.5]])
+        assert not report.passed and report.witness["failed_check"] == "order_preserving"
+        assert (report.witness["x"], report.witness["y"]) == ([0.25, 0.5], [0.5, 0.5])
 
 
 class TestOpenness:

@@ -1,15 +1,18 @@
 """The package's import surface: every exported name resolves on first access,
 to the object its layer defines, and ``import orderunit`` loads no layer."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import orderunit as ou
 
 PYTHON = sys.executable
+LIBRARY = sorted((Path(__file__).resolve().parent.parent / "src" / "orderunit").glob("*.py"))
 
 # the names the package exported when its init imported every layer eagerly
 EXPORTS = {
@@ -73,3 +76,18 @@ def test_import_loads_no_layer():
     proc = subprocess.run([PYTHON, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "['orderunit'] False\n"
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
+def test_every_import_is_used(path):
+    """No linter runs here, so this stands in for an unused-import check: every
+    name a library module imports (``__future__`` aside) is read in that module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []

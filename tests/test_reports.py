@@ -133,6 +133,10 @@ class TestPassRule:
         assert not report.passed and report.samples == 16
         assert (report.witness["x"], report.witness["lam"]) == (x.tolist(), lam) and np.isnan(report.witness["defect"])
 
+    def test_a_nan_lipschitz_defect_is_the_result(self):
+        pair = [([1e308, -1e308], [-1e308, 1e308])]  # |f(z) - f(y)| is inf, and so is f(unit) times the distance
+        assert np.isnan(ou.lipschitz_defect(ou.sqrt_gap_functional(ou.orthant(2)), pairs=pair))
+
     def test_sample_steps_do_not_warn_on_overflow(self):
         clamp = ou.clamp_operator(ou.orthant(2))
         pair = [([1e308, -1e308], [-1e308, 1e308])]
