@@ -7,7 +7,11 @@ orders.  Those two sampled laws buy the quantitative conclusions checked
 here: a Lipschitz modulus ``||T(unit_E)||``, a uniform equicontinuity
 modulus ``delta(eps) = eps / sup ||T(unit_E)||`` for whole families with a
 bounded orbit at the unit, stability of the laws under pointwise limits,
-and the open-mapping behaviour probed by a budgeted preimage search.
+and the open-mapping behaviour probed by a budgeted preimage search.  The
+search is a multi-start coordinate descent whose candidates, for every
+target and start of a probe, are tested and evaluated in shared blocks
+where a block pays and one point at a time where it does not; its results
+and evaluation counts are those of the one-point loop.
 
 Kinds: ``linear_positive`` (a cone-preserving matrix), ``clamp`` (the
 plane operator that pins the second coordinate into the band
@@ -363,69 +367,333 @@ def _norm2(r: np.ndarray) -> float:
     return math.sqrt(rr)
 
 
-def _preimage_search(T: Operator, y, x0, epsilon: float, budget: int, rng):
-    """Multi-start coordinate descent for ``x`` in the open ball around
-    ``x0`` with ``T(x) = y``; returns ``(x or None, best residual, evals <= budget)``.
+# The constants of the preimage search; ``BENCH_36.json`` has the grid that chose them.
+
+_SWEEPS = 3
+"""Whole sweeps a candidate block may reach past the current one."""
+
+_BLOCK_ENTRIES = (32, 1 << 14)
+"""Bounds on a block's candidates times the dimension.  A row's first block
+is at the lower bound; a block without a move doubles the next one and a
+move halves it.  The upper bound keeps a block within 128 KiB however
+large the space."""
+
+_SPECULATION = 1 << 12
+"""Bound on the candidates times the dimension that one step gives to the
+targets past the first one that has not ended."""
+
+_BATCH_MIN = 32
+"""Evaluations that a step's rows are expected to charge (what the last
+step of each charged per move) below which a step is not worth its fixed
+cost, and the loop itself runs instead."""
+
+_WALK = 128
+"""Evaluations the loop itself runs before the search looks again."""
+
+_WINDOW = 1
+"""Targets a search starts with; the window doubles each time its lead
+target is known to have a preimage."""
+
+
+def _residuals(T: Operator, P: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``_norm2(T(p) - y)`` for the rows of ``P`` and ``Y``, bit for bit, in
+    one ``T.batch`` call: each ``r @ r`` from the stacked matmul, which runs
+    the vector dot of a row, and ``_norm2`` only where the square overflows.
+    Call under ``np.errstate``."""
+    r = T.batch(P) - Y
+    rr = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+    res = np.sqrt(rr)
+    for i in np.flatnonzero(rr == np.inf):
+        res[i] = _norm2(r[i])
+    return res
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) -> list:
+    """Multi-start coordinate descent, for each target ``y`` in order, for an
+    ``x`` in the open ball around ``x0`` with ``T(x) = y``, through the first
+    target without one; returns their ``(x or None, best residual,
+    evals <= budget)``.
 
     Exhausting the budget is a semi-decision: it reports that no preimage
-    was *found*, not that none exists.  One point at a time: each move's
-    ball test ``max |unit_rows @ (x - x0)| < epsilon * (1 - 1e-12)`` is
-    :func:`order_norm`'s, NaN included, and its residual ``_norm2(T.fn(x) - y)``.
+    was *found*, not that none exists.  The loop this runs, per target: the
+    starts are ``x0``, ``y`` when the dimensions match and it lies in the
+    ball, a matrix kind's least-squares solution when it lies in the ball,
+    and six :func:`sampling.ball_point` draws at radius ``0.95 * epsilon``.
+    Each start is evaluated, then runs sweeps over the coordinates, each
+    coordinate ``+step`` and then ``-step``, from ``step = epsilon / 2``.
+    The budget check comes before every candidate; a candidate counts only
+    when it is in the ball (``max |unit_rows @ (x - x0)| < epsilon * (1 - 1e-12)``,
+    :func:`order_norm`'s test, NaN included); the first residual
+    ``_norm2(T(x) - y)`` below the current one less ``1e-15`` is a move,
+    after which the sweep goes on at the next coordinate; and a sweep
+    without a move halves ``step``.  A start ends at a residual of at most
+    ``PREIMAGE_TOL``, at the budget, or before a sweep at a step of at most
+    ``1e-14``; a target ends at the first start that reached ``PREIMAGE_TOL``.
+
+    Every result is the loop's, bit for bit, but the loop runs as rows, one
+    per start, that advance together in steps.  At each step a row takes a
+    block of candidates: the next ones of its sweep and the sweeps after it,
+    assuming no move, each sweep at half the step of the one before, at
+    most ``_SWEEPS`` whole sweeps past the current one and at most
+    ``_BLOCK_ENTRIES`` entries.  One ball test and one ``T.batch`` call
+    serve every row's block, and the first candidate of a block that is in
+    the ball, within the budget and improving is the loop's next move;
+    without one, the row goes on after its block.  A block without a move
+    doubles the row's next block and a move halves it, so the candidates
+    evaluated past a move stay within about those the loop evaluates.  A
+    step has a fixed cost, so when the rows would charge fewer than
+    ``_BATCH_MIN`` evaluations, judged by what each charged per move at
+    its last step, the current start of the first target that has not
+    ended runs the loop itself for ``_WALK`` evaluations, one point at a
+    time through ``T.fn``, and the other rows wait: a lone start that
+    moves at almost every candidate costs about what the loop costs.
+
+    The rows are the current start of each target in a window, and the
+    later starts of its lead target, the first one not yet known to have a
+    preimage, which join one per step.  A later start gets what the starts
+    before it leave of the budget, so it runs ahead under the whole budget,
+    records its moves, and is cut back to its share once they end.  The
+    window starts at ``_WINDOW`` targets and doubles each time the lead
+    moves on: a failing target (the probe off the clamp's band) runs almost
+    alone, while targets that pass share the steps.  A step gives the rows
+    of targets past the first one that has not ended at most
+    ``_SPECULATION`` entries; at most ``_SPECULATION // dim`` targets are
+    open at once, and the rows of targets that have ended are reused, so
+    the search's memory grows with the dimension, not with the number of
+    targets.  Candidates past a move, later starts and
+    targets past the first failure are evaluated in vain, but only at
+    points in the ball; a later start stops once it has used what the
+    starts before it have left.  Targets draw their six ball starts when they
+    join the window, in target order; the generator's state after the call
+    is unspecified.
     """
-    dom, fn = T.domain, T.fn
-    R = dom.unit_rows
-    y = as_vec(y, T.codomain.dim)
-    x0 = as_vec(x0, dom.dim)
+    dom = T.domain
+    dim, R = dom.dim, dom.unit_rows
+    x0 = as_vec(x0, dim)
+    Y = as_rows(ys, T.codomain.dim)
+    n = len(Y)
     limit = epsilon * (1.0 - 1e-12)
-    evals = 0
+    widest = max(1, min(dim * (_SWEEPS + 1), _BLOCK_ENTRIES[1] // (2 * dim)))  # in coordinates, two candidates each
+    narrowest = max(1, min(widest, _BLOCK_ENTRIES[0] // (2 * dim)))
+    # slot 0 of a block is the row's point, slot k > 0 moves coordinate (k - 1) // 2 from where its sweep resumes, + then -
+    slot = np.arange(1 + 2 * widest)
+    ahead_of, sign = np.maximum(slot - 1, 0) // 2, np.where(slot % 2 == 1, 1.0, -1.0)
+    # the step of the w-th sweep from a row's over its step, by whether the current sweep has moved; exact powers of two
+    level = np.array([[1.0] + [0.5 ** (w - m) for w in range(1, _SWEEPS + 2)] for m in (0, 1)])
 
     def inside(x):
         return all(abs(v) < limit for v in (R @ (x - x0)).tolist())
 
-    def residual(x):
-        nonlocal evals
-        evals += 1
-        return _norm2(fn(x) - y)
+    # per row: target, start, evals, evals allowed, the coordinate its sweep
+    # resumes at, whether that sweep has moved, block width in coordinates,
+    # evals per move at its last step, point, residual, step, y.  A target has
+    # at most 9 starts and at most `most` targets are open at once; a step
+    # may add rows besides those in use when it began, since the rows of the
+    # targets that finish in it are free only from the next step on
+    most = max(1, min(n, _SPECULATION // dim))
+    rows = 18 * most
+    tgt, sid, own, lim, pos, moved, span, gap = (np.zeros(rows, dtype=np.intp) for _ in range(8))
+    X, val, step, Yr = np.empty((rows, dim)), np.empty(rows), np.empty(rows), np.empty((rows, Y.shape[1]))
+    fresh, live, ended, ahead = (np.zeros(rows, dtype=bool) for _ in range(4))  # fresh: its start is not yet evaluated
+    history = [None] * rows  # of a row run ahead: (evals, residual, point) at its start and after each move
+    # per target: starts, rows by start, current start, evals of the starts that ended, best so far, result
+    starts, balls, rows_of, cur, spent = [None] * n, [None] * n, [{} for _ in range(n)], [0] * n, [0] * n
+    best, best_x, done = [np.inf] * n, [None] * n, {}
+    free, retired = list(range(rows - 1, -1, -1)), []
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        starts = [x0.copy()]
-        if T.codomain.dim == dom.dim and inside(y):
-            starts.append(y.copy())
-        if T.matrix is not None:
-            sol, *_ = np.linalg.lstsq(T.matrix, y, rcond=None)
-            if inside(sol):
-                starts.append(sol)
-        starts.extend(sampling.ball_point(dom, x0, epsilon * 0.95, rng) for _ in range(6))
+    def add_row(t, s, run_ahead):
+        u = free.pop()
+        tgt[u], sid[u], own[u], lim[u], pos[u], moved[u], span[u], gap[u] = t, s, 0, budget - spent[t], 0, 0, narrowest, 2 * narrowest
+        X[u], step[u], Yr[u] = (x0 if s == 0 else starts_of(t)[s]), epsilon / 2.0, Y[t]
+        fresh[u] = live[u] = True
+        ended[u], ahead[u] = False, run_ahead
+        history[u] = [] if run_ahead else None
+        rows_of[t][s] = u
 
-        best_x, best = None, np.inf
-        for s in starts:
-            if evals >= budget:
+    def walk(u):
+        """The loop itself on row ``u``, for about ``_WALK`` evaluations; whether the row has ended."""
+        x, y, p, st, e, cap, mv = X[u].copy(), Yr[u], int(pos[u]), float(step[u]), int(own[u]), int(lim[u]), bool(moved[u])
+        e0, moves = e, 0
+        if fresh[u]:
+            fresh[u], v, e = False, _norm2(T.fn(x) - y), e + 1
+        else:
+            v = float(val[u])
+        while e - e0 < _WALK:
+            if e >= cap or not (v > PREIMAGE_TOL and st > 1e-14):
                 break
-            x = s.copy()
-            val = residual(x)
-            step = epsilon / 2.0
-            while evals < budget and val > PREIMAGE_TOL and step > 1e-14:
-                improved = False
-                for i in range(dom.dim):
-                    for sign in (1.0, -1.0):
-                        cand = x.copy()
-                        cand[i] += sign * step
-                        if evals >= budget or not inside(cand):
-                            continue
-                        v = residual(cand)
-                        if v < val - 1e-15:
-                            x, val = cand, v
-                            improved = True
-                            break
-                    if evals >= budget or val <= PREIMAGE_TOL:
+            for sgn in (1.0, -1.0):
+                c = x.copy()
+                c[p] += sgn * st
+                if e < cap and inside(c):
+                    r, e = _norm2(T.fn(c) - y), e + 1
+                    if r < v - 1e-15:
+                        x, v, mv, moves = c, r, True, moves + 1
                         break
-                if not improved:
-                    step *= 0.5
-            if val < best:
-                best, best_x = val, x
-            if best <= PREIMAGE_TOL:
-                return best_x, best, evals
-    return (best_x if best <= PREIMAGE_TOL else None), best, evals
+            p += 1
+            if p == dim:
+                p, st, mv = 0, (st if mv else 0.5 * st), False
+        X[u], val[u], pos[u], moved[u], step[u], own[u], gap[u] = x, v, p, mv, st, e, (e - e0) // max(moves, 1)
+        return e >= cap or not (v > PREIMAGE_TOL and st > 1e-14)
+
+    def end(u):
+        """Row ``u`` has ended."""
+        t = tgt[u]
+        if t not in done:
+            ended[u], live[u] = True, False
+            if sid[u] == cur[t]:
+                settle(t)
+            elif val[u] <= PREIMAGE_TOL and sid[u] < found[t]:
+                found[t] = sid[u]  # the starts after it can no longer matter
+                for s in [s for s in rows_of[t] if s > sid[u]]:
+                    retired.append(rows_of[t].pop(s))
+                    live[retired[-1]] = False
+
+    def finish(t, found):
+        done[t] = (best_x[t] if found else None), best[t], spent[t]
+        for u in rows_of[t].values():
+            live[u] = False
+        retired.extend(rows_of[t].values())
+
+    def settle(t):
+        """The loop's outer part: end the starts of ``t`` in order, as far as they have ended."""
+        while True:
+            if spent[t] >= budget or cur[t] and cur[t] == len(starts_of(t)):
+                return finish(t, False)
+            u = rows_of[t].get(cur[t])
+            if u is None:
+                return add_row(t, cur[t], False)
+            room = budget - spent[t]
+            ahead[u], lim[u] = False, room
+            if own[u] > room:  # it ran past its share: back to its last move within it
+                _, val[u], X[u] = next(h for h in reversed(history[u]) if h[0] <= room)
+                own[u] = room
+            ended[u] |= own[u] == room
+            if not ended[u]:
+                return
+            live[u] = False
+            spent[t] += int(own[u])
+            if val[u] < best[t]:
+                best[t], best_x[t] = float(val[u]), X[u].copy()
+            if best[t] <= PREIMAGE_TOL:
+                return finish(t, True)
+            cur[t] += 1
+
+    def starts_of(t):
+        """The starts of ``t``, found when a start past ``x0`` is first asked for."""
+        if starts[t] is None:
+            s = [x0]
+            if T.codomain.dim == dim and inside(Y[t]):
+                s.append(Y[t])
+            if T.matrix is not None:
+                sol, *_ = np.linalg.lstsq(T.matrix, Y[t], rcond=None)
+                if inside(sol):
+                    s.append(sol)
+            starts[t] = np.concatenate([s, balls[t]])
+        return starts[t]
+
+    def enter(ts):
+        """Targets ``ts`` join the window, their ball starts drawn in one run."""
+        drawn = sampling._ball_point_run(dom, x0, epsilon * 0.95, 6 * len(ts), rng).reshape(len(ts), 6, dim)
+        for t, ball in zip(ts, drawn):
+            balls[t] = ball
+            settle(t)
+
+    head = lead = entered = 0
+    window, found = _WINDOW, [9] * n  # found[t]: a start of t, run ahead, that reached a preimage
+    while head < n:
+        if head in done:
+            if done[head][0] is None:
+                break
+            head += 1
+            continue
+        while lead < entered and (found[lead] < 9 or lead in done and done[lead][0] is not None):
+            lead, window = lead + 1, 2 * window
+        free += retired
+        retired.clear()
+        joining = min(n, lead + window, len(done) + most)
+        if entered < joining:
+            enter(range(entered, joining))
+            entered = joining
+        if lead < entered and lead not in done:
+            s = next((s for s in range(cur[lead] + 1, len(starts_of(lead))) if s not in rows_of[lead]), None)
+            if s is not None:  # one more later start runs ahead at each step
+                add_row(lead, s, True)
+        for t in set(tgt[live & ahead].tolist()):
+            # a start's share is at most what the starts before it have not used yet
+            left, s = budget - spent[t], cur[t]
+            while s in rows_of[t]:
+                u = rows_of[t][s]
+                if ahead[u]:
+                    lim[u] = left
+                    if own[u] >= left:
+                        ended[u], live[u] = True, False
+                left -= own[u]
+                s += 1
+
+        a = np.flatnonzero(live)
+        if len(a) * (1 + 2 * widest) * dim > _SPECULATION:
+            far = (1 + 2 * span[a]) * dim * (tgt[a] > head)  # the entries of the rows the loop may never run
+            a = a[(far == 0) | (np.cumsum(far) <= _SPECULATION)]
+        if gap[a].sum() < _BATCH_MIN:  # too little work to share a step: the head's current start runs the loop, the rest wait
+            u = rows_of[head][cur[head]]
+            if walk(u):
+                end(u)
+            continue
+
+        # one block per row, one ball test and one batch call for all
+        A, at, fr, room, width = len(a), np.arange(len(a)), fresh[a], lim[a] - own[a], 2 * span[a]
+        k = slot[: 1 + width.max()]
+        sweep, coord = np.divmod(pos[a, None] + ahead_of[k], dim)
+        S = step[a, None] * level[moved[a, None], sweep]
+        dS = S * sign[k]
+        dS[:, 0] = -0.0  # adding -0.0 keeps every bit, -0.0 included, where +0.0 would not
+        test = S > 1e-14
+        if narrowest < widest:
+            test &= k <= width[:, None]
+        test[:, 0] = fr  # a start is evaluated wherever it lies
+        ti, tk = np.nonzero(test)
+        D = X[a[ti]]  # only the coordinate that moves changes, so every other keeps its bits
+        D.ravel()[np.arange(len(ti)) * dim + coord[ti, tk]] += dS[ti, tk]
+        ok = np.zeros(S.shape, dtype=bool)
+        ok[test] = _max_abs_rows(matvecs(R, D - x0)) < limit
+        ok[:, 0] = fr
+        cum = ok.cumsum(axis=1)  # the evals up to each slot
+        ev = ok & (cum <= room[:, None])
+        res = np.full(S.shape, np.nan)
+        if ev.any():
+            on = ev[test]
+            res[ev] = _residuals(T, D[on], Yr[a[ti[on]]])
+
+        # the first improving slot of each block, or 0 for none
+        v0 = np.where(fr, res[:, 0], val[a])
+        go = ~fr | (v0 > PREIMAGE_TOL)
+        j = (res < np.where(go, v0 - 1e-15, -np.inf)[:, None]).argmax(axis=1)
+        move = j > 0
+        used = np.where(move, cum[at, j], np.where(go, np.minimum(cum[:, -1], room), 1))
+        own[a] += used
+        gap[a] = used
+        # the next place: after a move, the next coordinate at its step; else after the block, a sweep past it halving the step
+        after, nxt = np.divmod(np.where(move, coord[at, j] + 1, pos[a] + span[a]), dim)
+        nstep = np.where(move, S[at, j], step[a] * level[moved[a], after])
+        pos[a], moved[a], step[a] = nxt, (after == 0) & (move | (moved[a] > 0)), nstep
+        if narrowest < widest:
+            span[a] = np.clip(np.where(move, span[a] // 2, 2 * span[a]), narrowest, widest)
+        m = np.flatnonzero(move)
+        X.ravel()[a[m] * dim + coord[m, j[m]]] += dS[m, j[m]]  # the point of the move, as D has it
+        val[a] = nval = np.where(move, res[at, j], v0)
+        fresh[a] = False
+        stop = ~go | (nval <= PREIMAGE_TOL) | (used >= room) | ~(nstep > 1e-14)
+
+        runs = ahead[a]
+        for i in np.flatnonzero(runs & fr):
+            history[a[i]].append((1, v0[i], starts_of(tgt[a[i]])[sid[a[i]]]))
+        runs = a[runs & move]
+        for u, e, v, x in zip(runs.tolist(), own[runs].tolist(), val[runs].tolist(), X[runs]):
+            history[u].append((e, v, x))
+        for u in a[stop]:
+            end(u)
+    return [done[t] for t in range(min(head + 1, n))]
 
 
 @dataclass(frozen=True)
@@ -502,15 +770,11 @@ def openness_check(
             if order_norm(T.codomain, y - center) < delta:
                 sampled.append(y)
 
-    evals_total = 0
+    results = _preimage_searches(T, sampled, x0, epsilon, budget, rng)
     witness = best_residual = None
-    for y in sampled:
-        found, best, evals = _preimage_search(T, y, x0, epsilon, budget, rng)
-        evals_total += evals
-        if found is None:
-            witness, best_residual = list(map(float, y)), float(best)
-            note = note or "search budget exhausted without a preimage"
-            break
+    if results and results[-1][0] is None:
+        witness, best_residual = list(map(float, sampled[len(results) - 1])), float(results[-1][1])
+        note = note or "search budget exhausted without a preimage"
     return OpennessVerdict(
         passed=witness is None and bool(sampled),
         witness=witness,
@@ -518,7 +782,7 @@ def openness_check(
         epsilon=float(epsilon),
         delta=float(delta),
         targets_tested=len(sampled),
-        evals_used=evals_total,
+        evals_used=sum(evals for _, _, evals in results),
         budget=budget,
         best_residual=best_residual,
         note=note,
@@ -554,20 +818,20 @@ def open_ball_image_check(
     )
     if not forward.passed:
         return forward
-    for y in sampling.ball_points(T.codomain, np.zeros(T.codomain.dim), epsilon, n, rng):
-        found, best, _ = _preimage_search(T, y, zero_dom, epsilon, budget, rng)
-        if found is None:
-            return PropertyReport(
-                name="open_ball_image",
-                passed=False,
-                samples=2 * n,
-                witness={
-                    "side": "preimage",
-                    "y": y.tolist(),
-                    "best_residual": float(best),
-                    "reason": "declared onto, but no preimage found in the matching ball",
-                },
-            )
+    ys = sampling.ball_points(T.codomain, np.zeros(T.codomain.dim), epsilon, n, rng)
+    results = _preimage_searches(T, ys, zero_dom, epsilon, budget, rng)
+    if results and results[-1][0] is None:
+        return PropertyReport(
+            name="open_ball_image",
+            passed=False,
+            samples=2 * n,
+            witness={
+                "side": "preimage",
+                "y": ys[len(results) - 1].tolist(),
+                "best_residual": float(results[-1][1]),
+                "reason": "declared onto, but no preimage found in the matching ball",
+            },
+        )
     return PropertyReport(name="open_ball_image", passed=True, samples=2 * n)
 
 

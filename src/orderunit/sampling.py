@@ -78,6 +78,27 @@ def ball_point(space: OrderedSpace, center, radius: float, rng) -> np.ndarray:
     return np.asarray(center, dtype=float) + d * (t / norm)
 
 
+def _ball_point_run(space: OrderedSpace, center, radius: float, k: int, rng) -> np.ndarray:
+    """``k`` calls of :func:`ball_point` in a row, bit for bit, as a ``(k, dim)``
+    array: the draws are taken in the single-draw order, and the norms and
+    points in one block.  Should a direction need a redraw, the generator
+    goes back to its state on entry and the calls run one by one; so do
+    they for a subclass of ``Generator``, whose state may hold more."""
+    _require_interior_unit(space)
+    if type(rng) is not np.random.Generator:
+        return np.array([ball_point(space, center, radius, rng) for _ in range(k)])
+    state = rng.bit_generator.state
+    dirs, u = np.empty((k, space.dim)), np.empty(k)
+    for i in range(k):
+        dirs[i], u[i] = rng.normal(size=space.dim), rng.random()
+    norms = order_norms(space, dirs)
+    if not ((0.0 < norms) & (norms < np.inf)).all():
+        rng.bit_generator.state = state
+        return np.array([ball_point(space, center, radius, rng) for _ in range(k)])
+    t = (-1.0 + 2.0 * u) * radius * (1.0 - 1e-12)
+    return np.asarray(center, dtype=float) + dirs * (t / norms)[:, None]
+
+
 def ball_points(space: OrderedSpace, center, radius: float, n: int, rng) -> np.ndarray:
     """``n`` points with ``order_norm(p - center) < radius``, shape ``(n, dim)``."""
     return np.asarray(center, dtype=float) + _ball_draws(space, n, rng_from(rng), radius)[1]

@@ -150,8 +150,15 @@ def _json_number(name: str, v) -> float:
 
 def _json_numbers(name: str, v, depth: int):
     """``v`` as floats when it is a finite JSON number (``depth`` 0), a list of them (1) or a list of such lists (2),
-    each entry read by :func:`_json_number`, since ``np.asarray(..., dtype=float)`` takes ``True`` and ``"2"``."""
-    return [_json_numbers(name, x, depth - 1) for x in _json_list(name, v)] if depth else _json_number(name, v)
+    each entry read by :func:`_json_number`, since ``np.asarray(..., dtype=float)`` takes ``True`` and ``"2"``.
+    The rows of a list of lists must have one length, so NumPy only ever sees a rectangular block."""
+    if not depth:
+        return _json_number(name, v)
+    out = [_json_numbers(name, x, depth - 1) for x in _json_list(name, v)]
+    for i, row in enumerate(out if depth == 2 else ()):
+        if len(row) != len(out[0]):
+            raise ValueError(f"{name}: every row must have the length of the first, {len(out[0])}; row {i} has {len(row)}")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,6 +475,8 @@ def space_to_json(space: OrderedSpace) -> dict:
 def space_from_json(obj: dict) -> OrderedSpace:
     """Build a space from ``{"dim": n, "cone": "orthant" | {"halfspaces": ...}, "unit": [...]}``."""
     dim = _json_int("dim", _json_field(obj, "dim", "space"))
+    if dim < 1:  # before anything is read against it
+        raise ValueError("dim must be a positive integer")
     cone_obj = _json_field(obj, "cone", "space")
     unit = _json_numbers("the order unit", _json_field(obj, "unit", "space"), 1)
     if cone_obj == "orthant":

@@ -891,3 +891,14 @@ def preimage_search_by_loop(T, y, x0, epsilon, budget, rng):
         if best <= PREIMAGE_TOL:
             return best_x, best, evals
     return (best_x if best <= PREIMAGE_TOL else None), best, evals
+
+
+def preimage_searches_by_loop(T, ys, x0, epsilon, budget, rng):
+    """:func:`preimage_search_by_loop` on each target in order, through the
+    first target without a preimage: the results the openness checks read."""
+    results = []
+    for y in ys:
+        results.append(preimage_search_by_loop(T, y, x0, epsilon, budget, rng))
+        if results[-1][0] is None:
+            break
+    return results

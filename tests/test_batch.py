@@ -471,6 +471,35 @@ class TestBatchSamplers:
                 assert same(sampling.ball_point(space, center, radius, rng), ball_point_by_loop(space, center, radius, ref))
             assert rng.bit_generator.state == ref.bit_generator.state
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, k=st.integers(1, 60), radius=st.sampled_from([1e-3, 1.0, 7.5]))
+    def test_a_run_of_ball_points_keeps_their_bits(self, seed, k, radius):
+        """The openness searches draw their ball starts as one run: ``k``
+        ``ball_point`` calls, bit for bit, the generator left where they leave it."""
+        for space in spaces():
+            center = np.arange(space.dim) - 0.5
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = np.array([sampling.ball_point(space, center, radius, ref) for _ in range(k)])
+            assert same(sampling._ball_point_run(space, center, radius, k, rng), want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_a_run_that_needs_a_redraw_goes_back(self):
+        """A direction that needs a redraw sends the run back to the
+        generator's state on entry and through the calls one by one; a
+        ``Generator`` subclass goes that way from the start."""
+        space, center, k = spaces()[2], [1.0, 2.0, 0.5], 6
+        ref = np.random.default_rng(11)
+        want = np.array([sampling.ball_point(space, center, 0.5, ref) for _ in range(k)])
+        rng, norms = np.random.default_rng(11), sampling.order_norms
+        with mock.patch.object(sampling, "order_norms", lambda s, X: np.where(np.arange(len(X)) == 3, 0.0, norms(s, X))):
+            assert same(sampling._ball_point_run(space, center, 0.5, k, rng), want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        zeroed = range(3, 3 + space.dim)  # the second direction is zero and is drawn again
+        rng, ref = ZeroedNormals(7, zeroed), ZeroedNormals(7, zeroed)
+        want = np.array([ball_point_by_loop(space, center, 0.5, ref) for _ in range(k)])
+        assert same(sampling._ball_point_run(space, center, 0.5, k, rng), want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_a_zero_direction_reaches_the_redraws(self):
         """A direction of norm 0 is drawn again, in the loop's order.  On an
         interior unit only underflow reaches it, so the generator is scripted:

@@ -886,8 +886,16 @@ NESTED = [
     ("linear_positive", ("matrix", 0, 0), HUGE, "linear_positive matrix must be finite"),
     ("partial", ("base_points", 0, 0), HUGE, "base_points must be finite"),
     ("partial", ("values", 0), HUGE, "values must be finite"),
+    ("halfspace_space", ("cone", "halfspaces"), [[1, 0], [0]], "cone rows: every row must have the length of the first, 2; row 1 has 1"),
+    ("halfspace_space", ("cone", "halfspaces"), [[1], [0, 1], [1, 1]], "cone rows: every row must have the length of the first, 1; row 1 has 2"),
+    ("linear_positive", ("matrix",), [[1, 0], [0]], "linear_positive matrix: every row must have the length of the first, 2; row 1 has 1"),
+    ("linear_positive", ("matrix",), [[1, 0], [0, 1, 0]], "linear_positive matrix: every row must have the length of the first, 2; row 1 has 3"),
+    ("partial", ("base_points",), [[1, 0], []], "base_points: every row must have the length of the first, 2; row 1 has 0"),
+    ("space", ("dim",), 0, "dim must be a positive integer"),
+    ("space", ("dim",), -1285988, "dim must be a positive integer"),
+    ("space", ("dim",), -HUGE, "dim must be a positive integer"),
 ]
-"""Wrong entries inside number lists, and an integer past the largest float in each."""
+"""Wrong entries inside number lists, ragged rows, dimensions below 1, and an integer past the largest float in each."""
 
 
 def _wrong_type_cases():

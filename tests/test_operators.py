@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import orderunit as ou
-from oracles import limit_by_loop, preimage_search_by_loop, random_monotone_capacity
+from oracles import limit_by_loop, preimage_search_by_loop, preimage_searches_by_loop, random_monotone_capacity
 from strategies import interior_unit_spaces
 from test_functionals import DESCRIPTORS as FUNCTIONAL_DESCRIPTORS
 
@@ -387,7 +388,7 @@ class TestOpenness:
             targets = [T([0.3, 0.2]), T([-0.2, 0.35]), T(zero) + 1.4 * (np.arange(T.codomain.dim) % 2)]
             for budget in range(1, 40):
                 for y in targets:
-                    _, _, evals = ou.operators._preimage_search(T, y, zero, 0.5, budget, ou.sampling.rng_from(budget))
+                    _, _, evals = ou.operators._preimage_searches(T, [y], zero, 0.5, budget, ou.sampling.rng_from(budget))[0]
                     assert evals <= budget, (kind, budget, y)
 
     def test_no_sampled_target_fails(self, orth2):
@@ -406,7 +407,7 @@ class TestOpenness:
 
     def test_a_residual_past_the_square_overflow_stays_finite(self, orth2):
         T = ou.identity_operator(orth2)
-        _, best, evals = ou.operators._preimage_search(T, [1e200, -1e200], [-1e200, 1e200], 1e200, 3, ou.sampling.rng_from(0))
+        _, best, evals = ou.operators._preimage_searches(T, [[1e200, -1e200]], [-1e200, 1e200], 1e200, 3, ou.sampling.rng_from(0))[0]
         assert evals == 3 and 1e199 < best < np.inf
         with np.errstate(over="ignore", invalid="ignore"):
             assert ou.operators._norm2(np.array([3.0, -4.0]) * 2.0**700) == 5.0 * 2.0**700
@@ -426,8 +427,8 @@ class TestOpenness:
 
 
 class TestPreimageSearchOracle:
-    """``_preimage_search`` and the two checks that run it against
-    ``oracles.preimage_search_by_loop``, bit for bit."""
+    """``_preimage_searches``, on one target and on many, and the two checks
+    that run it against ``oracles.preimage_search_by_loop``, bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(sorted(SEARCH_OPERATORS)), budget=st.integers(1, 1200), radius=radii, seed=st.integers(0, 2**16))
@@ -435,7 +436,7 @@ class TestPreimageSearchOracle:
         T, x0 = search_case(data, kind)
         # near T(x0) at the radius's scale: on and off the clamp's band, in and out of a matrix's range
         y = T(x0) + radius * data.draw(arrays(float, T.codomain.dim, elements=st.floats(-2.0, 2.0)))
-        got = ou.operators._preimage_search(T, y, x0, radius, budget, ou.sampling.rng_from(seed))
+        got = ou.operators._preimage_searches(T, [y], x0, radius, budget, ou.sampling.rng_from(seed))[0]
         want = preimage_search_by_loop(T, y, x0, radius, budget, ou.sampling.rng_from(seed))
         assert search_bits(got) == search_bits(want)
 
@@ -457,8 +458,113 @@ class TestPreimageSearchOracle:
         )
         for check in checks:
             plain = json.dumps(check().to_json(), sort_keys=True)
-            with mock.patch.object(ou.operators, "_preimage_search", preimage_search_by_loop):
+            with mock.patch.object(ou.operators, "_preimage_searches", preimage_searches_by_loop):
                 assert json.dumps(check().to_json(), sort_keys=True) == plain
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(sorted(SEARCH_OPERATORS)),
+        count=st.integers(1, 40),
+        budget=st.integers(1, 1200),
+        radius=radii,
+        seed=st.integers(0, 2**16),
+        blocks=st.sampled_from([None, (2, 2, 0, 2), (2, 6, 32, 8), (6, 40, 0, 64), (32, 1 << 14, 10**9, 4096)]),
+    )
+    def test_searches_equal_the_loop(self, data, kind, count, budget, radius, seed, blocks):
+        """Every target's result, in order through the first failure: the
+        window, the starts run ahead and their cut back to a share of the
+        budget change no bit.  ``blocks`` sets the block bounds,
+        ``_BATCH_MIN`` and ``_SPECULATION``, so blocks that end inside a
+        sweep, steps that always batch, steps where the loop always runs
+        itself, and a few open targets whose rows are reused are drawn in
+        two dimensions as well."""
+        T, x0 = search_case(data, kind)
+        offsets = data.draw(arrays(float, (count, T.codomain.dim), elements=st.floats(-2.0, 2.0)))
+        ys = T(x0) + radius * offsets
+        want = preimage_searches_by_loop(T, ys, x0, radius, budget, ou.sampling.rng_from(seed))
+        lo, hi, batch_min, speculation = blocks or (*ou.operators._BLOCK_ENTRIES, ou.operators._BATCH_MIN, ou.operators._SPECULATION)
+        with mock.patch.multiple(ou.operators, _BLOCK_ENTRIES=(lo, hi), _BATCH_MIN=batch_min, _SPECULATION=speculation):
+            got = ou.operators._preimage_searches(T, ys, x0, radius, budget, ou.sampling.rng_from(seed))
+        assert [search_bits(r) for r in got] == [search_bits(r) for r in want]
+
+    @pytest.mark.parametrize("batch_min", [0, 10**9])
+    def test_points_keep_their_signed_zeros(self, orth2, batch_min):
+        """A hook that reads the sign of zero sees the loop's points: a start
+        of ``-0.0`` is evaluated as ``-0.0``, in a block (``_BATCH_MIN`` 0)
+        and one point at a time alike."""
+        T = ou.custom_operator(orth2, orth2, lambda x: np.copysign(1.0, x))
+        x0 = np.array([-0.0, -0.0])
+        ys = [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]
+        want = preimage_searches_by_loop(T, ys, x0, 0.5, 40, ou.sampling.rng_from(2))
+        with mock.patch.object(ou.operators, "_BATCH_MIN", batch_min):
+            got = ou.operators._preimage_searches(T, ys, x0, 0.5, 40, ou.sampling.rng_from(2))
+        assert [search_bits(r) for r in got] == [search_bits(r) for r in want]
+        assert want[0][2] == 1 and len(want) == 3
+
+    def test_one_open_target_at_a_time(self, orth2):
+        """With ``_SPECULATION`` at 2 one target is open at a time in two
+        dimensions, so a lead that a start run ahead moved on must wait to
+        join before its own starts run ahead; rows of finished targets are
+        reused all along."""
+        T = ou.clamp_operator(orth2)
+        for seed in range(40):
+            ys = T(np.zeros(2)) + 0.25 * np.random.default_rng(seed).uniform(-2.0, 2.0, size=(12, 2))
+            want = preimage_searches_by_loop(T, ys, np.zeros(2), 0.25, 1000, ou.sampling.rng_from(seed))
+            with mock.patch.multiple(ou.operators, _SPECULATION=2, _BATCH_MIN=0):
+                got = ou.operators._preimage_searches(T, ys, np.zeros(2), 0.25, 1000, ou.sampling.rng_from(seed))
+            assert [search_bits(r) for r in got] == [search_bits(r) for r in want], seed
+
+    def test_a_high_dimension_is_bounded(self):
+        """A block holds at most ``_BLOCK_ENTRIES[1]`` entries, so a search in
+        the largest orthant the descriptors allow stays small and equals the
+        loop.  The stack's maximum has no smooth descent, so the first
+        target spends its budget."""
+        space = ou.orthant(ou.spaces.MAX_ORTHANT_DIM)
+        w = np.linspace(0.5, 1.5, space.dim)
+        T = ou.stack_operator(space, [ou.linear_functional(space, w / w.sum()), ou.maxplus_functional(space, np.zeros(space.dim))])
+        x0 = np.ones(space.dim)
+        ys = T(x0) + np.array([[0.3, -0.2], [0.1, 0.4]])
+        tracemalloc.start()
+        try:
+            got = ou.operators._preimage_searches(T, ys, x0, 0.5, 150, ou.sampling.rng_from(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = preimage_searches_by_loop(T, ys, x0, 0.5, 150, ou.sampling.rng_from(1))
+        assert [search_bits(r) for r in got] == [search_bits(r) for r in want]
+        assert got[0][2] == 150 and peak < 16 * 2**20
+
+    def test_hooks_see_only_points_in_the_ball(self, orth2):
+        """Candidates past a move are evaluated in vain, but a ``custom``
+        hook is only ever called inside the search ball."""
+        x0, epsilon = np.array([0.5, -1.0]), 0.75
+        seen = []
+
+        def hook(x):
+            seen.append(np.array(x, dtype=float))
+            return np.array([x[0] * x[-1], max(x)])
+
+        T = ou.custom_operator(orth2, orth2, hook)
+        ys = T(x0) + epsilon * np.random.default_rng(3).uniform(-2.0, 2.0, size=(24, 2))
+        seen.clear()
+        ou.operators._preimage_searches(T, ys, x0, epsilon, 400, ou.sampling.rng_from(5))
+        assert len(seen) > 24 and all(ou.order_norm(orth2, p - x0) < epsilon for p in seen)
+
+    def test_no_warning_at_overflow_scale(self, orth2):
+        """Residuals near ``1e200`` overflow their squares, and the suite
+        turns a ``RuntimeWarning`` into an error.  ``linear_tall``'s image is
+        a plane in its 3-d codomain, which ball-drawn targets miss, so its
+        targets go to the search directly."""
+        x0 = np.array([1e200, -3e200])
+        identity = SEARCH_OPERATORS["identity"](orth2, orth2)
+        verdict = ou.openness_check(identity, x0, 1e200, 1e200, targets=24, budget=60, seed=1)
+        assert verdict.targets_tested == 24 and verdict.evals_used > 24
+        assert ou.open_ball_image_check(identity, 1e200, n=24, budget=60, seed=2).samples == 48
+        tall = SEARCH_OPERATORS["linear_tall"](orth2, orth2)
+        ys = tall(x0) + 1e200 * np.random.default_rng(4).uniform(-2.0, 2.0, size=(24, 3))
+        results = ou.operators._preimage_searches(tall, ys, x0, 1e200, 60, ou.sampling.rng_from(3))
+        assert results and all(1e199 < best < np.inf for _, best, _ in results)
 
 
 class TestOpenBallImage:
