@@ -390,10 +390,6 @@ cost, and the loop itself runs instead."""
 _WALK = 128
 """Evaluations the loop itself runs before the search looks again."""
 
-_WINDOW = 1
-"""Targets a search starts with; the window doubles each time its lead
-target is known to have a preimage."""
-
 
 def _residuals(T: Operator, P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``_norm2(T(p) - y)`` for the rows of ``P`` and ``Y``, bit for bit, in
@@ -451,20 +447,21 @@ def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) ->
 
     The rows are the current start of each target in a window, and the
     later starts of its lead target, the first one not yet known to have a
-    preimage, which join one per step.  A later start gets what the starts
-    before it leave of the budget, so it runs ahead under the whole budget,
-    records its moves, and is cut back to its share once they end.  The
-    window starts at ``_WINDOW`` targets and doubles each time the lead
-    moves on: a failing target (the probe off the clamp's band) runs almost
-    alone, while targets that pass share the steps.  A step gives the rows
+    preimage, which join one per step.  Every row may evaluate up to what
+    its target has left of the budget, so a later start runs ahead of the
+    starts before it, records its moves, and once they end is cut back to
+    its share, its last move within what they left.  The window starts at
+    one target and doubles each time the lead moves on: a failing target
+    (the probe off the clamp's band) runs almost alone, while targets that
+    pass share the steps.  A step gives the rows
     of targets past the first one that has not ended at most
     ``_SPECULATION`` entries; at most ``_SPECULATION // dim`` targets are
     open at once, and the rows of targets that have ended are reused, so
     the search's memory grows with the dimension, not with the number of
     targets.  Candidates past a move, later starts and
     targets past the first failure are evaluated in vain, but only at
-    points in the ball; a later start stops once it has used what the
-    starts before it have left.  Targets draw their six ball starts when they
+    points in the ball; a later start stops once it has used what its
+    target has left.  Targets draw their six ball starts when they
     join the window, in target order; the generator's state after the call
     is unspecified.
     """
@@ -485,35 +482,35 @@ def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) ->
     def inside(x):
         return all(abs(v) < limit for v in (R @ (x - x0)).tolist())
 
-    # per row: target, start, evals, evals allowed, the coordinate its sweep
-    # resumes at, whether that sweep has moved, block width in coordinates,
+    # per row: target, start, evals, the coordinate its sweep resumes at,
+    # whether that sweep has moved, block width in coordinates,
     # evals per move at its last step, point, residual, step, y.  A target has
     # at most 9 starts and at most `most` targets are open at once; a step
     # may add rows besides those in use when it began, since the rows of the
     # targets that finish in it are free only from the next step on
     most = max(1, min(n, _SPECULATION // dim))
     rows = 18 * most
-    tgt, sid, own, lim, pos, moved, span, gap = (np.zeros(rows, dtype=np.intp) for _ in range(8))
+    tgt, sid, own, pos, moved, span, gap = (np.zeros(rows, dtype=np.intp) for _ in range(7))
     X, val, step, Yr = np.empty((rows, dim)), np.empty(rows), np.empty(rows), np.empty((rows, Y.shape[1]))
-    fresh, live, ended, ahead = (np.zeros(rows, dtype=bool) for _ in range(4))  # fresh: its start is not yet evaluated
+    fresh, live, ahead = (np.zeros(rows, dtype=bool) for _ in range(3))  # fresh: start not yet evaluated; live: not ended
     history = [None] * rows  # of a row run ahead: (evals, residual, point) at its start and after each move
     # per target: starts, rows by start, current start, evals of the starts that ended, best so far, result
-    starts, balls, rows_of, cur, spent = [None] * n, [None] * n, [{} for _ in range(n)], [0] * n, [0] * n
+    starts, balls, rows_of, cur, spent = [None] * n, [None] * n, [{} for _ in range(n)], [0] * n, np.zeros(n, dtype=np.intp)
     best, best_x, done = [np.inf] * n, [None] * n, {}
     free, retired = list(range(rows - 1, -1, -1)), []
 
     def add_row(t, s, run_ahead):
         u = free.pop()
-        tgt[u], sid[u], own[u], lim[u], pos[u], moved[u], span[u], gap[u] = t, s, 0, budget - spent[t], 0, 0, narrowest, 2 * narrowest
+        tgt[u], sid[u], own[u], pos[u], moved[u], span[u], gap[u] = t, s, 0, 0, 0, narrowest, 2 * narrowest
         X[u], step[u], Yr[u] = (x0 if s == 0 else starts_of(t)[s]), epsilon / 2.0, Y[t]
         fresh[u] = live[u] = True
-        ended[u], ahead[u] = False, run_ahead
+        ahead[u] = run_ahead
         history[u] = [] if run_ahead else None
         rows_of[t][s] = u
 
     def walk(u):
         """The loop itself on row ``u``, for about ``_WALK`` evaluations; whether the row has ended."""
-        x, y, p, st, e, cap, mv = X[u].copy(), Yr[u], int(pos[u]), float(step[u]), int(own[u]), int(lim[u]), bool(moved[u])
+        x, y, p, st, e, cap, mv = X[u].copy(), Yr[u], int(pos[u]), float(step[u]), int(own[u]), int(budget - spent[tgt[u]]), bool(moved[u])
         e0, moves = e, 0
         if fresh[u]:
             fresh[u], v, e = False, _norm2(T.fn(x) - y), e + 1
@@ -540,17 +537,14 @@ def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) ->
         """Row ``u`` has ended."""
         t = tgt[u]
         if t not in done:
-            ended[u], live[u] = True, False
+            live[u] = False
             if sid[u] == cur[t]:
                 settle(t)
-            elif val[u] <= PREIMAGE_TOL and sid[u] < found[t]:
-                found[t] = sid[u]  # the starts after it can no longer matter
-                for s in [s for s in rows_of[t] if s > sid[u]]:
-                    retired.append(rows_of[t].pop(s))
-                    live[retired[-1]] = False
+            elif val[u] <= PREIMAGE_TOL:
+                found.add(t)
 
     def finish(t, found):
-        done[t] = (best_x[t] if found else None), best[t], spent[t]
+        done[t] = (best_x[t] if found else None), best[t], int(spent[t])
         for u in rows_of[t].values():
             live[u] = False
         retired.extend(rows_of[t].values())
@@ -564,15 +558,14 @@ def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) ->
             if u is None:
                 return add_row(t, cur[t], False)
             room = budget - spent[t]
-            ahead[u], lim[u] = False, room
+            ahead[u] = False
             if own[u] > room:  # it ran past its share: back to its last move within it
                 _, val[u], X[u] = next(h for h in reversed(history[u]) if h[0] <= room)
                 own[u] = room
-            ended[u] |= own[u] == room
-            if not ended[u]:
+            live[u] &= own[u] < room
+            if live[u]:
                 return
-            live[u] = False
-            spent[t] += int(own[u])
+            spent[t] += own[u]
             if val[u] < best[t]:
                 best[t], best_x[t] = float(val[u]), X[u].copy()
             if best[t] <= PREIMAGE_TOL:
@@ -600,14 +593,14 @@ def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) ->
             settle(t)
 
     head = lead = entered = 0
-    window, found = _WINDOW, [9] * n  # found[t]: a start of t, run ahead, that reached a preimage
+    window, found = 1, set()  # found: targets a start of which, run ahead, reached a preimage
     while head < n:
         if head in done:
             if done[head][0] is None:
                 break
             head += 1
             continue
-        while lead < entered and (found[lead] < 9 or lead in done and done[lead][0] is not None):
+        while lead < entered and (lead in found or lead in done and done[lead][0] is not None):
             lead, window = lead + 1, 2 * window
         free += retired
         retired.clear()
@@ -619,17 +612,6 @@ def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) ->
             s = next((s for s in range(cur[lead] + 1, len(starts_of(lead))) if s not in rows_of[lead]), None)
             if s is not None:  # one more later start runs ahead at each step
                 add_row(lead, s, True)
-        for t in set(tgt[live & ahead].tolist()):
-            # a start's share is at most what the starts before it have not used yet
-            left, s = budget - spent[t], cur[t]
-            while s in rows_of[t]:
-                u = rows_of[t][s]
-                if ahead[u]:
-                    lim[u] = left
-                    if own[u] >= left:
-                        ended[u], live[u] = True, False
-                left -= own[u]
-                s += 1
 
         a = np.flatnonzero(live)
         if len(a) * (1 + 2 * widest) * dim > _SPECULATION:
@@ -642,7 +624,8 @@ def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) ->
             continue
 
         # one block per row, one ball test and one batch call for all
-        A, at, fr, room, width = len(a), np.arange(len(a)), fresh[a], lim[a] - own[a], 2 * span[a]
+        A, at, fr, width = len(a), np.arange(len(a)), fresh[a], 2 * span[a]
+        room = np.maximum(budget - spent[tgt[a]] - own[a], 0)  # a start run ahead may be past what its target has left
         k = slot[: 1 + width.max()]
         sweep, coord = np.divmod(pos[a, None] + ahead_of[k], dim)
         S = step[a, None] * level[moved[a, None], sweep]
@@ -742,8 +725,8 @@ def openness_check(
     stopping at the first target without one.  It passes only when at least
     one target was sampled and every target got a preimage.
     """
-    if not (epsilon > 0 and delta > 0):
-        raise ValueError("epsilon and delta must be positive")
+    if not (0 < epsilon < np.inf and 0 < delta < np.inf):
+        raise ValueError("epsilon and delta must be positive and finite")
     if targets < 1 or budget < 1:
         raise ValueError("targets and budget must be at least 1")
     rng = sampling.rng_from(seed)
@@ -800,8 +783,8 @@ def open_ball_image_check(
     """For a declared-onto ``T`` with ``T(unit_E)`` the codomain unit, the
     image of the radius-``eps`` ball at zero is the radius-``eps`` ball at
     zero: both inclusions are sampled, preimages found by budgeted search."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     rng = sampling.rng_from(seed)
     if not unit_image_interior(T):
         witness = {"reason": "unit image is not interior in the codomain cone"}

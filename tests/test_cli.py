@@ -1074,6 +1074,16 @@ class TestOpenness:
         assert not verdict["passed"] and verdict["targets_tested"] == 4
         assert 1e196 < verdict["best_residual"] < 1e197
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--delta"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_a_radius_that_is_not_positive_and_finite_is_input_error(self, files, flag, value):
+        # the timeout turns a search that never ends (epsilon = inf once did) into a failure
+        radii = {"--epsilon": "1", "--delta": "0.1", flag: value}
+        argv = ["openness", "--space", files["space2"], "--operator", files["clamp"], "--at", "2,4"]
+        proc = run_cli(*argv, *(f"{k}={v}" for k, v in radii.items()), "--format", "json", timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: epsilon and delta must be positive and finite\n"
+
     def test_boundary_unit_fails(self, files):
         # the timeout turns a sampler that never accepts a point into a failure
         proc = run_cli(
@@ -1096,20 +1106,22 @@ INT, NUMBER, TEXT = ("int",), ("number",), ("str",)
 MASKS = ("masks",)
 CAPACITY_SCHEMA = ("object", {"n": INT, "values": MASKS})
 LINEAR_SCHEMA = ("object", {"kind": TEXT, "weights": ("list", NUMBER)})
-ROWS = ("list", ("list", NUMBER))
-SCHEMAS = {  # the JSON type of each descriptor in WELL_TYPED, written apart from the readers
-    "space": ("object", {"dim": INT, "cone": ("cone", ("object", {"halfspaces": ROWS})), "unit": ("list", NUMBER)}),
-    "halfspace_space": ("object", {"dim": INT, "cone": ("cone", ("object", {"halfspaces": ROWS})), "unit": ("list", NUMBER)}),
+SPACE_SCHEMA = ("object", {"dim": INT, "cone": ("cone", ("object", {"halfspaces": ("rows", "cone rows")})), "unit": ("list", NUMBER)})
+SCHEMAS = {  # the JSON type of each descriptor in WELL_TYPED, written apart from the readers;
+    # ("rows", name) is a list of number lists of one length, which the readers call name
+    "space": SPACE_SCHEMA,
+    "halfspace_space": SPACE_SCHEMA,
     "linear": LINEAR_SCHEMA,
     "maxplus": LINEAR_SCHEMA,
     "choquet": ("object", {"kind": TEXT, "capacity": CAPACITY_SCHEMA}),
     "sqrt_gap": ("object", {"kind": TEXT}),
     "capacity": CAPACITY_SCHEMA,
-    "linear_positive": ("object", {"kind": TEXT, "matrix": ROWS}),
+    "linear_positive": ("object", {"kind": TEXT, "matrix": ("rows", "linear_positive matrix")}),
     "clamp": ("object", {"kind": TEXT}),
     # a stacked functional of any kind is well typed as far as this test tells
     "stack": ("object", {"kind": TEXT, "functionals": ("list", ("functional", LINEAR_SCHEMA))}),
     "sequence": ("object", {"n": INT, "sequence": ("list", ("entry", MASKS))}),
+    "partial": ("object", {"base_points": ("rows", "base_points"), "values": ("list", NUMBER), "unit_value": NUMBER}),
 }
 
 
@@ -1131,6 +1143,8 @@ def _well_typed(schema, v):
         return isinstance(v, str)
     if tag == "list":
         return isinstance(v, list) and all(_well_typed(schema[1], x) for x in v)
+    if tag == "rows":
+        return _well_typed(("list", ("list", NUMBER)), v) and len({len(row) for row in v}) < 2
     if tag == "object":
         return isinstance(v, dict) and all(k in v and _well_typed(s, v[k]) for k, s in schema[1].items())
     if tag == "masks":
@@ -1152,6 +1166,8 @@ def _schema_at(schema, path):
             schema = schema[1][key]
         elif tag == "list":
             schema = schema[1]
+        elif tag == "rows":
+            schema = ("list", NUMBER)
         elif tag in ("cone", "functional"):  # their object form
             schema = schema[1][1][key]
         else:  # a mask's value, or an entry's masks
@@ -1185,6 +1201,9 @@ def schema_values(schema):
         return st.sampled_from(["linear", "maxplus", "choquet", "sqrt_gap", "linear_positive", "clamp", "stack", "x"])
     if tag == "list":
         return st.lists(schema_values(schema[1]), max_size=4)
+    if tag == "rows":  # of one length, or ragged
+        rectangular = st.integers(0, 3).flatmap(lambda k: st.lists(st.lists(schema_values(NUMBER), min_size=k, max_size=k), max_size=4))
+        return rectangular | st.lists(schema_values(("list", NUMBER)), min_size=2, max_size=4)
     if tag == "object":
         return st.fixed_dictionaries({k: schema_values(s) for k, s in schema[1].items()})
     if tag == "masks":
@@ -1198,28 +1217,39 @@ def schema_values(schema):
 
 
 @st.composite
-def ill_typed_runs(draw, names=tuple(sorted(set(WELL_TYPED) - {"partial"}))):
-    """``(family, descriptor, well_typed)``: a descriptor of WELL_TYPED named in
-    ``names`` (by default all but the partial functional: TestExtendContract
-    covers ``extend``) with one field or one nested entry replaced by a drawn
-    JSON value, of any type or of the field's, and whether the result has its
-    JSON type."""
+def ill_typed_runs(draw, names=tuple(sorted(WELL_TYPED))):
+    """``(family, descriptor, fault)``: a descriptor of WELL_TYPED named in
+    ``names`` with one field or one nested entry replaced by a drawn JSON
+    value, of any type or of the field's.  ``fault`` is None when the result
+    has its JSON type, shape included; otherwise its one error line must
+    contain ``fault``: the name of the number-rows field the value went into
+    (a ragged cone row, matrix or ``base_points`` among them), or ``""``."""
     name = draw(st.sampled_from(names))
     family, obj = WELL_TYPED[name]
     path = draw(st.sampled_from(list(_paths(obj))))
     schema = _schema_at(SCHEMAS[name], path)
     value = draw(json_values() | schema_values(schema))
-    return family, _put(obj, path, value), _well_typed(schema, value)
+    whole = _put(obj, path, value)
+    if _well_typed(schema, value) and _well_typed(SCHEMAS[name], whole):  # a row of another length makes its rows ragged
+        return family, whole, None
+    rows = [s[1] for s in (_schema_at(SCHEMAS[name], path[:i]) for i in range(len(path) + 1)) if s[0] == "rows"]
+    return family, whole, rows[0] if rows else ""
+
+
+def _assert_refused(code, err, fault):
+    """Exit 2 with one error line that contains ``fault``."""
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1 and fault in err, (code, err, fault)
 
 
 class TestCheckCompactContract:
     @settings(max_examples=100, deadline=None)
     @given(run=ill_typed_runs())
     def test_exit_code_strict_json_and_a_quiet_stderr(self, files, run):
-        """``check`` and ``compact`` on a descriptor with one drawn field exit 0, 1
-        or 2, print strict JSON, send no warning or traceback to stderr, and exit 2
-        whenever the field has the wrong JSON type."""
-        family, obj, well_typed = run
+        """``check``, ``compact`` and ``extend`` on a descriptor with one drawn field
+        exit 0, 1 or 2, print strict JSON, send no warning or traceback to stderr,
+        and exit 2 with one line whenever the field has the wrong JSON type or
+        shape, naming the field of a number-rows fault."""
+        family, obj, fault = run
         with tempfile.TemporaryDirectory() as tmp:
             descriptor = Path(tmp) / "descriptor.json"
             if family == "capacity":
@@ -1239,8 +1269,8 @@ class TestCheckCompactContract:
         if out.getvalue():
             json.loads(out.getvalue(), parse_constant=_no_constant)
         assert bool(out.getvalue()) != bool(err.getvalue())
-        if not well_typed:
-            assert code == 2 and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        if fault is not None:
+            _assert_refused(code, err.getvalue(), fault)
 
 
 class _Hang(Exception):
@@ -1305,29 +1335,31 @@ def operators_for(draw, dim):
 
 @st.composite
 def light_runs(draw):
-    """``(argv, files)``: ``norm``, ``openness`` or ``gallery`` with drawn arguments;
-    ``files`` maps each file name in ``argv`` to the descriptor it holds.  The
-    space and operator are well typed, or one of them is from :func:`ill_typed_runs`."""
+    """``(argv, files, fault)``: ``norm``, ``openness`` or ``gallery`` with drawn
+    arguments; ``files`` maps each file name in ``argv`` to the descriptor it
+    holds.  The space and operator are well typed, or one of them is from
+    :func:`ill_typed_runs`, whose ``fault`` this passes on."""
     command = draw(st.sampled_from(["norm", "openness", "gallery"]))
     if command == "gallery":
-        return ["gallery", "--seed", str(draw(st.integers(0, 2**64)))], {}
+        return ["gallery", "--seed", str(draw(st.integers(0, 2**64)))], {}, None
     ill = draw(st.sampled_from([None, "space", "operator"]))
     dim, space = draw(scaled_spaces())
+    fault = None
     if ill == "space":
-        dim, space = 2, draw(ill_typed_runs(("space", "halfspace_space")))[1]
+        dim, (_, space, fault) = 2, draw(ill_typed_runs(("space", "halfspace_space")))
     if ill == "operator":  # the descriptors of ill_typed_runs are on the plane
         dim, space = 2, {"dim": 2, "cone": "orthant", "unit": [1.0, 1.0]}
     if command == "norm":
         points = draw(st.lists(_coordinates(dim), min_size=1, max_size=3))
-        return ["norm", "--space", "space.json", *(f"--point={p}" for p in points)], {"space.json": space}
+        return ["norm", "--space", "space.json", *(f"--point={p}" for p in points)], {"space.json": space}, fault
     operator = draw(operators_for(dim))
     if ill == "operator":
-        operator = draw(ill_typed_runs(("linear_positive", "clamp", "stack")))[1]
+        _, operator, fault = draw(ill_typed_runs(("linear_positive", "clamp", "stack")))
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     argv = ["openness", "--space", "space.json", "--operator", "operator.json", f"--at={draw(_coordinates(dim))}",
             f"--epsilon={draw(positive)!r}", f"--delta={draw(positive)!r}", "--targets", str(draw(st.integers(1, 4))),
             "--budget", str(draw(st.integers(1, 64))), "--seed", str(draw(st.integers(0, 2**32)))]
-    return argv, {"space.json": space, "operator.json": operator}
+    return argv, {"space.json": space, "operator.json": operator}, fault
 
 
 class TestLightContract:
@@ -1336,8 +1368,9 @@ class TestLightContract:
     def test_exit_code_strict_json_and_a_quiet_stderr(self, run):
         """``norm``, ``openness`` and ``gallery`` on drawn spaces, points, radii and
         descriptors, well typed or not, exit 0, 1 or 2 within 30 s, print strict
-        JSON, and raise no warning and send no traceback to stderr."""
-        argv, files = run
+        JSON, and raise no warning and send no traceback to stderr; an ill-typed
+        or ragged descriptor exits 2 as :func:`ill_typed_runs` says."""
+        argv, files, fault = run
         with tempfile.TemporaryDirectory() as tmp:
             for name, obj in files.items():
                 (Path(tmp) / name).write_text(json.dumps(obj))
@@ -1352,6 +1385,8 @@ class TestLightContract:
         if out.getvalue():
             json.loads(out.getvalue(), parse_constant=_no_constant)
         assert bool(out.getvalue()) != bool(err.getvalue())
+        if fault is not None:
+            _assert_refused(code, err.getvalue(), fault)
 
 
 class TestCompact:

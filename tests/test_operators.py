@@ -380,6 +380,16 @@ class TestOpenness:
         with pytest.raises(ValueError):
             ou.openness_check(ou.clamp_operator(orth2), [0.0, 0.0], 0.0, 0.1)
 
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_radii_must_be_finite(self, orth2, radius):
+        # at epsilon = inf no candidate lies in the ball, so the step never halves and the search never ended
+        T = ou.clamp_operator(orth2)
+        for epsilon, delta in ((radius, 0.1), (0.1, radius)):
+            with pytest.raises(ValueError, match="^epsilon and delta must be positive and finite$"):
+                ou.openness_check(T, [2.0, 4.0], epsilon, delta)
+        with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+            ou.open_ball_image_check(T, radius)
+
     def test_search_never_exceeds_its_budget(self, orth2, hs2):
         zero = np.zeros(2)
         for kind, build in SEARCH_OPERATORS.items():

@@ -3,6 +3,7 @@ to the object its layer defines, and ``import orderunit`` loads no layer."""
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,7 +82,9 @@ def test_import_loads_no_layer():
 @pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
 def test_every_import_is_used(path):
     """No linter runs here, so this stands in for an unused-import check: every
-    name a library module imports (``__future__`` aside) is read in that module."""
+    name a library module imports (``__future__`` aside) is read in that module,
+    and so is every private module-level constant (``_UPPER``), so a knob that
+    nothing reads any more cannot stay behind."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {
         alias.asname or alias.name.split(".")[0]
@@ -89,5 +92,12 @@ def test_every_import_is_used(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported - read) == []
+    constants = {
+        node.id
+        for statement in tree.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and re.fullmatch(r"_[A-Z][A-Z0-9_]*", node.id)
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted((imported | constants) - read) == []
