@@ -87,6 +87,8 @@ def _unit_not_interior(command: str, space) -> dict | None:
 
 
 def run_check(args) -> tuple[dict, int]:
+    if not 0 <= args.tol < math.inf:  # at inf every law passes, and below 0 or at NaN every check fails
+        raise ValueError(f"tol must be a nonnegative finite number, got {args.tol}")
     space = _read_space(args.space)
     from .spaces import validate_space
 
@@ -154,7 +156,7 @@ def run_norm(args) -> tuple[dict, int]:
 def run_extend(args) -> tuple[dict, int]:
     space = _read_space(args.space)
     partial = _load_json(args.partial)
-    from .extension import _blocks, _grown, _place, _Refused, check_partial_consistency, partial_from_json, partial_to_json
+    from .extension import _extend, _Refused, check_partial_consistency, partial_from_json, partial_to_json
 
     # a boundary unit makes the unit-scaled pairings of the partial functional not finite, so check it first
     failure = _unit_not_interior("extend", space)
@@ -168,26 +170,22 @@ def run_extend(args) -> tuple[dict, int]:
             "exit_status": EXIT_VIOLATION,
         }
         return payload, EXIT_VIOLATION
-    entries = []
+    entries, steps = [], []
     payload = {"command": "extend", "rule": args.rule, "targets": entries}
-    n = len(pf.norms)
-    blocks = _blocks(pf, len(args.target))  # every target's line grows in place, as in extend_all
-    for text in args.target:
+    try:  # a target is read when its step comes, so a refusal before a malformed one still exits 1
+        payload["result"] = partial_to_json(_extend(pf, map(_parse_point, args.target), len(args.target), args.rule, args.value, steps))
+    except _Refused as exc:  # a refused target ends the run with exit 1; other errors reach main
+        steps.append(str(exc))
+    for text, step in zip(args.target, steps):
         y = _parse_point(text)
-        try:
-            step = _place(pf, blocks, n, y, args.rule, args.value)
-        except _Refused as exc:  # a refused target ends the run with exit 1; other errors reach main
-            entries.append({"target": y, "error": str(exc)})
-            payload["exit_status"] = EXIT_VIOLATION
-            return payload, EXIT_VIOLATION
-        if step is None:
+        if isinstance(step, str):
+            entries.append({"target": y, "error": step})
+        elif step is None:
             entries.append({"target": y, "skipped": "already in span"})
-            continue
-        n += 1
-        interval, value = step
-        entries.append({"target": y, "p_minus": interval.p_minus, "p_plus": interval.p_plus, "value": value})
-    payload.update(result=partial_to_json(_grown(pf, blocks, n)), exit_status=EXIT_OK)
-    return payload, EXIT_OK
+        else:
+            entries.append({"target": y, "p_minus": step[0].p_minus, "p_plus": step[0].p_plus, "value": step[1]})
+    payload["exit_status"] = EXIT_OK if "result" in payload else EXIT_VIOLATION
+    return payload, payload["exit_status"]
 
 
 def run_openness(args) -> tuple[dict, int]:

@@ -488,30 +488,38 @@ def _place(pf: PartialFunctional, blocks: tuple, n: int, y, rule: str, value):
     return interval, p
 
 
+def _extend(pf: PartialFunctional, ys, k: int, rule: str, value, steps: list) -> PartialFunctional:
+    """Fold :func:`_place` over the ``k`` targets ``ys``, the lines growing in
+    one block allocated for all of them, and append each target's step to
+    ``steps`` as it is placed (None for one already spanned), so a caller
+    that catches a refusal holds the steps before it; one instance is built
+    at the end, ``pf`` itself when no line was added."""
+    n0 = n = len(pf.norms)
+    blocks = _blocks(pf, k)
+    for y in ys:
+        steps.append(_place(pf, blocks, n, y, rule, value))
+        n += steps[-1] is not None
+    return pf if n == n0 else _grown(pf, blocks, n)
+
+
 def extend_one(pf: PartialFunctional, y, rule: str = "midpoint", value=None) -> PartialFunctional:
-    """Extend ``pf`` by one point off its span (:func:`_place` with room for one
-    line); the restriction to the old lines is untouched and the result stays consistent."""
-    n, blocks = len(pf.norms), _blocks(pf, 1)
-    if _place(pf, blocks, n, y, rule, value) is None:
+    """Extend ``pf`` by one point off its span; the restriction to the old
+    lines is untouched and the result stays consistent."""
+    steps = []
+    grown = _extend(pf, [y], 1, rule, value, steps)
+    if steps[0] is None:
         raise ValueError("target point already lies in the span")
-    return _grown(pf, blocks, n + 1)
+    return grown
 
 
 def extend_all(pf: PartialFunctional, ys, rule: str = "midpoint", value=None) -> PartialFunctional:
     """Fold the extension step over the targets, skipping points already spanned.
 
-    The lines grow in one block allocated for every target (:func:`_place`);
-    one instance is built at the end.  The fold order matters with the
-    midpoint rule: earlier choices narrow later intervals.  Any order yields a
-    consistent result.
+    The fold order matters with the midpoint rule: earlier choices narrow
+    later intervals.  Any order yields a consistent result.
     """
     ys = list(ys)
-    n0 = n = len(pf.norms)
-    blocks = _blocks(pf, len(ys))
-    for y in ys:
-        if _place(pf, blocks, n, y, rule, value) is not None:
-            n += 1
-    return pf if n == n0 else _grown(pf, blocks, n)
+    return _extend(pf, ys, len(ys), rule, value, [])
 
 
 def canonical_extension(pf: PartialFunctional, mode: str = "midpoint") -> Functional:

@@ -71,8 +71,8 @@ class Operator:
     evaluator on a vector already checked against the domain, ``batch`` its
     evaluator on an ``(n, domain dim)`` array of such vectors, returning the
     ``(n, codomain dim)`` images, ``image_oracle`` its exact membership test
-    for ``T(E)`` where one is known, and ``unit_image`` caches the value at
-    the domain unit.
+    for ``T(E)`` where one is known, as a mask over such rows, and
+    ``unit_image`` caches the value at the domain unit.
 
     ``batch`` equals ``fn`` row by row, bit for bit, and the law checkers
     evaluate through it; a ``custom`` operator leaves it unset and gets the
@@ -84,7 +84,7 @@ class Operator:
     fn: Callable[[np.ndarray], np.ndarray]
     matrix: np.ndarray | None = None
     functionals: tuple[Functional, ...] | None = None
-    image_oracle: Callable[[np.ndarray], bool] | None = None
+    image_oracle: Callable[[np.ndarray], np.ndarray] | None = None
     batch: Callable[[np.ndarray], np.ndarray] | None = None
     unit_image: np.ndarray = field(init=False)
 
@@ -111,13 +111,8 @@ def _clamp_rows(X: np.ndarray) -> np.ndarray:
     return np.column_stack([X[:, 0], np.where(X[:, 1] <= lo, lo, np.where(X[:, 1] >= hi, hi, X[:, 1]))])
 
 
-def _in_band(y) -> bool:
-    return abs(float(y[1]) - float(y[0])) <= 1.0 + TOL
-
-
-def _in_range(M: np.ndarray, y) -> bool:
-    sol, *_ = np.linalg.lstsq(M, np.asarray(y, dtype=float), rcond=None)
-    return bool(np.max(np.abs(M @ sol - y)) <= 1e-8)
+def _in_band(Y: np.ndarray) -> np.ndarray:
+    return np.abs(Y[:, 1] - Y[:, 0]) <= 1.0 + TOL
 
 
 def _stack_eval(fs: tuple[Functional, ...], v: np.ndarray) -> np.ndarray:
@@ -148,7 +143,6 @@ def linear_positive(domain: OrderedSpace, codomain: OrderedSpace, matrix, strict
         kind="linear_positive",
         fn=m.__matmul__,
         matrix=m,
-        image_oracle=partial(_in_range, m),
         batch=partial(matvecs, m),
     )
     if strict:
@@ -718,12 +712,14 @@ def openness_check(
     """Probe openness of ``T`` at ``x0`` relative to its image.
 
     Samples ``targets`` points in the radius-``delta`` ball around ``T(x0)``
-    intersected with ``T(E)`` (membership decided by ``T.image_oracle``,
-    which the clamp and matrix kinds set; without one, targets are forward
-    images) and searches the radius-``epsilon`` ball around ``x0`` for a
-    preimage of each, ``budget`` evaluations per target, in sampling order,
-    stopping at the first target without one.  It passes only when at least
-    one target was sampled and every target got a preimage.
+    intersected with ``T(E)``: ball points that the row mask
+    ``T.image_oracle`` keeps (the clamp), every ball point for a matrix of
+    full row rank, and otherwise forward images; and searches the
+    radius-``epsilon`` ball around ``x0`` for a preimage of each, ``budget``
+    evaluations per target, in sampling order, stopping at the first target
+    without one.  It passes only when at least one target was sampled and
+    every target got a preimage.  The tries are drawn and tested in blocks
+    of at most the tries still needed, so the draws are the one-try loop's.
     """
     if not (0 < epsilon < np.inf and 0 < delta < np.inf):
         raise ValueError("epsilon and delta must be positive and finite")
@@ -733,25 +729,22 @@ def openness_check(
     x0 = as_vec(x0, T.domain.dim)
     center = apply(T, x0)
 
-    note = ""
-    sampled = []
-    tries = 0
-    if T.image_oracle is not None:
-        while len(sampled) < targets and tries < 200 * targets:
-            y = sampling.ball_point(T.codomain, center, delta, rng)
-            tries += 1
-            if T.image_oracle(y):
-                sampled.append(y)
-        if not sampled:
-            note = "no image points found inside the target ball"
-    else:
-        note = "no image oracle; targets are forward images near the probe point"
-        while len(sampled) < targets and tries < 500 * targets:
-            tries += 1
-            x = x0 + rng.normal(scale=max(2.0 * epsilon, 1.0), size=T.domain.dim)
-            y = apply(T, x)
-            if order_norm(T.codomain, y - center) < delta:
-                sampled.append(y)
+    onto = T.matrix is not None and np.linalg.matrix_rank(T.matrix) == T.codomain.dim
+    ball = onto or T.image_oracle is not None
+    rows, cap = max(1, _BLOCK_ENTRIES[1] // max(T.domain.dim, T.codomain.dim)), (200 if ball else 500) * targets
+    sampled, tries = [], 0
+    while len(sampled) < targets and tries < cap:
+        k = min(targets - len(sampled), cap - tries, rows)
+        tries += k
+        if ball:
+            Y = sampling._ball_point_run(T.codomain, center, delta, k, rng)
+            sampled.extend(Y if onto else Y[T.image_oracle(Y)])
+        else:
+            Y = T.batch(x0 + rng.normal(scale=max(2.0 * epsilon, 1.0), size=(k, T.domain.dim)))
+            sampled.extend(Y[order_norms(T.codomain, Y - center) < delta])
+    note = "no image oracle; targets are forward images near the probe point"
+    if ball:
+        note = "" if sampled else "no image points found inside the target ball"
 
     results = _preimage_searches(T, sampled, x0, epsilon, budget, rng)
     witness = best_residual = None

@@ -902,3 +902,30 @@ def preimage_searches_by_loop(T, ys, x0, epsilon, budget, rng):
         if results[-1][0] is None:
             break
     return results
+
+
+def openness_targets_by_loop(T, x0, epsilon, delta, targets, rng):
+    """The targets of ``openness_check``, one try at a time: for the clamp and
+    for a matrix of full row rank, up to ``200 * targets`` :func:`ball_point`
+    draws, each kept where the clamp's band holds or always for the matrix;
+    for every other operator, up to ``500 * targets`` forward images
+    ``apply(T, x0 + normal)``, each kept where its order-norm distance to
+    ``T(x0)`` is below ``delta``."""
+    x0 = np.asarray(x0, dtype=float)
+    center = apply(T, x0)
+    onto = T.matrix is not None and np.linalg.matrix_rank(T.matrix) == T.codomain.dim
+    sampled, tries = [], 0
+    if onto or T.kind == "clamp":
+        while len(sampled) < targets and tries < 200 * targets:
+            y = ball_point(T.codomain, center, delta, rng)
+            tries += 1
+            if onto or abs(float(y[1]) - float(y[0])) <= 1.0 + TOL:
+                sampled.append(y)
+    else:
+        while len(sampled) < targets and tries < 500 * targets:
+            tries += 1
+            x = x0 + rng.normal(scale=max(2.0 * epsilon, 1.0), size=T.domain.dim)
+            y = apply(T, x)
+            if order_norm(T.codomain, y - center) < delta:
+                sampled.append(y)
+    return sampled

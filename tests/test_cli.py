@@ -130,6 +130,13 @@ class TestCheck:
         payload = json.loads(proc.stdout)
         assert payload["subject"]["unit_image_interior"] is True
 
+    @pytest.mark.parametrize("tol, shown", [("inf", "inf"), ("nan", "nan"), ("-1", "-1.0")])
+    def test_tol_must_be_nonnegative_and_finite(self, files, capsys, tol, shown):
+        # at inf every law passed, sqrt_gap's order law too; below 0 or at NaN every check failed
+        argv = ["check", "--space", files["space2"], "--functional", files["gap"], f"--tol={tol}", "--format", "json"]
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: tol must be a nonnegative finite number, got {shown}\n")
+
     def test_malformed_json_is_input_error(self, files):
         proc = run_cli("check", "--space", files["broken"], "--functional", files["gap"])
         assert proc.returncode == 2

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import orderunit as ou
-from oracles import limit_by_loop, preimage_search_by_loop, preimage_searches_by_loop, random_monotone_capacity
+from oracles import (
+    limit_by_loop,
+    openness_targets_by_loop,
+    preimage_search_by_loop,
+    preimage_searches_by_loop,
+    random_monotone_capacity,
+)
 from strategies import interior_unit_spaces
 from test_functionals import DESCRIPTORS as FUNCTIONAL_DESCRIPTORS
 
@@ -409,6 +415,51 @@ class TestOpenness:
         # at a smaller delta the probe fails on a target, so a larger delta must not pass
         assert not ou.openness_check(ou.clamp_operator(orth2), [0.0, 0.0], 1.0, 1e4).passed
 
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e12])
+    def test_a_matrix_into_a_plane_takes_forward_images(self, orth2, s):
+        """``linear_tall``'s image is a plane in its 3-d codomain, which a ball
+        point misses, so its targets are forward images; a least-squares test
+        with an absolute residual took none of them."""
+        T = SEARCH_OPERATORS["linear_tall"](orth2, orth2)
+        verdict = ou.openness_check(T, [s, 3.0 * s], s, s, targets=8)
+        assert (verdict.passed, verdict.targets_tested) == (True, 8)
+        assert verdict.note.startswith("no image oracle")
+
+    def test_an_onto_matrix_takes_every_ball_point(self):
+        """A matrix of full row rank maps onto its codomain, so every ball point
+        is a target at any scale; an absolute residual of ``1e-8`` kept 1 of 8
+        at ``1e9``."""
+        space = ou.orthant(4)
+        T = ou.linear_positive(space, space, np.random.default_rng(0).uniform(0.1, 1.0, (4, 4)))
+        verdict = ou.openness_check(T, 1e9 * np.ones(4), 1e9, 1e9, targets=8)
+        assert verdict.targets_tested == 8 and verdict.note == "search budget exhausted without a preimage"
+
+    def test_a_large_target_count_draws_bounded_blocks(self, orth2):
+        """Forward-image tries are drawn in blocks of at most
+        ``_BLOCK_ENTRIES[1]`` entries however many targets are asked for; a
+        hook stops the probe at its first try."""
+
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def hook(x):
+            calls.append(x)
+            if len(calls) > 2:  # the unit image and the probe point come first
+                raise Stop
+            return x
+
+        T = ou.custom_operator(orth2, orth2, hook)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                ou.openness_check(T, [0.0, 0.0], 1.0, 1e-12, targets=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 3 and peak < 2**20
+
     def test_no_forward_image_target_fails(self, orth2):
         T = ou.custom_operator(orth2, orth2, lambda x: 2.0 * x)
         verdict = ou.openness_check(T, [0.0, 0.0], 1.0, 1e-12, targets=2)
@@ -426,14 +477,12 @@ class TestOpenness:
 
 
     def test_clamp_image_oracle_matches_forward_grid(self, orth2):
+        """The oracle is a row mask: it keeps every image of a grid and no point off the band."""
         T = ou.clamp_operator(orth2)
-        oracle = T.image_oracle
         axis = np.linspace(-4.0, 4.0, 17)
-        for x1 in axis:
-            for x2 in axis:
-                assert oracle(T([x1, x2]))
-        assert not oracle([0.0, 1.5])
-        assert not oracle([2.0, 0.5])
+        grid = np.array([[x1, x2] for x1 in axis for x2 in axis])
+        assert T.image_oracle(T.batch(grid)).all()
+        assert T.image_oracle(np.array([[0.0, 1.5], [2.0, 0.5], [0.0, 1.0]])).tolist() == [False, False, True]
 
 
 class TestPreimageSearchOracle:
@@ -563,9 +612,8 @@ class TestPreimageSearchOracle:
 
     def test_no_warning_at_overflow_scale(self, orth2):
         """Residuals near ``1e200`` overflow their squares, and the suite
-        turns a ``RuntimeWarning`` into an error.  ``linear_tall``'s image is
-        a plane in its 3-d codomain, which ball-drawn targets miss, so its
-        targets go to the search directly."""
+        turns a ``RuntimeWarning`` into an error.  ``linear_tall``'s targets,
+        off its image plane, go to the search directly."""
         x0 = np.array([1e200, -3e200])
         identity = SEARCH_OPERATORS["identity"](orth2, orth2)
         verdict = ou.openness_check(identity, x0, 1e200, 1e200, targets=24, budget=60, seed=1)
@@ -575,6 +623,75 @@ class TestPreimageSearchOracle:
         ys = tall(x0) + 1e200 * np.random.default_rng(4).uniform(-2.0, 2.0, size=(24, 3))
         results = ou.operators._preimage_searches(tall, ys, x0, 1e200, 60, ou.sampling.rng_from(3))
         assert results and all(1e199 < best < np.inf for _, best, _ in results)
+
+
+class TestOpennessTargets:
+    """The targets of ``openness_check`` against
+    ``oracles.openness_targets_by_loop``, the loop of one try at a time: the
+    same target bytes, the same generator state where the search begins and,
+    for a ``custom`` hook, the same calls.  ``hooked`` runs the kind's
+    evaluator as a hook, whose targets are forward images."""
+
+    @staticmethod
+    def kept(T, x0, epsilon, delta, count, seed, hooked):
+        """The targets the stage kept, once it has matched the loop."""
+        calls = [0]
+        if hooked:
+            fn = T.fn
+
+            def hook(x):
+                calls[0] += 1
+                return fn(x)
+
+            T = ou.custom_operator(T.domain, T.codomain, hook)
+        seen = []
+
+        def spy(T, ys, x0, epsilon, budget, rng):
+            seen.append((np.array(ys, dtype=float).reshape(-1, T.codomain.dim).tobytes(), rng.bit_generator.state))
+            return []
+
+        start = calls[0]
+        with mock.patch.object(ou.operators, "_preimage_searches", spy):
+            verdict = ou.openness_check(T, x0, epsilon, delta, targets=count, budget=1, seed=seed)
+        used, start = calls[0] - start, calls[0]
+        rng = ou.sampling.rng_from(seed)
+        want = openness_targets_by_loop(T, x0, epsilon, delta, count, rng)
+        assert calls[0] - start == used
+        assert seen == [(np.array(want, dtype=float).reshape(-1, T.codomain.dim).tobytes(), rng.bit_generator.state)]
+        assert verdict.targets_tested == len(want)
+        return len(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(sorted(SEARCH_OPERATORS)),
+        hooked=st.booleans(),
+        epsilon=radii,
+        delta=st.floats(-14.0, 6.0).map(lambda e: 10.0**e),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_targets_equal_the_loop(self, data, kind, hooked, epsilon, delta, count, seed):
+        T, x0 = search_case(data, kind)
+        self.kept(T, x0, epsilon, delta, count, seed, hooked)
+
+    @pytest.mark.parametrize(
+        "kind, hooked, delta, kept",
+        [
+            ("clamp", False, 0.25, "full"),
+            ("clamp", False, 1e3, "some"),  # the band keeps few of a wide ball, and the tries reach 200 * 8
+            ("clamp", False, 1e6, "none"),
+            ("clamp", True, 0.25, "full"),
+            ("clamp", True, 0.05, "some"),  # few forward images lie so near, and the tries reach 500 * 8
+            ("clamp", True, 1e-12, "none"),
+            ("linear_square", False, 1e6, "full"),
+            ("linear_tall", False, 1e-12, "none"),
+        ],
+    )
+    def test_every_try_kept_to_none(self, orth2, kind, hooked, delta, kept):
+        T = SEARCH_OPERATORS[kind](orth2, orth2)
+        n = self.kept(T, np.zeros(2), 0.25, delta, 8, 0, hooked)
+        assert kept == ("full" if n == 8 else "some" if n else "none")
 
 
 class TestOpenBallImage:
