@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import Functional, PropertyReport
-from .spaces import TOL, OrderedSpace, _finite, _json_field, _json_number, _json_numbers, _max_abs_rows, as_rows, as_vec, matvecs
+from .spaces import TOL, OrderedSpace, _finite, _json_field, _json_number, _json_numbers, _max_abs_rows, _unit_products, as_rows, as_vec
 
 
 class NonFiniteError(ValueError):
@@ -150,7 +150,7 @@ def _canonical_lines(space: OrderedSpace, points, values, unit_value: float):
     top, floor = G.copy(), G - _slack(np.abs(G))  # a screen below any pair's slack; a merged line gets inf, -inf
     first = n * n  # row-major position i * n + j of the first violated pair (i, j) found
     with np.errstate(over="ignore", invalid="ignore"):  # a distance that is not finite holds no point
-        cols = matvecs(space.unit_rows, X)
+        cols = _unit_products(space, X)
         norms = _max_abs_rows(cols)
         AT = np.ascontiguousarray(cols.T)
 

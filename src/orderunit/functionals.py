@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import sampling
-from .spaces import TOL, OrderedSpace, _finite, _json_field, _json_int, _json_number, _json_numbers, as_rows, as_vec, matvecs, order_norms
+from .spaces import TOL, OrderedSpace, _finite, _fold_rows, _json_field, _json_int, _json_number, _json_numbers, as_rows, as_vec, matvecs, order_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +195,12 @@ def _maxplus(w: np.ndarray, v: np.ndarray):
 
 
 def _maxplus_rows(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return np.max(w + X, axis=1)
+    """:func:`_maxplus` for every row, bit for bit.  Which zero or NaN a maximum is depends on the order
+    a short row is folded in (:func:`spaces._fold_rows`), so those rows keep the reduction."""
+    out = _fold_rows(np.maximum, X, lambda c, j: w[j] + c)
+    odd = np.flatnonzero(~(np.abs(out) > 0.0))
+    out[odd] = np.max(w + X[odd], axis=1)
+    return out
 
 
 def maxplus(weights, x) -> float:

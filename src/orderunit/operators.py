@@ -54,6 +54,7 @@ from .spaces import (
     _json_list,
     _json_numbers,
     _max_abs_rows,
+    _unit_products,
     as_rows,
     as_vec,
     cone_contains_rows,
@@ -147,9 +148,10 @@ def linear_positive(domain: OrderedSpace, codomain: OrderedSpace, matrix, strict
     )
     if strict:
         points = sampling.cone_points(domain, 128, 0)
-        if domain.cone.orthant:
-            points = np.concatenate([points, np.eye(domain.dim)])
-        i = _first(~cone_contains_rows(codomain, T.batch(points)))
+        images = T.batch(points)
+        if domain.cone.orthant:  # the generators' images are the matrix's columns
+            points, images = np.concatenate([points, np.eye(domain.dim)]), np.concatenate([images, m.T])
+        i = _first(~cone_contains_rows(codomain, images))
         if i is not None:
             raise ValueError(
                 f"matrix does not preserve the cone: image of {np.round(points[i], 6).tolist()} "
@@ -633,7 +635,7 @@ def _preimage_searches(T: Operator, ys, x0, epsilon: float, budget: int, rng) ->
         D = X[a[ti]]  # only the coordinate that moves changes, so every other keeps its bits
         D.ravel()[np.arange(len(ti)) * dim + coord[ti, tk]] += dS[ti, tk]
         ok = np.zeros(S.shape, dtype=bool)
-        ok[test] = _max_abs_rows(matvecs(R, D - x0)) < limit
+        ok[test] = _max_abs_rows(_unit_products(dom, D - x0)) < limit
         ok[:, 0] = fr
         cum = ok.cumsum(axis=1)  # the evals up to each slot
         ev = ok & (cum <= room[:, None])
@@ -841,7 +843,7 @@ def pointwise_limit(Ts: Sequence[Operator], probes, *, tol: float = 1e-6) -> tup
 
     @np.errstate(over="ignore", invalid="ignore")
     def _limit_eval(x):
-        t = matvecs(dom.unit_rows, x - P)  # row k: ray_thresholds(dom, P[k], x), bit for bit
+        t = _unit_products(dom, x - P)  # row k: ray_thresholds(dom, P[k], x), bit for bit
         lo, hi = t.min(axis=1), t.max(axis=1)
         dist = 0.5 * (hi - lo)
         k = int(np.argmin(np.where(dist < np.inf, dist, np.inf)))  # the first nearest line; NaN is never nearer

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spaces import OrderedSpace, as_rows, cone_contains_rows, leq, order_norm, order_norms
+from .spaces import OrderedSpace, as_rows, cone_contains_rows, order_norm, order_norms
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -137,7 +137,6 @@ def shift_samples(space: OrderedSpace, n: int, rng):
 def probe_pairs(space: OrderedSpace) -> list[tuple[np.ndarray, np.ndarray]]:
     """Small deterministic battery of comparable pairs, tried before any
     random sampling so that failure witnesses are stable across seeds."""
-    pairs = []
     z = np.zeros(space.dim)
     candidates = [
         (z, space.unit),
@@ -146,14 +145,11 @@ def probe_pairs(space: OrderedSpace) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
     if space.dim == 2:
         candidates.insert(0, (np.array([0.25, 0.5]), np.array([0.5, 0.5])))
-    for i in range(space.dim):
-        e = np.zeros(space.dim)
-        e[i] = 1.0
-        candidates.append((z, e))
-    for x, y in candidates:
-        if leq(space, x, y):
-            pairs.append((x, y))
-    return pairs
+    candidates += [(z, e) for e in np.eye(space.dim)]
+    xs, ys = (as_rows(side, space.dim) for side in zip(*candidates))
+    with np.errstate(over="ignore", invalid="ignore"):  # leq(space, x, y) for every pair, verdict for verdict
+        keep = cone_contains_rows(space, ys - xs)
+    return [pair for pair, k in zip(candidates, keep) if k]
 
 
 def _comparable_arrays(space: OrderedSpace, n: int, rng):

@@ -18,11 +18,12 @@ absolute products and ``gamma_d = d*u / (1 - d*u)`` (``u = 2**-53``); the
 bound ``B = (2d + 4) * u * fl(|rows| @ |X|.T) + 1e-300`` covers that gap.  A
 row whose every ``P - B`` clears ``-tol`` is in, a row with some ``P + B``
 below ``-tol`` is out, and every other row, as well as one with a NaN, an
-infinity or a sum near overflow, takes the exact path.  Maxima of absolute
-values along a short row axis fold ``np.maximum`` column by column
-(:func:`_max_abs_rows`).  The predicates and the row kernels run under
-``np.errstate(over="ignore", invalid="ignore")``: an overflow is a value
-(``inf`` or NaN), never a warning.
+infinity or a sum near overflow, takes the exact path.  An orthant's finite
+rows (tag ``orthant``, identity rows) skip the products, which are their
+entries plus zeros, in verdicts and bits alike (:func:`_unit_products`).
+Short rows are reduced column by column (:func:`_fold_rows`).  The predicates
+and the row kernels run under ``np.errstate(over="ignore", invalid="ignore")``:
+an overflow is a value (``inf`` or NaN), never a warning.
 
 Construction is total on finite input: a unit sitting on the cone boundary
 or an unpointed row set does not raise, it is reported by
@@ -88,24 +89,44 @@ def matvecs(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     Bit for bit the per-row product: the stacked matmul runs the same
     vector kernel per row, where ``X @ M.T`` runs a matrix kernel that
-    rounds differently.
+    rounds differently.  An orthant's unit-scaled rows take :func:`_unit_products`.
     """
     return np.matmul(X[:, None, :], M.T)[:, 0, :]
 
 
-def _max_abs_rows(V: np.ndarray) -> np.ndarray:
-    """``np.abs(V).max(axis=1)`` for an ``(n, k)`` array with ``k >= 1``, bit for bit.
+def _nonfinite_rows(X: np.ndarray) -> np.ndarray:
+    """The indices of the rows of ``X`` that hold a NaN or an infinity."""
+    return np.empty(0, dtype=np.intp) if np.isfinite(X).all() else np.flatnonzero(~np.isfinite(X).all(axis=1))
 
-    One ``np.maximum`` over ``n`` entries per column, where the reduction
-    along the short row axis pays a loop per row.  The bits are the same:
-    absolute values have no ``-0.0`` to tie with ``+0.0``, and NaN wins in
-    either order.
-    """
-    A = np.abs(V)
-    out = A[:, 0].copy()
-    for j in range(1, A.shape[1]):
-        np.maximum(out, A[:, j], out=out)
+
+def _unit_products(space: OrderedSpace, X: np.ndarray) -> np.ndarray:
+    """``matvecs(space.unit_rows, X)``, bit for bit.  On an orthant with an interior unit those rows
+    are ``diag(1 / unit)``, so a finite row's products are ``x * (1 / unit)`` plus zeros, whose sum makes
+    ``-0.0`` ``+0.0`` as ``+ 0.0`` does.  A row with a NaN or an infinity keeps the dense products."""
+    if not (space.cone.orthant and space.unit_is_interior):
+        return matvecs(space.unit_rows, X)
+    out, odd = X * (1.0 / space.unit) + 0.0, _nonfinite_rows(X)
+    out[odd] = matvecs(space.unit_rows, X[odd])
     return out
+
+
+def _fold_rows(op: np.ufunc, V: np.ndarray, f) -> np.ndarray:
+    """``op.reduce(f(V, slice(None)), axis=1)`` for an ``(n, k)`` array, ``k >= 1``, where ``f(V[:, j], j)``
+    is a fresh array holding column ``j`` of ``f(V, slice(None))``.  Up to 16 columns ``op`` folds over the
+    columns, since a reduction along a short row axis pays a loop per row; past that the strided columns
+    cost more.  The fold goes in column order, so where ``op`` picks between equal values the bits may differ."""
+    if V.shape[1] > 16:
+        return op.reduce(f(V, slice(None)), axis=1)
+    out = f(V[:, 0], 0)
+    for j in range(1, V.shape[1]):
+        op(out, f(V[:, j], j), out=out)
+    return out
+
+
+def _max_abs_rows(V: np.ndarray) -> np.ndarray:
+    """``np.abs(V).max(axis=1)``, bit for bit: absolute values have no ``-0.0``
+    to tie with ``+0.0``, and NaN wins in either order."""
+    return _fold_rows(np.maximum, V, lambda c, j: np.abs(c))
 
 
 def _finite(name: str, a) -> np.ndarray:
@@ -181,6 +202,8 @@ class ConeSpec:
             raise ValueError("cone requires a nonempty 2-d array of half-space rows")
         top = np.abs(_finite("cone rows", rows)).max(axis=1, keepdims=True)
         object.__setattr__(self, "rows", rows / np.where(top > 0.0, top, 1.0))
+        if self.orthant and not np.array_equal(self.rows, np.eye(self.dim)):
+            raise ValueError("orthant=True requires the identity as cone rows")
 
     @property
     def dim(self) -> int:
@@ -302,10 +325,17 @@ def cone_contains_rows(space: OrderedSpace, X: np.ndarray, tol: float = TOL) -> 
     when some ``P + B < -tol``, that ``p < -tol``, and the row is out.  A
     NaN or infinite entry of ``X``, or a ``B`` that is not finite, makes
     both tests false on its cone row.  Every row that neither test decides
-    takes the exact path.
+    takes the exact path.  On an orthant only a row with a NaN or an infinity
+    does: a finite row's products are its entries plus zeros, a sign test each.
     """
     rows = space.cone.rows
     X = as_rows(X, space.dim)
+    if space.cone.orthant:
+        inside = _fold_rows(np.logical_and, X, lambda c, j: c >= -tol)
+        odd = _nonfinite_rows(X)
+        if odd.size:  # the same rows without the tag
+            inside[odd] = cone_contains_rows(halfspace_space(rows, space.unit), X[odd], tol)
+        return inside
     twice_abs = 2.0 * np.abs(rows)
     scale = (space.dim + 2) * 2.0**-53  # times 2|rows| gives (2d + 4) * u
     step = max(1, _BLOCK // len(rows))
@@ -345,9 +375,16 @@ def order_norm(space: OrderedSpace, x) -> float:
 
 
 def order_norms(space: OrderedSpace, X: np.ndarray) -> np.ndarray:
-    """:func:`order_norm` for every row of the ``(n, dim)`` array ``X``."""
+    """:func:`order_norm` for every row of the ``(n, dim)`` array ``X``.  On an orthant with
+    an interior unit a finite row's norm folds ``|x_j| * (1 / unit_j)``, which is the absolute
+    value of its product in :func:`_unit_products`, so the bits are the dense path's."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _max_abs_rows(matvecs(space.unit_rows, X))
+        if not (space.cone.orthant and space.unit_is_interior):
+            return _max_abs_rows(matvecs(space.unit_rows, X))
+        inv, odd = 1.0 / space.unit, _nonfinite_rows(X)
+        out = _fold_rows(np.maximum, X, lambda c, j: np.abs(c) * inv[j])
+        out[odd] = _max_abs_rows(matvecs(space.unit_rows, X[odd]))
+        return out
 
 
 def nbhd_contains(space: OrderedSpace, z, delta: float, x) -> bool:
@@ -446,7 +483,7 @@ def validate_space(space: OrderedSpace, samples: int = 256, seed: int = 0) -> Sp
     """
     checks = [_unit_interior_entry(space)]
 
-    witness = _pointedness_witness(space)
+    witness = None if space.cone.orthant else _pointedness_witness(space)  # identity rows have no kernel
     detail = None if witness is None else {"line_direction": witness.tolist()}
     checks.append({"name": "pointed", "passed": witness is None, "detail": detail})
 

@@ -137,7 +137,7 @@ class TestBatchEvaluators:
             assert same(T.batch(X), apply_by_rows(T, X)), T.kind
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), dim=st.integers(2, 9))
+    @given(data=st.data(), dim=st.integers(2, 20))  # past 16 columns the row kernels reduce instead of folding
     def test_space_kernels_equal_the_scalar_ones(self, data, dim):
         rows = data.draw(arrays(float, (data.draw(st.integers(1, 2 * dim)), dim), elements=coords))
         space = ou.halfspace_space(rows, np.ones(dim))
@@ -149,6 +149,19 @@ class TestBatchEvaluators:
             assert same(ou.spaces.order_norms(space, X), [ou.order_norm(space, x) for x in X])
             assert same(ou.spaces._max_abs_rows(X), [np.max(np.abs(x)) for x in X])
         assert same(ou.spaces.cone_contains_rows(space, X), [ou.cone_contains(space, x) for x in X])
+
+
+class TestMaxplusRows:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 20))
+    def test_the_column_fold_equals_the_scalar_maxplus(self, data, dim):
+        """Up to 16 columns the rows are folded column by column, past that reduced; ties of
+        ``+0.0`` and ``-0.0``, NaN of either sign and infinities keep the one-row reduction's bits."""
+        ties = st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0])
+        w = data.draw(arrays(float, dim, elements=st.sampled_from([0.0, -0.0, -1.0, 1.0, -0.5])))
+        X = data.draw(arrays(float, (data.draw(st.integers(0, 12)), dim), elements=st.one_of(ties, coords)))
+        got = ou.functionals._maxplus_rows(w, X)
+        assert np.array_equal(got.view(np.int64), np.array([ou.functionals._maxplus(w, x) for x in X], dtype=float).view(np.int64))
 
 
 @st.composite
@@ -197,8 +210,9 @@ class TestBlockMembership:
             got = ou.spaces.cone_contains_rows(space, X, tol)
         assert same(got, [ou.cone_contains(space, x, tol) for x in X])
 
-    def test_face_rows_take_the_exact_path(self, orth4, monkeypatch):
-        real, exact = ou.spaces.matvecs, []
+    def test_face_rows_take_the_exact_path(self, monkeypatch):
+        # the identity rows without the orthant tag: a tagged orthant decides finite rows by their signs alone
+        orth4, real, exact = ou.halfspace_space(np.eye(4), np.ones(4)), ou.spaces.matvecs, []
 
         def spy(M, X):
             exact.append(X.copy())

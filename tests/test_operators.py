@@ -94,6 +94,24 @@ class TestApply:
         loose = ou.linear_positive(orth2, orth2, [[1.0, 0.0], [0.0, -1.0]], strict=False)
         assert np.allclose(loose([0, 1]), [0, -1])
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5), cod=st.integers(1, 4))
+    def test_strict_construction_reads_the_generators_off_the_columns(self, data, dim, cod):
+        """On an orthant domain the generators' images are the matrix's columns: the verdict, the first
+        failing point and the message are those of pushing the 128 cone points and ``np.eye(dim)`` through it."""
+        entries = st.sampled_from([0.0, -0.0, 1.0, 0.25, -1e-12, -1e-8, -0.5])
+        m = data.draw(arrays(float, (cod, dim), elements=entries))
+        domain, codomain = ou.orthant(dim), ou.orthant(cod)
+        points = np.concatenate([ou.sampling.cone_points(domain, 128, 0), np.eye(dim)])
+        bad = [i for i, p in enumerate(points) if not ou.cone_contains(codomain, m @ p)]
+        if not bad:
+            ou.linear_positive(domain, codomain, m)
+            return
+        with pytest.raises(ValueError) as refused:
+            ou.linear_positive(domain, codomain, m)
+        image = np.round(points[bad[0]], 6).tolist()
+        assert str(refused.value) == f"matrix does not preserve the cone: image of {image} leaves the codomain cone"
+
     def test_zero_at_origin(self, orth2, cap2):
         for T in (
             ou.clamp_operator(orth2),

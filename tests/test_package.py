@@ -101,3 +101,18 @@ def test_every_import_is_used(path):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted((imported | constants) - read) == []
+
+
+def test_only_spaces_reads_the_orthant_tag():
+    """The orthant's O(dim) kernels branch inside ``spaces.py``, so no caller
+    forks on the ``orthant`` tag.  The one exception is ``linear_positive``,
+    which checks an orthant domain's generators, the matrix's columns."""
+    reads = set()
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> the innermost function around it (ast.walk visits outer functions first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        reads |= {(path.name, owner.get(id(node))) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "orthant"}
+    assert sorted(r for r in reads if r[0] != "spaces.py" and r != ("operators.py", "linear_positive")) == []

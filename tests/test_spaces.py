@@ -426,3 +426,70 @@ class TestJson:
         monkeypatch.setattr(ou.ConeSpec, "nonneg_orthant", staticmethod(lambda dim: pytest.fail("built the orthant")))
         with pytest.raises(ValueError, match="dimension mismatch"):
             ou.space_from_json({"dim": 200000, "cone": "orthant", "unit": [1]})
+
+
+def raw_bits(a):
+    """The raw bits of a float array: equal bits mean equal values, signs of zero and NaN payloads."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# entries with signed zeros, subnormals, values near the overflow, infinities and NaN; the finite ones are drawn more often
+FINITE_ENTRIES = [0.0, -0.0, 1.5, -2.0, 3e-5, 5e-324, -1e-310, 1e308, -1.7976931348623157e308, 4e300]
+ODD_ENTRIES = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def orthant_twins(draw):
+    """``(tagged, untagged, X)``: ``orthant(d, unit)``, the same cone as ``halfspace_space(np.eye(d), unit)``
+    without the tag, and up to 12 rows of entries from ``FINITE_ENTRIES``, normals and, in some rows,
+    ``ODD_ENTRIES``.  The unit is interior, on the boundary, outside or subnormal, so both paths run."""
+    dim = draw(st.sampled_from([1, 2, 3, 4, 7, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units = [1.0, 0.5, 3.0, 1e-8, 2e-9, 7e5, 1e300, 1e-9, 5e-324, 0.0, -1.0]
+    unit = np.where(rng.random(dim) < 0.5, rng.choice(units, size=dim), rng.uniform(1e-3, 1e3, size=dim))
+    if draw(st.booleans()):
+        unit = np.abs(unit) + 1.0  # interior, so the orthant path runs
+    n = draw(st.integers(0, 12))
+    X = np.where(rng.random((n, dim)) < 0.6, rng.choice(FINITE_ENTRIES, size=(n, dim)), rng.normal(size=(n, dim)))
+    odd = rng.random((n, dim)) < draw(st.sampled_from([0.0, 0.02, 0.3]))
+    X[odd] = rng.choice(ODD_ENTRIES, size=int(odd.sum()))
+    return ou.orthant(dim, unit=unit), ou.halfspace_space(np.eye(dim), unit), X
+
+
+class TestOrthantPath:
+    """An orthant's kernels skip the dense identity products; the untagged identity rows are the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=orthant_twins())
+    def test_the_orthant_path_keeps_the_dense_bits(self, case):
+        tagged, dense, X = case
+        assert tagged.cone.orthant and not dense.cone.orthant
+        assert np.array_equal(raw_bits(tagged.unit_rows), raw_bits(dense.unit_rows))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(raw_bits(ou.spaces._unit_products(tagged, X)), raw_bits(ou.spaces.matvecs(dense.unit_rows, X)))
+            assert np.array_equal(raw_bits(ou.spaces.order_norms(tagged, X)), raw_bits(ou.spaces.order_norms(dense, X)))
+        for tol in (0.0, ou.TOL, np.inf):
+            assert np.array_equal(ou.spaces.cone_contains_rows(tagged, X, tol), ou.spaces.cone_contains_rows(dense, X, tol))
+        assert ou.validate_space(tagged, samples=32) == ou.validate_space(dense, samples=32)
+        if tagged.unit_is_interior:  # the limit's thresholds: every probe line's, read through the limit's values
+            probes = X[np.isfinite(X).all(axis=1)][:3]
+            limits = [
+                ou.pointwise_limit([ou.identity_operator(space)] * 2, probes)[0] for space in (tagged, dense)
+            ]
+            with np.errstate(all="ignore"):
+                for x in X:
+                    assert np.array_equal(raw_bits(limits[0](x)), raw_bits(limits[1](x)))
+
+    def test_validating_the_largest_orthant_takes_no_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("an orthant needs no SVD to be pointed")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert ou.validate_space(ou.orthant(ou.spaces.MAX_ORTHANT_DIM)).ok
+
+    def test_an_orthant_tag_needs_identity_rows(self):
+        # the tag picks the kernels, so a tagged cone with other rows would get wrong verdicts
+        for rows in ([[1, 1], [0, 1]], -np.eye(2), np.eye(3)[:2], [[0, 1], [1, 0]]):
+            with pytest.raises(ValueError, match=r"^orthant=True requires the identity as cone rows$"):
+                ou.ConeSpec(rows=rows, orthant=True)
+        assert np.array_equal(ou.ConeSpec(rows=2.0 * np.eye(3), orthant=True).rows, np.eye(3))  # stored scaled
