@@ -27,8 +27,15 @@ EXIT_INPUT = 2
 
 
 def _load_json(path: str) -> dict:
+    """The JSON value in ``path``; an object that names a field twice is refused, not read as its last copy."""
+    def unique(pairs):
+        obj, seen = dict(pairs), set()
+        if len(obj) < len(pairs):
+            raise ValueError(f"a JSON object names {next(k for k, _ in pairs if k in seen or seen.add(k))!r} twice")
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=unique)
 
 
 def _read_space(path: str):

@@ -163,23 +163,21 @@ def subsequence_limit(
         if abs(c.total - 1.0) > 1e-7:
             raise ValueError("all capacities must be normalized (value 1 on the full set)")
 
-    indices = list(range(len(caps)))
+    V = np.array([c.values for c in caps])  # (members, 2**n)
+    indices = np.arange(len(caps))
     for mask in range(1, 2**n - 1):  # the free coordinates
-        vals = {i: float(caps[i].values[mask]) for i in indices}
-        lo, hi = min(vals.values()), max(vals.values())
-        while hi - lo > conv_tol:
-            mid = 0.5 * (lo + hi)
-            lower = [i for i in indices if vals[i] <= mid]
-            upper = [i for i in indices if vals[i] > mid]
-            # both halves are nonempty while lo < hi, so this strictly shrinks
-            chosen = upper if len(upper) >= len(lower) else lower
-            if len(chosen) < 2:
+        v = V[indices, mask]
+        while (hi := float(v.max())) - (lo := float(v.min())) > conv_tol:
+            # v == hi keeps the upper half nonempty where the midpoint rounds up to hi or overflows, so this shrinks
+            upper = (v > 0.5 * (lo + hi)) | (v == hi)
+            keep = upper if 2 * np.count_nonzero(upper) >= len(v) else ~upper
+            if np.count_nonzero(keep) < 2:
                 raise ValueError(
                     f"sequence too short for convergence tolerance {conv_tol:g} "
                     f"(coordinate mask {mask} exhausted the halving)"
                 )
-            indices = chosen
-            lo, hi = min(vals[i] for i in indices), max(vals[i] for i in indices)
+            indices, v = indices[keep], v[keep]
+    indices = indices.tolist()
 
     limit_cap = caps[indices[-1]]
     limit = choquet_functional(space, limit_cap)

@@ -74,14 +74,14 @@ class Capacity:
         return float(self.values[self.full_mask])
 
     def monotonicity_witness(self):
-        """A covering pair ``(S minus {i}, S)`` whose value drops by more than ``TOL``, or None."""
-        for mask in range(1, 2**self.n):
-            for i in range(self.n):
-                if mask & (1 << i):
-                    sub = mask & ~(1 << i)
-                    if self.values[mask] < self.values[sub] - TOL:
-                        return sub, mask
-        return None
+        """The first covering pair ``(S minus {i}, S)``, by mask ``S`` and then bit ``i``, whose value drops by more than ``TOL``, or None."""
+        v, masks = self.values, np.arange(len(self.values))
+        drops = np.array([((masks & (1 << i)) > 0) & (v < v[masks & ~(1 << i)] - TOL) for i in range(self.n)], dtype=bool)
+        hit = drops.reshape(self.n, len(v)).any(axis=0)
+        if not hit.any():
+            return None
+        mask = int(hit.argmax())
+        return mask & ~(1 << int(drops[:, mask].argmax())), mask
 
     def is_monotone(self) -> bool:
         return self.monotonicity_witness() is None
@@ -131,7 +131,12 @@ def capacity_from_json(obj: dict) -> Capacity:
     n = _ground_size(_json_field(obj, "n", "capacity"))
     values = _json_field(obj, "values", "capacity")
     if isinstance(values, dict):  # else capacity_from_dict names the type
-        values = {_mask(k): _json_number("capacity values", v) for k, v in values.items()}
+        masks = {_mask(k): _json_number("capacity values", v) for k, v in values.items()}
+        if len(masks) < len(values):  # two keys, such as "01" and "1" or "-0" and "0", name one subset
+            first = {}
+            k = next(k for k in values if first.setdefault(_mask(k), k) != k)
+            raise ValueError(f"capacity masks {first[_mask(k)]!r} and {k!r} name one subset")
+        values = masks
     return capacity_from_dict(n, values)
 
 

@@ -59,23 +59,9 @@ def _ball_draws(space: OrderedSpace, n: int, rng, radius=None, scale: float = 1.
 
 
 def ball_point(space: OrderedSpace, center, radius: float, rng) -> np.ndarray:
-    """One point with ``order_norm(p - center) < radius`` (strictly inside).
-
-    Bit for bit ``ball_points(space, center, radius, 1, rng)[0]``, drawn in the
-    single-draw order: a direction, its redraws until its order norm is
-    finite and positive, then a signed length.
-    """
-    _require_interior_unit(space)
-    rng = rng_from(rng)
-    R = space.unit_rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            d = rng.normal(size=space.dim)
-            norm = float(np.abs(R @ d).max())
-            if 0.0 < norm < np.inf:
-                break
-    t = (-1.0 + 2.0 * rng.random()) * radius * (1.0 - 1e-12)
-    return np.asarray(center, dtype=float) + d * (t / norm)
+    """One point with ``order_norm(p - center) < radius`` (strictly inside), drawn in the single-draw
+    order: a direction, its redraws until its order norm is finite and positive, then a signed length."""
+    return ball_points(space, center, radius, 1, rng)[0]
 
 
 def _ball_point_run(space: OrderedSpace, center, radius: float, k: int, rng) -> np.ndarray:

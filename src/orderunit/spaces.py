@@ -333,8 +333,9 @@ def cone_contains_rows(space: OrderedSpace, X: np.ndarray, tol: float = TOL) -> 
     if space.cone.orthant:
         inside = _fold_rows(np.logical_and, X, lambda c, j: c >= -tol)
         odd = _nonfinite_rows(X)
-        if odd.size:  # the same rows without the tag
-            inside[odd] = cone_contains_rows(halfspace_space(rows, space.unit), X[odd], tol)
+        if odd.size:  # the exact test of the filter's undecided rows
+            with np.errstate(over="ignore", invalid="ignore"):
+                inside[odd] = np.all(matvecs(rows, X[odd]) >= -tol, axis=1)
         return inside
     twice_abs = 2.0 * np.abs(rows)
     scale = (space.dim + 2) * 2.0**-53  # times 2|rows| gives (2d + 4) * u

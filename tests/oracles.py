@@ -540,6 +540,42 @@ def random_monotone_capacity(n, rng, normalized=True, floor=0.0):
     return Capacity(n=n, values=vals)
 
 
+def monotonicity_witness_by_loop(cap):
+    """The covering pairs in loop order, masks ascending and then bits: the first pair
+    ``(S minus {i}, S)`` whose value drops by more than ``TOL``, or None."""
+    for mask in range(1, 2**cap.n):
+        for i in range(cap.n):
+            if mask & (1 << i):
+                sub = mask & ~(1 << i)
+                if cap.values[mask] < cap.values[sub] - TOL:
+                    return sub, mask
+    return None
+
+
+def halving_by_loop(caps, conv_tol):
+    """The interval halving of ``subsequence_limit``, one dict of values and two index lists per mask:
+    the surviving indices, or the ValueError that names the mask that exhausted it."""
+    n = caps[0].n
+    indices = list(range(len(caps)))
+    for mask in range(1, 2**n - 1):  # the free coordinates
+        vals = {i: float(caps[i].values[mask]) for i in indices}
+        lo, hi = min(vals.values()), max(vals.values())
+        while hi - lo > conv_tol:
+            mid = 0.5 * (lo + hi)
+            lower = [i for i in indices if vals[i] <= mid]
+            upper = [i for i in indices if vals[i] > mid]
+            # both halves are nonempty while lo < hi, so this strictly shrinks
+            chosen = upper if len(upper) >= len(lower) else lower
+            if len(chosen) < 2:
+                raise ValueError(
+                    f"sequence too short for convergence tolerance {conv_tol:g} "
+                    f"(coordinate mask {mask} exhausted the halving)"
+                )
+            indices = chosen
+            lo, hi = min(vals[i] for i in indices), max(vals[i] for i in indices)
+    return indices
+
+
 def convergent_monotone_capacities(rng, n_terms=100, n=3, ratio=0.85, scale=0.08):
     """Random monotone capacities converging geometrically to a random target.
 

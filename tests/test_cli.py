@@ -1031,6 +1031,31 @@ class TestFieldTypes:
         assert ou.capacity_from_json({"n": 2, "values": {"3": 1.0}}).n == 2
 
 
+class TestDuplicateFields:
+    """``json.load`` keeps the last copy of a field named twice; every command that reads a file refuses it."""
+
+    @pytest.mark.parametrize(
+        "family, text, name",
+        [
+            ("space", '{"dim": 2, "cone": "orthant", "unit": [1, 1], "unit": [1, 4]}', "unit"),
+            ("functional", '{"kind": "linear", "weights": [1, 1], "kind": "sqrt_gap"}', "kind"),
+            ("operator", '{"kind": "clamp", "kind": "clamp"}', "kind"),
+            ("openness", '{"kind": "clamp", "kind": "clamp"}', "kind"),
+            ("partial", '{"base_points": [], "values": [], "unit_value": 1.0, "unit_value": 2.0}', "unit_value"),
+            ("sequence", '{"n": 2, "sequence": [{"values": {"1": 0.2, "3": 1.0, "1": 0.7}}]}', "1"),
+        ],
+    )
+    def test_a_field_named_twice_is_refused(self, files, tmp_path, capsys, family, text, name):
+        path = tmp_path / "descriptor.json"
+        path.write_text(text)
+        if family == "openness":
+            argv = ["openness", "--space", files["space2"], "--operator", str(path), "--at", "0,0", "--epsilon", "1", "--delta", "1"]
+        else:
+            argv = _argv(family, files["space2"], str(path))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: a JSON object names {name!r} twice\n")
+
+
 class TestOpenness:
     def test_pass_at_zero(self, files):
         proc = run_cli(
@@ -1429,6 +1454,15 @@ class TestCompact:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "conv_tol" in proc.stderr
+
+    @pytest.mark.parametrize("keys", [("01", "1"), ("1", "01")])
+    def test_two_mask_keys_that_name_one_subset_are_refused(self, tmp_path, capsys, keys):
+        # read as a dict of masks, the later key's value became the limit's
+        values = {keys[0]: 0.2, keys[1]: 0.7, "3": 1.0}
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps({"n": 2, "sequence": [{"values": values}]}))
+        assert cli.main(["compact", "--capacities", str(path), "--min-length", "1", "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", f"error: capacity masks {keys[0]!r} and {keys[1]!r} name one subset\n")
 
     def test_short_sequence_is_input_error(self, files, tmp_path):
         short = tmp_path / "short.json"

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orderunit as ou
-from oracles import convergent_monotone_capacities, random_monotone_capacity
+from oracles import convergent_monotone_capacities, halving_by_loop, monotonicity_witness_by_loop, random_monotone_capacity
 
 
 def table_functional(space, table, default=0.0):
@@ -227,3 +232,81 @@ class TestSubsequenceLimit:
         result = ou.subsequence_limit(caps, orth3)
         assert result.limit_capacity.is_monotone()
         assert result.limit_capacity.total == pytest.approx(1.0, abs=1e-9)
+
+
+def _outcome(fn):
+    """``fn()``, or the message of the ValueError it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def capacity_sequences(draw):
+    """``(n, values, conv_tol)``: 2 to 12 normalized value rows on 0 to 10 points.
+
+    Each row is a base capacity plus a jitter, one for the whole sequence or
+    one per member, that some members skip and that may shrink
+    geometrically along the sequence.  Both are drawn
+    on a grid of quarters, so the halving often meets a value equal to its
+    midpoint, and a sequence that settles with ``conv_tol = 0`` keeps its
+    ties.  A base drawn without its monotone closure drops at many masks and
+    bits.
+    """
+    n = draw(st.sampled_from(range(11)))
+    members = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masks = np.arange(2**n)
+    base = rng.integers(0, 5, size=2**n) / 4.0
+    base[0] = 0.0
+    if draw(st.booleans()):
+        for i in range(n):  # the monotone closure: each value becomes the largest below it
+            base = np.maximum(base, base[masks & ~(1 << i)])
+    shape = (1 if draw(st.booleans()) else members, 2**n)
+    jitter = rng.integers(0, 5, size=shape) / 4.0
+    jitter *= rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))  # at some masks
+    jitter = jitter * (rng.random((members, 1)) < draw(st.sampled_from([0.25, 1.0])))  # of some members
+    jitter *= draw(st.sampled_from([1e-9, 1e-3, 1.0])) * draw(st.sampled_from([1.0, 0.5])) ** np.arange(members)[:, None]
+    values = base + jitter
+    values[:, -1], values[:, 0] = 1.0, 0.0  # in this order, so at n = 0 the one value is the empty set's
+    return n, values, draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.3]))
+
+
+class TestTheArrayLoopsKeepTheBits:
+    """``Capacity.monotonicity_witness`` and the halving of :func:`subsequence_limit`
+    against the loops they replaced (``tests/oracles.py``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(capacity_sequences())
+    def test_witnesses_indices_and_exhaustion_match_the_loops(self, drawn):
+        n, values, conv_tol = drawn
+        caps = [ou.Capacity(n=n, values=row) for row in values]
+        for cap in caps:
+            assert cap.monotonicity_witness() == monotonicity_witness_by_loop(cap)
+        if n == 0:  # one value, both empty and full: no sequence is normalized
+            return
+        want = _outcome(lambda: halving_by_loop(caps, conv_tol))
+        got = _outcome(lambda: ou.subsequence_limit(caps, ou.orthant(n), conv_tol=conv_tol, min_length=1).indices)
+        assert got == want
+
+    def test_a_value_at_the_midpoint_counts_as_lower(self, orth2):
+        # mask 1 spans [0.25, 0.75]: the three values at 0.5 sit on the midpoint and outnumber the upper half
+        caps = [ou.capacity_from_dict(2, {1: v, 2: 0.6, 3: 1.0}) for v in (0.25, 0.5, 0.75, 0.5, 0.5, 0.75)]
+        result = ou.subsequence_limit(caps, orth2, min_length=1)
+        assert result.indices == halving_by_loop(caps, 1e-6) == [1, 3, 4]
+
+    @pytest.mark.parametrize("pair", ["1 + 2.0**-52, 1 + 2 * 2.0**-52", "1e308, 1.5e308"], ids=["adjacent_floats", "overflow"])
+    def test_a_midpoint_at_or_past_the_top_still_halves(self, pair):
+        """The midpoint rounds half to even up to ``hi``, or overflows: no value lay above it, and the
+        halving kept every member forever.  A child process with a timeout turns that into a failure."""
+        code = (
+            "import numpy as np, orderunit as ou\n"
+            f"lo, hi = {pair}\n"
+            "assert 0.5 * (lo + hi) >= hi\n"
+            "caps = [ou.capacity_from_dict(2, {1: v, 3: 1.0}) for v in (lo, hi, lo, hi, hi)]\n"
+            "with np.errstate(over='ignore', invalid='ignore'):  # Choquet sums near the largest float overflow\n"
+            "    print(ou.subsequence_limit(caps, ou.orthant(2), conv_tol=0.0, min_length=1).indices)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "[1, 3, 4]\n"), proc.stderr

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orderunit as ou
-from oracles import choquet_layer_cake, grid_comparable_pairs, mc_sup_abs, random_monotone_capacity
+from oracles import choquet_layer_cake, grid_comparable_pairs, mc_sup_abs, monotonicity_witness_by_loop, random_monotone_capacity
 
 unit_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
@@ -121,6 +121,32 @@ class TestChoquet:
         assert not cap.is_monotone()
         sub, sup = cap.monotonicity_witness()
         assert cap.values[sup] < cap.values[sub]
+
+    def test_the_witness_at_sixteen_points(self):
+        # the cardinality capacity is monotone; lowering the value on {0, 1, 3} below its subset
+        # {0, 3} drops at mask 11 for bit 1 and bit 3, while bit 0 meets the lowered {1, 3}
+        cardinality = np.array([bin(mask).count("1") for mask in range(2**16)]) / 16
+        monotone = ou.Capacity(n=16, values=cardinality)
+        assert monotone.monotonicity_witness() is None is monotonicity_witness_by_loop(monotone)
+        dropped = cardinality.copy()
+        dropped[[10, 11, 40000]] = 1 / 16, 1.5 / 16, 0.0
+        cap = ou.Capacity(n=16, values=dropped)
+        assert cap.monotonicity_witness() == monotonicity_witness_by_loop(cap) == (9, 11)
+
+    @pytest.mark.parametrize(
+        "values, first, second",
+        [
+            ({"01": 0.2, "1": 0.7, "3": 1.0}, "01", "1"),
+            ({"1": 0.7, "01": 0.2, "3": 1.0}, "1", "01"),
+            ({"0": 0.0, "-0": 0.0, "3": 1.0}, "0", "-0"),
+            ({"3": 1.0, "2": 0.5, "003": 1.0}, "3", "003"),
+        ],
+    )
+    def test_two_mask_keys_that_name_one_subset_are_refused(self, values, first, second):
+        # a dict of masks would keep the later value only
+        with pytest.raises(ValueError) as info:
+            ou.capacity_from_json({"n": 2, "values": values})
+        assert str(info.value) == f"capacity masks {first!r} and {second!r} name one subset"
 
     def test_capacity_json_roundtrip(self, cap2):
         again = ou.capacity_from_json(ou.capacity_to_json(cap2))
