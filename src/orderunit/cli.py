@@ -5,7 +5,8 @@ Subcommands: ``check`` (functional/operator law checkers), ``norm``,
 reproducing the package's stock examples end to end).
 
 Exit codes: 0 all requested checks passed, 1 a property/contract check
-failed (the report carries a witness), 2 malformed input.  JSON reports are
+failed (the report carries a witness), 2 malformed input, 141 the reader
+closed standard output before the report was written.  JSON reports are
 byte-deterministic for a fixed seed: keys are sorted and wall-clock timing
 is only rendered in text mode.
 
@@ -18,12 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+from typing import NoReturn
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader went away
 
 
 def _load_json(path: str) -> dict:
@@ -244,6 +248,9 @@ def run_compact(args) -> tuple[dict, int]:
         truncation=args.truncation,
         seed=args.seed,
     )
+    nonfinite = next((i for i, d in zip(result.indices, result.distances) if math.isnan(d)), None)
+    if nonfinite is not None:
+        raise ValueError(f"capacity sequence member {nonfinite}: its Choquet values at the probes are not finite")
     payload = {
         "command": "compact",
         "indices": result.indices,
@@ -456,5 +463,29 @@ def main(argv=None) -> int:
     return code
 
 
+def run(argv=None) -> NoReturn:
+    """The process entry: :func:`main`, then flush both streams and end the process with its code.
+
+    ``os._exit`` skips the interpreter's teardown (module, NumPy and object
+    finalisation), which comes after the report and changes nothing in it:
+    each file the CLI opens is closed by its ``with``, and the streams are
+    flushed here.  Argparse's exit gives the code too; a reader that closed
+    standard output gives ``EXIT_CLOSED_PIPE``, without a traceback.  Any
+    other exception propagates as it does from ``main``.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        code = exc.code
+    except BrokenPipeError:  # an unbuffered stdout meets the closed pipe in print
+        code = EXIT_CLOSED_PIPE
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None for a descriptor closed at start
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = EXIT_CLOSED_PIPE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,10 +7,12 @@ gallery output is intended) with
     PYTHONPATH=src python -m orderunit gallery --seed 7 --format json > tests/data/gallery_seed7.json
 """
 
+import ast
 import contextlib
 import io
 import json
 import math
+import os
 import re
 import signal
 import subprocess
@@ -31,6 +33,7 @@ from strategies import fold_queries, interior_unit_spaces, point_arrays
 
 PYTHON = sys.executable
 GALLERY_SEED7 = Path(__file__).parent / "data" / "gallery_seed7.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, timeout=None):
@@ -1464,6 +1467,13 @@ class TestCompact:
         assert cli.main(["compact", "--capacities", str(path), "--min-length", "1", "--format", "json"]) == 2
         assert capsys.readouterr() == ("", f"error: capacity masks {keys[0]!r} and {keys[1]!r} name one subset\n")
 
+    def test_values_that_overflow_at_the_probes_are_refused(self, tmp_path, capsys):
+        # 4 * 1.5e308 at the probe (2, -2): NumPy's overflow warnings, then exit 1 on a result that was not finite, were the old outcome
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"n": 2, "sequence": [{"values": {"1": 1e308, "3": 1.0}}, {"values": {"1": 1.5e308, "3": 1.0}}] * 2}))
+        assert cli.main(["compact", "--capacities", str(path), "--min-length", "1", "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", "error: capacity sequence member 1: its Choquet values at the probes are not finite\n")
+
     def test_short_sequence_is_input_error(self, files, tmp_path):
         short = tmp_path / "short.json"
         short.write_text(json.dumps({"n": 2, "sequence": [{"values": {"3": 1.0}}] * 3}))
@@ -1513,6 +1523,75 @@ class TestFlags:
         proc = run_cli(*argv, "--tol", "1e-3", "--format", "json")
         assert proc.returncode == 2
         assert "unrecognized arguments: --tol" in proc.stderr
+
+
+def _main_block(path: Path) -> str:
+    """The one statement of the ``if __name__ == "__main__"`` block of ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [statement] = block.body
+    return ast.unparse(statement)
+
+
+class TestExitPaths:
+    """``cli.run`` ends the process after ``main``: the same streams and code, without the interpreter's teardown."""
+
+    CASES = {
+        "check_passes": (["check", "--space", "space2", "--functional", "choq", "--samples", "256", "--format", "json"], 0),
+        "check_fails_with_witness": (["check", "--space", "space2", "--functional", "gap", "--samples", "256", "--format", "json"], 1),
+        "malformed_descriptor": (["check", "--space", "broken", "--functional", "choq", "--format", "json"], 2),
+        "usage_error": (["check", "--space", "space2"], 2),
+        "help": (["--help"], 0),
+    }
+    ENTRIES = {
+        "-m orderunit": lambda argv: ["-m", "orderunit", *argv],
+        "-m orderunit.cli": lambda argv: ["-m", "orderunit.cli", *argv],
+        "run": lambda argv: ["-c", f"from orderunit.cli import run; run({argv!r})"],
+    }
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_entry_gives_mains_streams_and_code(self, files, capsys, monkeypatch, case, entry):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
+        monkeypatch.setenv("PYTHONUNBUFFERED", "")  # a buffered stdout holds the report until run flushes it
+        argv, code = self.CASES[case]
+        argv = [files.get(arg, arg) for arg in argv]
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code
+        proc = subprocess.run([PYTHON, *self.ENTRIES[entry](argv)], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["print_meets_the_pipe", "flush_meets_the_pipe"])
+    def test_a_closed_stdout_ends_the_command_without_a_traceback(self, monkeypatch, unbuffered):
+        # unbuffered, print raises inside main; buffered, the flush in run does.  A BrokenPipeError
+        # traceback from print, and exit 1, were the old outcome.
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        proc = subprocess.Popen([PYTHON, "-m", "orderunit", "gallery", "--seed", "7", "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # long before the child has started its interpreter
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == cli.EXIT_CLOSED_PIPE == 141
+        assert err == b""
+
+    def test_a_stdout_closed_at_start_still_gives_the_code(self):
+        # with descriptor 1 closed, sys.stdout is None and print writes nothing
+        proc = subprocess.run([PYTHON, "-m", "orderunit", "gallery", "--seed", "7", "--format", "json"],
+                              stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_the_three_entries_call_one_function(self):
+        tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+        script = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]["orderunit"]
+        module, _, name = script.partition(":")
+        assert module == "orderunit.cli"
+        package = ROOT / "src" / "orderunit"
+        assert f"from .cli import {name}" in {ast.unparse(node) for node in ast.parse((package / "__main__.py").read_text(encoding="utf-8")).body}
+        assert _main_block(package / "__main__.py") == _main_block(package / "cli.py") == f"{name}()"
 
 
 class TestGallery:

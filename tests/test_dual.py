@@ -225,6 +225,16 @@ class TestSubsequenceLimit:
         with pytest.raises(ValueError, match="ground size"):
             ou.subsequence_limit(caps, orth2)
 
+    def test_a_member_whose_values_overflow_has_distance_nan(self, orth2):
+        # 4 * 1e308 at the probe (2, -2): a NaN gap counted 1, as if the metric were defined there
+        caps = [ou.capacity_from_dict(2, {1: v, 3: 1.0}) for v in (0.5, 1e308, 0.5)]
+        result = ou.subsequence_limit(caps, orth2, conv_tol=float("inf"), min_length=1)
+        assert result.indices == [0, 1, 2]
+        assert result.distances[0] == result.distances[2] == 0.0 and np.isnan(result.distances[1])
+        assert result.report.witness["checks"] == {
+            "limit_monotone": True, "limit_normalized": True, "limit_state": True, "metric_tail": False
+        }
+
     def test_limit_inherits_monotonicity(self, orth3, rng):
         # every input is monotone and normalized, so the member chosen as
         # the limit is too; the report asserts it explicitly
